@@ -1,96 +1,129 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — keep the two in sync. Mapping
-# (CI job -> what this script runs, same presets and ctest labels):
+# The one definition of the CI checks. Each job in .github/workflows/ci.yml
+# runs `scripts/check.sh --leg <job>` after checkout and dependency install;
+# a run without --leg runs every leg in the order below.
 #
-#   build-test   cmake --preset ci-{gcc,clang}-{debug,release}; full ctest;
-#                ctest -L analysis.   Matrix legs whose compiler is not
-#                installed are skipped with a note.
-#   asan         cmake --preset asan; full ctest.   (gcc or clang)
-#   ubsan        cmake --preset ubsan; full ctest (UBSan alone, no ASan
-#                interposition).
-#   tsan-sweep   cmake --preset tsan; ctest --preset tsan-sweep (includes the
-#                sharded-kernel determinism matrix) + shard-lockstep ocn-diff
-#                smokes at shards {2,4} — 16x16 clean and 4x4 chaos
-#                kill_link — under TSan with tsan.supp (kept empty).
-#   lint         cmake --build <dir> --target lint (clang-tidy; soft-fail in
-#                CI, skipped here when clang-tidy is not installed).
-#   analyze-smoke  scripts/lint_determinism.py (hard fail) + ocn-analyze over
-#                the quick config matrix at shards {1,2,4} with the radix
-#                sweep, plus the --break corruptions which must be refused.
-#   bench-smoke  quick benches with --json, compared against bench/baselines/
-#                by scripts/bench_compare.py (e13 numeric, m1 schema-only
-#                plus the saturation-cell Mflit/s floor).
-#   soa-smoke    SoA <-> object-layer equivalence suite (tests/test_soa) +
-#                ocn-analyze --matrix.
-#   chaos-smoke  quick fault-injection campaign (bench_e15_chaos) vs
-#                bench/baselines/e15_quick.json.
-#   diff-smoke   lockstep reference-model campaign (ocn-diff) over the quick
-#                config matrix (incl. link-death cells) x a small seed set,
-#                plus replay of the checked-in minimized regression trace,
-#                plus the same matrix refereed 1-shard vs 4-shard;
-#                fails on any divergence.
+#   build-test     cmake --preset ci-{gcc,clang}-{debug,release}; full ctest
+#                  (including tests/test_soa); ctest -L analysis. Presets
+#                  whose compiler is not installed are skipped with a note.
+#   asan           cmake --preset asan; full ctest.
+#   ubsan          cmake --preset ubsan; full ctest (UBSan alone, no ASan
+#                  interposition).
+#   tsan-sweep     cmake --preset tsan; ctest --preset tsan-sweep (includes
+#                  the sharded-kernel determinism matrix) + shard-lockstep
+#                  ocn-diff smokes at shards {2,4} — 16x16 clean and 4x4
+#                  chaos kill_link — under TSan with tsan.supp (kept empty).
+#   lint           clang-tidy (`--target lint`); skipped when clang-tidy is
+#                  not installed. CI runs it but does not block on it.
+#   analyze-smoke  scripts/lint_determinism.py + ocn-analyze over the quick
+#                  config matrix at shards {1,2,4} and the full matrix with
+#                  the radix sweep (JSON report), the --break corruptions and
+#                  link latency 0 which must be refused, and the ocn-verify
+#                  positive/negative smoke.
+#   bench-smoke    quick benches with --json, compared against
+#                  bench/baselines/ by scripts/bench_compare.py (e13 numeric,
+#                  m1 schema-only plus the saturation-cell Mflit/s floor).
+#   chaos-smoke    quick fault-injection campaign (bench_e15_chaos) vs
+#                  bench/baselines/e15_quick.json.
+#   diff-smoke     lockstep reference-model campaign (ocn-diff) over the quick
+#                  config matrix x 10 seeds, the same matrix refereed 1-shard
+#                  vs 4-shard, and replay of the checked-in regression trace;
+#                  fails on any divergence.
 #
-# Extras that CI runs implicitly via the test suite, kept from the original
-# hygiene gate: the ocn-verify positive/negative smoke.
+# Legs after tsan-sweep run on the default preset's build/ (RelWithDebInfo:
+# the bench floors assume an optimized build). Reports land under
+# build/bench-out, build/analyze-out and build/diff-out (minimized
+# divergence traces), which CI uploads.
 #
-# Usage:  scripts/check.sh [--fast]
-#   --fast   only the first available matrix leg, no sanitizers. For quick
-#            pre-commit runs; the full script is the true CI mirror.
+# Usage:
+#   scripts/check.sh                       every leg
+#   scripts/check.sh --fast                the first available build-test
+#                                          preset, then every leg except the
+#                                          sanitizers
+#   scripts/check.sh --leg NAME [--preset PRESET]
+#                                          one leg; build-test takes one
+#                                          ci-* preset (as each CI matrix job
+#                                          does), else every installed one
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+LEGS=(build-test asan ubsan tsan-sweep lint analyze-smoke bench-smoke chaos-smoke diff-smoke)
+SANITIZER_LEGS=" asan ubsan tsan-sweep "
 FAST=0
-[[ "${1:-}" == "--fast" ]] && FAST=1
+LEG=""
+PRESET=""
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --fast) FAST=1 ;;
+    --leg) LEG="${2:?--leg needs a name}"; shift ;;
+    --preset) PRESET="${2:?--preset needs a name}"; shift ;;
+    *) echo "unknown argument: $1" >&2; exit 2 ;;
+  esac
+  shift
+done
+if [[ -n "$LEG" && ! " ${LEGS[*]} " =~ " $LEG " ]]; then
+  echo "unknown leg '$LEG' (legs: ${LEGS[*]})" >&2
+  exit 2
+fi
 
 have() { command -v "$1" >/dev/null 2>&1; }
 
-run_matrix_leg() {
-  local preset="$1"
-  echo "== [build-test] preset $preset =="
-  cmake --preset "$preset" >/dev/null
-  cmake --build --preset "$preset" -j"$(nproc)"
-  ctest --preset "$preset"
-  ctest --test-dir "build-$preset" -L analysis --output-on-failure
+# Configure the default preset and build `targets...` in build/.
+need() {
+  cmake --preset default >/dev/null
+  cmake --build build -j"$(nproc)" --target "$@"
 }
 
-FIRST_BUILD=""
-for compiler in gcc clang; do
-  case "$compiler" in
-    gcc) tool=g++ ;;
-    clang) tool=clang++ ;;
-  esac
-  if ! have "$tool"; then
-    echo "== [build-test] $tool not installed; skipping ci-$compiler-{debug,release} (CI runs them) =="
-    continue
+leg_build_test() {
+  local presets=()
+  if [[ -n "$PRESET" ]]; then
+    presets=("$PRESET")
+  else
+    for compiler in gcc clang; do
+      local tool=g++
+      [[ "$compiler" == clang ]] && tool=clang++
+      if ! have "$tool"; then
+        echo "== [build-test] $tool not installed; skipping ci-$compiler-{debug,release} (CI runs them) =="
+        continue
+      fi
+      presets+=("ci-$compiler-debug" "ci-$compiler-release")
+    done
   fi
-  for build_type in debug release; do
-    run_matrix_leg "ci-$compiler-$build_type"
-    [[ -z "$FIRST_BUILD" ]] && FIRST_BUILD="build-ci-$compiler-$build_type"
-    if [[ "$FAST" == 1 ]]; then break 2; fi
+  if [[ ${#presets[@]} -eq 0 ]]; then
+    echo "no usable C++ compiler found (need g++ or clang++)" >&2
+    exit 1
+  fi
+  for preset in "${presets[@]}"; do
+    echo "== [build-test] preset $preset =="
+    cmake --preset "$preset" >/dev/null
+    cmake --build --preset "$preset" -j"$(nproc)"
+    ctest --preset "$preset"
+    ctest --test-dir "build-$preset" -L analysis --output-on-failure
+    if [[ "$FAST" == 1 ]]; then break; fi
   done
-done
-if [[ -z "$FIRST_BUILD" ]]; then
-  echo "no usable C++ compiler found (need g++ or clang++)" >&2
-  exit 1
-fi
+}
 
-if [[ "$FAST" == 0 ]]; then
+# Configure and build sanitizer preset $1, then run ctest preset $2.
+sanitizer_ctest() {
+  cmake --preset "$1" >/dev/null
+  cmake --build --preset "$1" -j"$(nproc)"
+  ctest --preset "$2"
+}
+
+leg_asan() {
   echo "== [asan] AddressSanitizer + UBSan =="
-  cmake --preset asan >/dev/null
-  cmake --build --preset asan -j"$(nproc)"
-  ctest --preset asan
+  sanitizer_ctest asan asan
+}
 
+leg_ubsan() {
   echo "== [ubsan] UndefinedBehaviorSanitizer alone =="
-  cmake --preset ubsan >/dev/null
-  cmake --build --preset ubsan -j"$(nproc)"
-  ctest --preset ubsan
+  sanitizer_ctest ubsan ubsan
+}
 
+leg_tsan_sweep() {
   echo "== [tsan-sweep] ThreadSanitizer, sweep-labelled tests =="
-  cmake --preset tsan >/dev/null
-  cmake --build --preset tsan -j"$(nproc)"
   export TSAN_OPTIONS="suppressions=$PWD/tsan.supp"
-  ctest --preset tsan-sweep
-
+  sanitizer_ctest tsan tsan-sweep
   echo "== [tsan-sweep] shard-lockstep smokes under TSan =="
   for shards in 2 4; do
     ./build-tsan/examples/ocn-diff --shards "$shards" --radix 16 \
@@ -98,72 +131,96 @@ if [[ "$FAST" == 0 ]]; then
     ./build-tsan/examples/ocn-diff --shards "$shards" \
       --cell chaos-baseline --seeds 1 --trace-cycles 200 --quiet
   done
-else
-  echo "== --fast: skipping asan, ubsan and tsan-sweep (CI runs them) =="
-fi
+}
 
-if have clang-tidy; then
+leg_lint() {
+  if ! have clang-tidy; then
+    echo "== [lint] clang-tidy not installed; skipping (CI runs it) =="
+    return
+  fi
   echo "== [lint] clang-tidy =="
-  cmake --build "$FIRST_BUILD" --target lint
-else
-  echo "== [lint] clang-tidy not installed; skipping (CI soft-fails it) =="
-fi
+  need lint
+}
 
-echo "== [analyze-smoke] determinism lint =="
-python3 scripts/lint_determinism.py
+leg_analyze_smoke() {
+  echo "== [analyze-smoke] determinism lint =="
+  python3 scripts/lint_determinism.py
 
-echo "== [analyze-smoke] concurrency-safety analyzer over the config matrix =="
-cmake --build "$FIRST_BUILD" --target ocn-analyze >/dev/null
-"./$FIRST_BUILD/examples/ocn-analyze" --matrix --quick --quiet
-"./$FIRST_BUILD/examples/ocn-analyze" --matrix --quiet
+  echo "== [analyze-smoke] concurrency-safety analyzer over the config matrix =="
+  need ocn-analyze ocn-verify >/dev/null
+  local analyze=./build/examples/ocn-analyze
+  "$analyze" --matrix --quick --quiet
+  mkdir -p build/analyze-out
+  "$analyze" --matrix --quiet --json build/analyze-out/matrix.json
 
-echo "== [analyze-smoke] broken partitions must be refused =="
-for kind in zero-latency-cross global-mutator gated-boundary; do
-  if "./$FIRST_BUILD/examples/ocn-analyze" --shards 2 --break "$kind" --quiet; then
-    echo "expected the analyzer to refuse --break $kind" >&2
+  echo "== [analyze-smoke] broken partitions must be refused =="
+  for kind in zero-latency-cross global-mutator gated-boundary; do
+    if "$analyze" --shards 2 --break "$kind" --quiet; then
+      echo "expected the analyzer to refuse --break $kind" >&2
+      exit 1
+    fi
+  done
+  if "$analyze" --shards 2 --link-latency 0 --quiet; then
+    echo "expected the analyzer to refuse link latency 0" >&2
     exit 1
   fi
+
+  echo "== [analyze-smoke] ocn-verify: paper baseline must prove deadlock freedom =="
+  ./build/examples/ocn-verify --quiet
+  echo "== [analyze-smoke] ocn-verify: dateline-disabled radix-6 torus must find the cycle =="
+  if ./build/examples/ocn-verify --topology torus --no-vc-parity --radix 6 --quiet; then
+    echo "expected the verifier to reject this config" >&2
+    exit 1
+  fi
+}
+
+leg_bench_smoke() {
+  echo "== [bench-smoke] quick benches vs committed baselines =="
+  need bench_e13_load_latency bench_m1_micro >/dev/null
+  local out=build/bench-out
+  mkdir -p "$out"
+  ./build/bench/bench_e13_load_latency --quick --json "$out/e13_quick.json" >/dev/null
+  ./build/bench/bench_m1_micro --quick --json "$out/m1_micro.json" >/dev/null
+  python3 scripts/bench_compare.py --run "$out/e13_quick.json" \
+    --baseline bench/baselines/e13_quick.json --tolerance 0.05
+  python3 scripts/bench_compare.py --run "$out/m1_micro.json" \
+    --baseline bench/baselines/m1_micro.json --schema-only \
+    --min-metric mflits_per_sec.saturation64=0.001
+}
+
+leg_chaos_smoke() {
+  echo "== [chaos-smoke] quick fault-injection campaign vs committed baseline =="
+  need bench_e15_chaos >/dev/null
+  local out=build/bench-out
+  mkdir -p "$out"
+  ./build/bench/bench_e15_chaos --quick --json "$out/e15_quick.json" >/dev/null
+  python3 scripts/bench_compare.py --run "$out/e15_quick.json" \
+    --baseline bench/baselines/e15_quick.json --tolerance 0.05
+}
+
+leg_diff_smoke() {
+  echo "== [diff-smoke] lockstep reference-model campaign =="
+  need ocn-diff >/dev/null
+  local diff=./build/examples/ocn-diff
+  mkdir -p build/diff-out
+  "$diff" --seeds 10 --trace-cycles 300 --quiet --trace-out build/diff-out
+  "$diff" --shards 4 --seeds 10 --trace-cycles 300 --quiet
+  "$diff" --replay tests/data/lockstep_chaos_regression.trace \
+    --kill-node 0 --kill-port row+ --kill-cycle 60
+}
+
+run_leg() { "leg_${1//-/_}"; }
+
+if [[ -n "$LEG" ]]; then
+  run_leg "$LEG"
+  echo "Leg $LEG passed."
+  exit 0
+fi
+for leg in "${LEGS[@]}"; do
+  if [[ "$FAST" == 1 && "$SANITIZER_LEGS" == *" $leg "* ]]; then
+    echo "== --fast: skipping $leg (CI runs it) =="
+    continue
+  fi
+  run_leg "$leg"
 done
-if "./$FIRST_BUILD/examples/ocn-analyze" --shards 2 --link-latency 0 --quiet; then
-  echo "expected the analyzer to refuse link latency 0" >&2
-  exit 1
-fi
-
-echo "== ocn-verify: paper baseline must prove deadlock freedom =="
-"./$FIRST_BUILD/examples/ocn-verify" --quiet
-
-echo "== ocn-verify: dateline-disabled radix-6 torus must find the cycle =="
-if "./$FIRST_BUILD/examples/ocn-verify" --topology torus --no-vc-parity --radix 6 --quiet; then
-  echo "expected the verifier to reject this config" >&2
-  exit 1
-fi
-
-echo "== [bench-smoke] quick benches vs committed baselines =="
-BENCH_OUT="$FIRST_BUILD/bench-out"
-mkdir -p "$BENCH_OUT"
-"./$FIRST_BUILD/bench/bench_e13_load_latency" --quick --json "$BENCH_OUT/e13_quick.json" >/dev/null
-"./$FIRST_BUILD/bench/bench_m1_micro" --quick --json "$BENCH_OUT/m1_micro.json" >/dev/null
-python3 scripts/bench_compare.py --run "$BENCH_OUT/e13_quick.json" \
-  --baseline bench/baselines/e13_quick.json --tolerance 0.05
-python3 scripts/bench_compare.py --run "$BENCH_OUT/m1_micro.json" \
-  --baseline bench/baselines/m1_micro.json --schema-only \
-  --min-metric mflits_per_sec.saturation64=0.001
-
-echo "== [soa-smoke] SoA <-> object-layer equivalence suite + analyzer matrix =="
-cmake --build "$FIRST_BUILD" --target test_soa >/dev/null
-"./$FIRST_BUILD/tests/test_soa"
-"./$FIRST_BUILD/examples/ocn-analyze" --matrix --quick --quiet
-
-echo "== [chaos-smoke] quick fault-injection campaign vs committed baseline =="
-"./$FIRST_BUILD/bench/bench_e15_chaos" --quick --json "$BENCH_OUT/e15_quick.json" >/dev/null
-python3 scripts/bench_compare.py --run "$BENCH_OUT/e15_quick.json" \
-  --baseline bench/baselines/e15_quick.json --tolerance 0.05
-
-echo "== [diff-smoke] lockstep reference-model campaign =="
-"./$FIRST_BUILD/examples/ocn-diff" --seeds 10 --trace-cycles 300 --quiet
-"./$FIRST_BUILD/examples/ocn-diff" --shards 4 --seeds 10 --trace-cycles 300 --quiet
-"./$FIRST_BUILD/examples/ocn-diff" \
-  --replay tests/data/lockstep_chaos_regression.trace \
-  --kill-node 0 --kill-port row+ --kill-cycle 60
-
 echo "All checks passed."

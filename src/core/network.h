@@ -202,7 +202,7 @@ class Network {
   /// One RouterStatePool per shard: a shard's routers occupy consecutive
   /// slots of one contiguous allocation, so the phase-A workers touch
   /// disjoint slabs (see src/router/soa.h). Declared before routers_ so the
-  /// pools outlive the router facades bound into them.
+  /// pools outlive the router views bound into them.
   std::vector<std::unique_ptr<router::RouterStatePool>> pools_;
   std::vector<std::unique_ptr<router::Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;

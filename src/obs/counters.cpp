@@ -50,20 +50,16 @@ MetricsSnapshot MetricsSnapshot::from_json(const Json& j) {
 }
 
 Counter& CounterRegistry::counter(const std::string& name) {
-  for (auto& [k, c] : counters_) {
-    if (k == name) return c;
+  const auto [it, inserted] = names_.try_emplace(name, counters_.size());
+  if (inserted) return counters_.emplace_back(name, Counter{}).second;
+  if (it->second == kGauge) {
+    throw std::invalid_argument("obs: counter name already registered as gauge: " + name);
   }
-  for (const auto& [k, fn] : gauges_) {
-    if (k == name) {
-      throw std::invalid_argument("obs: counter name already registered as gauge: " + name);
-    }
-  }
-  counters_.emplace_back(name, Counter{});
-  return counters_.back().second;
+  return counters_[it->second].second;
 }
 
 void CounterRegistry::gauge(std::string name, std::function<std::int64_t()> read) {
-  if (name_taken(name)) {
+  if (!names_.try_emplace(name, kGauge).second) {
     throw std::invalid_argument("obs: instrument name already registered: " + name);
   }
   gauges_.emplace_back(std::move(name), std::move(read));
@@ -80,13 +76,6 @@ MetricsSnapshot CounterRegistry::snapshot(std::int64_t cycle) const {
 
 void CounterRegistry::reset_counters() {
   for (auto& [k, c] : counters_) c.reset();
-}
-
-bool CounterRegistry::name_taken(std::string_view name) const {
-  return std::any_of(counters_.begin(), counters_.end(),
-                     [&](const auto& kv) { return kv.first == name; }) ||
-         std::any_of(gauges_.begin(), gauges_.end(),
-                     [&](const auto& kv) { return kv.first == name; });
 }
 
 }  // namespace ocn::obs

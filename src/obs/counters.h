@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -67,7 +68,8 @@ class CounterRegistry {
  public:
   /// Register (or fetch) an owned counter. The returned reference is stable
   /// for the registry's lifetime. Registering a name twice returns the same
-  /// counter, so independent subsystems can share a statistic.
+  /// counter, so independent subsystems can share a statistic. Throws
+  /// std::invalid_argument when the name is already a gauge.
   Counter& counter(const std::string& name);
 
   /// Register a sampling callback. Throws std::invalid_argument when the
@@ -85,11 +87,16 @@ class CounterRegistry {
   void reset_counters();
 
  private:
-  bool name_taken(std::string_view name) const;
+  /// Marks a gauge in names_; counters map to their index in counters_.
+  static constexpr std::size_t kGauge = static_cast<std::size_t>(-1);
 
   // deque: Counter addresses must survive registration of later counters.
   std::deque<std::pair<std::string, Counter>> counters_;
   std::vector<std::pair<std::string, std::function<std::int64_t()>>> gauges_;
+  /// Every registered name, so registration is O(log n) per instrument
+  /// rather than a scan of all earlier ones. Ordered (never iterated for
+  /// output; snapshots follow counters_/gauges_ registration order).
+  std::map<std::string, std::size_t, std::less<>> names_;
 };
 
 }  // namespace ocn::obs

@@ -15,10 +15,11 @@ namespace {
 
 constexpr std::size_t kMaxDetailLines = 16;
 
-/// SoA facade-contract gate: every lockstep tick also materializes the
-/// object-layer state from the RouterStatePool arrays and compares it
-/// field-by-field (ref::soa_crosscheck). Reported as its own divergence
-/// kind so a facade/pool split is never misread as a model mismatch.
+/// Summary-invariant gate: every lockstep tick also checks the
+/// incrementally maintained summaries (retry cache, allocated counts, NIC
+/// occupancy counters) against recomputation (ref::soa_crosscheck).
+/// Reported as its own divergence kind so a drifted summary is never
+/// misread as a model mismatch.
 bool soa_divergence(core::Network& net, Cycle c, const char* side,
                     DiffResult& result) {
   std::vector<std::string> lines = soa_crosscheck(net);

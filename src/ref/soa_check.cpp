@@ -14,15 +14,15 @@ struct Check {
   std::vector<std::string> lines;
 
   template <typename A, typename B>
-  void eq(const std::string& label, const A& pool_value, const B& facade_value) {
-    if (static_cast<std::int64_t>(pool_value) ==
-        static_cast<std::int64_t>(facade_value)) {
+  void eq(const std::string& label, const A& recomputed, const B& tracked) {
+    if (static_cast<std::int64_t>(recomputed) ==
+        static_cast<std::int64_t>(tracked)) {
       return;
     }
     if (lines.size() >= kMaxLines) return;
     std::ostringstream out;
-    out << label << ": pool=" << static_cast<std::int64_t>(pool_value)
-        << " facade=" << static_cast<std::int64_t>(facade_value);
+    out << label << ": recomputed=" << static_cast<std::int64_t>(recomputed)
+        << " tracked=" << static_cast<std::int64_t>(tracked);
     lines.push_back(out.str());
   }
 };
@@ -36,82 +36,37 @@ void check_router(Check& c, router::Router& r, const std::string& tag,
     const std::string pt = tag + "." + topo::port_name(port);
     const router::InputController& in = r.input(port);
     if (in.attached()) {
-      c.eq(pt + ".popped", *pool.popped(slot, p) ? 1 : 0,
-           in.popped_this_cycle() ? 1 : 0);
+      const bool* primed = pool.alloc_primed_row(slot, p);
+      const bool* head = pool.alloc_head_row(slot, p);
+      const std::uint8_t* mask = pool.alloc_mask_row(slot, p);
       for (VcId v = 0; v < vcs; ++v) {
-        const std::string vt = pt + ".vc" + std::to_string(v);
+        // The allocation-retry cache rows cache pure functions of the
+        // decoded head; wherever the allocation stage would consult them
+        // (occupied, routed, no VC yet), they must agree with the flit.
+        // want_odd is left out: deriving it needs the router's private
+        // dateline tables, and it is recomputed from the same head the
+        // mask check pins.
         const router::VcBuffer& buf = in.vc(v);
-        c.eq(vt + ".count", pool.buf_count(slot, p, v), buf.size());
-        c.eq(vt + ".routed", pool.routed(slot, p, v) ? 1 : 0,
-             buf.routed ? 1 : 0);
-        c.eq(vt + ".routed_at", pool.routed_at(slot, p, v), buf.routed_at);
-        c.eq(vt + ".out_port", static_cast<int>(pool.out_port(slot, p, v)),
-             static_cast<int>(buf.out_port));
-        c.eq(vt + ".out_vc", pool.out_vc(slot, p, v), buf.out_vc);
-        c.eq(vt + ".discarding", pool.discarding_flag(slot, p, v) ? 1 : 0,
-             in.discarding(v) ? 1 : 0);
-        if (pool.buf_count(slot, p, v) > 0) {
-          // The facade's front() must be the slab slot the pool's own ring
-          // arithmetic names.
-          const router::Flit& slab_front =
-              pool.buf_slab(slot, p, v)[pool.buf_head(slot, p, v)];
-          const router::Flit& facade_front = buf.front();
-          c.eq(vt + ".front.packet", slab_front.packet, facade_front.packet);
-          c.eq(vt + ".front.index", slab_front.flit_index,
-               facade_front.flit_index);
-          c.eq(vt + ".front.type", static_cast<int>(slab_front.type),
-               static_cast<int>(facade_front.type));
-          // The allocation-retry cache rows cache pure functions of the
-          // decoded head; wherever the allocation stage would consult them
-          // (occupied, routed, no VC yet), they must agree with the flit.
-          // want_odd is left out: deriving it needs the router's private
-          // dateline tables, and it is recomputed from the same head the
-          // mask check pins.
-          if (pool.alloc_primed_row(slot, p)[v] &&
-              pool.routed(slot, p, v) &&
-              pool.out_vc(slot, p, v) == kInvalidVc) {
-            c.eq(vt + ".alloc_cache.head",
-                 pool.alloc_head_row(slot, p)[v] ? 1 : 0,
-                 router::is_head(facade_front.type) ? 1 : 0);
-            if (router::is_head(facade_front.type)) {
-              c.eq(vt + ".alloc_cache.mask", pool.alloc_mask_row(slot, p)[v],
-                   facade_front.vc_mask);
-            }
-          }
+        if (buf.empty() || !primed[v] || !buf.routed || buf.out_vc != kInvalidVc) {
+          continue;
+        }
+        const std::string vt = pt + ".vc" + std::to_string(v);
+        const router::Flit& front = buf.front();
+        c.eq(vt + ".alloc_cache.head", router::is_head(front.type) ? 1 : 0,
+             head[v] ? 1 : 0);
+        if (router::is_head(front.type)) {
+          c.eq(vt + ".alloc_cache.mask", front.vc_mask, mask[v]);
         }
       }
     }
     const router::OutputController& out = r.output(port);
     if (out.attached()) {
-      c.eq(pt + ".link_used", *pool.link_used(slot, p) ? 1 : 0,
-           out.link_used_this_cycle() ? 1 : 0);
-      c.eq(pt + ".link_arb", pool.link_pointer_value(slot, p),
-           out.link_arbiter().pointer());
-      c.eq(pt + ".switch_arb", pool.switch_pointer_value(slot, p),
-           r.switch_arb(port).pointer());
-      c.eq(pt + ".vc_rotation", pool.vc_rotation_value(slot, p),
-           out.vc_alloc().rotation());
-      c.eq(pt + ".carry", pool.carry_count_value(slot, p), out.carry_backlog());
-      c.eq(pt + ".resv", pool.resv_count_value(slot, p),
-           out.reservations().reserved_count());
-      int staged = 0;
-      int allocated = 0;
-      for (int i = 0; i < topo::kNumPorts; ++i) {
-        staged += pool.stage_full_flag(slot, p, i) ? 1 : 0;
-        c.eq(pt + ".stage" + std::to_string(i),
-             pool.stage_full_flag(slot, p, i) ? 1 : 0,
-             out.stage_empty(i) ? 0 : 1);
-      }
-      c.eq(pt + ".staged", staged, out.staged_flits());
-      for (VcId v = 0; v < vcs; ++v) {
-        const std::string vt = pt + ".vc" + std::to_string(v);
-        c.eq(vt + ".credits", pool.credit(slot, p, v), out.credits(v));
-        c.eq(vt + ".allocated", pool.vc_allocated_flag(slot, p, v) ? 1 : 0,
-             out.vc_alloc().is_allocated(v) ? 1 : 0);
-        allocated += pool.vc_allocated_flag(slot, p, v) ? 1 : 0;
-      }
       // The O(1) fast-fail counter must equal the popcount of the flags it
       // summarizes.
+      int allocated = 0;
+      for (VcId v = 0; v < vcs; ++v) {
+        allocated += out.vc_alloc().is_allocated(v) ? 1 : 0;
+      }
       c.eq(pt + ".allocated_count", allocated, out.vc_alloc().allocated_count());
     }
   }
@@ -120,11 +75,11 @@ void check_router(Check& c, router::Router& r, const std::string& tag,
 void check_nic(Check& c, core::Nic& nic, const std::string& tag) {
   // The incrementally-maintained occupancy counters against the accessors
   // that recompute from the queues.
-  c.eq(tag + ".queued_flits", nic.queued_flit_counter(), nic.queued_flits());
-  c.eq(tag + ".eject_pending", nic.eject_pending_counter(),
-       nic.pending_eject_flits());
-  c.eq(tag + ".scheduled_flits", nic.scheduled_flit_counter(),
-       nic.scheduled_flits_queued());
+  c.eq(tag + ".queued_flits", nic.queued_flits(), nic.queued_flit_counter());
+  c.eq(tag + ".eject_pending", nic.pending_eject_flits(),
+       nic.eject_pending_counter());
+  c.eq(tag + ".scheduled_flits", nic.scheduled_flits_queued(),
+       nic.scheduled_flit_counter());
 }
 
 }  // namespace

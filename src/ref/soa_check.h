@@ -1,14 +1,14 @@
-// SoA <-> object-layer equivalence check (tentpole gate, tests/test_soa.cpp).
+// Summary-invariant check over a production network (ref::soa_crosscheck).
 //
-// The SoA refactor keeps the object layer (VcBuffer, VcAllocator, arbiters,
-// Input/OutputController, Nic counters) as a facade of views over the
-// RouterStatePool arrays. This module materializes the state a fresh object
-// layer would observe from the arrays — re-deriving every slice through the
-// pool's own index arithmetic, independently of the pointers the facades
-// cached at construction — and compares it field-by-field against the facade
-// accessors. Any mismatch means a facade is looking at the wrong slice, a
-// batch loop bypassed the facade semantics, or an incrementally-maintained
-// counter drifted from the occupancy it summarizes.
+// Router and NIC state has one home (DESIGN.md §4h), so a view cannot
+// disagree with the cell it is bound to. What can drift is state that
+// summarizes other state and is maintained incrementally:
+//   * the VC-allocation retry cache rows, against the head flit they cache;
+//   * VcAllocator::allocated_count(), against the popcount of its flags;
+//   * the NIC occupancy counters, against recomputation from the queues.
+// A view bound to the wrong slot is caught by ocn-diff instead, which
+// compares buffer contents, credits, VC allocation and every rotation
+// pointer against the reference model.
 //
 // run_lockstep / run_shard_lockstep call this after every tick, so the whole
 // 12-cell quick matrix (and every ocn-diff campaign) gates on it.
@@ -23,9 +23,9 @@ class Network;
 
 namespace ocn::ref {
 
-/// Compare pool-derived state against the object-layer accessors for every
-/// router and NIC in `net`. Returns one "label: pool=X facade=Y" line per
-/// mismatching field (empty when equivalent). Capped at 32 lines.
+/// Check every router and NIC in `net`. Returns one
+/// "label: recomputed=X tracked=Y" line per mismatch (empty when
+/// consistent). Capped at 32 lines.
 std::vector<std::string> soa_crosscheck(core::Network& net);
 
 }  // namespace ocn::ref

@@ -1,58 +1,28 @@
 #include "router/arbiter.h"
 
-#include <cassert>
-#include <cstddef>
-
 namespace ocn::router {
-
-namespace {
-
-/// Copy a vector<bool> (no contiguous storage) into a stack array so the
-/// convenience API can delegate to the one raw scan implementation.
-void to_stack(const std::vector<bool>& v, std::uint8_t* out, int expect) {
-  assert(static_cast<int>(v.size()) == expect);
-  assert(expect <= kMaxArbiterInputs);
-  for (int i = 0; i < expect; ++i) out[static_cast<std::size_t>(i)] = v[static_cast<std::size_t>(i)] ? 1 : 0;
-}
-
-}  // namespace
 
 int RoundRobinArbiter::arbitrate(const std::uint8_t* requests) {
   for (int i = 0; i < inputs_; ++i) {
-    const int candidate = (*next_ + i) % inputs_;
+    const int candidate = (next_ + i) % inputs_;
     if (requests[candidate]) {
-      *next_ = (candidate + 1) % inputs_;
+      next_ = (candidate + 1) % inputs_;
       return candidate;
     }
   }
   return -1;
-}
-
-int RoundRobinArbiter::arbitrate(const std::vector<bool>& requests) {
-  std::uint8_t req[kMaxArbiterInputs];
-  to_stack(requests, req, inputs_);
-  return arbitrate(req);
 }
 
 int RoundRobinArbiter::arbitrate_at_level(const std::uint8_t* requests,
                                           const int* priority, int level) {
   for (int i = 0; i < inputs_; ++i) {
-    const int candidate = (*next_ + i) % inputs_;
+    const int candidate = (next_ + i) % inputs_;
     if (requests[candidate] && priority[candidate] == level) {
-      *next_ = (candidate + 1) % inputs_;
+      next_ = (candidate + 1) % inputs_;
       return candidate;
     }
   }
   return -1;
-}
-
-int RoundRobinArbiter::arbitrate_at_level(const std::vector<bool>& requests,
-                                          const std::vector<int>& priority,
-                                          int level) {
-  assert(requests.size() == priority.size());
-  std::uint8_t req[kMaxArbiterInputs];
-  to_stack(requests, req, inputs_);
-  return arbitrate_at_level(req, priority.data(), level);
 }
 
 int PriorityArbiter::arbitrate(const std::uint8_t* requests,
@@ -69,14 +39,6 @@ int PriorityArbiter::arbitrate(const std::uint8_t* requests,
   // Round-robin among the highest-priority requesters, without building a
   // filtered request vector (this runs per input port per cycle).
   return rr_.arbitrate_at_level(requests, priority, best);
-}
-
-int PriorityArbiter::arbitrate(const std::vector<bool>& requests,
-                               const std::vector<int>& priority) {
-  assert(requests.size() == priority.size());
-  std::uint8_t req[kMaxArbiterInputs];
-  to_stack(requests, req, rr_.inputs());
-  return arbitrate(req, priority.data());
 }
 
 }  // namespace ocn::router

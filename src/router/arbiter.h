@@ -6,59 +6,37 @@
 // paper (section 2.1), a short high-priority packet overtakes long
 // low-priority traffic at every arbitration point.
 //
-// SoA refactor notes:
-//   * the grant pointer can live in RouterStatePool (pass a slot to the
-//     two-argument constructor); the default constructor keeps private
-//     storage so standalone arbiters (unit tests, the NIC) are unchanged.
-//     Copy/move rebind the pointer when it targets own storage, so
-//     vector<PriorityArbiter> members stay valid after construction moves.
-//   * there is exactly ONE scan implementation — the raw
-//     (const std::uint8_t*) overloads. The std::vector<bool> API copies into
-//     a small stack array and delegates, so the hot path (stack arrays, no
-//     allocation) and the convenience path cannot drift apart. Rotation
-//     semantics under zero-requester calls (pointer freezes — it only
-//     advances past a winner) are pinned by tests/test_router_units.cpp.
+// The grant pointer is a plain member: only the arbiter reads or writes it,
+// and arbiters also run outside any router (the NIC's injection and
+// ejection arbiters), so it has no RouterStatePool row. Requests are raw
+// byte arrays (requests[i] != 0), which every caller fills on the stack.
+// Rotation semantics under zero-requester calls (the pointer freezes; it
+// only advances past a winner) are pinned by tests/test_router_units.cpp
+// and tests/test_soa.cpp.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace ocn::router {
 
 /// Widest arbiter instantiated anywhere (ports or VCs); bounds the stack
-/// scratch the vector<bool> compatibility shims use.
+/// request arrays callers build.
 inline constexpr int kMaxArbiterInputs = 32;
 
 class RoundRobinArbiter {
  public:
   explicit RoundRobinArbiter(int inputs) : inputs_(inputs) {}
-  /// Pool-backed: the grant pointer lives at `*pointer_slot` (must outlive
-  /// the arbiter and start at 0).
-  RoundRobinArbiter(int inputs, int* pointer_slot)
-      : inputs_(inputs), next_(pointer_slot) {}
-
-  RoundRobinArbiter(const RoundRobinArbiter& o)
-      : inputs_(o.inputs_),
-        own_next_(o.own_next_),
-        next_(o.next_ == &o.own_next_ ? &own_next_ : o.next_) {}
-  RoundRobinArbiter(RoundRobinArbiter&& o) noexcept
-      : RoundRobinArbiter(static_cast<const RoundRobinArbiter&>(o)) {}
-  RoundRobinArbiter& operator=(const RoundRobinArbiter&) = delete;
-  RoundRobinArbiter& operator=(RoundRobinArbiter&&) = delete;
 
   /// Grant one of the requesting inputs (requests[i] != 0), or -1 if none.
   /// Advances the pointer past the winner so grants rotate; with zero
   /// requesters the pointer is left untouched.
   int arbitrate(const std::uint8_t* requests);
-  int arbitrate(const std::vector<bool>& requests);
 
   /// As arbitrate(), but only inputs whose priority equals `level` compete.
   /// Equivalent to filtering the request vector first, without the per-call
   /// allocation that filtering would cost.
   int arbitrate_at_level(const std::uint8_t* requests, const int* priority,
                          int level);
-  int arbitrate_at_level(const std::vector<bool>& requests,
-                         const std::vector<int>& priority, int level);
 
   int inputs() const { return inputs_; }
 
@@ -66,24 +44,20 @@ class RoundRobinArbiter {
   /// the differential harness can compare arbiter state between the
   /// production router and the reference model before a mis-grant becomes
   /// externally visible.
-  int pointer() const { return *next_; }
+  int pointer() const { return next_; }
 
  private:
   int inputs_;
-  int own_next_ = 0;
-  int* next_ = &own_next_;
+  int next_ = 0;
 };
 
 class PriorityArbiter {
  public:
   explicit PriorityArbiter(int inputs) : rr_(inputs) {}
-  /// Pool-backed rotation pointer; see RoundRobinArbiter.
-  PriorityArbiter(int inputs, int* pointer_slot) : rr_(inputs, pointer_slot) {}
 
   /// Grant among the highest-priority requesters; ties rotate.
   /// `priority[i]` is only inspected where requests[i] is nonzero.
   int arbitrate(const std::uint8_t* requests, const int* priority);
-  int arbitrate(const std::vector<bool>& requests, const std::vector<int>& priority);
 
   /// Fast path for callers that know every requester carries the same
   /// priority (priority_arbitration disabled): skips the max-level pass.

@@ -24,8 +24,7 @@ InputController::InputController(Port port, const RouterParams& params,
       vc_flits_(static_cast<std::size_t>(params.vcs), 0) {
   vcs_.reserve(static_cast<std::size_t>(params.vcs));
   for (int v = 0; v < params.vcs; ++v) {
-    vcs_.emplace_back(pool.vc_slice(slot, static_cast<int>(port), v),
-                      params.buffer_depth);
+    vcs_.emplace_back(pool.vc_slice(slot, static_cast<int>(port), v));
   }
 }
 

@@ -5,10 +5,10 @@
 // two-bit entry off the route field to select the output port. Forwarding a
 // flit frees a buffer slot, which is signalled upstream with a credit.
 //
-// SoA refactor: all per-VC buffer and routing state lives in the owning
-// router's RouterStatePool slot; the VcBuffer members are views and the
-// discarding flags are a pool slice. The controller keeps only wiring,
-// per-cycle transients, and statistics.
+// All per-VC buffer and routing state, the discarding flags and the
+// per-cycle popped flag live in the owning router's RouterStatePool slot;
+// the VcBuffer members are views into it. The controller itself keeps only
+// wiring and statistics.
 #pragma once
 
 #include <vector>
@@ -46,21 +46,6 @@ class InputController {
   bool attached() const { return in_ != nullptr; }
   topo::Port port() const { return port_; }
 
-  /// True when stepping the owning router would find nothing to do here:
-  /// no flit arriving on the input link and every VC buffer empty. (A VC
-  /// mid-wormhole with an empty buffer is still quiescent — it only has
-  /// work again once the next body flit arrives, which flips this false.)
-  /// Recomputed from channel and buffer occupancy on every call, never
-  /// cached (the stale-flag pattern PR 6 fixed in Channel::take()).
-  bool quiescent() const {
-    if (in_ == nullptr) return true;
-    if (in_->receive().has_value()) return false;
-    for (const auto& buf : vcs_) {
-      if (!buf.empty()) return false;
-    }
-    return true;
-  }
-
   /// Phase 1: consume an arriving flit into its VC buffer (or apply the
   /// dropping policy).
   void accept_arrival();
@@ -72,20 +57,12 @@ class InputController {
   const VcBuffer& vc(VcId v) const { return vcs_[static_cast<std::size_t>(v)]; }
   int num_vcs() const { return static_cast<int>(vcs_.size()); }
 
-  /// Dropping flow control: true while VC `v` is mid-discard of an arriving
-  /// packet. Exposed for the SoA equivalence cross-check.
-  bool discarding(VcId v) const { return discarding_[v]; }
-
   /// True if this input already forwarded a flit this cycle (one flit per
   /// input port per cycle crosses the switch).
   bool popped_this_cycle() const { return *popped_; }
 
   /// Remove the front flit of `v`, emitting the upstream credit.
   Flit pop(VcId v);
-
-  /// Kept for standalone use; pool-backed routers batch-clear all per-cycle
-  /// transients via RouterStatePool::clear_cycle_flags instead.
-  void end_cycle() { *popped_ = false; }
 
   // --- statistics -----------------------------------------------------------
   std::int64_t flits_arrived() const { return flits_arrived_; }
@@ -118,7 +95,8 @@ class InputController {
   /// accept_arrival probes the channel object only when it is set, and
   /// clears it as it consumes.
   std::atomic<std::uint8_t>* arrive_flit_;
-  /// Pool-backed per-cycle transient (one switch traversal per input port).
+  /// Per-cycle transient (one switch traversal per input port), cleared by
+  /// RouterStatePool::clear_cycle_flags at the end of the router's step.
   bool* popped_;
   Channel<Flit>* in_ = nullptr;
   Channel<Credit>* credit_upstream_ = nullptr;

@@ -10,12 +10,8 @@ OutputController::OutputController(topo::Port port, const RouterParams& params,
     : port_(port),
       params_(params),
       credits_(pool.credits(slot, static_cast<int>(port))),
-      vc_alloc_(params.vcs, params.enforce_vc_parity,
-                pool.vc_allocated(slot, static_cast<int>(port)),
-                pool.vc_excluded(slot, static_cast<int>(port)),
-                pool.vc_rotation(slot, static_cast<int>(port))),
-      reservations_(params.reservation_frame,
-                    pool.resv_count(slot, static_cast<int>(port))),
+      vc_alloc_(pool, slot, static_cast<int>(port), params.enforce_vc_parity),
+      reservations_(params.reservation_frame, pool, slot, static_cast<int>(port)),
       carry_ring_(pool.carry_ring(slot, static_cast<int>(port))),
       carry_head_(pool.carry_head(slot, static_cast<int>(port))),
       carry_count_(pool.carry_count(slot, static_cast<int>(port))),
@@ -23,7 +19,7 @@ OutputController::OutputController(topo::Port port, const RouterParams& params,
       stage_flits_(pool.stage(slot, static_cast<int>(port))),
       stage_full_(pool.stage_full(slot, static_cast<int>(port))),
       stage_fresh_(pool.stage_fresh(slot, static_cast<int>(port))),
-      link_arb_(topo::kNumPorts, pool.link_pointer(slot, static_cast<int>(port))),
+      link_arb_(topo::kNumPorts),
       arrive_credit_(pool.arrival(slot, static_cast<int>(port),
                                   RouterStatePool::kArriveCredit)),
       link_used_(pool.link_used(slot, static_cast<int>(port))) {
@@ -179,11 +175,6 @@ void OutputController::arbitrate_link(Cycle now) {
   Flit f = std::move(stage_flits_[winner]);
   stage_full_[winner] = false;
   send_on_link(std::move(f), /*bypass=*/false);
-}
-
-void OutputController::end_cycle() {
-  for (int i = 0; i < topo::kNumPorts; ++i) stage_fresh_[i] = false;
-  *link_used_ = false;
 }
 
 }  // namespace ocn::router

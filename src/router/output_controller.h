@@ -5,15 +5,14 @@
 // downstream credits per VC, owns the downstream VC allocation state, and
 // holds the cyclic reservation table for pre-scheduled traffic.
 //
-// SoA refactor: credits, VC-allocation flags, the stage registers, the
-// piggyback carry ring, and the link-arbiter rotation pointer all live in
-// the owning router's RouterStatePool slot. The stage is a flat Flit slab
-// plus full/fresh flag arrays (replacing std::optional per slot), and the
-// carry queue is a fixed ring bounded by vcs x buffer_depth (credit
-// conservation: an entry is a freed buffer slot not yet signalled
-// upstream). arbitrate_link builds its request/priority sets in stack
-// arrays and calls the raw arbiter overload — the per-call vector
-// allocations this replaces dominated the pre-SoA hot-path profile.
+// Credits, VC-allocation flags, the reservation count, the stage registers
+// and the piggyback carry ring live in the owning router's RouterStatePool
+// slot; the link arbiter owns its rotation pointer. The stage is a flat
+// Flit slab plus full/fresh flag arrays, and the carry queue is a fixed
+// ring bounded by vcs x buffer_depth (credit conservation: an entry is a
+// freed buffer slot not yet signalled upstream). arbitrate_link builds its
+// request/priority sets in stack arrays — per-call vector allocations here
+// once dominated the hot-path profile.
 #pragma once
 
 #include <cassert>
@@ -49,24 +48,6 @@ class OutputController {
   bool attached() const { return link_ != nullptr; }
   topo::Port port() const { return port_; }
   double length_mm() const { return length_mm_; }
-
-  /// True when stepping the owning router would find nothing to do here: no
-  /// credit arriving from downstream, no staged flits awaiting the link, no
-  /// piggyback credits queued, and no reservation slots (reserved slots are
-  /// accounted — idle_reserved_cycles — every cycle, so they keep the
-  /// router on the clock). Recomputed from occupancy on every call, never
-  /// cached (the stale-flag pattern PR 6 fixed in Channel::take()).
-  bool quiescent() const {
-    if (link_ == nullptr) return true;
-    if (credit_downstream_ != nullptr && credit_downstream_->receive().has_value()) {
-      return false;
-    }
-    if (*carry_count_ != 0 || reservations_.any()) return false;
-    for (int i = 0; i < topo::kNumPorts; ++i) {
-      if (stage_full_[i]) return false;
-    }
-    return true;
-  }
 
   /// Install a per-link transform (fault layer). Not owned.
   void set_transform(LinkTransform* t) { transform_ = t; }
@@ -112,8 +93,6 @@ class OutputController {
     return n;
   }
   const PriorityArbiter& link_arbiter() const { return link_arb_; }
-  /// Stage register content for `input` (valid only when !stage_empty).
-  const Flit& staged(int input) const { return stage_flits_[input]; }
 
   // --- output stage ---------------------------------------------------------
   bool stage_empty(int input) const { return !stage_full_[input]; }
@@ -122,7 +101,6 @@ class OutputController {
   void stage_push(int input, Flit f);
 
   // --- link -----------------------------------------------------------------
-  bool link_used_this_cycle() const { return *link_used_; }
   /// Pre-scheduled bypass: the flit goes straight from the input buffer to
   /// the link, skipping the output stage and arbitration (section 2.6).
   void send_bypass(Flit f);
@@ -130,10 +108,6 @@ class OutputController {
   /// piggybacking, an idle link with queued credits emits a credit-only
   /// flit instead.
   void arbitrate_link(Cycle now);
-
-  /// Kept for standalone use; pool-backed routers batch-clear all per-cycle
-  /// transients via RouterStatePool::clear_cycle_flags instead.
-  void end_cycle();
 
   // --- statistics -----------------------------------------------------------
   std::int64_t flits_sent() const { return flits_sent_; }
@@ -186,7 +160,8 @@ class OutputController {
   /// This port's credit-arrival byte in the pool's wake row (see
   /// InputController::arrive_flit_ for the protocol).
   std::atomic<std::uint8_t>* arrive_credit_;
-  /// Pool-backed per-cycle transient (one flit per link per cycle).
+  /// Per-cycle transient (one flit per link per cycle), cleared by
+  /// RouterStatePool::clear_cycle_flags at the end of the router's step.
   bool* link_used_;
 
   std::int64_t flits_sent_ = 0;

@@ -7,15 +7,17 @@
 // arbitration or delay by riding its reserved slots; dynamic traffic
 // arbitrates for the remaining cycles.
 //
-// SoA refactor: the slot table itself is cold (touched only at configuration
-// time and on the reserved cycles), so it stays a vector; only the
-// reserved-slot *count* — read by the per-cycle any() gate and by the
-// event-skip occupancy scan — can be pool-backed via the two-argument
-// constructor.
+// The slot table is cold (touched only at configuration time and on the
+// reserved cycles) and read by nothing else, so the table owns it as a
+// vector. The reserved-slot *count* is read as a row by the per-cycle
+// bypass gate and the event-skip occupancy scan, so it lives in the
+// (router, port) cell of a RouterStatePool. A standalone table binds a cell
+// of a `RouterStatePool(1, params)`.
 #pragma once
 
 #include <vector>
 
+#include "router/soa.h"
 #include "sim/types.h"
 
 namespace ocn::router {
@@ -28,23 +30,10 @@ class ReservationTable {
     bool reserved() const { return input >= 0; }
   };
 
-  explicit ReservationTable(int frame) : slots_(frame > 0 ? frame : 1) {}
-  /// Pool-backed count slot (owned by a RouterStatePool, starts at 0).
-  ReservationTable(int frame, int* count_slot)
-      : slots_(frame > 0 ? frame : 1), reserved_count_(count_slot) {}
-
-  ReservationTable(const ReservationTable& o)
-      : slots_(o.slots_),
-        own_count_(o.own_count_),
-        reserved_count_(o.reserved_count_ == &o.own_count_ ? &own_count_
-                                                           : o.reserved_count_) {}
-  ReservationTable(ReservationTable&& o) noexcept
-      : slots_(std::move(o.slots_)),
-        own_count_(o.own_count_),
-        reserved_count_(o.reserved_count_ == &o.own_count_ ? &own_count_
-                                                           : o.reserved_count_) {}
-  ReservationTable& operator=(const ReservationTable&) = delete;
-  ReservationTable& operator=(ReservationTable&&) = delete;
+  /// Binds the reserved-slot count of (slot, port) in `pool`; the pool
+  /// must outlive the table.
+  ReservationTable(int frame, RouterStatePool& pool, int slot, int port)
+      : slots_(frame > 0 ? frame : 1), reserved_count_(pool.resv_count(slot, port)) {}
 
   int frame() const { return static_cast<int>(slots_.size()); }
 
@@ -67,8 +56,7 @@ class ReservationTable {
     return static_cast<int>(((now % f) + f) % f);
   }
   std::vector<Slot> slots_;
-  int own_count_ = 0;
-  int* reserved_count_ = &own_count_;
+  int* reserved_count_;
 };
 
 }  // namespace ocn::router

@@ -32,7 +32,7 @@ void Router::init_controllers() {
   for (int p = 0; p < topo::kNumPorts; ++p) {
     inputs_.emplace_back(static_cast<Port>(p), params_, *pool_, slot_);
     outputs_.emplace_back(static_cast<Port>(p), params_, *pool_, slot_);
-    switch_arbs_.emplace_back(params_.vcs, pool_->switch_pointer(slot_, p));
+    switch_arbs_.emplace_back(params_.vcs);
   }
   for (int p = 0; p < topo::kNumPorts; ++p) {
     const Port rev = topo::reverse(static_cast<Port>(p));
@@ -44,16 +44,6 @@ void Router::init_controllers() {
   for (int p = 0; p < topo::kNumPorts; ++p) {
     dateline_cache_[p] = topo_.crosses_dateline(node_, static_cast<Port>(p));
   }
-}
-
-bool Router::quiescent() const {
-  for (const auto& in : inputs_) {
-    if (!in.quiescent()) return false;
-  }
-  for (const auto& out : outputs_) {
-    if (!out.quiescent()) return false;
-  }
-  return true;
 }
 
 bool Router::effective_dateline(const Flit& head, Port in_port, Port out_port) const {
@@ -75,23 +65,22 @@ void Router::step(Cycle now) {
   reservation_bypass(now);
   link_arbitration(now);
   switch_traversal(now);
-  // Equivalent to calling end_cycle() on every controller: the per-cycle
-  // transients (popped, link_used, stage_fresh) are pool rows, cleared with
-  // three contiguous writes instead of ten object visits.
+  // The per-cycle transients (popped, link_used, stage_fresh) are pool
+  // rows, cleared with three contiguous writes.
   pool_->clear_cycle_flags(slot_);
 }
 
 void Router::vc_allocation(Cycle now) {
   // Rotate the input starting point so no input gets structural priority on
   // downstream VCs. Derived from the cycle counter (identical to a counter
-  // incremented every cycle) so skipped quiescent cycles don't perturb it.
+  // incremented every cycle) so skipped idle cycles don't perturb it.
   const int start = static_cast<int>(now % topo::kNumPorts);
   for (int i = 0; i < topo::kNumPorts; ++i) {
     const int p = (start + i) % topo::kNumPorts;
     auto& in = inputs_[static_cast<std::size_t>(p)];
     if (!in.attached()) continue;
     // Candidate filter over the pool's contiguous rows — the same pure
-    // reads the facade would make, as sequential loads. Only VCs that are
+    // reads the views would make, as sequential loads. Only VCs that are
     // occupied, routed, and still ungranted fall through.
     const int* cnt = pool_->buf_count_row(slot_, p);
     const bool* routed = pool_->routed_row(slot_, p);
@@ -202,7 +191,7 @@ void Router::switch_traversal(Cycle now) {
     if (!in.attached() || in.popped_this_cycle()) continue;
     const int nvcs = in.num_vcs();
     // Row filter first (occupied + routed + VC granted), then the remaining
-    // per-candidate checks through the facade. Same request set as checking
+    // per-candidate checks through the views. Same request set as checking
     // everything through the views — the predicates are all pure reads.
     const int* cnt = pool_->buf_count_row(slot_, i);
     const bool* routed = pool_->routed_row(slot_, i);

@@ -19,12 +19,17 @@
 // and one on the link when uncontended; the pre-scheduled bypass path takes
 // a single cycle per hop.
 //
-// SoA refactor (ROADMAP item 2): all hot per-VC state lives in a
-// RouterStatePool slot; the controllers and arbiters are facades of views
-// over it. core::Network constructs routers against one pool per shard
-// (consecutive slots) so a shard's hot state is contiguous; the three-arg
-// constructor keeps a private single-slot pool so standalone routers (unit
-// tests, the reference harness) run the identical code path.
+// Router state lives in a RouterStatePool slot; the controllers hold views
+// into it, and the switch arbiters own their rotation pointers.
+// core::Network constructs routers against one pool per shard (consecutive
+// slots) so a shard's state is contiguous; the three-argument constructor
+// owns a RouterStatePool(1, params), so a standalone router runs the same
+// code on the same layout.
+//
+// A router is registered with its wake row (`kernel.add(r, r->wake_row(),
+// Router::wake_width())`): the kernel skips it while every arrival byte is
+// zero and idle_internal() holds. Registered without a row, it inherits
+// Clockable's default quiescent() and is stepped every cycle.
 #pragma once
 
 #include <memory>
@@ -41,7 +46,7 @@ namespace ocn::router {
 
 class Router final : public Clockable {
  public:
-  /// Standalone: owns a private one-slot RouterStatePool.
+  /// Standalone: owns a RouterStatePool(1, params).
   Router(NodeId node, const topo::Topology& topology, const RouterParams& params);
   /// Pool-backed: state lives in `pool` slot `slot` (pool outlives router).
   Router(NodeId node, const topo::Topology& topology, const RouterParams& params,
@@ -60,19 +65,12 @@ class Router final : public Clockable {
 
   void step(Cycle now) override;
 
-  /// Active-set fast path: a router with no arrivals, no buffered or staged
-  /// flits, no queued credits and no reservations is skipped by the kernel.
-  /// Skipping is exactly behaviour-preserving: every piece of per-cycle
-  /// state a skipped step would touch (allocation rotation) is derived from
-  /// the cycle counter instead of incremented.
-  bool quiescent() const override;
-
-  /// Event-skip fast path: internal work only (buffered/staged flits,
-  /// queued carry credits, reservation slots), one contiguous pool scan.
-  /// Arrivals are covered by the kernel's wake row — a channel delivering
-  /// into this router stamps its per-port arrival byte as it advances — so
-  /// `row all-zero && idle_internal()` is exactly quiescent() without
-  /// re-polling every attached channel.
+  /// Skip predicate, internal half: no buffered or staged flits, queued
+  /// carry credits or reservation slots (one contiguous pool scan). Arrivals
+  /// are the wake row's half — a channel delivering into this router stamps
+  /// its per-port arrival byte as it advances. When both are clear, a step
+  /// would change nothing: the per-cycle state a skipped step would touch
+  /// (allocation rotation) is derived from the cycle counter.
   bool idle_internal() const override { return !pool_->has_internal_work(slot_); }
 
   /// The per-port arrival bytes channels stamp and the kernel scans; see

@@ -1,36 +1,32 @@
-// Structure-of-arrays backing store for the router hot path (ROADMAP item 2).
+// Structure-of-arrays store for router state: the single home of every
+// per-VC and per-port field of the router datapath.
 //
-// Every piece of per-VC router state that the per-cycle pipeline touches —
-// downstream credits, input-buffer occupancy (ring head/count plus the flit
-// slab), per-packet routing state, the output stage registers, the carry
-// (piggyback-credit) rings, reservation-slot counts, and every arbiter
-// grant/rotation pointer — lives in one contiguous allocation per field,
-// indexed (router, port, vc). The object layer (VcBuffer, VcAllocator,
-// arbiters, Input/OutputController, Router) survives as a configuration and
-// verification *facade*: its members are views (references / raw pointers)
-// bound into these arrays at construction, so there is exactly one copy of
-// the truth and exactly one implementation of the step logic, while
-// `ocn-diff` and the equivalence suite can still walk the familiar
-// accessors. The facade contract is checked field-by-field every tick by
-// ref::soa_crosscheck (tests/test_soa.cpp), which re-derives each slice
-// from pool index arithmetic independently of the pointers the controllers
-// cached at construction.
+// Input-buffer rings and occupancy, per-packet routing state, downstream
+// credits, VC-allocation flags and rotation, reservation-slot counts, the
+// output stage registers, the piggyback carry rings and the per-cycle
+// transients each live in one contiguous array per field, indexed
+// (router, port, vc). The batch phase loops and has_internal_work read
+// these as rows. The object layer (VcBuffer, VcAllocator, ReservationTable,
+// Input/OutputController, Router) holds views bound into a pool slot at
+// construction and owns only state that nothing else reads as a row: the
+// arbiter grant pointers, the reservation slot tables, the allocator's
+// incremental summaries, wiring and statistics (DESIGN.md §4h).
 //
 // Layout notes:
 //   * one pool per shard (core::Network), so a shard's routers occupy a
 //     contiguous slab and phase-A workers never share cache lines for hot
 //     state across shards;
-//   * the standalone `Router(node, topo, params)` constructor owns a
-//     private 1-router pool, so unit tests and the reference harness see
-//     identical behaviour with zero extra code paths;
-//   * the arrival flags are the event-skip machinery of the batch kernel,
-//     one byte per inbound channel (5 flit + 5 credit per router): a channel
+//   * a standalone router or unit is a 1-router pool: the three-argument
+//     `Router(node, topo, params)` constructor owns a `RouterStatePool(1,
+//     params)`, and unit tests slice one the same way;
+//   * the arrival flags are the event-skip machinery of the kernel, one
+//     byte per inbound channel (5 flit + 5 credit per router): a channel
 //     stamps its receiver's byte as it delivers a value, the kernel steps a
 //     router only when some byte is set or the occupancy scan
 //     (has_internal_work) finds work, and each pipeline phase probes a
 //     channel object only when its byte is set (clearing it as it consumes).
 //     The bytes are stamped-on-delivery work presence — set iff the channel
-//     output is engaged — never a cached "busy" bit; see the PR 6
+//     output is engaged — never a cached "busy" bit; see the
 //     Channel::take() lesson (DESIGN.md §4h).
 #pragma once
 
@@ -49,7 +45,8 @@ namespace ocn::router {
 /// Pointers into the pool for one (router, port, vc) input buffer and the
 /// per-packet routing state the input controller keeps alongside it.
 struct VcBufferSlice {
-  Flit* slab = nullptr;  ///< `depth` flit slots (ring storage)
+  Flit* slab = nullptr;  ///< `capacity` flit slots (ring storage)
+  int capacity = 0;
   int* head = nullptr;
   int* count = nullptr;
   bool* routed = nullptr;
@@ -70,8 +67,6 @@ class RouterStatePool {
         vc_allocated_(make_bools(n_rpv())),
         vc_excluded_(make_bools(n_rpv())),
         vc_rr_(make_ints(n_rp(), 0)),
-        link_next_(make_ints(n_rp(), 0)),
-        switch_next_(make_ints(n_rp(), 0)),
         resv_count_(make_ints(n_rp(), 0)),
         buf_head_(make_ints(n_rpv(), 0)),
         buf_count_(make_ints(n_rpv(), 0)),
@@ -107,13 +102,13 @@ class RouterStatePool {
 
   int routers() const { return routers_; }
   int vcs() const { return vcs_; }
-  int depth() const { return depth_; }
   int carry_capacity() const { return carry_cap_; }
 
   // --- input-buffer + routing state (router, port, vc) ----------------------
   VcBufferSlice vc_slice(int r, int p, VcId v) {
     const std::size_t i = rpv(r, p, v);
     return VcBufferSlice{&buf_slab_[i * static_cast<std::size_t>(depth_)],
+                         depth_,
                          &buf_head_[i],
                          &buf_count_[i],
                          &routed_[i],
@@ -122,26 +117,15 @@ class RouterStatePool {
                          &out_vc_[i],
                          &dropping_[i]};
   }
-  int buf_count(int r, int p, VcId v) const { return buf_count_[rpv(r, p, v)]; }
-  int buf_head(int r, int p, VcId v) const { return buf_head_[rpv(r, p, v)]; }
-  const Flit* buf_slab(int r, int p, VcId v) const {
-    return &buf_slab_[rpv(r, p, v) * static_cast<std::size_t>(depth_)];
-  }
-  bool routed(int r, int p, VcId v) const { return routed_[rpv(r, p, v)]; }
-  Cycle routed_at(int r, int p, VcId v) const { return routed_at_[rpv(r, p, v)]; }
-  topo::Port out_port(int r, int p, VcId v) const { return out_port_[rpv(r, p, v)]; }
-  VcId out_vc(int r, int p, VcId v) const { return out_vc_[rpv(r, p, v)]; }
-  bool dropping(int r, int p, VcId v) const { return dropping_[rpv(r, p, v)]; }
 
   /// Dropping-flow-control per-VC "currently discarding" flags, `vcs` wide.
   bool* discarding(int r, int p) { return &discarding_[rpv(r, p, 0)]; }
-  bool discarding_flag(int r, int p, VcId v) const { return discarding_[rpv(r, p, v)]; }
 
   // --- contiguous per-(router,port) rows, `vcs` wide ------------------------
   // The batch phase loops (Router::vc_allocation, decode_fronts,
   // switch_traversal) scan these to reject idle VCs with sequential loads
   // instead of walking the per-VC view objects; only surviving candidates
-  // fall through to the facade path. Same predicates, same order — just
+  // fall through to the VcBuffer views. Same predicates, same order — just
   // cache-friendly.
   const int* buf_count_row(int r, int p) const { return &buf_count_[rpv(r, p, 0)]; }
   const bool* routed_row(int r, int p) const { return &routed_[rpv(r, p, 0)]; }
@@ -171,18 +155,10 @@ class RouterStatePool {
 
   // --- output-controller state (router, port) -------------------------------
   int* credits(int r, int p) { return &credits_[rpv(r, p, 0)]; }
-  int credit(int r, int p, VcId v) const { return credits_[rpv(r, p, v)]; }
   bool* vc_allocated(int r, int p) { return &vc_allocated_[rpv(r, p, 0)]; }
-  bool vc_allocated_flag(int r, int p, VcId v) const { return vc_allocated_[rpv(r, p, v)]; }
   bool* vc_excluded(int r, int p) { return &vc_excluded_[rpv(r, p, 0)]; }
   int* vc_rotation(int r, int p) { return &vc_rr_[rp(r, p)]; }
-  int vc_rotation_value(int r, int p) const { return vc_rr_[rp(r, p)]; }
-  int* link_pointer(int r, int p) { return &link_next_[rp(r, p)]; }
-  int link_pointer_value(int r, int p) const { return link_next_[rp(r, p)]; }
-  int* switch_pointer(int r, int p) { return &switch_next_[rp(r, p)]; }
-  int switch_pointer_value(int r, int p) const { return switch_next_[rp(r, p)]; }
   int* resv_count(int r, int p) { return &resv_count_[rp(r, p)]; }
-  int resv_count_value(int r, int p) const { return resv_count_[rp(r, p)]; }
 
   /// Output stage registers: `kNumPorts` slots (one per input port).
   Flit* stage(int r, int p) {
@@ -190,10 +166,6 @@ class RouterStatePool {
   }
   bool* stage_full(int r, int p) {
     return &stage_full_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts)];
-  }
-  bool stage_full_flag(int r, int p, int input) const {
-    return stage_full_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts) +
-                       static_cast<std::size_t>(input)];
   }
   bool* stage_fresh(int r, int p) {
     return &stage_fresh_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts)];
@@ -207,7 +179,6 @@ class RouterStatePool {
   }
   int* carry_head(int r, int p) { return &carry_head_[rp(r, p)]; }
   int* carry_count(int r, int p) { return &carry_count_[rp(r, p)]; }
-  int carry_count_value(int r, int p) const { return carry_count_[rp(r, p)]; }
 
   // --- per-cycle transients -------------------------------------------------
   /// "This input forwarded a flit this cycle" / "this output's link sent this
@@ -215,8 +186,7 @@ class RouterStatePool {
   bool* popped(int r, int p) { return &popped_[rp(r, p)]; }
   bool* link_used(int r, int p) { return &link_used_[rp(r, p)]; }
 
-  /// End-of-step batch clear of the per-cycle transients (the pool-level
-  /// equivalent of calling end_cycle() on all ten controllers): popped and
+  /// End-of-step batch clear of the per-cycle transients: popped and
   /// link_used rows plus the whole stage_fresh block, all contiguous.
   void clear_cycle_flags(int r) {
     const std::size_t rp0 = rp(r, 0);
@@ -251,10 +221,9 @@ class RouterStatePool {
   /// True when router slot `r` has internal work pending: any buffered flit,
   /// staged flit, queued carry credit, or reservation slot. Recomputed from
   /// occupancy on every call — deliberately *not* a cached busy flag (the
-  /// stale-flag pattern PR 6 fixed in Channel::take()). Together with a
-  /// clear wake flag (no arrivals) this is exactly the old Router::quiescent
-  /// predicate, so the kernel's stepped-component counts are bit-identical
-  /// to the pre-SoA active-set scheme.
+  /// stale-flag pattern Channel::take() once had). Together with an
+  /// all-zero wake row (no arrivals) it is the kernel's whole skip rule for
+  /// a router: stepping such a router would change nothing.
   bool has_internal_work(int r) const {
     const std::size_t pv = rpv(r, 0, 0);
     const auto npv = static_cast<std::size_t>(topo::kNumPorts * vcs_);
@@ -306,8 +275,6 @@ class RouterStatePool {
   std::unique_ptr<bool[]> vc_allocated_;
   std::unique_ptr<bool[]> vc_excluded_;
   std::unique_ptr<int[]> vc_rr_;
-  std::unique_ptr<int[]> link_next_;
-  std::unique_ptr<int[]> switch_next_;
   std::unique_ptr<int[]> resv_count_;
   std::unique_ptr<int[]> buf_head_;
   std::unique_ptr<int[]> buf_count_;

@@ -9,40 +9,31 @@
 // pairs {2c, 2c+1}; a packet uses the even member before crossing its ring's
 // dateline and the odd member after (see DESIGN.md on deadlock freedom).
 //
-// SoA refactor: the allocated/excluded flags and the rotation pointer can
-// live in RouterStatePool (three-pointer constructor); the two-argument
-// constructor keeps private storage for standalone use. One implementation
-// either way — the members are pointers into whichever store backs them.
+// The allocated/excluded flags and the rotation pointer live in one
+// (router, port) row of a RouterStatePool; the allocator holds pointers into
+// it plus two summaries only it maintains (allocated count, busy mask). A
+// standalone allocator is a row of a `RouterStatePool(1, params)`.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
+#include "router/soa.h"
 #include "sim/types.h"
 
 namespace ocn::router {
 
 class VcAllocator {
  public:
-  /// Standalone allocator with private storage (unit tests, reference model).
-  VcAllocator(int vcs, bool enforce_parity)
-      : own_(std::make_unique<Own>(vcs)),
-        vcs_(vcs),
+  /// Binds the (slot, port) row of `pool`; the pool must outlive the
+  /// allocator.
+  VcAllocator(RouterStatePool& pool, int slot, int port, bool enforce_parity)
+      : vcs_(pool.vcs()),
         enforce_parity_(enforce_parity),
-        allocated_(own_->allocated.get()),
-        excluded_(own_->excluded.get()),
-        rr_(&own_->rr) {}
+        allocated_(pool.vc_allocated(slot, port)),
+        excluded_(pool.vc_excluded(slot, port)),
+        rr_(pool.vc_rotation(slot, port)) {}
 
-  /// Pool-backed: `allocated`/`excluded` are `vcs` flags and `rotation` one
-  /// int, all owned by a RouterStatePool (zero/false-initialized).
-  VcAllocator(int vcs, bool enforce_parity, bool* allocated, bool* excluded,
-              int* rotation)
-      : vcs_(vcs),
-        enforce_parity_(enforce_parity),
-        allocated_(allocated),
-        excluded_(excluded),
-        rr_(rotation) {}
-
+  // A copy would share the pool row but not the summaries below.
   VcAllocator(VcAllocator&&) = default;
   VcAllocator(const VcAllocator&) = delete;
   VcAllocator& operator=(const VcAllocator&) = delete;
@@ -63,12 +54,8 @@ class VcAllocator {
   bool is_allocated(VcId vc) const { return allocated_[vc]; }
   int vcs() const { return vcs_; }
   int free_count() const;
-  /// O(1): every VC currently owned by a packet. The common failure case at
-  /// saturation — VC ownership persists while credit-starved — so
-  /// allocate() fast-fails on it without the eligibility scan.
-  bool all_allocated() const { return allocated_count_ == vcs_; }
   /// VCs currently allocated (maintained incrementally; equals the popcount
-  /// of the allocated flags — the SoA cross-check asserts this).
+  /// of the allocated flags — ref::soa_crosscheck asserts this).
   int allocated_count() const { return allocated_count_; }
   /// Fairness-rotation pointer: the VC scanned first on the next allocate().
   /// Exposed for the differential harness's state comparison.
@@ -78,15 +65,6 @@ class VcAllocator {
   void set_excluded(VcId vc, bool excluded);
 
  private:
-  struct Own {
-    explicit Own(int vcs)
-        : allocated(std::make_unique<bool[]>(static_cast<std::size_t>(vcs))),
-          excluded(std::make_unique<bool[]>(static_cast<std::size_t>(vcs))) {}
-    std::unique_ptr<bool[]> allocated;
-    std::unique_ptr<bool[]> excluded;
-    int rr = 0;
-  };
-
   bool eligible(VcId vc, std::uint8_t mask, bool want_odd, bool ignore_parity) const;
 
   /// Recompute `vc`'s bit in busy_mask_ after an allocated_/excluded_ edit.
@@ -99,7 +77,6 @@ class VcAllocator {
     }
   }
 
-  std::unique_ptr<Own> own_;  // null when pool-backed
   int vcs_;
   bool enforce_parity_;
   bool* allocated_;
@@ -109,7 +86,7 @@ class VcAllocator {
   /// Bit v set when VC v is allocated or excluded — i.e. ineligible
   /// regardless of parity. allocate() fast-fails when the request mask is
   /// covered by this, which at saturation is the usual outcome even when
-  /// other classes' VCs sit free (so allocated_count_ alone never fires).
+  /// other classes' VCs sit free.
   std::uint8_t busy_mask_ = 0;
 };
 

@@ -1,18 +1,13 @@
 // Per-virtual-channel input buffer and routing state (paper Figure 3: each
 // input controller holds an input buffer and input state logic per VC).
 //
-// Since the SoA refactor (ROADMAP item 2) this class is a *view*: the ring
-// storage and every routing-state field live in RouterStatePool's contiguous
-// arrays, and VcBuffer binds references into them at construction. The field
-// syntax (`buf.routed`, `buf.out_port`) and the push/pop API are unchanged,
-// so the reference model, ocn-diff, and the unit tests read the same shape
-// they always have — there is just no second copy of the state to drift.
-// The `VcBuffer(int capacity)` constructor still works standalone (unit
-// tests) by owning a private one-slot backing store.
+// A VcBuffer is a view: the ring storage and every routing-state field live
+// in RouterStatePool's contiguous arrays, and the constructor binds
+// references to one (router, port, vc) slice of them. A standalone buffer
+// is a slice of a `RouterStatePool(1, params)`.
 #pragma once
 
 #include <cassert>
-#include <memory>
 #include <utility>
 
 #include "router/flit.h"
@@ -25,54 +20,17 @@ namespace ocn::router {
 /// One VC's buffer plus the state the input controller keeps for the packet
 /// currently occupying it.
 class VcBuffer {
- private:
-  /// Backing store for the standalone constructor. Heap-allocated so the
-  /// default move constructor keeps the reference members valid (they follow
-  /// the unique_ptr to the same heap object).
-  struct Own {
-    explicit Own(int capacity) : slab(new Flit[static_cast<std::size_t>(capacity)]) {}
-    std::unique_ptr<Flit[]> slab;
-    int head = 0;
-    int count = 0;
-    bool routed = false;
-    Cycle routed_at = -1;
-    topo::Port out_port = topo::Port::kTile;
-    VcId out_vc = kInvalidVc;
-    bool dropping = false;
-  };
-  std::unique_ptr<Own> own_;  // null when pool-backed; declared first so the
-                              // references below may bind into it
-
  public:
-  /// Standalone buffer with private storage (unit tests, ad-hoc use).
-  explicit VcBuffer(int capacity)
-      : own_(std::make_unique<Own>(capacity)),
-        routed(own_->routed),
-        routed_at(own_->routed_at),
-        out_port(own_->out_port),
-        out_vc(own_->out_vc),
-        dropping(own_->dropping),
-        capacity_(capacity),
-        slab_(own_->slab.get()),
-        head_(&own_->head),
-        count_(&own_->count) {}
-
-  /// View over a RouterStatePool slice (the production path).
-  VcBuffer(const VcBufferSlice& s, int capacity)
+  explicit VcBuffer(const VcBufferSlice& s)
       : routed(*s.routed),
         routed_at(*s.routed_at),
         out_port(*s.out_port),
         out_vc(*s.out_vc),
         dropping(*s.dropping),
-        capacity_(capacity),
+        capacity_(s.capacity),
         slab_(s.slab),
         head_(s.head),
         count_(s.count) {}
-
-  VcBuffer(VcBuffer&&) = default;
-  VcBuffer(const VcBuffer&) = delete;
-  VcBuffer& operator=(const VcBuffer&) = delete;
-  VcBuffer& operator=(VcBuffer&&) = delete;
 
   bool empty() const { return *count_ == 0; }
   bool full() const { return *count_ >= capacity_; }

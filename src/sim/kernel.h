@@ -10,24 +10,22 @@
 // Hot-path structure: channels are not virtual. ChannelBase carries a
 // function pointer selected at construction (unit-latency channels get a
 // two-slot swap with no deque traffic) plus an `active` flag so the kernel
-// skips channels with nothing in flight. Components may additionally report
-// themselves `quiescent()`; the kernel then skips their step() entirely,
-// which makes warmup/drain phases and lightly loaded regions cheap.
+// skips channels with nothing in flight.
 //
-// Event-skip hybrid (ROADMAP item 2): polling quiescent() still touches
-// every input channel of every component every cycle. Components registered
-// WITH a wake row (routers — the row lives in the RouterStatePool) skip
-// that poll entirely: a channel delivering a value stamps its receiver's
-// arrival byte during its advance, and the kernel steps the component only
-// when some byte in the row is set or !idle_internal() — arrivals via the
-// bytes, internal work via one contiguous occupancy scan. The bytes also
-// gate the receiver's own per-channel probes: a pipeline phase touches a
-// channel object only when that channel's byte is set, clearing the byte as
-// it consumes (most channels are idle most cycles, so this removes the bulk
-// of the pointer-chasing the step loop used to do). The predicate is
-// provably identical to quiescent() (a byte is set iff its channel's output
-// is engaged), which keeps kernel.component_steps bit-identical to the
-// polled scheme — the e13 baseline value-compares it.
+// Components are skipped when stepping them would change nothing, by one
+// of two rules (step_component_if_due):
+//   * registered WITH a wake row (routers — the row lives in the
+//     RouterStatePool): a channel delivering a value stamps its receiver's
+//     arrival byte during its advance, and the kernel steps the component
+//     only when some byte in the row is set or !idle_internal(). The bytes
+//     also gate the receiver's own per-channel probes: a pipeline phase
+//     touches a channel object only when that channel's byte is set,
+//     clearing the byte as it consumes, so idle channels are never
+//     pointer-chased;
+//   * registered without one (NICs, traffic clients, services): the kernel
+//     polls quiescent().
+// kernel.component_steps counts the steps either rule lets through; the e13
+// baseline value-compares it.
 #pragma once
 
 #include <atomic>
@@ -57,11 +55,10 @@ class Clockable {
   /// skipping is indistinguishable from stepping — including statistics.
   /// The default keeps every component on the clock.
   virtual bool quiescent() const { return false; }
-  /// Event-skip split of quiescent(): internal work only, with arrivals
-  /// covered by the component's wake flag. Consulted only for components
-  /// registered with a wake flag; must satisfy
-  ///   quiescent() == (no engaged inbound channel output) && idle_internal()
-  /// The default keeps the two predicates one and the same.
+  /// The skip predicate for components registered with a wake row:
+  /// internal work only, with arrivals covered by the row. Returning true
+  /// with every row byte clear must mean step() would be an exact no-op.
+  /// The default keeps it the same as quiescent().
   virtual bool idle_internal() const { return quiescent(); }
 };
 
@@ -210,8 +207,7 @@ class Channel final : public ChannelBase {
 };
 
 /// A registered component plus its optional wake row. With a null wake the
-/// kernel polls quiescent() as it always has; with a row it uses the
-/// event-skip predicate: `wake_width` contiguous arrival bytes (one per
+/// kernel polls quiescent(); with a row it uses the event-skip predicate: `wake_width` contiguous arrival bytes (one per
 /// inbound channel, stamped by the channel's advance) cover arrivals, and
 /// idle_internal() covers occupancy. The kernel never clears the bytes —
 /// each byte is owned by the pipeline phase that consumes its channel, which

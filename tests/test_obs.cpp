@@ -156,6 +156,8 @@ TEST(CounterRegistry, DuplicateGaugeNameThrows) {
   reg.counter("c");
   EXPECT_THROW(reg.gauge("c", [] { return std::int64_t{1}; }),
                std::invalid_argument);
+  // The other direction: a counter may not take a gauge's name.
+  EXPECT_THROW(reg.counter("g"), std::invalid_argument);
 }
 
 TEST(CounterRegistry, SnapshotListsCountersThenGaugesInRegistrationOrder) {

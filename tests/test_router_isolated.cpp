@@ -33,7 +33,7 @@ struct Harness {
   explicit Harness(RouterParams p = RouterParams{}) : params(p) {
     params.enforce_vc_parity = true;
     rtr = std::make_unique<router::Router>(/*node=*/0, topo, params);
-    kernel.add(rtr.get());
+    kernel.add(rtr.get(), rtr->wake_row(), router::Router::wake_width());
     for (int i = 0; i < topo::kNumPorts; ++i) {
       const auto port = static_cast<Port>(i);
       in_flits.push_back(std::make_unique<Channel<Flit>>(1));

@@ -2,9 +2,14 @@
 // VC buffers, flit helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "router/arbiter.h"
 #include "router/flit.h"
+#include "router/params.h"
 #include "router/reservation.h"
+#include "router/soa.h"
 #include "router/vc_allocator.h"
 #include "router/vc_buffer.h"
 
@@ -32,7 +37,7 @@ TEST(Flit, HeadTailPredicates) {
 
 TEST(RoundRobin, RotatesGrants) {
   RoundRobinArbiter arb(4);
-  std::vector<bool> all(4, true);
+  const std::uint8_t all[] = {1, 1, 1, 1};
   EXPECT_EQ(arb.arbitrate(all), 0);
   EXPECT_EQ(arb.arbitrate(all), 1);
   EXPECT_EQ(arb.arbitrate(all), 2);
@@ -42,31 +47,38 @@ TEST(RoundRobin, RotatesGrants) {
 
 TEST(RoundRobin, SkipsNonRequesters) {
   RoundRobinArbiter arb(4);
-  EXPECT_EQ(arb.arbitrate({false, false, true, false}), 2);
-  EXPECT_EQ(arb.arbitrate({true, false, true, false}), 0);  // pointer at 3 wraps
-  EXPECT_EQ(arb.arbitrate({false, false, false, false}), -1);
+  const std::uint8_t only2[] = {0, 0, 1, 0};
+  const std::uint8_t zero_and_2[] = {1, 0, 1, 0};
+  const std::uint8_t none[] = {0, 0, 0, 0};
+  EXPECT_EQ(arb.arbitrate(only2), 2);
+  EXPECT_EQ(arb.arbitrate(zero_and_2), 0);  // pointer at 3 wraps
+  EXPECT_EQ(arb.arbitrate(none), -1);
 }
 
 TEST(RoundRobin, FairUnderFullLoad) {
   RoundRobinArbiter arb(3);
   std::vector<int> grants(3, 0);
-  std::vector<bool> all(3, true);
+  const std::uint8_t all[] = {1, 1, 1};
   for (int i = 0; i < 300; ++i) ++grants[static_cast<std::size_t>(arb.arbitrate(all))];
   for (int g : grants) EXPECT_EQ(g, 100);
 }
 
 TEST(PriorityArb, HighPriorityAlwaysWins) {
   PriorityArbiter arb(3);
+  const std::uint8_t all[] = {1, 1, 1};
+  const int prio[] = {0, 5, 1};
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(arb.arbitrate({true, true, true}, {0, 5, 1}), 1);
+    EXPECT_EQ(arb.arbitrate(all, prio), 1);
   }
 }
 
 TEST(PriorityArb, TiesRotate) {
   PriorityArbiter arb(3);
   std::vector<int> grants(3, 0);
+  const std::uint8_t all[] = {1, 1, 1};
+  const int prio[] = {2, 2, 2};
   for (int i = 0; i < 90; ++i) {
-    ++grants[static_cast<std::size_t>(arb.arbitrate({true, true, true}, {2, 2, 2}))];
+    ++grants[static_cast<std::size_t>(arb.arbitrate(all, prio))];
   }
   for (int g : grants) EXPECT_EQ(g, 30);
 }
@@ -80,22 +92,28 @@ TEST(PriorityArb, TiesRotate) {
 // forever.
 TEST(RoundRobin, PointerFrozenOnNoGrantCycles) {
   RoundRobinArbiter arb(4);
-  EXPECT_EQ(arb.arbitrate({true, true, false, false}), 0);
+  const std::uint8_t first_two[] = {1, 1, 0, 0};
+  const std::uint8_t none[] = {0, 0, 0, 0};
+  EXPECT_EQ(arb.arbitrate(first_two), 0);
   EXPECT_EQ(arb.pointer(), 1);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(arb.arbitrate({false, false, false, false}), -1);
+    EXPECT_EQ(arb.arbitrate(none), -1);
     EXPECT_EQ(arb.pointer(), 1);  // unchanged across empty cycles
   }
-  EXPECT_EQ(arb.arbitrate({true, true, false, false}), 1);  // resumes in turn
+  EXPECT_EQ(arb.arbitrate(first_two), 1);  // resumes in turn
 }
 
 TEST(PriorityArb, PointerFrozenOnNoGrantCycles) {
   PriorityArbiter arb(3);
-  EXPECT_EQ(arb.arbitrate({true, true, true}, {1, 1, 1}), 0);
+  const std::uint8_t all[] = {1, 1, 1};
+  const std::uint8_t none[] = {0, 0, 0};
+  const int ones[] = {1, 1, 1};
+  const int zeros[] = {0, 0, 0};
+  EXPECT_EQ(arb.arbitrate(all, ones), 0);
   EXPECT_EQ(arb.pointer(), 1);
-  EXPECT_EQ(arb.arbitrate({false, false, false}, {0, 0, 0}), -1);
+  EXPECT_EQ(arb.arbitrate(none, zeros), -1);
   EXPECT_EQ(arb.pointer(), 1);
-  EXPECT_EQ(arb.arbitrate({true, true, true}, {1, 1, 1}), 1);
+  EXPECT_EQ(arb.arbitrate(all, ones), 1);
 }
 
 // Starvation regression for the squashed-speculation pattern: input 0 is
@@ -110,7 +128,8 @@ TEST(RoundRobin, IntermittentRequesterIsNotStarved) {
   int waiting = 0;  // consecutive cycles input 0 requested without a grant
   for (int cycle = 0; cycle < 300; ++cycle) {
     const bool eligible0 = cycle % 3 == 0;
-    const int winner = arb.arbitrate({eligible0, true, true});
+    const std::uint8_t req[] = {static_cast<std::uint8_t>(eligible0), 1, 1};
+    const int winner = arb.arbitrate(req);
     ASSERT_GE(winner, 0);
     ++grants[static_cast<std::size_t>(winner)];
     if (eligible0 && winner != 0) {
@@ -125,8 +144,18 @@ TEST(RoundRobin, IntermittentRequesterIsNotStarved) {
   EXPECT_GT(grants[2], 0);
 }
 
+// The VC allocator, reservation table and VC buffer are views into a
+// RouterStatePool; a standalone unit is a slice of a 1-router pool.
+RouterParams unit_params(int vcs, int depth) {
+  RouterParams p;
+  p.vcs = vcs;
+  p.buffer_depth = depth;
+  return p;
+}
+
 TEST(VcAllocator, RespectsMask) {
-  VcAllocator a(8, /*enforce_parity=*/false);
+  RouterStatePool pool(1, unit_params(8, 4));
+  VcAllocator a(pool, 0, 0, /*enforce_parity=*/false);
   const VcId v = a.allocate(0b00001100, false);
   EXPECT_TRUE(v == 2 || v == 3);
   EXPECT_TRUE(a.is_allocated(v));
@@ -135,7 +164,8 @@ TEST(VcAllocator, RespectsMask) {
 }
 
 TEST(VcAllocator, ParityDiscipline) {
-  VcAllocator a(8, /*enforce_parity=*/true);
+  RouterStatePool pool(1, unit_params(8, 4));
+  VcAllocator a(pool, 0, 0, /*enforce_parity=*/true);
   // Even request on a both-parities class mask.
   const VcId even = a.allocate(0b00000011, /*want_odd=*/false);
   EXPECT_EQ(even, 0);
@@ -149,7 +179,8 @@ TEST(VcAllocator, ParityDiscipline) {
 }
 
 TEST(VcAllocator, ExclusionBlocksScheduledVc) {
-  VcAllocator a(8, false);
+  RouterStatePool pool(1, unit_params(8, 4));
+  VcAllocator a(pool, 0, 0, false);
   a.set_excluded(7, true);
   EXPECT_EQ(a.allocate(0b10000000, false), kInvalidVc);
   EXPECT_TRUE(a.allocate_exact(7));  // the scheduled path itself may claim it
@@ -157,7 +188,8 @@ TEST(VcAllocator, ExclusionBlocksScheduledVc) {
 }
 
 TEST(VcAllocator, ReleaseMakesVcReusable) {
-  VcAllocator a(4, false);
+  RouterStatePool pool(1, unit_params(4, 4));
+  VcAllocator a(pool, 0, 0, false);
   const VcId v = a.allocate(0b1111, false);
   a.release(v);
   EXPECT_FALSE(a.is_allocated(v));
@@ -165,7 +197,8 @@ TEST(VcAllocator, ReleaseMakesVcReusable) {
 }
 
 TEST(Reservation, SlotLifecycle) {
-  ReservationTable t(16);
+  RouterStatePool pool(1, unit_params(8, 4));
+  ReservationTable t(16, pool, 0, 0);
   EXPECT_FALSE(t.any());
   EXPECT_TRUE(t.reserve(3, /*input=*/1, /*vc=*/7));
   EXPECT_FALSE(t.reserve(3, 2, 7));  // occupied
@@ -179,14 +212,16 @@ TEST(Reservation, SlotLifecycle) {
 }
 
 TEST(Reservation, CountsSlots) {
-  ReservationTable t(8);
+  RouterStatePool pool(1, unit_params(8, 4));
+  ReservationTable t(8, pool, 0, 0);
   t.reserve(0, 0, 7);
   t.reserve(4, 1, 7);
   EXPECT_EQ(t.reserved_count(), 2);
 }
 
 TEST(VcBuffer, FifoWithCapacity) {
-  VcBuffer b(2);
+  RouterStatePool pool(1, unit_params(2, 2));
+  VcBuffer b(pool.vc_slice(0, 0, 0));
   EXPECT_TRUE(b.empty());
   Flit f;
   f.packet = 1;
@@ -200,7 +235,8 @@ TEST(VcBuffer, FifoWithCapacity) {
 }
 
 TEST(VcBuffer, PacketStateResets) {
-  VcBuffer b(4);
+  RouterStatePool pool(1, unit_params(2, 4));
+  VcBuffer b(pool.vc_slice(0, 0, 0));
   b.routed = true;
   b.out_vc = 3;
   b.out_port = topo::Port::kColNeg;

@@ -1,9 +1,10 @@
-// SoA hot-path gates: the facade contract (object layer as views over
-// RouterStatePool), the quiescence audit (every quiescent() recomputes from
-// occupancy — the stale-flag pattern PR 6 fixed in Channel::take()), and the
-// rotation-pointer semantics shared by own-storage and pool-backed arbiters.
+// Router-state gates: the summary-invariant check (incrementally maintained
+// counters and caches against recomputation), the quiescence audit (the
+// kernel's skip predicates recompute from occupancy — the stale-flag
+// pattern Channel::take() once had), and arbiter rotation-pointer semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,7 +14,7 @@
 #include "ref/diff.h"
 #include "ref/soa_check.h"
 #include "router/arbiter.h"
-#include "router/soa.h"
+#include "router/router.h"
 #include "traffic/replay.h"
 
 namespace ocn {
@@ -30,13 +31,12 @@ std::vector<traffic::TraceEntry> small_trace(const Config& config,
                                        /*burst_len=*/3, /*period=*/40, seed);
 }
 
-// --- satellite: SoA <-> object-layer equivalence ----------------------------
+// --- summary invariants -----------------------------------------------------
 
 // run_lockstep calls ref::soa_crosscheck after every production tick: each
-// cell of the quick matrix therefore materializes the object state from the
-// pool arrays and compares it field-by-field, every cycle of the run. Any
-// facade bound to the wrong slice, or any incrementally-maintained counter
-// drifting from the occupancy it summarizes, diverges with kind "soa".
+// cell of the quick matrix therefore checks every incrementally-maintained
+// summary (retry cache, allocated counts, NIC occupancy counters) against
+// recomputation, every cycle of the run. Any drift diverges with kind "soa".
 TEST(SoaEquivalence, QuickMatrixAgreesFieldByFieldEveryTick) {
   const std::vector<ref::CampaignCell> cells = ref::quick_matrix();
   ASSERT_GE(cells.size(), 12u);
@@ -65,8 +65,8 @@ TEST(SoaEquivalence, CrosscheckCleanAtResetMidFlightAndAfterDrain) {
   EXPECT_TRUE(ref::soa_crosscheck(net).empty());
 }
 
-// Most facade state CANNOT drift from the pool — the facades are pointers
-// into it. What can drift are the incrementally-maintained summaries
+// Router state has one home, so a view cannot drift from its cell. What can
+// drift are the incrementally-maintained summaries
 // (VcAllocator::allocated_count_). Corrupt a pool flag behind the counter's
 // back and the cross-check must notice the popcount mismatch.
 TEST(SoaEquivalence, DetectsAllocatedCountDrift) {
@@ -87,21 +87,33 @@ TEST(SoaEquivalence, DetectsAllocatedCountDrift) {
   EXPECT_TRUE(ref::soa_crosscheck(net).empty());
 }
 
-// --- satellite: quiescence audit --------------------------------------------
+// --- quiescence audit -------------------------------------------------------
 
+// The kernel's skip rule for a router (step_component_if_due): every
+// arrival byte in its wake row clear and no internal work.
+bool router_idle(router::Router& r) {
+  const std::atomic<std::uint8_t>* row = r.wake_row();
+  for (int i = 0; i < router::Router::wake_width(); ++i) {
+    if (row[i].load(std::memory_order_relaxed) != 0) return false;
+  }
+  return r.idle_internal();
+}
+
+// The skip rules the kernel applies: the wake-row rule for routers, the
+// polled quiescent() for NICs.
 bool all_components_quiescent(Network& net) {
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    if (!net.router_at(n).quiescent()) return false;
+    if (!router_idle(net.router_at(n))) return false;
     if (!net.nic(n).quiescent()) return false;
   }
   return true;
 }
 
-// The stale-flag regression: a component whose quiescent() returned true
-// while it still held work would be skipped by the kernel's active-set fast
-// path and strand its flits forever. Assert the converse invariant on every
-// cycle of a real run — whenever ALL routers and NICs report quiescent, the
-// network must actually have delivered everything injected.
+// The stale-flag regression: a component the kernel's skip rule passed
+// over while it still held work would strand its flits forever. Assert the
+// converse invariant on every cycle of a real run — whenever ALL routers
+// and NICs are idle, the network must actually have delivered everything
+// injected.
 TEST(Quiescence, AllQuiescentImpliesNothingInFlight) {
   Network net(Config::paper_baseline());
   EXPECT_TRUE(all_components_quiescent(net));
@@ -156,7 +168,9 @@ TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
   dst.set_ejection_stall(/*vc=*/0, false);
   for (int c = 0; c < 200 && dst.packets_delivered() == 0; ++c) {
     EXPECT_EQ(dst.eject_pending_counter(), dst.pending_eject_flits());
-    if (dst.pending_eject_flits() > 0) EXPECT_FALSE(dst.quiescent());
+    if (dst.pending_eject_flits() > 0) {
+      EXPECT_FALSE(dst.quiescent());
+    }
     net.step();
   }
   EXPECT_EQ(dst.packets_delivered(), 1);
@@ -168,7 +182,7 @@ TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
 
 // The injection side of the same audit: queued flits keep the source NIC
 // and then the routers on the path active; after the wormhole passes, each
-// router's input/output controllers must recompute back to quiescent.
+// router must recompute back to idle.
 TEST(Quiescence, RoutersAlongThePathFlipAndRecover) {
   Network net(Config::paper_baseline());
   ASSERT_TRUE(net.nic(0).inject(
@@ -182,7 +196,7 @@ TEST(Quiescence, RoutersAlongThePathFlipAndRecover) {
   bool router3_woke = false;
   for (int c = 0; c < 300 && net.nic(3).packets_delivered() == 0; ++c) {
     net.step();
-    if (!net.router_at(3).quiescent()) router3_woke = true;
+    if (!router_idle(net.router_at(3))) router3_woke = true;
   }
   EXPECT_TRUE(router3_woke);
   EXPECT_EQ(net.nic(3).packets_delivered(), 1);
@@ -192,12 +206,12 @@ TEST(Quiescence, RoutersAlongThePathFlipAndRecover) {
   // after which every component recomputes to quiescent.
   for (int c = 0; c < 50 && !all_components_quiescent(net); ++c) net.step();
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    EXPECT_TRUE(net.router_at(n).quiescent()) << "router " << n;
+    EXPECT_TRUE(router_idle(net.router_at(n))) << "router " << n;
     EXPECT_TRUE(net.nic(n).quiescent()) << "nic " << n;
   }
 }
 
-// --- satellite: arbiter rotation-pointer semantics --------------------------
+// --- arbiter rotation-pointer semantics -------------------------------------
 
 // One step of the table: a request bitmask (bit i = input i requesting) and
 // the expected grant and post-call pointer. Zero-requester steps must leave
@@ -212,7 +226,7 @@ void expand(std::uint8_t mask, int inputs, std::uint8_t* req) {
   for (int i = 0; i < inputs; ++i) req[i] = (mask >> i) & 1u;
 }
 
-TEST(ArbiterRotation, ObjectAndPoolBackedPointersAgreeOverIdleBusyMix) {
+TEST(ArbiterRotation, PointerFollowsTableOverIdleBusyMix) {
   constexpr int kInputs = 4;
   const std::vector<ArbStep> table = {
       {0b0000, -1, 0},  // idle from reset: frozen at 0
@@ -226,20 +240,12 @@ TEST(ArbiterRotation, ObjectAndPoolBackedPointersAgreeOverIdleBusyMix) {
       {0b1000, 3, 0},   // single requester far from pointer, wraps to 0
   };
 
-  router::RoundRobinArbiter own(kInputs);  // object-layer private storage
-  int slot = 0;                            // stand-in for a pool pointer cell
-  router::RoundRobinArbiter pooled(kInputs, &slot);
-
+  router::RoundRobinArbiter arb(kInputs);
   std::uint8_t req[kInputs];
   for (std::size_t s = 0; s < table.size(); ++s) {
     expand(table[s].request_mask, kInputs, req);
-    const int g_own = own.arbitrate(req);
-    const int g_pool = pooled.arbitrate(req);
-    EXPECT_EQ(g_own, table[s].want_grant) << "step " << s;
-    EXPECT_EQ(g_pool, g_own) << "step " << s;
-    EXPECT_EQ(own.pointer(), table[s].want_pointer) << "step " << s;
-    EXPECT_EQ(pooled.pointer(), own.pointer()) << "step " << s;
-    EXPECT_EQ(slot, pooled.pointer()) << "step " << s;  // pool cell IS state
+    EXPECT_EQ(arb.arbitrate(req), table[s].want_grant) << "step " << s;
+    EXPECT_EQ(arb.pointer(), table[s].want_pointer) << "step " << s;
   }
 }
 
@@ -248,8 +254,7 @@ TEST(ArbiterRotation, PriorityFlatPathMatchesFullPathOnEqualPriorities) {
   const std::vector<std::uint8_t> masks = {0b00000, 0b01010, 0b00000, 0b11111,
                                            0b00100, 0b00000, 0b10001, 0b01110};
   router::PriorityArbiter full(kInputs);
-  int slot = 0;
-  router::PriorityArbiter flat(kInputs, &slot);
+  router::PriorityArbiter flat(kInputs);
 
   std::uint8_t req[kInputs];
   const int prio[kInputs] = {0, 0, 0, 0, 0};
