@@ -10,9 +10,11 @@
 #   ubsan          cmake --preset ubsan; full ctest (UBSan alone, no ASan
 #                  interposition).
 #   tsan-sweep     cmake --preset tsan; ctest --preset tsan-sweep (includes
-#                  the sharded-kernel determinism matrix) + shard-lockstep
-#                  ocn-diff smokes at shards {2,4} — 16x16 clean and 4x4
-#                  chaos kill_link — under TSan with tsan.supp (kept empty).
+#                  tests/test_sharded.cpp: the 2-shard Kernel tests
+#                  KernelShards.* and the shard determinism matrix) +
+#                  shard-lockstep ocn-diff smokes at shards {2,4} — 16x16
+#                  clean and 4x4 chaos kill_link — under TSan with tsan.supp
+#                  (kept empty).
 #   lint           clang-tidy (`--target lint`); skipped when clang-tidy is
 #                  not installed. CI runs it but does not block on it.
 #   analyze-smoke  scripts/lint_determinism.py + ocn-analyze over the quick

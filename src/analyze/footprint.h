@@ -1,6 +1,6 @@
-// Access-footprint model of one sharded-kernel tick.
+// Access-footprint model of one multi-shard kernel tick.
 //
-// The sharded kernel's safety argument (sim/sharded_kernel.h) is a claim
+// The kernel's shard safety argument (sim/kernel.h) is a claim
 // about *data flow*: every piece of state two shard workers both touch is a
 // channel whose latency puts at least one barrier between the producing
 // write and the consuming read. This model makes that data flow explicit so

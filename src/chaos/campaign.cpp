@@ -60,7 +60,7 @@ class BackgroundTraffic final : public Clockable {
       if (net_.nic(src).inject(std::move(p), now)) ++injected_;
     }
   }
-  bool quiescent() const override { return done_; }
+  bool idle_internal() const override { return done_; }
 
   std::int64_t injected() const { return injected_; }
   std::int64_t pre_delivered() const { return pre_delivered_; }

@@ -97,7 +97,7 @@ class ChaosEngine final : public Clockable {
   void schedule(const std::vector<Event>& events);
 
   void step(Cycle now) override;
-  bool quiescent() const override {
+  bool idle_internal() const override {
     return next_ >= events_.size() && expiries_.empty();
   }
 

@@ -18,18 +18,19 @@ Network::Network(Config config, int shards)
       shards_(resolve_shards(shards, config_.radix)),
       partition_(shards_ > 1
                      ? ShardPartition::row_strips(*topology_, shards_)
-                     : ShardPartition::single(topology_->num_nodes())) {
-  if (shards_ > 1) sharded_ = std::make_unique<ShardedKernel>(kernel_, shards_);
+                     : ShardPartition::single(topology_->num_nodes())),
+      kernel_(shards_) {
+  kernel_.set_cycle_end_hook([this] { flush_observer_buffers(); });
   build();
   install_register_filters();
 }
 
 void Network::build() {
   const int n = topology_->num_nodes();
-  // Component/channel placement: in sharded mode every per-node object goes
-  // to its node's shard; a channel whose endpoints straddle two shards is a
-  // boundary channel (advanced unconditionally at the barrier). Tile-port
-  // channels connect a node to itself, so they are always interior.
+  // Component/channel placement: every per-node object goes to its node's
+  // shard; a channel whose endpoints straddle two shards is a boundary
+  // channel (advanced every cycle). Tile-port channels connect a node to
+  // itself, so they are always interior.
   //
   // Channels are classified (sender, receiver) and a boundary channel is
   // filed under the RECEIVER's shard. That choice is what makes the
@@ -38,27 +39,11 @@ void Network::build() {
   // under the receiver's shard means the stamping worker IS the byte
   // owner's worker — the same one that reads and clears the byte in phase
   // A. No arrival byte is ever touched by two shards.
-  const auto add_component = [this](NodeId node, Clockable* c) {
-    if (sharded_) {
-      sharded_->add(shard_of(node), c);
-    } else {
-      kernel_.add(c);
-    }
-  };
-  const auto add_router_component = [this](NodeId node, router::Router* r) {
-    if (sharded_) {
-      sharded_->add(shard_of(node), r, r->wake_row(), router::Router::wake_width());
-    } else {
-      kernel_.add(r, r->wake_row(), router::Router::wake_width());
-    }
-  };
   const auto add_channel = [this](NodeId sender, NodeId receiver, ChannelBase* ch) {
-    if (!sharded_) {
-      kernel_.add(ch);
-    } else if (shard_of(sender) == shard_of(receiver)) {
-      sharded_->add_interior(shard_of(sender), ch);
+    if (shard_of(sender) == shard_of(receiver)) {
+      kernel_.add_interior(shard_of(sender), ch);
     } else {
-      sharded_->add_boundary(shard_of(receiver), ch);
+      kernel_.add_boundary(shard_of(receiver), ch);
     }
   };
 
@@ -82,8 +67,10 @@ void Network::build() {
     routers_.push_back(std::make_unique<router::Router>(
         i, *topology_, config_.router, *pools_[shard], next_slot[shard]++));
     nics_.push_back(std::make_unique<Nic>(i, config_, routes_));
-    add_component(i, nics_.back().get());
-    add_router_component(i, routers_.back().get());
+    Nic* nic_ptr = nics_.back().get();
+    router::Router* rtr = routers_.back().get();
+    kernel_.add_to_shard(shard_of(i), nic_ptr, nic_ptr->wake_row(), Nic::wake_width());
+    kernel_.add_to_shard(shard_of(i), rtr, rtr->wake_row(), router::Router::wake_width());
   }
 
   // Inter-router links.
@@ -141,10 +128,9 @@ void Network::build() {
     nic(i).attach(inj.flits.get(), inj.credits.get(), ej.flits.get(), ej.credits.get());
     // Channels delivering INTO the router were wired to its arrival bytes
     // by the attach calls above; channels delivering into the NIC are wired
-    // to the NIC's own arrival flags by Nic::attach. NICs stay on the
-    // polled quiescent() path (clients enqueue packets through the Nic API
-    // directly, which no channel advance would observe), but the flags let
-    // that poll and the step phases skip the channel-object probes.
+    // to the NIC's wake row by Nic::attach. Packets a client enqueues
+    // through the Nic API reach no wake byte; the NIC's idle_internal()
+    // sees them in its queue counters.
     add_channel(i, i, inj.flits.get());
     add_channel(i, i, inj.credits.get());
     add_channel(i, i, ej.flits.get());
@@ -154,13 +140,7 @@ void Network::build() {
   }
 }
 
-void Network::step() {
-  if (!sharded_) {
-    kernel_.tick();
-    return;
-  }
-  sharded_->tick([this] { flush_observer_buffers(); });
-}
+void Network::step() { kernel_.tick(); }
 
 void Network::flush_observer_buffers() {
   if (delivery_observer_) {
@@ -178,10 +158,6 @@ void Network::flush_observer_buffers() {
 }
 
 void Network::set_delivery_observer(Nic::DeliveryObserver observer) {
-  if (!sharded_) {
-    for (auto& n : nics_) n->set_delivery_observer(observer);
-    return;
-  }
   delivery_observer_ = std::move(observer);
   if (!delivery_observer_) {
     for (auto& n : nics_) n->set_delivery_observer(nullptr);
@@ -356,12 +332,11 @@ void Network::clear_flow_registers(NodeId config_master, NodeId src, NodeId dst,
 }
 
 void Network::enable_tracing(TraceRecorder* recorder) {
-  // Sharded mode: routers fire tracers concurrently, so events land in a
+  // Routers fire tracers from their shard's worker, so events land in a
   // per-node buffer and are flushed into the recorder in node order at the
-  // end of each cycle — matching the single kernel, which steps routers in
-  // node order.
-  trace_recorder_ = sharded_ ? recorder : nullptr;
-  if (sharded_ && recorder != nullptr) {
+  // end of each cycle — the same order at every shard count.
+  trace_recorder_ = recorder;
+  if (recorder != nullptr) {
     trace_buffers_.assign(static_cast<std::size_t>(num_nodes()), {});
   } else {
     trace_buffers_.clear();
@@ -374,18 +349,11 @@ void Network::enable_tracing(TraceRecorder* recorder) {
         out.set_tracer(nullptr);
         continue;
       }
-      if (sharded_) {
-        auto* buf = &trace_buffers_[static_cast<std::size_t>(n)];
-        out.set_tracer([this, buf, n, port](const router::Flit& f, bool bypass) {
-          buf->push_back(TraceEvent{now(), n, port, f.packet, f.src, f.dst,
-                                    f.vc, f.type, f.flit_index, bypass});
-        });
-      } else {
-        out.set_tracer([this, recorder, n, port](const router::Flit& f, bool bypass) {
-          recorder->record(TraceEvent{now(), n, port, f.packet, f.src, f.dst,
-                                      f.vc, f.type, f.flit_index, bypass});
-        });
-      }
+      auto* buf = &trace_buffers_[static_cast<std::size_t>(n)];
+      out.set_tracer([this, buf, n, port](const router::Flit& f, bool bypass) {
+        buf->push_back(TraceEvent{now(), n, port, f.packet, f.src, f.dst,
+                                  f.vc, f.type, f.flit_index, bypass});
+      });
     }
   }
 }

@@ -22,7 +22,6 @@
 #include "router/router.h"
 #include "routing/route_computer.h"
 #include "sim/kernel.h"
-#include "sim/sharded_kernel.h"
 
 namespace ocn::core {
 
@@ -70,9 +69,9 @@ struct LinkUsage {
 
 class Network {
  public:
-  /// `shards` partitions the fabric into that many row strips stepped
-  /// concurrently by a ShardedKernel (bit-identical to the single kernel;
-  /// see src/sim/sharded_kernel.h for the argument). 0 means "use the
+  /// `shards` partitions the fabric into that many row strips, one kernel
+  /// shard each, stepped concurrently (bit-identical at every shard count;
+  /// see src/sim/kernel.h for the argument). 0 means "use the
   /// OCN_SIM_SHARDS environment variable, default 1"; values are clamped
   /// to [1, radix]. Sharding is an execution strategy, not a model
   /// parameter: it is deliberately NOT part of Config, so fingerprints and
@@ -100,7 +99,7 @@ class Network {
     for (Cycle i = 0; i < cycles; ++i) step();
   }
 
-  /// Number of spatial shards stepping concurrently (1 = single kernel).
+  /// Number of spatial shards stepping concurrently (1 = one thread).
   int shards() const { return shards_; }
   /// The explicit node -> shard assignment the kernel executes — the same
   /// description the static concurrency analyzer (src/analyze) proves safe.
@@ -152,10 +151,9 @@ class Network {
 
   /// Install `observer` on every NIC (see Nic::set_delivery_observer); the
   /// differential harness uses this to log network-wide ejection order.
-  /// In sharded mode deliveries are buffered per node during the parallel
-  /// phase and the observer runs on the stepping thread in node order at
-  /// the end of each cycle — the same global order the single kernel
-  /// produces (it steps NICs in node order).
+  /// Deliveries are buffered per node during the component phase and the
+  /// observer runs on the stepping thread in node order at the end of each
+  /// cycle, before time advances — the same order at every shard count.
   void set_delivery_observer(Nic::DeliveryObserver observer);
 
   // --- statistics ------------------------------------------------------------
@@ -194,10 +192,9 @@ class Network {
   Config config_;
   std::unique_ptr<topo::Topology> topology_;
   routing::RouteComputer routes_;
-  Kernel kernel_;
   int shards_ = 1;
   ShardPartition partition_;
-  std::unique_ptr<ShardedKernel> sharded_;  // null when shards_ == 1
+  Kernel kernel_;
 
   /// One RouterStatePool per shard: a shard's routers occupy consecutive
   /// slots of one contiguous allocation, so the phase-A workers touch
@@ -212,8 +209,8 @@ class Network {
   std::vector<LinkChannels> eject_links_;
   std::vector<std::unique_ptr<FaultyLinkTransform>> fault_transforms_;
 
-  // Sharded-mode observer plumbing: callbacks fired during the parallel
-  // phase land in per-node buffers, replayed in node order at end of cycle.
+  // Observer plumbing: callbacks fired during the component phase land in
+  // per-node buffers, replayed in node order at the end of the cycle.
   Nic::DeliveryObserver delivery_observer_;
   TraceRecorder* trace_recorder_ = nullptr;
   std::vector<std::vector<Packet>> delivery_buffers_;

@@ -29,12 +29,7 @@ Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes
       next_packet_id_(static_cast<PacketId>(node) << 40),
       class_latency_(4) {}
 
-bool Nic::quiescent() const {
-  // The arrival bytes are set exactly when the corresponding channel holds
-  // a delivered value (see the member comment), so these two loads replace
-  // the channel-object probes.
-  if (inj_credit_arrive_.load(std::memory_order_relaxed) != 0) return false;
-  if (eject_arrive_.load(std::memory_order_relaxed) != 0) return false;
+bool Nic::idle_internal() const {
   if (!loopback_.empty() || !carry_to_router_.empty()) return false;
   return queued_flit_count_ == 0 && eject_pending_count_ == 0;
 }
@@ -45,8 +40,8 @@ void Nic::attach(Channel<Flit>* inject, Channel<Credit>* inject_credit,
   inject_credit_ = inject_credit;
   eject_ = eject;
   eject_credit_ = eject_credit;
-  if (inject_credit_ != nullptr) inject_credit_->set_wake(&inj_credit_arrive_);
-  if (eject_ != nullptr) eject_->set_wake(&eject_arrive_);
+  if (inject_credit_ != nullptr) inject_credit_->set_wake(&arrive_[kCreditArrive]);
+  if (eject_ != nullptr) eject_->set_wake(&arrive_[kEjectArrive]);
 }
 
 std::uint8_t Nic::ready_mask() const {
@@ -154,10 +149,10 @@ void Nic::schedule_packet(Packet packet, Cycle send_at, Cycle now) {
 
 void Nic::step(Cycle now) {
   // Credits returned by the tile input controller (arrival-byte gated; see
-  // quiescent()).
+  // wake_row()).
   if (inject_credit_ != nullptr &&
-      inj_credit_arrive_.load(std::memory_order_relaxed) != 0) {
-    inj_credit_arrive_.store(0, std::memory_order_relaxed);
+      arrive_[kCreditArrive].load(std::memory_order_relaxed) != 0) {
+    arrive_[kCreditArrive].store(0, std::memory_order_relaxed);
     if (auto credit = inject_credit_->take()) {
       if (!config_.router.dropping()) {
         auto& c = credits_[static_cast<std::size_t>(credit->vc)];
@@ -189,8 +184,8 @@ void Nic::process_ejection(Cycle now) {
   // Arrival-byte gated, in-place arrival handling (receive + consume): the
   // pending-queue copy goes straight from channel storage, skipping the
   // take() temporary.
-  if (eject_arrive_.load(std::memory_order_relaxed) != 0) {
-    eject_arrive_.store(0, std::memory_order_relaxed);
+  if (arrive_[kEjectArrive].load(std::memory_order_relaxed) != 0) {
+    arrive_[kEjectArrive].store(0, std::memory_order_relaxed);
     const std::optional<Flit>& arriving = eject_->receive();
     if (arriving.has_value()) {
       const Flit& fl = *arriving;

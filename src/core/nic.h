@@ -73,10 +73,18 @@ class Nic final : public Clockable {
 
   void step(Cycle now) override;
 
-  /// Active-set fast path: a NIC with nothing arriving on its tile port, no
-  /// queued injection flits, no pending ejections and no loopback deliveries
-  /// is skipped by the kernel (see Clockable::quiescent).
-  bool quiescent() const override;
+  /// The arrival bytes of the two channels delivering INTO this NIC
+  /// (ejected flits, returned injection credits), as one contiguous row for
+  /// the kernel's skip predicate: attach() wires them, the channel stamps on
+  /// delivery, and step() probes a channel object only when its byte is set,
+  /// clearing it as it consumes.
+  std::atomic<std::uint8_t>* wake_row() { return arrive_; }
+  static constexpr int wake_width() { return kWakeWidth; }
+
+  /// No queued injection flits, no pending ejections, no piggyback credits
+  /// to carry and no loopback deliveries; with the wake row clear the
+  /// kernel skips the NIC.
+  bool idle_internal() const override;
 
   // --- statistics -----------------------------------------------------------
   std::int64_t packets_injected() const { return packets_injected_; }
@@ -106,8 +114,8 @@ class Nic final : public Clockable {
   }
   /// Piggyback credits queued to ride on the next injected flit.
   int carry_backlog() const { return static_cast<int>(carry_to_router_.size()); }
-  /// Incrementally-maintained occupancy counters behind quiescent() and the
-  /// injection/ejection fast paths. The SoA cross-check compares them
+  /// Incrementally-maintained occupancy counters behind idle_internal() and
+  /// the injection/ejection fast paths. The SoA cross-check compares them
   /// against queued_flits()/pending_eject_flits()/scheduled_flits_queued(),
   /// which recompute from the queues.
   int queued_flit_counter() const { return queued_flit_count_; }
@@ -150,13 +158,12 @@ class Nic final : public Clockable {
   Channel<router::Credit>* inject_credit_ = nullptr;
   Channel<router::Flit>* eject_ = nullptr;
   Channel<router::Credit>* eject_credit_ = nullptr;
-  /// Arrival bytes for the two channels delivering INTO this NIC (ejected
-  /// flits, returned injection credits), same protocol as the router pool's
-  /// wake row: attach() wires them, the channel stamps on delivery, and
-  /// quiescent()/step() probe the channel object only when the byte is set,
-  /// clearing it as they consume.
-  std::atomic<std::uint8_t> eject_arrive_{0};
-  std::atomic<std::uint8_t> inj_credit_arrive_{0};
+  /// The wake row (see wake_row()), indexed by kEjectArrive /
+  /// kCreditArrive.
+  static constexpr int kEjectArrive = 0;
+  static constexpr int kCreditArrive = 1;
+  static constexpr int kWakeWidth = 2;
+  std::atomic<std::uint8_t> arrive_[kWakeWidth] = {};
 
   std::vector<std::deque<QueuedFlit>> vc_queues_;
   /// Piggyback mode: credits for the router's tile output controller
@@ -168,8 +175,8 @@ class Nic final : public Clockable {
 
   std::vector<std::deque<router::Flit>> eject_pending_;
   /// Occupancy counters over vc_queues_ / eject_pending_ (sum of queue
-  /// sizes, maintained at every push/pop) so the per-cycle quiescent poll
-  /// and the ejection-arbitration gate are O(1) instead of walking all the
+  /// sizes, maintained at every push/pop) so idle_internal() and the
+  /// ejection-arbitration gate are O(1) instead of walking all the
   /// deques. The accessors queued_flits()/pending_eject_flits() still
   /// recompute from the queues — the SoA cross-check compares both.
   int queued_flit_count_ = 0;

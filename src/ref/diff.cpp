@@ -222,43 +222,43 @@ DiffResult run_shard_lockstep(const core::Config& config,
         "run_shard_lockstep needs shards >= 2 (1 vs 1 proves nothing)");
   }
   core::Network base(config, /*shards=*/1);
-  core::Network sharded(config, shards);
+  core::Network split(config, shards);
   traffic::TraceReplay base_replay(base, trace);
-  traffic::TraceReplay sharded_replay(sharded, trace);
+  traffic::TraceReplay split_replay(split, trace);
   std::vector<DeliveryRecord> base_log;
-  std::vector<DeliveryRecord> sharded_log;
+  std::vector<DeliveryRecord> split_log;
   base.set_delivery_observer([&base_log](const core::Packet& p) {
     base_log.push_back(reduce_delivery(p));
   });
-  sharded.set_delivery_observer([&sharded_log](const core::Packet& p) {
-    sharded_log.push_back(reduce_delivery(p));
+  split.set_delivery_observer([&split_log](const core::Packet& p) {
+    split_log.push_back(reduce_delivery(p));
   });
   base_replay.start();
-  sharded_replay.start();
+  split_replay.start();
 
   DiffResult result;
   std::vector<std::int64_t> base_state;
-  std::vector<std::int64_t> sharded_state;
+  std::vector<std::int64_t> split_state;
   std::size_t compared = 0;
 
   for (Cycle c = 0; c < max_cycles; ++c) {
     if (scenario.active() && c == scenario.kill_cycle) {
       chaos::kill_link(base, scenario.kill_node, scenario.kill_port);
-      chaos::kill_link(sharded, scenario.kill_node, scenario.kill_port);
+      chaos::kill_link(split, scenario.kill_node, scenario.kill_port);
     }
     base.step();
-    sharded.step();
+    split.step();
     ++result.cycles_run;
 
     if (soa_divergence(base, c, "1-shard", result) ||
-        soa_divergence(sharded, c, "sharded", result)) {
+        soa_divergence(split, c, "sharded", result)) {
       result.deliveries = static_cast<std::int64_t>(base_log.size());
       return result;
     }
 
-    const std::size_t both = std::min(base_log.size(), sharded_log.size());
+    const std::size_t both = std::min(base_log.size(), split_log.size());
     for (std::size_t i = compared; i < both; ++i) {
-      if (base_log[i] == sharded_log[i]) continue;
+      if (base_log[i] == split_log[i]) continue;
       result.diverged = true;
       result.divergence.cycle = c;
       result.divergence.kind = "delivery";
@@ -267,41 +267,41 @@ DiffResult run_shard_lockstep(const core::Config& config,
           base_log[i].to_string());
       result.divergence.details.push_back(
           "delivery[" + std::to_string(i) + "] " + std::to_string(shards) +
-          "-shard: " + sharded_log[i].to_string());
+          "-shard: " + split_log[i].to_string());
       result.deliveries = static_cast<std::int64_t>(base_log.size());
       return result;
     }
     compared = both;
 
     base_state.clear();
-    sharded_state.clear();
+    split_state.clear();
     production_snapshot(base, base_replay,
                         static_cast<std::int64_t>(base_log.size()), base_state);
-    production_snapshot(sharded, sharded_replay,
-                        static_cast<std::int64_t>(sharded_log.size()),
-                        sharded_state);
-    if (base_state != sharded_state) {
+    production_snapshot(split, split_replay,
+                        static_cast<std::int64_t>(split_log.size()),
+                        split_state);
+    if (base_state != split_state) {
       result.diverged = true;
       result.divergence.cycle = c;
       result.deliveries = static_cast<std::int64_t>(base_log.size());
-      if (base_state.size() != sharded_state.size()) {
+      if (base_state.size() != split_state.size()) {
         result.divergence.kind = "shape";
         result.divergence.details.push_back(
             "state vector length: 1-shard=" + std::to_string(base_state.size()) +
             " " + std::to_string(shards) + "-shard=" +
-            std::to_string(sharded_state.size()));
+            std::to_string(split_state.size()));
         return result;
       }
       result.divergence.kind = "state";
       std::size_t mismatches = 0;
       for (std::size_t i = 0; i < base_state.size(); ++i) {
-        if (base_state[i] == sharded_state[i]) continue;
+        if (base_state[i] == split_state[i]) continue;
         ++mismatches;
         if (result.divergence.details.size() < kMaxDetailLines) {
           result.divergence.details.push_back(
               "state[" + std::to_string(i) + "]: 1-shard=" +
               std::to_string(base_state[i]) + " " + std::to_string(shards) +
-              "-shard=" + std::to_string(sharded_state[i]));
+              "-shard=" + std::to_string(split_state[i]));
         }
       }
       if (mismatches > kMaxDetailLines) {
@@ -312,8 +312,8 @@ DiffResult run_shard_lockstep(const core::Config& config,
       return result;
     }
 
-    if (base_replay.finished() && base.idle() && sharded_replay.finished() &&
-        sharded.idle()) {
+    if (base_replay.finished() && base.idle() && split_replay.finished() &&
+        split.idle()) {
       result.drained = true;
       break;
     }

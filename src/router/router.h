@@ -28,8 +28,7 @@
 //
 // A router is registered with its wake row (`kernel.add(r, r->wake_row(),
 // Router::wake_width())`): the kernel skips it while every arrival byte is
-// zero and idle_internal() holds. Registered without a row, it inherits
-// Clockable's default quiescent() and is stepped every cycle.
+// zero and idle_internal() holds.
 #pragma once
 
 #include <memory>

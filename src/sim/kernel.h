@@ -7,25 +7,40 @@
 // once. Because no component ever observes another component's same-cycle
 // writes, evaluation order is irrelevant and simulations are deterministic.
 //
+// Shards. The kernel keeps N shard lists (default 1) plus a serial tail.
+// A shard list holds components with their wake rows, interior channels
+// (both endpoints in the shard) and boundary channels (endpoints in two
+// shards). The tail holds whatever is registered with a plain add():
+// traffic clients, services, monitors. One tick is
+//   phase A  every shard's components, then the tail's components;
+//   phase B  every shard's channels, then the tail's channels; interior and
+//            tail channels are skipped while inactive, boundary channels
+//            always advance;
+//   then     the cycle-end hook, time, metrics and deferred removals.
+// With one shard both phases run inline on the calling thread. With more,
+// the kernel's own ThreadPool runs one worker per shard and the pool's join
+// is the barrier between the phases. Every channel has latency >= 1, so a
+// value sent on cycle t is not visible before t+1, and the shards may step
+// in any interleaving: an N-shard run is bit-identical to a 1-shard run.
+// Boundary channels always advance because their `active` flag is written
+// by two shards in phase A; it is never consulted, and advance() recomputes
+// it from the channel's own state.
+//
 // Hot-path structure: channels are not virtual. ChannelBase carries a
 // function pointer selected at construction (unit-latency channels get a
 // two-slot swap with no deque traffic) plus an `active` flag so the kernel
 // skips channels with nothing in flight.
 //
-// Components are skipped when stepping them would change nothing, by one
-// of two rules (step_component_if_due):
-//   * registered WITH a wake row (routers — the row lives in the
-//     RouterStatePool): a channel delivering a value stamps its receiver's
-//     arrival byte during its advance, and the kernel steps the component
-//     only when some byte in the row is set or !idle_internal(). The bytes
-//     also gate the receiver's own per-channel probes: a pipeline phase
-//     touches a channel object only when that channel's byte is set,
-//     clearing the byte as it consumes, so idle channels are never
-//     pointer-chased;
-//   * registered without one (NICs, traffic clients, services): the kernel
-//     polls quiescent().
-// kernel.component_steps counts the steps either rule lets through; the e13
-// baseline value-compares it.
+// One skip predicate (step_component_if_due): a component is due when any
+// byte of its wake row is set or !idle_internal(). A channel delivering a
+// value stamps its receiver's arrival byte during its advance. The bytes
+// also gate the receiver's own per-channel probes: a step touches a channel
+// object only when that channel's byte is set, clearing the byte as it
+// consumes, so idle channels are never pointer-chased. A component with no
+// inbound channels (a traffic harness, a chaos engine) registers a row of
+// width 0 and is due exactly when !idle_internal().
+// kernel.component_steps counts the steps the predicate lets through; the
+// e13 baseline value-compares it.
 #pragma once
 
 #include <atomic>
@@ -34,6 +49,8 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,23 +60,21 @@
 
 namespace ocn {
 
+namespace sweep {
+class ThreadPool;
+}
+
 /// Anything that does work once per clock cycle.
 class Clockable {
  public:
   virtual ~Clockable() = default;
   /// Called once per cycle, after channel outputs for `now` are visible.
   virtual void step(Cycle now) = 0;
-  /// True when step() would be an exact no-op this cycle (no arrivals on any
-  /// input channel and no internal work pending). The kernel skips stepping
-  /// quiescent components, so an implementation must only return true when
-  /// skipping is indistinguishable from stepping — including statistics.
-  /// The default keeps every component on the clock.
-  virtual bool quiescent() const { return false; }
-  /// The skip predicate for components registered with a wake row:
-  /// internal work only, with arrivals covered by the row. Returning true
-  /// with every row byte clear must mean step() would be an exact no-op.
-  /// The default keeps it the same as quiescent().
-  virtual bool idle_internal() const { return quiescent(); }
+  /// True when, with every byte of the component's wake row clear, step()
+  /// would be an exact no-op this cycle — including statistics. Arrivals
+  /// are covered by the row; this covers internal work only. The default
+  /// keeps the component on the clock.
+  virtual bool idle_internal() const { return false; }
 };
 
 /// Non-virtual channel base so the kernel can advance heterogeneous channels
@@ -68,8 +83,8 @@ class Clockable {
 /// `active_` is a relaxed atomic because a shard-boundary channel is written
 /// by the sender's shard (send) while the receiver's shard reads/clears the
 /// arriving value (take) in the same phase. There is never more than one
-/// writer per phase, so plain relaxed loads/stores suffice; the sharded
-/// kernel never *consults* a boundary channel's flag (it advances boundary
+/// writer per phase, so plain relaxed loads/stores suffice; the kernel
+/// never *consults* a boundary channel's flag (it advances boundary
 /// channels unconditionally), so a transiently stale value is harmless.
 class ChannelBase {
  public:
@@ -81,11 +96,10 @@ class ChannelBase {
   /// Event-skip wiring: stamp `*wake` (relaxed store of 1) whenever an
   /// advance leaves a value visible at the output — i.e. whenever the
   /// receiving component has an arrival to consume next cycle. The flag is
-  /// owned by the receiver (RouterStatePool); in the sharded kernel a
-  /// channel is always advanced by the receiver's shard (boundary channels
-  /// are filed under shard_of(dst)), so stamping in phase B and
-  /// reading/clearing in phase A never cross a shard — the phases' barrier
-  /// orders them.
+  /// owned by the receiver (a RouterStatePool row or the NIC); a channel is
+  /// always advanced by the receiver's shard (boundary channels are filed
+  /// under shard_of(receiver)), so stamping in phase B and reading/clearing
+  /// in phase A never cross a shard — the phases' barrier orders them.
   void set_wake(std::atomic<std::uint8_t>* wake) { wake_ = wake; }
 
  protected:
@@ -206,35 +220,29 @@ class Channel final : public ChannelBase {
   std::int64_t sends_ = 0;
 };
 
-/// A registered component plus its optional wake row. With a null wake the
-/// kernel polls quiescent(); with a row it uses the event-skip predicate: `wake_width` contiguous arrival bytes (one per
-/// inbound channel, stamped by the channel's advance) cover arrivals, and
-/// idle_internal() covers occupancy. The kernel never clears the bytes —
-/// each byte is owned by the pipeline phase that consumes its channel, which
-/// clears it as it probes (so an un-probed engaged arrival keeps its byte,
-/// and the component stays due).
+/// A registered component plus its wake row: `wake_width` contiguous
+/// arrival bytes (one per inbound channel, stamped by the channel's
+/// advance). The kernel never clears the bytes — each byte is owned by the
+/// step code that consumes its channel, which clears it as it probes (so an
+/// un-probed engaged arrival keeps its byte, and the component stays due).
 struct ComponentEntry {
   Clockable* component = nullptr;
   std::atomic<std::uint8_t>* wake = nullptr;
-  int wake_width = 1;
+  int wake_width = 0;
 };
 
-/// The ONE skip-predicate implementation, shared by Kernel and
-/// ShardedKernel so the two schedulers cannot drift. Returns true when the
+/// The kernel's one skip predicate: step the component when any byte of
+/// its wake row is set or it has internal work. Returns true when the
 /// component was stepped.
 inline bool step_component_if_due(const ComponentEntry& e, Cycle now) {
-  if (e.wake != nullptr) {
-    bool arrivals = false;
-    for (int i = 0; i < e.wake_width; ++i) {
-      if (e.wake[i].load(std::memory_order_relaxed) != 0) {
-        arrivals = true;
-        break;
-      }
+  bool arrivals = false;
+  for (int i = 0; i < e.wake_width; ++i) {
+    if (e.wake[i].load(std::memory_order_relaxed) != 0) {
+      arrivals = true;
+      break;
     }
-    if (!arrivals && e.component->idle_internal()) return false;
-  } else if (e.component->quiescent()) {
-    return false;
   }
+  if (!arrivals && e.component->idle_internal()) return false;
   e.component->step(now);
   return true;
 }
@@ -244,31 +252,57 @@ inline bool step_component_if_due(const ComponentEntry& e, Cycle now) {
 /// the kernel.
 class Kernel {
  public:
-  void add(Clockable* c) { components_.push_back({c, nullptr, 1}); }
-  /// Register with an event-skip wake row of `width` arrival bytes; every
-  /// channel delivering into `c` must have set_wake() wired to one of them
-  /// (the router controllers wire this themselves in attach()).
-  void add(Clockable* c, std::atomic<std::uint8_t>* wake, int width = 1) {
-    components_.push_back({c, wake, width});
-  }
-  void add(ChannelBase* ch) { channels_.push_back(ch); }
+  /// `shards` shard lists (at least 1). More than one spawns a worker pool
+  /// with one worker per shard.
+  explicit Kernel(int shards = 1);
+  ~Kernel();
+  Kernel(const Kernel&) = delete;
+  Kernel& operator=(const Kernel&) = delete;
 
-  /// Unregister a component (used by detachable observers like the protocol
-  /// monitor, whose lifetime is shorter than the network's). No-op when the
-  /// component was never registered. Safe to call from inside a component's
-  /// own step(): removal during an in-flight tick is deferred to the end of
-  /// that tick so the component list is never mutated while iterated.
+  /// Register in the serial tail, with a wake row of `width` arrival bytes;
+  /// every channel delivering into `c` must have set_wake() wired to one of
+  /// them. A component with no inbound channels passes no row.
+  void add(Clockable* c, std::atomic<std::uint8_t>* wake = nullptr, int width = 0);
+  /// A channel advanced in the serial tail, skipped while inactive.
+  void add(ChannelBase* ch);
+
+  /// As add(), on shard `shard`'s list. The row's bytes must be stamped
+  /// only by channels filed under the same shard (the component is their
+  /// receiver), so a wake byte never crosses a shard.
+  void add_to_shard(int shard, Clockable* c, std::atomic<std::uint8_t>* wake = nullptr,
+                    int width = 0);
+  /// A channel whose sender and receiver both live in `shard`; skipped
+  /// while inactive.
+  void add_interior(int shard, ChannelBase* ch);
+  /// A channel crossing shards, filed under its receiver's shard and
+  /// advanced every cycle.
+  void add_boundary(int shard, ChannelBase* ch);
+
+  /// Unregister a serial-tail component (used by detachable observers like
+  /// the protocol monitor, whose lifetime is shorter than the network's).
+  /// No-op when the component was never registered. Safe to call from
+  /// inside a tail component's step(): removal during an in-flight tick is
+  /// deferred to the end of that tick so the list is never mutated while
+  /// iterated.
   void remove(Clockable* c);
+
+  /// Run on the calling thread at the end of every tick, after both phases
+  /// and before time advances (so now() still names the cycle). Used to
+  /// flush per-node observer buffers in node order.
+  void set_cycle_end_hook(std::function<void()> hook) { cycle_end_hook_ = std::move(hook); }
 
   /// Run `cycles` cycles from the current time.
   void run(Cycle cycles);
 
-  /// Advance exactly one cycle.
+  /// Advance exactly one cycle. If a step() throws, the exception
+  /// propagates with now() unchanged, the kernel no longer in a tick and
+  /// every deferred removal applied.
   void tick();
 
   Cycle now() const { return now_; }
 
-  /// Components whose step() ran last tick (active-set instrumentation).
+  /// Components whose step() ran last tick, over every shard and the tail
+  /// (active-set instrumentation).
   int last_tick_stepped() const { return last_tick_stepped_; }
 
   // --- observability ---------------------------------------------------------
@@ -294,19 +328,25 @@ class Kernel {
   }
 
  private:
-  friend class ShardedKernel;
+  /// One shard's (or the tail's) registrations and its last-tick counts.
+  struct List {
+    std::vector<ComponentEntry> components;
+    std::vector<ChannelBase*> interior;
+    std::vector<ChannelBase*> boundary;
+    int stepped = 0;
+    int advanced = 0;
+  };
 
-  // tick() pieces, shared with ShardedKernel: the sharded kernel steps and
-  // advances its own spatial partitions in parallel, then calls these to
-  // step/advance whatever stayed registered here (global components like
-  // traffic harnesses and monitors) and to close out the cycle with the
-  // same bookkeeping — time, metrics counters, deferred removals.
-  int step_components();
-  int advance_channels();
-  void finish_tick(int stepped, int advanced);
+  static void step_list(List& list, Cycle now);
+  static void advance_list(List& list);
+  template <typename F>
+  void for_each_shard(const F& body);
+  void end_tick();
 
-  std::vector<ComponentEntry> components_;
-  std::vector<ChannelBase*> channels_;
+  std::vector<List> shards_;
+  List tail_;
+  std::unique_ptr<sweep::ThreadPool> pool_;  // null with one shard
+  std::function<void()> cycle_end_hook_;
   Cycle now_ = 0;
   int last_tick_stepped_ = 0;
   bool in_tick_ = false;

@@ -3,7 +3,7 @@
 // A sweep is a list of independent simulation points (Config + harness
 // options). Each point runs a whole simulation on a pool worker with its
 // own derived Rng seed (optionally sharded internally across the point's
-// own ShardedKernel pool — see LoadPoint::shards), and the per-point
+// own kernel pool — see LoadPoint::shards), and the per-point
 // statistics merge on the calling thread, in point-index order, through the
 // order-sensitive Accumulator::merge / order-free Histogram::merge
 // machinery.
@@ -45,8 +45,8 @@ struct LoadPoint {
   core::Config config;
   traffic::HarnessOptions harness;
   /// Spatial shards for the point's Network (see core::Network): 1 = the
-  /// single-threaded kernel, N > 1 = intra-point parallelism on the
-  /// point's own ShardedKernel pool (distinct from the sweep pool, so
+  /// kernel steps on the calling thread, N > 1 = intra-point parallelism on
+  /// the point's own kernel pool (distinct from the sweep pool, so
   /// nesting is safe). 0 = OCN_SIM_SHARDS env, default 1. Sharding does
   /// not change results — the merged statistics stay bit-identical — only
   /// wall-clock.

@@ -110,8 +110,8 @@ HarnessResult LoadHarness::run() {
   net_.run(opt_.measure);
   generating_ = false;
   const bool drained = net_.drain(opt_.drain_max);
-  // Normally empty by now (pending samples keep the harness off the
-  // quiescent list), but a drain that hit drain_max can leave stragglers.
+  // Normally empty by now (pending samples keep the harness on the clock),
+  // but a drain that hit drain_max can leave stragglers.
   drain_samples();
 
   HarnessResult r;

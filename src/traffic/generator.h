@@ -68,10 +68,9 @@ class LoadHarness final : public Clockable {
 
   void step(Cycle now) override;
   /// Outside warmup+measurement the harness injects nothing; let the
-  /// kernel's active-set fast path skip it during drain — unless delivery
-  /// samples are waiting to be folded in (measured packets keep arriving
-  /// after the window closes).
-  bool quiescent() const override {
+  /// kernel skip it during drain — unless delivery samples are waiting to
+  /// be folded in (measured packets keep arriving after the window closes).
+  bool idle_internal() const override {
     return !generating_ &&
            pending_samples_.load(std::memory_order_relaxed) == 0;
   }

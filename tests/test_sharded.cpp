@@ -1,12 +1,18 @@
-// Sharded-kernel determinism: the ShardedKernel's contract is bit-identical
-// execution for every shard count. The matrix here replays the same recorded
-// trace at shards 1, 2, 4 and the radix (one row per shard) and demands the
-// identical delivery sequence (order AND cycles), identical per-link flit
-// event stream, and identical final counters — the same golden-replay bar
-// tests/test_replay.cpp sets for serialization round-trips. Registered under
-// the `sweep` ctest label so the tsan preset races the shard workers.
+// Shard determinism: the kernel's contract is bit-identical execution for
+// every shard count. The kernel-only tests at the top drive a 2-shard Kernel
+// directly, without a Network: shard components step before the serial
+// tail, step counts match one shard, boundary channels advance every cycle
+// and the one skip predicate holds for width-0 rows. The matrix below
+// replays the same recorded trace at shards 1, 2, 4 and the radix (one row
+// per shard) and demands the identical delivery sequence (order AND
+// cycles), identical per-link flit event stream, and identical final
+// counters — the same golden-replay bar tests/test_replay.cpp sets for
+// serialization round-trips. Registered under the `sweep` ctest label so
+// the tsan preset races the shard workers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +21,7 @@
 #include "core/trace.h"
 #include "ref/campaign.h"
 #include "ref/diff.h"
+#include "sim/kernel.h"
 #include "traffic/generator.h"
 #include "traffic/replay.h"
 
@@ -25,6 +32,206 @@ using core::Config;
 using core::Network;
 using traffic::parse_trace;
 using traffic::TraceReplay;
+
+// --- The kernel's shard lists, without a Network ---------------------------
+
+// One node of a four-relay ring: forwards each token it receives (until the
+// token has made kMaxHops hops) and injects a fresh token every `period`
+// cycles. Arrivals wake it through a one-byte wake row; injection cycles
+// are its internal work.
+struct Relay final : Clockable {
+  static constexpr int kMaxHops = 3;
+  const Kernel* kernel = nullptr;
+  Channel<int>* in = nullptr;
+  Channel<int>* out = nullptr;
+  std::atomic<std::uint8_t> wake[1] = {};
+  int period = 0;  // 0 = never injects
+  int steps = 0;
+  Cycle last_step = -1;
+
+  void step(Cycle now) override {
+    ++steps;
+    last_step = now;
+    if (wake[0].load(std::memory_order_relaxed) != 0) {
+      wake[0].store(0, std::memory_order_relaxed);
+      if (auto hops = in->take(); hops && *hops < kMaxHops) out->send(*hops + 1);
+    }
+    if (period > 0 && now % period == 0 && !out->send_pending()) out->send(0);
+  }
+  bool idle_internal() const override {
+    return period == 0 || kernel->now() % period != 0;
+  }
+};
+
+// A serial-tail component stepped every cycle: counts the relays that have
+// already stepped in the current cycle when the tail runs.
+struct TailProbe final : Clockable {
+  const std::vector<Relay>* relays = nullptr;
+  std::vector<int> relays_stepped_before;  // per cycle
+  void step(Cycle now) override {
+    int n = 0;
+    for (const Relay& r : *relays) n += r.last_step == now ? 1 : 0;
+    relays_stepped_before.push_back(n);
+  }
+};
+
+struct RingRun {
+  std::vector<int> relay_steps;
+  std::vector<int> relays_stepped_before_tail;
+  std::vector<int> last_tick_stepped;
+  std::vector<std::int64_t> steps_per_cycle;  // kernel.component_steps deltas
+};
+
+// Relays 0,1 live in shard 0 and relays 2,3 in shard `shards - 1`; the
+// channels 1->2 and 3->0 cross shards when shards == 2 and are filed as
+// boundary channels under their receiver's shard.
+RingRun run_ring(int shards, Cycle cycles) {
+  Kernel k(shards);
+  obs::CounterRegistry registry;
+  k.attach_metrics(&registry);
+  std::vector<Relay> relays(4);
+  std::vector<Channel<int>> links(4);
+  const int periods[4] = {5, 0, 7, 0};
+  const auto shard_of = [shards](int relay) { return relay < 2 ? 0 : shards - 1; };
+  for (int i = 0; i < 4; ++i) {
+    Relay& r = relays[static_cast<std::size_t>(i)];
+    r.kernel = &k;
+    r.period = periods[i];
+    r.out = &links[static_cast<std::size_t>(i)];
+    r.in = &links[static_cast<std::size_t>((i + 3) % 4)];
+    r.in->set_wake(&r.wake[0]);
+    k.add_to_shard(shard_of(i), &r, r.wake, 1);
+  }
+  for (int i = 0; i < 4; ++i) {
+    const int receiver = (i + 1) % 4;
+    ChannelBase* ch = &links[static_cast<std::size_t>(i)];
+    if (shard_of(i) == shard_of(receiver)) {
+      k.add_interior(shard_of(i), ch);
+    } else {
+      k.add_boundary(shard_of(receiver), ch);
+    }
+  }
+  TailProbe probe;
+  probe.relays = &relays;
+  k.add(&probe);
+
+  RingRun out;
+  const obs::Counter& steps = registry.counter("kernel.component_steps");
+  for (Cycle c = 0; c < cycles; ++c) {
+    const std::int64_t before = steps.value();
+    k.tick();
+    out.last_tick_stepped.push_back(k.last_tick_stepped());
+    out.steps_per_cycle.push_back(steps.value() - before);
+  }
+  for (const Relay& r : relays) out.relay_steps.push_back(r.steps);
+  out.relays_stepped_before_tail = probe.relays_stepped_before;
+  return out;
+}
+
+TEST(KernelShards, ShardComponentsStepBeforeTheTailWithOneShardCounts) {
+  const RingRun one = run_ring(1, 60);
+  const RingRun two = run_ring(2, 60);
+  EXPECT_EQ(two.relay_steps, one.relay_steps);
+  // Every relay step of a cycle has happened when the tail steps: the tail
+  // sees all of them (last_tick_stepped counts them plus the probe).
+  for (std::size_t c = 0; c < two.last_tick_stepped.size(); ++c) {
+    EXPECT_EQ(two.relays_stepped_before_tail[c], two.last_tick_stepped[c] - 1)
+        << "cycle " << c;
+  }
+  EXPECT_EQ(two.relays_stepped_before_tail, one.relays_stepped_before_tail);
+  // The ring is idle on some cycles, so the skip predicate is exercised.
+  EXPECT_LT(two.relay_steps[1], 60);
+}
+
+TEST(KernelShards, LastTickSteppedSumsShardsAndTail) {
+  const RingRun two = run_ring(2, 60);
+  int relay_steps = 0;
+  for (const int s : two.relay_steps) relay_steps += s;
+  int total = 0;
+  for (std::size_t c = 0; c < two.last_tick_stepped.size(); ++c) {
+    EXPECT_EQ(two.last_tick_stepped[c], two.steps_per_cycle[c]) << "cycle " << c;
+    total += two.last_tick_stepped[c];
+  }
+  EXPECT_EQ(total, relay_steps + 60);  // the probe steps every cycle
+  EXPECT_EQ(two.last_tick_stepped, run_ring(1, 60).last_tick_stepped);
+}
+
+TEST(KernelShards, BoundaryChannelAdvancesEveryCycleIdleInteriorDoesNot) {
+  Kernel k(2);
+  obs::CounterRegistry registry;
+  k.attach_metrics(&registry);
+  Channel<int> interior(1), boundary(1);
+  k.add_interior(0, &interior);
+  k.add_boundary(1, &boundary);
+  k.run(10);
+  EXPECT_EQ(registry.counter("kernel.channel_advances").value(), 10);
+  EXPECT_FALSE(interior.active());
+  // A value sent on the interior channel costs it advances only while in
+  // flight or visible.
+  interior.send(1);
+  k.tick();
+  EXPECT_TRUE(interior.receive().has_value());
+  EXPECT_EQ(registry.counter("kernel.channel_advances").value(), 12);
+  k.run(3);
+  EXPECT_EQ(registry.counter("kernel.channel_advances").value(), 16);
+}
+
+struct Sleeper final : Clockable {
+  bool asleep = false;
+  int steps = 0;
+  void step(Cycle) override { ++steps; }
+  bool idle_internal() const override { return asleep; }
+};
+
+TEST(KernelShards, WidthZeroComponentSkippedExactlyWhileIdle) {
+  Kernel k(2);
+  Sleeper shard_sleeper, tail_sleeper;
+  k.add_to_shard(1, &shard_sleeper);
+  k.add(&tail_sleeper);
+  k.run(10);
+  EXPECT_EQ(shard_sleeper.steps, 10);
+  EXPECT_EQ(tail_sleeper.steps, 10);
+  EXPECT_EQ(k.last_tick_stepped(), 2);
+  shard_sleeper.asleep = true;
+  k.run(10);
+  EXPECT_EQ(shard_sleeper.steps, 10);
+  EXPECT_EQ(tail_sleeper.steps, 20);
+  EXPECT_EQ(k.last_tick_stepped(), 1);
+  shard_sleeper.asleep = false;
+  tail_sleeper.asleep = true;
+  k.run(5);
+  EXPECT_EQ(shard_sleeper.steps, 15);
+  EXPECT_EQ(tail_sleeper.steps, 20);
+  EXPECT_EQ(k.last_tick_stepped(), 1);
+}
+
+struct Thrower final : Clockable {
+  bool armed = true;
+  void step(Cycle) override {
+    if (armed) {
+      armed = false;
+      throw std::runtime_error("shard step failed");
+    }
+  }
+};
+
+// An exception on a shard worker is rethrown by the pool and ends the tick
+// like any other: time stays put and a later remove() takes effect at once.
+TEST(KernelShards, WorkerExceptionEndsTheTick) {
+  Kernel k(2);
+  Thrower thrower;
+  Sleeper tail;
+  k.add_to_shard(1, &thrower);
+  k.add(&tail);
+  EXPECT_THROW(k.tick(), std::runtime_error);
+  EXPECT_EQ(k.now(), 0);
+  EXPECT_EQ(tail.steps, 0);
+  k.remove(&tail);
+  k.run(3);
+  EXPECT_EQ(tail.steps, 0);
+  EXPECT_EQ(k.now(), 3);
+  EXPECT_EQ(k.last_tick_stepped(), 1);
+}
 
 // --- Golden replay at N shards -----------------------------------------
 // Mirror of test_replay.cpp's run_recorded, parameterized on the shard

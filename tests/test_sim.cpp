@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "sim/kernel.h"
 #include "sim/rng.h"
@@ -361,10 +363,10 @@ struct Sleeper final : Clockable {
   bool asleep = false;
   int steps = 0;
   void step(Cycle) override { ++steps; }
-  bool quiescent() const override { return asleep; }
+  bool idle_internal() const override { return asleep; }
 };
 
-TEST(Kernel, SkipsQuiescentComponents) {
+TEST(Kernel, SkipsIdleComponents) {
   Kernel k;
   Sleeper s;
   Counter always;
@@ -375,7 +377,7 @@ TEST(Kernel, SkipsQuiescentComponents) {
   EXPECT_EQ(k.last_tick_stepped(), 2);
   s.asleep = true;
   k.run(10);
-  EXPECT_EQ(s.steps, 10);  // skipped while quiescent
+  EXPECT_EQ(s.steps, 10);  // skipped while idle
   EXPECT_EQ(always.steps, 20);
   EXPECT_EQ(k.last_tick_stepped(), 1);
   s.asleep = false;
@@ -424,6 +426,67 @@ TEST(Kernel, ComponentMayRemoveItselfDuringStep) {
   k.run(4);
   EXPECT_EQ(after.steps, 4);  // later components unaffected by the removal
   EXPECT_EQ(k.last_tick_stepped(), 1);  // only `after` remains on the clock
+}
+
+// Throws from step() once, on cycle `when` — as TraceReplay does when
+// Nic::inject refuses a trace entry.
+struct Thrower final : Clockable {
+  Cycle when = 0;
+  bool fired = false;
+  void step(Cycle now) override {
+    if (now == when && !fired) {
+      fired = true;
+      throw std::runtime_error("step failed");
+    }
+  }
+};
+
+// A tick that throws must end like any other tick except for time: the
+// kernel is no longer in a tick, so a remove() made after the caller
+// catches takes effect at once, and now() still names the failed cycle.
+TEST(Kernel, ThrowingStepEndsTheTick) {
+  Kernel k;
+  Thrower thrower;
+  thrower.when = 2;
+  Counter removed;
+  k.add(&thrower);
+  k.add(&removed);
+  k.run(2);
+  EXPECT_THROW(k.tick(), std::runtime_error);
+  EXPECT_EQ(k.now(), 2);
+  EXPECT_EQ(removed.steps, 2);  // the throw came before its cycle-2 step
+  k.remove(&removed);
+  k.run(3);
+  EXPECT_EQ(removed.steps, 2);  // never stepped after its removal
+  EXPECT_EQ(k.now(), 5);
+  EXPECT_EQ(k.last_tick_stepped(), 1);
+}
+
+// The same sequence with the removed component freed, as a traffic
+// component removes itself in its destructor: a stale registration would
+// step freed memory.
+struct SelfRemoving final : Clockable {
+  Kernel* kernel = nullptr;
+  int* steps = nullptr;
+  ~SelfRemoving() override { kernel->remove(this); }
+  void step(Cycle) override { ++*steps; }
+};
+
+TEST(Kernel, ComponentDestroyedAfterThrowIsNeverStepped) {
+  Kernel k;
+  Thrower thrower;
+  thrower.when = 0;
+  int steps = 0;
+  auto component = std::make_unique<SelfRemoving>();
+  component->kernel = &k;
+  component->steps = &steps;
+  k.add(&thrower);
+  k.add(component.get());
+  EXPECT_THROW(k.tick(), std::runtime_error);
+  component.reset();
+  k.run(2);
+  EXPECT_EQ(steps, 0);
+  EXPECT_EQ(k.last_tick_stepped(), 1);
 }
 
 TEST(DutyCounter, ComputesAverageDuty) {

@@ -89,22 +89,21 @@ TEST(SoaEquivalence, DetectsAllocatedCountDrift) {
 
 // --- quiescence audit -------------------------------------------------------
 
-// The kernel's skip rule for a router (step_component_if_due): every
-// arrival byte in its wake row clear and no internal work.
-bool router_idle(router::Router& r) {
-  const std::atomic<std::uint8_t>* row = r.wake_row();
-  for (int i = 0; i < router::Router::wake_width(); ++i) {
+// The kernel's one skip predicate (step_component_if_due), for routers and
+// NICs alike: every arrival byte in the wake row clear and no internal work.
+template <typename Component>
+bool component_idle(Component& c) {
+  const std::atomic<std::uint8_t>* row = c.wake_row();
+  for (int i = 0; i < Component::wake_width(); ++i) {
     if (row[i].load(std::memory_order_relaxed) != 0) return false;
   }
-  return r.idle_internal();
+  return c.idle_internal();
 }
 
-// The skip rules the kernel applies: the wake-row rule for routers, the
-// polled quiescent() for NICs.
-bool all_components_quiescent(Network& net) {
+bool all_components_idle(Network& net) {
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    if (!router_idle(net.router_at(n))) return false;
-    if (!net.nic(n).quiescent()) return false;
+    if (!component_idle(net.router_at(n))) return false;
+    if (!component_idle(net.nic(n))) return false;
   }
   return true;
 }
@@ -116,7 +115,7 @@ bool all_components_quiescent(Network& net) {
 // injected.
 TEST(Quiescence, AllQuiescentImpliesNothingInFlight) {
   Network net(Config::paper_baseline());
-  EXPECT_TRUE(all_components_quiescent(net));
+  EXPECT_TRUE(all_components_idle(net));
 
   const int kPackets = 6;
   for (int i = 0; i < kPackets; ++i) {
@@ -125,7 +124,7 @@ TEST(Quiescence, AllQuiescentImpliesNothingInFlight) {
                           /*service_class=*/i % 2, /*num_flits=*/3),
         net.now()));
   }
-  EXPECT_FALSE(all_components_quiescent(net));
+  EXPECT_FALSE(all_components_idle(net));
 
   auto delivered = [&net]() {
     std::int64_t d = 0;
@@ -137,19 +136,20 @@ TEST(Quiescence, AllQuiescentImpliesNothingInFlight) {
   bool drained = false;
   for (int c = 0; c < 2000 && !drained; ++c) {
     net.step();
-    if (all_components_quiescent(net)) {
+    if (all_components_idle(net)) {
       // Quiescence claims there is no work anywhere; hold it to that.
       EXPECT_EQ(delivered(), kPackets) << "at cycle " << c;
       drained = delivered() == kPackets;
     }
   }
   EXPECT_TRUE(drained);
-  EXPECT_TRUE(all_components_quiescent(net));
+  EXPECT_TRUE(all_components_idle(net));
 }
 
-// Drain each component mid-tick and check quiescent() tracks the occupancy
-// it recomputes from: the NIC with ejected flits parked behind a stalled
-// client must stay active until the client drains them, then go quiescent.
+// Drain each component mid-tick and check the skip predicate tracks the
+// occupancy it recomputes from: the NIC with ejected flits parked behind a
+// stalled client must stay active until the client drains them, then go
+// idle.
 TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
   Network net(Config::paper_baseline());
   core::Nic& dst = net.nic(5);
@@ -161,21 +161,21 @@ TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
   for (int c = 0; c < 200 && dst.pending_eject_flits() == 0; ++c) net.step();
   ASSERT_GT(dst.pending_eject_flits(), 0);
   EXPECT_EQ(dst.eject_pending_counter(), dst.pending_eject_flits());
-  EXPECT_FALSE(dst.quiescent());
+  EXPECT_FALSE(component_idle(dst));
 
-  // Mid-run, un-stall: the parked flits drain one per cycle; quiescent()
+  // Mid-run, un-stall: the parked flits drain one per cycle; the predicate
   // must flip exactly when the recomputed occupancy reaches zero.
   dst.set_ejection_stall(/*vc=*/0, false);
   for (int c = 0; c < 200 && dst.packets_delivered() == 0; ++c) {
     EXPECT_EQ(dst.eject_pending_counter(), dst.pending_eject_flits());
     if (dst.pending_eject_flits() > 0) {
-      EXPECT_FALSE(dst.quiescent());
+      EXPECT_FALSE(component_idle(dst));
     }
     net.step();
   }
   EXPECT_EQ(dst.packets_delivered(), 1);
   ASSERT_TRUE(net.drain(500));
-  EXPECT_TRUE(dst.quiescent());
+  EXPECT_TRUE(component_idle(dst));
   EXPECT_EQ(dst.eject_pending_counter(), 0);
   EXPECT_EQ(dst.queued_flit_counter(), 0);
 }
@@ -189,25 +189,25 @@ TEST(Quiescence, RoutersAlongThePathFlipAndRecover) {
       core::make_packet(/*dst=*/3, /*service_class=*/0, /*num_flits=*/6),
       net.now()));
   EXPECT_EQ(net.nic(0).queued_flit_counter(), net.nic(0).queued_flits());
-  EXPECT_FALSE(net.nic(0).quiescent());
+  EXPECT_FALSE(component_idle(net.nic(0)));
 
   // Row route 0 -> 3 on the radix-4 torus: router 3 must wake up while the
   // wormhole transits it.
   bool router3_woke = false;
   for (int c = 0; c < 300 && net.nic(3).packets_delivered() == 0; ++c) {
     net.step();
-    if (!router_idle(net.router_at(3))) router3_woke = true;
+    if (!component_idle(net.router_at(3))) router3_woke = true;
   }
   EXPECT_TRUE(router3_woke);
   EXPECT_EQ(net.nic(3).packets_delivered(), 1);
   ASSERT_TRUE(net.drain(500));
   // drain() returns at delivery parity; the tail flit's credits are still
   // returning upstream. They must settle within a bounded number of cycles,
-  // after which every component recomputes to quiescent.
-  for (int c = 0; c < 50 && !all_components_quiescent(net); ++c) net.step();
+  // after which every component recomputes to idle.
+  for (int c = 0; c < 50 && !all_components_idle(net); ++c) net.step();
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    EXPECT_TRUE(router_idle(net.router_at(n))) << "router " << n;
-    EXPECT_TRUE(net.nic(n).quiescent()) << "nic " << n;
+    EXPECT_TRUE(component_idle(net.router_at(n))) << "router " << n;
+    EXPECT_TRUE(component_idle(net.nic(n))) << "nic " << n;
   }
 }
 
