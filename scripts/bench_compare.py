@@ -5,7 +5,7 @@ Regression gate for CI bench-smoke and for local use:
 
     scripts/bench_compare.py --run out/e13.json --baseline bench/baselines/e13_quick.json
     scripts/bench_compare.py --run out/m1.json --baseline bench/baselines/m1_micro.json \
-        --schema-only
+        --schema-only --exact 'shard_scaling.flits.*' --exact saturation64.flits
 
 What is compared
   * schema / experiment id / quick flag / config fingerprint must match
@@ -13,6 +13,10 @@ What is compared
     configuration — comparing the numbers would be meaningless);
   * every metric in the baseline must exist in the run and lie within the
     tolerance band (relative error; absolute for near-zero baselines);
+  * every "counters" snapshot in the baseline (the kernel's deterministic
+    twins: kernel.component_steps, kernel.channel_advances, per-node and
+    per-link counts) must match the run exactly: same cycle, same counter
+    names, same values;
   * verdicts that were ok in the baseline must still be ok in the run
     (paper-claim regressions fail even when the raw numbers drift slowly);
   * every "perf_metrics" key in the baseline must exist in the run (key
@@ -31,11 +35,17 @@ machine class CI runs on (see EXPERIMENTS.md S2).
 baseline metric key is present — the mode for microbenchmark reports whose
 values are wall-clock dependent.
 
+--exact PATTERN (repeatable, fnmatch syntax) compares the matching baseline
+metrics exactly, in either mode. It is how the deterministic twins of a
+schema-only report (flit counts next to wall-clock rates) stay gated. A
+pattern that matches no baseline metric is a usage error.
+
 Exit status: 0 = no regression, 1 = regression or comparison mismatch,
 2 = usage / unreadable input.
 """
 
 import argparse
+import fnmatch
 import json
 import sys
 
@@ -107,7 +117,32 @@ def check_min_metrics(run, floors):
     return problems
 
 
-def compare(run, baseline, tolerance, overrides, schema_only):
+def compare_counters(run, baseline):
+    """Exact comparison of the "counters" snapshots; returns problems."""
+    b_snaps = baseline.get("counters", [])
+    r_snaps = run.get("counters", [])
+    if len(b_snaps) != len(r_snaps):
+        return [f"counters: baseline has {len(b_snaps)} snapshot(s), "
+                f"run has {len(r_snaps)}"]
+    problems = []
+    for i, (b, r) in enumerate(zip(b_snaps, r_snaps)):
+        where = f"counters[{i}]"
+        if b.get("cycle") != r.get("cycle"):
+            problems.append(f"{where}: baseline cycle {b.get('cycle')}, "
+                            f"run cycle {r.get('cycle')}")
+        b_vals, r_vals = b.get("counters", {}), r.get("counters", {})
+        for name in sorted(b_vals.keys() | r_vals.keys()):
+            if name not in r_vals:
+                problems.append(f"{where}: counter missing from run: {name}")
+            elif name not in b_vals:
+                problems.append(f"{where}: counter not in baseline: {name}")
+            elif b_vals[name] != r_vals[name]:
+                problems.append(f"{where}: counter {name}: baseline "
+                                f"{b_vals[name]}, run {r_vals[name]}")
+    return problems
+
+
+def compare(run, baseline, tolerance, overrides, schema_only, exact):
     """Return a list of human-readable regression strings."""
     problems = []
 
@@ -123,13 +158,21 @@ def compare(run, baseline, tolerance, overrides, schema_only):
 
     b_metrics = baseline.get("metrics", {})
     r_metrics = run.get("metrics", {})
+    for pattern in exact:
+        if not fnmatch.filter(b_metrics, pattern):
+            problems.append(f"--exact {pattern}: matches no baseline metric")
     for name, expect in b_metrics.items():
         if name not in r_metrics:
             problems.append(f"metric missing from run: {name}")
             continue
+        got = r_metrics[name]
+        if any(fnmatch.fnmatchcase(name, p) for p in exact):
+            if got != expect:
+                problems.append(f"metric {name}: baseline {expect!r}, "
+                                f"run {got!r} (exact)")
+            continue
         if schema_only:
             continue
-        got = r_metrics[name]
         tol = overrides.get(name, tolerance)
         if abs(expect) < 1e-12:
             ok = abs(got) <= tol
@@ -157,6 +200,8 @@ def compare(run, baseline, tolerance, overrides, schema_only):
                 f"verdict regressed: {name} (paper {v.get('paper')!r}, "
                 f"was {v.get('measured')!r}, now {r_verdicts[name].get('measured')!r})")
 
+    problems += compare_counters(run, baseline)
+
     if run.get("exit_code", 0) != 0:
         problems.append(f"run reported nonzero exit_code {run.get('exit_code')}")
     return problems
@@ -174,6 +219,11 @@ def main():
     ap.add_argument("--schema-only", action="store_true",
                     help="check metric key presence, not values "
                          "(wall-clock-dependent reports)")
+    ap.add_argument("--exact", action="append", default=[],
+                    metavar="PATTERN",
+                    help="compare baseline metrics matching this fnmatch "
+                         "pattern exactly, also under --schema-only "
+                         "(repeatable)")
     ap.add_argument("--min-metric", action="append", default=[],
                     metavar="NAME=VALUE",
                     help="hard floor on a run (perf) metric (repeatable); "
@@ -185,7 +235,7 @@ def main():
     overrides = parse_tolerance_overrides(args.tolerance_for)
     floors = parse_min_metrics(args.min_metric)
     problems = compare(run, baseline, args.tolerance, overrides,
-                       args.schema_only)
+                       args.schema_only, args.exact)
     problems += check_min_metrics(run, floors)
 
     exp = baseline.get("experiment", {}).get("id", "?")
@@ -196,8 +246,11 @@ def main():
             print(f"  {p}")
         sys.exit(1)
     n = len(baseline.get("metrics", {}))
+    n_counters = sum(len(s.get("counters", {}))
+                     for s in baseline.get("counters", []))
     print(f"OK {exp} ({mode}): {n} metrics, "
-          f"{len(baseline.get('verdicts', []))} verdicts match")
+          f"{len(baseline.get('verdicts', []))} verdicts, "
+          f"{n_counters} counters match")
 
 
 if __name__ == "__main__":

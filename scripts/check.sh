@@ -23,8 +23,11 @@
 #                  link latency 0 which must be refused, and the ocn-verify
 #                  positive/negative smoke.
 #   bench-smoke    quick benches with --json, compared against
-#                  bench/baselines/ by scripts/bench_compare.py (e13 numeric,
-#                  m1 schema-only plus the saturation-cell Mflit/s floor).
+#                  bench/baselines/ by scripts/bench_compare.py (e13 numeric
+#                  with its counters snapshot exact, m1 schema-only with its
+#                  flit-count twins exact plus the saturation-cell Mflit/s
+#                  floor); a baseline copy with one perturbed counter must be
+#                  refused.
 #   chaos-smoke    quick fault-injection campaign (bench_e15_chaos) vs
 #                  bench/baselines/e15_quick.json.
 #   diff-smoke     lockstep reference-model campaign (ocn-diff) over the quick
@@ -187,7 +190,20 @@ leg_bench_smoke() {
     --baseline bench/baselines/e13_quick.json --tolerance 0.05
   python3 scripts/bench_compare.py --run "$out/m1_micro.json" \
     --baseline bench/baselines/m1_micro.json --schema-only \
+    --exact 'shard_scaling.flits.*' --exact saturation64.flits \
     --min-metric mflits_per_sec.saturation64=0.001
+
+  echo "== [bench-smoke] a baseline with one perturbed counter must be refused =="
+  python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["counters"][0]["counters"]["kernel.component_steps"] += 1
+json.dump(doc, open(sys.argv[2], "w"))' \
+    bench/baselines/e13_quick.json "$out/e13_perturbed.json"
+  if python3 scripts/bench_compare.py --run "$out/e13_quick.json" \
+      --baseline "$out/e13_perturbed.json" >/dev/null; then
+    echo "expected bench_compare.py to refuse a perturbed counter" >&2
+    exit 1
+  fi
 }
 
 leg_chaos_smoke() {

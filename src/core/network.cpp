@@ -80,7 +80,6 @@ void Network::build() {
                              topo::port_name(desc.src_out_port);
     link.flits = std::make_unique<Channel<Flit>>(config_.link_latency, name);
     link.credits = std::make_unique<Channel<Credit>>(config_.link_latency, name + ":credit");
-    link.flits->length_mm = desc.length_mm;
     link.src = desc.src;
     link.port = desc.src_out_port;
     link.length_mm = desc.length_mm;

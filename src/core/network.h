@@ -72,8 +72,8 @@ class Network {
   /// `shards` partitions the fabric into that many row strips, one kernel
   /// shard each, stepped concurrently (bit-identical at every shard count;
   /// see src/sim/kernel.h for the argument). 0 means "use the
-  /// OCN_SIM_SHARDS environment variable, default 1"; values are clamped
-  /// to [1, radix]. Sharding is an execution strategy, not a model
+  /// OCN_SIM_SHARDS environment variable, default 1" (a malformed value
+  /// throws std::invalid_argument); values are clamped to [1, radix]. Sharding is an execution strategy, not a model
   /// parameter: it is deliberately NOT part of Config, so fingerprints and
   /// committed baselines are unaffected by it.
   explicit Network(Config config, int shards = 0);

@@ -186,8 +186,8 @@ void Nic::process_ejection(Cycle now) {
   // take() temporary.
   if (arrive_[kEjectArrive].load(std::memory_order_relaxed) != 0) {
     arrive_[kEjectArrive].store(0, std::memory_order_relaxed);
-    const std::optional<Flit>& arriving = eject_->receive();
-    if (arriving.has_value()) {
+    const Flit* arriving = eject_->receive();
+    if (arriving != nullptr) {
       const Flit& fl = *arriving;
       // Harvest a piggybacked credit for the tile input buffers upstream.
       const std::int8_t carried = fl.carried_credit_vc;

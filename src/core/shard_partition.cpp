@@ -1,20 +1,13 @@
 #include "core/shard_partition.h"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "sim/sweep/thread_pool.h"
 
 namespace ocn::core {
 
 int resolve_shards(int shards, int radix) {
-  if (shards == 0) {
-    shards = 1;
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv at network
-    // construction time, never on the simulation hot path.
-    if (const char* env = std::getenv("OCN_SIM_SHARDS")) {
-      const int v = std::atoi(env);
-      if (v >= 1) shards = v;
-    }
-  }
+  if (shards == 0) shards = sweep::positive_env_int("OCN_SIM_SHARDS", 1);
   if (shards < 1) shards = 1;
   if (shards > radix) shards = radix;  // row strips: at most one per row
   return shards;

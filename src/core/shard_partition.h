@@ -17,8 +17,8 @@
 namespace ocn::core {
 
 /// Resolve a requested shard count the way core::Network does: 0 consults
-/// the OCN_SIM_SHARDS environment variable (default 1); results clamp to
-/// [1, radix] (row strips: at most one per row).
+/// OCN_SIM_SHARDS (default 1, strictly parsed); results clamp to [1, radix]
+/// (row strips: at most one per row).
 int resolve_shards(int shards, int radix);
 
 class ShardPartition {

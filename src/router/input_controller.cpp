@@ -46,8 +46,8 @@ void InputController::accept_arrival() {
   // Process the arriving flit in place (receive + consume) instead of
   // take()ing it out: the buffered copy goes channel storage -> ring slab
   // directly, one 112-byte copy instead of two moves through a temporary.
-  const std::optional<Flit>& arriving = in_->receive();
-  if (!arriving.has_value()) return;
+  const Flit* arriving = in_->receive();
+  if (arriving == nullptr) return;
   const Flit& f = *arriving;
   // Harvest a piggybacked credit: it belongs to the co-located output
   // controller driving the reverse direction of this link.

@@ -45,8 +45,8 @@ void OutputController::process_credits() {
   // probe of the heap-scattered channel object.
   if (arrive_credit_->load(std::memory_order_relaxed) == 0) return;
   arrive_credit_->store(0, std::memory_order_relaxed);
-  const std::optional<Credit>& credit = credit_downstream_->receive();
-  if (!credit.has_value()) return;
+  const Credit* credit = credit_downstream_->receive();
+  if (credit == nullptr) return;
   if (!params_.dropping()) {  // dropping mode: drain, no credit loop
     auto& c = credits_[credit->vc];
     ++c;

@@ -1,8 +1,36 @@
 #include "sim/kernel.h"
 
+#include <cassert>
+#include <cstdio>
+#include <exception>
+#include <stdexcept>
+
 #include "sim/sweep/thread_pool.h"
 
 namespace ocn {
+
+ChannelBase::ChannelBase(int latency, std::string name) : name_(std::move(name)) {
+  if (latency < 1) {
+    throw std::invalid_argument("channel latency must be >= 1, got " +
+                                std::to_string(latency));
+  }
+  slots_ = latency + 1;
+  full_ = std::make_unique<std::uint8_t[]>(static_cast<std::size_t>(slots_));
+}
+
+int ChannelBase::claim_send_slot() {
+  const int slot = send_slot();
+  if (full_[slot] != 0) {
+    std::fprintf(stderr,
+                 "ocn: fatal: double send on channel '%s' in one cycle "
+                 "(one value per channel per cycle)\n",
+                 name_.empty() ? "<unnamed>" : name_.c_str());
+    std::terminate();
+  }
+  full_[slot] = 1;
+  ++sent_;
+  return slot;
+}
 
 Kernel::Kernel(int shards) : shards_(static_cast<std::size_t>(shards < 1 ? 1 : shards)) {
   if (shards > 1) pool_ = std::make_unique<sweep::ThreadPool>(shards);

@@ -22,14 +22,12 @@
 // is the barrier between the phases. Every channel has latency >= 1, so a
 // value sent on cycle t is not visible before t+1, and the shards may step
 // in any interleaving: an N-shard run is bit-identical to a 1-shard run.
-// Boundary channels always advance because their `active` flag is written
-// by two shards in phase A; it is never consulted, and advance() recomputes
-// it from the channel's own state.
+// No channel field is written by two shards in one phase (see ChannelBase);
+// boundary channels advance ungated because that is the shape the
+// concurrency analyzer (src/analyze) proves.
 //
-// Hot-path structure: channels are not virtual. ChannelBase carries a
-// function pointer selected at construction (unit-latency channels get a
-// two-slot swap with no deque traffic) plus an `active` flag so the kernel
-// skips channels with nothing in flight.
+// Hot path: every channel is a ring of latency+1 slots advanced by one
+// untyped, non-virtual ChannelBase::advance(); active() is two counters.
 //
 // One skip predicate (step_component_if_due): a component is due when any
 // byte of its wake row is set or !idle_internal(). A channel delivering a
@@ -44,11 +42,7 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
-#include <cstdio>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -77,21 +71,44 @@ class Clockable {
   virtual bool idle_internal() const { return false; }
 };
 
-/// Non-virtual channel base so the kernel can advance heterogeneous channels
-/// through one direct function-pointer call, and skip idle ones entirely.
+/// Untyped half of a channel: the ring's bookkeeping, so the kernel advances
+/// every channel through one direct, non-virtual call and skips idle ones.
 ///
-/// `active_` is a relaxed atomic because a shard-boundary channel is written
-/// by the sender's shard (send) while the receiver's shard reads/clears the
-/// arriving value (take) in the same phase. There is never more than one
-/// writer per phase, so plain relaxed loads/stores suffice; the kernel
-/// never *consults* a boundary channel's flag (it advances boundary
-/// channels unconditionally), so a transiently stale value is harmless.
+/// A channel of latency L is a ring of L+1 slots, one register per pipeline
+/// stage plus the output. Slot head_ is the output; send() fills slot
+/// (head_ + L) mod (L+1). Within phase A the sender touches only the send
+/// slot, its engaged byte and sent_, and the receiver only the output slot,
+/// its byte and retired_: L >= 1 keeps the two slots apart, and head_ moves
+/// only in phase B, so a shard-boundary channel needs no atomics.
 class ChannelBase {
  public:
-  void advance() { advance_fn_(this); }
-  /// True when the channel has (or may have) values in flight; idle channels
-  /// are skipped by Kernel::tick.
-  bool active() const { return active_.load(std::memory_order_relaxed); }
+  /// End of cycle: retire the output slot (an unconsumed value expires), step
+  /// head_ on, stamp the wake byte if a value arrives. No payload moves.
+  void advance() {
+    consume();
+    head_ = head_ + 1 == slots_ ? 0 : head_ + 1;
+    if (full_[head_] != 0) notify_wake();
+  }
+
+  /// Clear the arriving value, if any. In-place receivers (receive(), the
+  /// router/NIC hot paths) MUST call this; take() does it for them.
+  void consume() {
+    if (full_[head_] != 0) {
+      full_[head_] = 0;
+      ++retired_;
+    }
+  }
+
+  /// True while a value is in flight or visible (else Kernel::tick skips the
+  /// channel); two counters in the object, so the test never touches the ring.
+  bool active() const { return sent_ != retired_; }
+
+  /// True when a value was sent this cycle.
+  bool send_pending() const { return full_[send_slot()] != 0; }
+
+  int latency() const { return slots_ - 1; }
+  std::int64_t sends() const { return sent_; }
+  const std::string& name() const { return name_; }
 
   /// Event-skip wiring: stamp `*wake` (relaxed store of 1) whenever an
   /// advance leaves a value visible at the output — i.e. whenever the
@@ -103,18 +120,29 @@ class ChannelBase {
   void set_wake(std::atomic<std::uint8_t>* wake) { wake_ = wake; }
 
  protected:
-  using AdvanceFn = void (*)(ChannelBase*);
-  explicit ChannelBase(AdvanceFn fn) : advance_fn_(fn) {}
+  /// Throws std::invalid_argument unless latency >= 1: a zero-latency
+  /// channel would couple same-cycle steps and break determinism.
+  ChannelBase(int latency, std::string name);
   ~ChannelBase() = default;  // never deleted through the base
-  void set_active(bool a) { active_.store(a, std::memory_order_relaxed); }
+
+  int send_slot() const { return head_ == 0 ? slots_ - 1 : head_ - 1; }
+  /// Mark the send slot engaged and return it; terminates on a second send
+  /// in one cycle.
+  int claim_send_slot();
+
+  std::unique_ptr<std::uint8_t[]> full_;  // engaged byte per slot
+  int head_ = 0;
+
+ private:
   void notify_wake() {
     if (wake_ != nullptr) wake_->store(1, std::memory_order_relaxed);
   }
 
- private:
-  AdvanceFn advance_fn_;
-  std::atomic<bool> active_{false};
+  int slots_ = 0;
+  std::int64_t sent_ = 0;
+  std::int64_t retired_ = 0;
   std::atomic<std::uint8_t>* wake_ = nullptr;
+  std::string name_;
 };
 
 /// Unidirectional delay line carrying at most one value per cycle.
@@ -127,97 +155,24 @@ template <typename T>
 class Channel final : public ChannelBase {
  public:
   explicit Channel(int latency = 1, std::string name = {})
-      : ChannelBase(latency <= 1 ? &advance_unit : &advance_pipe),
-        name_(std::move(name)),
-        pipe_(latency > 0 ? static_cast<std::size_t>(latency - 1) : 0) {
-    assert(latency >= 1 && "channels are registered; latency must be >= 1");
-  }
+      : ChannelBase(latency, std::move(name)),
+        ring_(std::make_unique<T[]>(static_cast<std::size_t>(latency) + 1)) {}
 
-  /// The value arriving this cycle, if any. May be called repeatedly.
-  const std::optional<T>& receive() const { return out_; }
+  /// The value arriving this cycle, or nullptr. May be called repeatedly.
+  const T* receive() const { return full_[head_] != 0 ? &ring_[head_] : nullptr; }
 
-  /// Consume the arriving value (clears it so a second reader sees nothing).
-  /// Also recomputes the active flag: once the output is taken the channel
-  /// only has work left if values are still in flight, so the kernel must
-  /// not burn an advance on a provably empty channel next tick.
+  /// Move the arriving value out and consume it.
   std::optional<T> take() {
-    std::optional<T> v = std::move(out_);
+    if (full_[head_] == 0) return std::nullopt;
+    std::optional<T> v(std::move(ring_[head_]));
     consume();
     return v;
   }
 
-  /// Clear the arriving value without moving it out. Receivers that process
-  /// the value in place via receive() (the router/NIC hot paths — saves one
-  /// full copy of the payload per arrival) MUST call this afterwards; it is
-  /// what take() does minus the move. A consume() with no value arriving is
-  /// a semantic no-op (the flag recompute matches what advance() computed).
-  void consume() {
-    out_.reset();
-    set_active(inflight_.load(std::memory_order_relaxed) > 0);
-  }
-
-  void send(T v) {
-    if (pending_.has_value()) {
-      std::fprintf(stderr,
-                   "ocn: fatal: double send on channel '%s' in one cycle "
-                   "(one value per channel per cycle)\n",
-                   name_.empty() ? "<unnamed>" : name_.c_str());
-      std::terminate();
-    }
-    pending_ = std::move(v);
-    inflight_.store(inflight_.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-    ++sends_;
-    set_active(true);
-  }
-
-  bool send_pending() const { return pending_.has_value(); }
-
-  int latency() const { return static_cast<int>(pipe_.size()) + 1; }
-  std::int64_t sends() const { return sends_; }
-  const std::string& name() const { return name_; }
-
-  /// Physical length of the wires this channel models, in mm. Used for
-  /// wire-energy and duty-factor accounting. Zero for purely logical links.
-  double length_mm = 0.0;
+  void send(T v) { ring_[claim_send_slot()] = std::move(v); }
 
  private:
-  // Latency-1 fast path: a two-slot swap, no deque involved.
-  static void advance_unit(ChannelBase* base) {
-    auto* self = static_cast<Channel*>(base);
-    const bool arriving = self->pending_.has_value();
-    self->out_.swap(self->pending_);
-    self->pending_.reset();
-    if (arriving) self->dec_inflight();
-    self->set_active(self->inflight_.load(std::memory_order_relaxed) > 0 ||
-                     self->out_.has_value());
-    if (self->out_.has_value()) self->notify_wake();
-  }
-
-  static void advance_pipe(ChannelBase* base) {
-    auto* self = static_cast<Channel*>(base);
-    const bool arriving = self->pipe_.front().has_value();
-    self->out_ = std::move(self->pipe_.front());
-    self->pipe_.pop_front();
-    self->pipe_.push_back(std::move(self->pending_));
-    self->pending_.reset();
-    if (arriving) self->dec_inflight();
-    self->set_active(self->inflight_.load(std::memory_order_relaxed) > 0 ||
-                     self->out_.has_value());
-    if (self->out_.has_value()) self->notify_wake();
-  }
-
-  void dec_inflight() {
-    inflight_.store(inflight_.load(std::memory_order_relaxed) - 1,
-                    std::memory_order_relaxed);
-  }
-
-  std::string name_;
-  std::deque<std::optional<T>> pipe_;  // latency-1 in-flight slots
-  std::optional<T> pending_;           // written this cycle
-  std::optional<T> out_;               // visible this cycle
-  std::atomic<int> inflight_{0};       // engaged values in pipe_ + pending_
-  std::int64_t sends_ = 0;
+  std::unique_ptr<T[]> ring_;
 };
 
 /// A registered component plus its wake row: `wake_width` contiguous

@@ -34,7 +34,7 @@ namespace ocn::sweep {
 
 struct SweepOptions {
   /// Worker count; <= 0 means default_threads() (OCN_SWEEP_THREADS env
-  /// override, else hardware concurrency).
+  /// override, strictly parsed, else hardware concurrency).
   int threads = 0;
   /// Master seed; point i runs with derive_seed(master_seed, i).
   std::uint64_t master_seed = 42;

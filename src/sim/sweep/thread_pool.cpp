@@ -1,19 +1,31 @@
 #include "sim/sweep/thread_pool.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace ocn::sweep {
 
-int default_threads() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv at pool
-  // construction time, never on a worker thread.
-  if (const char* env = std::getenv("OCN_SWEEP_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
+int positive_env_int(const char* name, int fallback) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv at construction
+  // time, never on a worker thread.
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const char* end = env + std::strlen(env);
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc{} || ptr != end || v < 1) {
+    throw std::invalid_argument(std::string(name) + "='" + env +
+                                "': expected an integer >= 1");
   }
+  return v;
+}
+
+int default_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return positive_env_int("OCN_SWEEP_THREADS", hw == 0 ? 1 : static_cast<int>(hw));
 }
 
 ThreadPool::ThreadPool(int threads) {

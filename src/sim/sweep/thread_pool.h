@@ -18,9 +18,12 @@
 
 namespace ocn::sweep {
 
-/// Worker-count policy for sweep execution: the OCN_SWEEP_THREADS
-/// environment variable when set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (minimum 1).
+/// The whole integer >= 1 in environment variable `name`, or `fallback` when
+/// it is unset; any other value throws std::invalid_argument naming both.
+int positive_env_int(const char* name, int fallback);
+
+/// Worker-count policy for sweep execution: OCN_SWEEP_THREADS when set
+/// (positive_env_int), otherwise std::thread::hardware_concurrency() (min 1).
 int default_threads();
 
 /// Fixed-size pool of workers executing index ranges on demand.

@@ -170,7 +170,7 @@ TEST(KernelShards, BoundaryChannelAdvancesEveryCycleIdleInteriorDoesNot) {
   // flight or visible.
   interior.send(1);
   k.tick();
-  EXPECT_TRUE(interior.receive().has_value());
+  EXPECT_TRUE(interior.receive() != nullptr);
   EXPECT_EQ(registry.counter("kernel.channel_advances").value(), 12);
   k.run(3);
   EXPECT_EQ(registry.counter("kernel.channel_advances").value(), 16);
@@ -235,9 +235,9 @@ TEST(KernelShards, WorkerExceptionEndsTheTick) {
 
 // --- Golden replay at N shards -----------------------------------------
 // Mirror of test_replay.cpp's run_recorded, parameterized on the shard
-// count. kernel.channel_advances is deliberately NOT compared: boundary
-// channels advance unconditionally at the barrier (their active flag is a
-// racy transient), so that one diagnostic counter is shard-dependent.
+// count and the link latency. kernel.channel_advances is deliberately NOT
+// compared: boundary channels advance unconditionally at the barrier, so
+// that one diagnostic counter is shard-dependent.
 
 struct GoldenRun {
   std::vector<std::string> deliveries;  // "cycle:src->dst id payload"
@@ -247,8 +247,10 @@ struct GoldenRun {
   std::int64_t flits_delivered = 0;
 };
 
-GoldenRun run_sharded(const std::string& csv, int shards, bool chaos_kill) {
+GoldenRun run_sharded(const std::string& csv, int shards, bool chaos_kill,
+                      int link_latency = 1) {
   Config c = Config::paper_baseline();
+  c.link_latency = link_latency;
   if (chaos_kill) c.fault_layer = true;
   Network net(c, shards);
   EXPECT_EQ(net.shards(), shards);
@@ -298,15 +300,21 @@ std::string matrix_csv(std::uint64_t seed) {
       /*period=*/40, seed));
 }
 
+// Link latency 3 makes every boundary channel a 4-slot ring, so the shard
+// workers also run sender and receiver on rings whose send and output slots
+// are not adjacent.
 TEST(ShardedDeterminism, MatrixMatchesSingleShardExactly) {
   const std::string csv = matrix_csv(101);
-  const GoldenRun base = run_sharded(csv, /*shards=*/1, /*chaos_kill=*/false);
-  ASSERT_GT(base.delivered, 0);
-  ASSERT_FALSE(base.link_events.empty());
-  // paper_baseline is radix 4: one row per shard at the top of the range.
-  for (const int shards : {2, 4}) {
-    const GoldenRun run = run_sharded(csv, shards, /*chaos_kill=*/false);
-    expect_identical(base, run, shards);
+  for (const int latency : {1, 3}) {
+    SCOPED_TRACE(latency);
+    const GoldenRun base = run_sharded(csv, /*shards=*/1, /*chaos_kill=*/false, latency);
+    ASSERT_GT(base.delivered, 0);
+    ASSERT_FALSE(base.link_events.empty());
+    // paper_baseline is radix 4: one row per shard at the top of the range.
+    for (const int shards : {2, 4}) {
+      const GoldenRun run = run_sharded(csv, shards, /*chaos_kill=*/false, latency);
+      expect_identical(base, run, shards);
+    }
   }
 }
 
@@ -395,6 +403,27 @@ TEST(ShardedDeterminism, EnvKnobSetsDefaultShardCount) {
   ASSERT_EQ(unsetenv("OCN_SIM_SHARDS"), 0);
   Network plain(Config::paper_baseline());
   EXPECT_EQ(plain.shards(), 1);
+}
+
+// The env knob is parsed strictly: anything but a whole integer >= 1 is
+// refused with the variable and its value in the message, never run with a
+// guessed shard count.
+TEST(ShardedDeterminism, MalformedEnvKnobThrows) {
+  for (const char* bad : {"2x", "abc", "", "0", "-1", "+2", " 2", "99999999999"}) {
+    ASSERT_EQ(setenv("OCN_SIM_SHARDS", bad, 1), 0);
+    try {
+      Network net(Config::paper_baseline());
+      ADD_FAILURE() << "accepted OCN_SIM_SHARDS='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("OCN_SIM_SHARDS='") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // An explicit count never consults the variable.
+  Network explicit_count(Config::paper_baseline(), 2);
+  EXPECT_EQ(explicit_count.shards(), 2);
+  ASSERT_EQ(unsetenv("OCN_SIM_SHARDS"), 0);
 }
 
 // End-to-end referee smoke: the shard-lockstep harness compares the full

@@ -198,20 +198,20 @@ TEST(Channel, DelaysValueByLatency) {
   ch.send(42);
   for (int i = 0; i < 2; ++i) {
     k.tick();
-    EXPECT_FALSE(ch.receive().has_value()) << "cycle " << i;
+    EXPECT_FALSE(ch.receive() != nullptr) << "cycle " << i;
   }
   k.tick();
-  ASSERT_TRUE(ch.receive().has_value());
+  ASSERT_TRUE(ch.receive() != nullptr);
   EXPECT_EQ(*ch.receive(), 42);
   k.tick();
-  EXPECT_FALSE(ch.receive().has_value());
+  EXPECT_FALSE(ch.receive() != nullptr);
 }
 
 TEST(Channel, LatencyOneIsNextCycle) {
   Channel<int> ch(1);
   ch.send(7);
   ch.advance();
-  ASSERT_TRUE(ch.receive().has_value());
+  ASSERT_TRUE(ch.receive() != nullptr);
   EXPECT_EQ(*ch.receive(), 7);
 }
 
@@ -220,7 +220,7 @@ TEST(Channel, TakeConsumesValue) {
   ch.send(9);
   ch.advance();
   EXPECT_EQ(ch.take().value(), 9);
-  EXPECT_FALSE(ch.receive().has_value());
+  EXPECT_FALSE(ch.receive() != nullptr);
 }
 
 TEST(Channel, BackToBackValuesFlowAtFullRate) {
@@ -280,23 +280,39 @@ TEST(Channel, ActiveTracksValuesInFlightPipelined) {
   EXPECT_FALSE(ch.active());
 }
 
+// Both expiry cases run on the unit ring and on a 4-slot ring, where the
+// send slot is not the slot next to the output.
 TEST(Channel, UnconsumedValueExpiresAndDeactivates) {
-  Channel<int> ch(1);
-  ch.send(5);
-  ch.advance();  // arrives, never taken
-  ch.advance();  // expires
-  EXPECT_FALSE(ch.receive().has_value());
-  EXPECT_FALSE(ch.active());
+  for (const int latency : {1, 3}) {
+    SCOPED_TRACE(latency);
+    Channel<int> ch(latency);
+    ch.send(5);
+    for (int i = 0; i < latency; ++i) ch.advance();  // arrives, never taken
+    ch.advance();  // expires
+    EXPECT_FALSE(ch.receive() != nullptr);
+    EXPECT_FALSE(ch.active());
+  }
 }
 
 // Regression: take() used to leave the active flag set until the next
 // advance(), so consuming the last value still cost one wasted advance.
 TEST(Channel, TakeOnLastValueDeactivatesImmediately) {
-  Channel<int> ch(1);
-  ch.send(9);
-  ch.advance();
-  EXPECT_EQ(ch.take().value(), 9);
-  EXPECT_FALSE(ch.active());  // nothing left in flight, no advance needed
+  for (const int latency : {1, 3}) {
+    SCOPED_TRACE(latency);
+    Channel<int> ch(latency);
+    ch.send(9);
+    for (int i = 0; i < latency; ++i) ch.advance();
+    EXPECT_EQ(ch.take().value(), 9);
+    EXPECT_FALSE(ch.active());  // nothing left in flight, no advance needed
+  }
+}
+
+// Latency 0 would couple a sender and a receiver within one cycle; it is
+// refused in every build type, not just where asserts are compiled in.
+TEST(Channel, LatencyBelowOneThrows) {
+  EXPECT_THROW(Channel<int>(0), std::invalid_argument);
+  EXPECT_THROW(Channel<int>(-2, "neg"), std::invalid_argument);
+  EXPECT_EQ(Channel<int>(3).latency(), 3);
 }
 
 TEST(Channel, TakeWithValuesStillInFlightStaysActive) {
@@ -334,7 +350,7 @@ TEST(Kernel, SkipsInactiveChannels) {
   k.add(&idle);
   busy.send(1);
   k.tick();
-  EXPECT_TRUE(busy.receive().has_value());
+  EXPECT_TRUE(busy.receive() != nullptr);
   EXPECT_FALSE(idle.active());  // never woke up
 }
 

@@ -4,7 +4,9 @@
 // it leans on.
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,6 +77,26 @@ TEST(ThreadPool, SingleThreadFloor) {
   std::atomic<int> count{0};
   pool.for_each_index(5, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 5);
+}
+
+// OCN_SWEEP_THREADS goes through the same strict parser as OCN_SIM_SHARDS:
+// a whole integer >= 1, otherwise an error naming the variable and value.
+TEST(ThreadPool, DefaultThreadsParsesEnvStrictly) {
+  ASSERT_EQ(setenv("OCN_SWEEP_THREADS", "3", 1), 0);
+  EXPECT_EQ(sweep::default_threads(), 3);
+  for (const char* bad : {"2x", "abc", "", "0", "-4", "1.5", "99999999999"}) {
+    ASSERT_EQ(setenv("OCN_SWEEP_THREADS", bad, 1), 0);
+    try {
+      (void)sweep::default_threads();
+      ADD_FAILURE() << "accepted OCN_SWEEP_THREADS='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("OCN_SWEEP_THREADS='") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_EQ(unsetenv("OCN_SWEEP_THREADS"), 0);
+  EXPECT_GE(sweep::default_threads(), 1);
 }
 
 TEST(SweepRunner, MapReturnsIndexOrderedDerivedSeeds) {
