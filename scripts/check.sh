@@ -27,7 +27,9 @@
 #                  with its counters snapshot exact, m1 schema-only with its
 #                  flit-count twins exact plus the saturation-cell Mflit/s
 #                  floor); a baseline copy with one perturbed counter must be
-#                  refused.
+#                  refused; simbench/test_simbench.py (every workload at tiny
+#                  size, traced and untraced, the 1 vs 4 shard twin check
+#                  and the --tamper-twin refusal).
 #   chaos-smoke    quick fault-injection campaign (bench_e15_chaos) vs
 #                  bench/baselines/e15_quick.json.
 #   diff-smoke     lockstep reference-model campaign (ocn-diff) over the quick
@@ -204,6 +206,9 @@ json.dump(doc, open(sys.argv[2], "w"))' \
     echo "expected bench_compare.py to refuse a perturbed counter" >&2
     exit 1
   fi
+
+  echo "== [bench-smoke] simbench: tiny workloads, twins, 1 vs 4 shards =="
+  python3 simbench/test_simbench.py
 }
 
 leg_chaos_smoke() {

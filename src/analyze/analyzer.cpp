@@ -125,9 +125,10 @@ struct Analysis {
                                           : m.describe_state(sid);
       add_finding(Severity::kError, "gated-boundary-channel",
                   "gated boundary channel: " + path +
-                      ": classified interior, so its active flag gates "
-                      "advance() — but the flag is written by two shards in "
-                      "the same phase and its transient value is unordered; "
+                      ": classified interior, so active() gates advance() — "
+                      "but active() compares sent_, written by the sender's "
+                      "shard, with retired_, written by the receiver's shard, "
+                      "in the same phase, so its value is unordered; "
                       "cross-shard channels must advance unconditionally");
       return Proof::kRefuted;
     }

@@ -121,10 +121,10 @@ FootprintModel build_footprint(const core::Config& config,
 
   // --- per-node internal state ---------------------------------------------
   // router.N.pool is the node's RouterStatePool slot: the SoA rows holding
-  // every per-VC field (buffer counts, routing decisions, credits, allocator
-  // flags, pipeline stage, per-cycle transients) that the object layer views
-  // into. One state suffices because the whole slot has one owner — the
-  // router component on the node's shard.
+  // every per-VC field (buffer rings, routing decisions, credits, the
+  // VC-allocated masks, pipeline stage, per-cycle transients) that the
+  // router's pipeline phases read and write. One state suffices because the
+  // whole slot has one owner — the router component on the node's shard.
   std::vector<int> arb_state(static_cast<std::size_t>(n));
   std::vector<int> router_state(static_cast<std::size_t>(n));
   std::vector<int> nic_state(static_cast<std::size_t>(n));

@@ -76,9 +76,10 @@ struct State {
   int advance_shard = kSerialShard;
   /// True when the partition classifies this channel as shard-crossing and
   /// therefore advanced *unconditionally* at the barrier. A cross-shard
-  /// channel left gated ("interior") would consult its active flag — a
-  /// relaxed atomic written by both endpoint shards in the same phase whose
-  /// transient value is unordered — so the analyzer rejects that shape.
+  /// channel left gated ("interior") would consult active(), which compares
+  /// sent_ (written by the sender's shard) with retired_ (written by the
+  /// receiver's shard) in the same phase, so its value is unordered — the
+  /// analyzer rejects that shape.
   bool boundary = false;
 
   /// Relaxed-atomic accumulator whose parallel-phase mutations commute
@@ -147,8 +148,8 @@ enum class BreakKind {
   /// A parallel-phase component that mutates (and reads) one global
   /// non-atomic accumulator from every shard.
   kGlobalMutator,
-  /// Cross-shard channels classified interior, so their active flag gates
-  /// advance() despite being written by two shards.
+  /// Cross-shard channels classified interior, so active() gates advance()
+  /// although its two counters are written by two shards.
   kGatedBoundary,
 };
 

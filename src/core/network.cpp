@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "sim/log.h"
 
@@ -83,13 +84,12 @@ void Network::build() {
     link.src = desc.src;
     link.port = desc.src_out_port;
     link.length_mm = desc.length_mm;
-    router_at(desc.src).output(desc.src_out_port)
-        .attach(link.flits.get(), link.credits.get(), desc.length_mm);
-    router_at(desc.dst).input(desc.dst_in_port)
-        .attach(link.flits.get(), link.credits.get());
+    router_at(desc.src).attach_output(desc.src_out_port, link.flits.get(),
+                                      link.credits.get(), desc.length_mm);
+    router_at(desc.dst).attach_input(desc.dst_in_port, link.flits.get(), link.credits.get());
     // Event-skip: the attach calls above wired each channel to its
-    // receiver's per-port arrival byte (flits -> dst input controller,
-    // credits -> src output controller).
+    // receiver's per-port arrival byte (flits -> dst input port, credits
+    // -> src output port).
     // The credit channel flows dst -> src, so it is classified with the
     // opposite (sender, receiver) pair — the receiver-shard filing rule
     // above keeps both channels' wake stamping shard-local.
@@ -115,14 +115,14 @@ void Network::build() {
     inj.credits = std::make_unique<Channel<Credit>>(1, "inject_credit:" + std::to_string(i));
     inj.src = i;
     inj.port = Port::kTile;
-    router_at(i).input(Port::kTile).attach(inj.flits.get(), inj.credits.get());
+    router_at(i).attach_input(Port::kTile, inj.flits.get(), inj.credits.get());
 
     LinkChannels ej;
     ej.flits = std::make_unique<Channel<Flit>>(1, "eject:" + std::to_string(i));
     ej.credits = std::make_unique<Channel<Credit>>(1, "eject_credit:" + std::to_string(i));
     ej.src = i;
     ej.port = Port::kTile;
-    router_at(i).output(Port::kTile).attach(ej.flits.get(), ej.credits.get(), 0.0);
+    router_at(i).attach_output(Port::kTile, ej.flits.get(), ej.credits.get(), 0.0);
 
     nic(i).attach(inj.flits.get(), inj.credits.get(), ej.flits.get(), ej.credits.get());
     // Channels delivering INTO the router were wired to its arrival bytes
@@ -170,6 +170,20 @@ void Network::set_delivery_observer(Nic::DeliveryObserver observer) {
   }
 }
 
+namespace {
+
+/// Register packets arrive off the network, so every field is range-checked
+/// before it selects a port, a slot or a VC.
+void check_register_field(const char* field, std::int64_t value, std::int64_t limit) {
+  if (value < 0 || value >= limit) {
+    throw std::invalid_argument(std::string("register packet: ") + field + " = " +
+                                std::to_string(value) + " outside [0, " +
+                                std::to_string(limit) + ")");
+  }
+}
+
+}  // namespace
+
 void Network::install_register_filters() {
   for (NodeId i = 0; i < num_nodes(); ++i) {
     router::Router* rtr = routers_[static_cast<std::size_t>(i)].get();
@@ -177,7 +191,13 @@ void Network::install_register_filters() {
     nic_ptr->add_filter([this, rtr](const Packet& p) {
       const auto write = decode_register_write(p);
       if (!write) return false;
+      check_register_field("kind", static_cast<int>(write->kind), 2);
+      check_register_field("output_port", static_cast<int>(write->output_port),
+                           topo::kNumPorts);
+      check_register_field("input_port", write->input_port, topo::kNumPorts);
+      check_register_field("vc", write->vc, config_.router.vcs);
       auto& table = rtr->output(write->output_port).reservations();
+      check_register_field("slot", write->slot, table.frame());
       if (write->kind == RegisterWrite::Kind::kReserveSlot) {
         table.reserve(write->slot, write->input_port, write->vc);
       } else {
@@ -190,9 +210,11 @@ void Network::install_register_filters() {
     nic_ptr->add_filter([this, rtr, nic_ptr](const Packet& p) {
       const auto read = decode_register_read(p);
       if (!read) return false;
-      const auto& slot = rtr->output(read->output_port)
-                             .reservations()
-                             .at(static_cast<Cycle>(read->slot));
+      check_register_field("output_port", static_cast<int>(read->output_port),
+                           topo::kNumPorts);
+      const auto& table = rtr->output(read->output_port).reservations();
+      check_register_field("slot", read->slot, table.frame());
+      const auto& slot = table.at(static_cast<Cycle>(read->slot));
       RegisterReadResponse rsp;
       rsp.req_id = read->req_id;
       rsp.reserved = slot.reserved();

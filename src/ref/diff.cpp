@@ -15,9 +15,9 @@ namespace {
 
 constexpr std::size_t kMaxDetailLines = 16;
 
-/// Summary-invariant gate: every lockstep tick also checks the
-/// incrementally maintained summaries (retry cache, allocated counts, NIC
-/// occupancy counters) against recomputation (ref::soa_crosscheck).
+/// Summary-invariant gate: every lockstep tick also checks the cached and
+/// incrementally maintained state (retry cache, NIC occupancy counters)
+/// against recomputation (ref::soa_crosscheck).
 /// Reported as its own divergence kind so a drifted summary is never
 /// misread as a model mismatch.
 bool soa_divergence(core::Network& net, Cycle c, const char* side,
@@ -57,6 +57,8 @@ void production_snapshot(core::Network& net, const traffic::TraceReplay& replay,
     for (VcId v = 0; v < vcs; ++v) out.push_back(nic.injection_credits(v));
 
     router::Router& r = net.router_at(n);
+    router::RouterStatePool& pool = r.pool();
+    const int slot = r.pool_slot();
     for (int p = 0; p < topo::kNumPorts; ++p) {
       const auto port = static_cast<topo::Port>(p);
       const router::InputController& in = r.input(port);
@@ -64,12 +66,15 @@ void production_snapshot(core::Network& net, const traffic::TraceReplay& replay,
       out.push_back(in.flits_arrived());
       out.push_back(in.flits_dropped());
       out.push_back(r.switch_arb(port).pointer());
+      const int* count = pool.buf_count_row(slot, p);
+      const bool* routed = pool.routed_row(slot, p);
+      const topo::Port* out_port = pool.out_port_row(slot, p);
+      const VcId* out_vc = pool.out_vc_row(slot, p);
       for (VcId v = 0; v < vcs; ++v) {
-        const router::VcBuffer& buf = in.vc(v);
-        out.push_back(buf.size());
-        out.push_back(buf.routed ? 1 : 0);
-        out.push_back(static_cast<std::int64_t>(buf.out_port));
-        out.push_back(buf.out_vc);
+        out.push_back(count[v]);
+        out.push_back(routed[v] ? 1 : 0);
+        out.push_back(static_cast<std::int64_t>(out_port[v]));
+        out.push_back(out_vc[v]);
       }
     }
     for (int p = 0; p < topo::kNumPorts; ++p) {
@@ -77,13 +82,16 @@ void production_snapshot(core::Network& net, const traffic::TraceReplay& replay,
       if (!o.attached()) continue;
       out.push_back(o.flits_sent());
       out.push_back(o.credit_only_flits());
-      out.push_back(o.carry_backlog());
-      out.push_back(o.staged_flits());
-      out.push_back(o.link_arbiter().pointer());
-      out.push_back(o.vc_alloc().rotation());
+      out.push_back(pool.carry_count_row(slot)[p]);
+      const bool* staged = pool.stage_full(slot, p);
+      out.push_back(std::count(staged, staged + topo::kNumPorts, true));
+      out.push_back(o.link_arb.pointer());
+      out.push_back(*pool.vc_rotation(slot, p));
+      const int* credits = pool.credits(slot, p);
+      const std::uint8_t allocated = pool.vc_allocated(slot, p);
       for (VcId v = 0; v < vcs; ++v) {
-        out.push_back(o.credits(v));
-        out.push_back(o.vc_alloc().is_allocated(v) ? 1 : 0);
+        out.push_back(credits[v]);
+        out.push_back((allocated >> v) & 1);
       }
     }
   }

@@ -33,41 +33,28 @@ void check_router(Check& c, router::Router& r, const std::string& tag,
   const int slot = r.pool_slot();
   for (int p = 0; p < topo::kNumPorts; ++p) {
     const auto port = static_cast<topo::Port>(p);
+    if (!r.input(port).attached()) continue;
     const std::string pt = tag + "." + topo::port_name(port);
-    const router::InputController& in = r.input(port);
-    if (in.attached()) {
-      const bool* primed = pool.alloc_primed_row(slot, p);
-      const bool* head = pool.alloc_head_row(slot, p);
-      const std::uint8_t* mask = pool.alloc_mask_row(slot, p);
-      for (VcId v = 0; v < vcs; ++v) {
-        // The allocation-retry cache rows cache pure functions of the
-        // decoded head; wherever the allocation stage would consult them
-        // (occupied, routed, no VC yet), they must agree with the flit.
-        // want_odd is left out: deriving it needs the router's private
-        // dateline tables, and it is recomputed from the same head the
-        // mask check pins.
-        const router::VcBuffer& buf = in.vc(v);
-        if (buf.empty() || !primed[v] || !buf.routed || buf.out_vc != kInvalidVc) {
-          continue;
-        }
-        const std::string vt = pt + ".vc" + std::to_string(v);
-        const router::Flit& front = buf.front();
-        c.eq(vt + ".alloc_cache.head", router::is_head(front.type) ? 1 : 0,
-             head[v] ? 1 : 0);
-        if (router::is_head(front.type)) {
-          c.eq(vt + ".alloc_cache.mask", front.vc_mask, mask[v]);
-        }
+    const int* count = pool.buf_count_row(slot, p);
+    const bool* routed = pool.routed_row(slot, p);
+    const VcId* out_vc = pool.out_vc_row(slot, p);
+    const bool* primed = pool.alloc_primed_row(slot, p);
+    const bool* head = pool.alloc_head_row(slot, p);
+    const std::uint8_t* mask = pool.alloc_mask_row(slot, p);
+    for (VcId v = 0; v < vcs; ++v) {
+      // The allocation-retry cache rows cache pure functions of the decoded
+      // head; wherever the allocation stage would consult them (occupied,
+      // routed, no VC yet), they must agree with the flit. want_odd is left
+      // out: deriving it needs the router's private dateline tables, and it
+      // is recomputed from the same head the mask check pins.
+      if (count[v] == 0 || !primed[v] || !routed[v] || out_vc[v] != kInvalidVc) continue;
+      const std::string vt = pt + ".vc" + std::to_string(v);
+      const router::Flit& front = pool.buf_front(slot, p, v);
+      c.eq(vt + ".alloc_cache.head", router::is_head(front.type) ? 1 : 0,
+           head[v] ? 1 : 0);
+      if (router::is_head(front.type)) {
+        c.eq(vt + ".alloc_cache.mask", front.vc_mask, mask[v]);
       }
-    }
-    const router::OutputController& out = r.output(port);
-    if (out.attached()) {
-      // The O(1) fast-fail counter must equal the popcount of the flags it
-      // summarizes.
-      int allocated = 0;
-      for (VcId v = 0; v < vcs; ++v) {
-        allocated += out.vc_alloc().is_allocated(v) ? 1 : 0;
-      }
-      c.eq(pt + ".allocated_count", allocated, out.vc_alloc().allocated_count());
     }
   }
 }

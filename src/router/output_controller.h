@@ -2,29 +2,24 @@
 //
 // Provides a single stage of buffering for each input-port connection; the
 // flits in those stage buffers arbitrate for the outgoing link. Tracks
-// downstream credits per VC, owns the downstream VC allocation state, and
-// holds the cyclic reservation table for pre-scheduled traffic.
+// downstream credits per VC and the downstream VC allocation, and holds the
+// cyclic reservation table for pre-scheduled traffic.
 //
-// Credits, VC-allocation flags, the reservation count, the stage registers
-// and the piggyback carry ring live in the owning router's RouterStatePool
-// slot; the link arbiter owns its rotation pointer. The stage is a flat
-// Flit slab plus full/fresh flag arrays, and the carry queue is a fixed
-// ring bounded by vcs x buffer_depth (credit conservation: an entry is a
-// freed buffer slot not yet signalled upstream). arbitrate_link builds its
-// request/priority sets in stack arrays — per-call vector allocations here
-// once dominated the hot-path profile.
+// This class is the port's record: wiring, the reservation slot table,
+// the link arbiter, the observer hooks and statistics. Credits, the
+// VC-allocated mask, the stage registers and the piggyback carry ring live
+// in the owning router's state pool rows (router/soa.h); Router's pipeline
+// phases do the work and advance these counters in place. The accessors are the read
+// interface for statistics and harnesses.
 #pragma once
 
-#include <cassert>
+#include <cstdint>
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "router/arbiter.h"
 #include "router/flit.h"
-#include "router/params.h"
 #include "router/reservation.h"
-#include "router/soa.h"
-#include "router/vc_allocator.h"
 #include "sim/kernel.h"
 #include "topo/topology.h"
 
@@ -32,22 +27,35 @@ namespace ocn::router {
 
 class OutputController {
  public:
-  OutputController(topo::Port port, const RouterParams& params,
-                   RouterStatePool& pool, int slot);
+  struct Stats {
+    std::int64_t flits_sent = 0;
+    std::int64_t bypass_flits = 0;
+    std::int64_t idle_reserved_cycles = 0;
+    std::int64_t contention_cycles = 0;
+    std::int64_t active_bits_sent = 0;
+    double active_bit_mm = 0.0;
+    std::int64_t credit_only_flits = 0;
+    std::int64_t toggled_bits = 0;
+    double toggled_bit_mm = 0.0;
+    Payload last_sent{};  ///< previous frame's data field, for toggle counting
+    bool has_last_sent = false;
+  };
 
-  OutputController(OutputController&&) = default;
-  OutputController(const OutputController&) = delete;
-  OutputController& operator=(const OutputController&) = delete;
-  OutputController& operator=(OutputController&&) = delete;
+  OutputController(topo::Port p, ReservationTable table)
+      : port(p), link_arb(topo::kNumPorts), reservations_(std::move(table)) {}
 
-  /// Wire the outgoing link and the downstream credit return. length_mm is
-  /// the physical wire length for energy/duty accounting.
-  void attach(Channel<Flit>* link, Channel<Credit>* credit_downstream,
-              double length_mm);
+  const topo::Port port;
+  /// Outgoing link and downstream credit return, wired by
+  /// Router::attach_output; null on disabled ports (mesh boundary).
+  Channel<Flit>* link = nullptr;
+  Channel<Credit>* credit_downstream = nullptr;
+  double length_mm = 0.0;  ///< physical wire length, for energy/duty accounting
+  PriorityArbiter link_arb;
+  Stats stats;
 
-  bool attached() const { return link_ != nullptr; }
-  topo::Port port() const { return port_; }
-  double length_mm() const { return length_mm_; }
+  bool attached() const { return link != nullptr; }
+  ReservationTable& reservations() { return reservations_; }
+  const ReservationTable& reservations() const { return reservations_; }
 
   /// Install a per-link transform (fault layer). Not owned.
   void set_transform(LinkTransform* t) { transform_ = t; }
@@ -61,122 +69,37 @@ class OutputController {
   /// (verify::RuntimeMonitor) so monitoring composes with client tracing.
   void set_monitor(Tracer t) { monitor_ = std::move(t); }
 
-  /// Phase: absorb credits returned by the downstream input controller.
-  void process_credits();
-
-  /// Piggyback path: a credit harvested by the co-located reverse input
-  /// controller (this controller's own downstream buffers were freed).
-  void receive_credit(VcId vc);
-  /// Piggyback path: queue a credit to carry on this link's next flit.
-  void queue_carry(VcId vc) {
-    assert(*carry_count_ < carry_cap_ &&
-           "carry ring overflow: credit conservation violated");
-    carry_ring_[(*carry_head_ + *carry_count_) % carry_cap_] = vc;
-    ++*carry_count_;
+  /// Run the installed hooks on a flit about to be driven onto the link:
+  /// the transform first, then the tracer and the monitor see the result.
+  void apply_hooks(Flit& f, bool bypass) {
+    if (transform_ != nullptr) transform_->apply(f);
+    if (tracer_) tracer_(f, bypass);
+    if (monitor_) monitor_(f, bypass);
   }
-  int carry_backlog() const { return *carry_count_; }
-
-  bool has_credit(VcId vc) const;
-  void consume_credit(VcId vc);
-  int credits(VcId vc) const { return credits_[vc]; }
-
-  VcAllocator& vc_alloc() { return vc_alloc_; }
-  const VcAllocator& vc_alloc() const { return vc_alloc_; }
-  ReservationTable& reservations() { return reservations_; }
-  const ReservationTable& reservations() const { return reservations_; }
-
-  // --- state inspection (differential harness) ------------------------------
-  /// Flits currently sitting in the per-input stage registers.
-  int staged_flits() const {
-    int n = 0;
-    for (int i = 0; i < topo::kNumPorts; ++i) n += stage_full_[i] ? 1 : 0;
-    return n;
-  }
-  const PriorityArbiter& link_arbiter() const { return link_arb_; }
-
-  // --- output stage ---------------------------------------------------------
-  bool stage_empty(int input) const { return !stage_full_[input]; }
-  /// Insert a flit that crossed the switch this cycle; it becomes eligible
-  /// for link arbitration next cycle (the stage is a register).
-  void stage_push(int input, Flit f);
-
-  // --- link -----------------------------------------------------------------
-  /// Pre-scheduled bypass: the flit goes straight from the input buffer to
-  /// the link, skipping the output stage and arbitration (section 2.6).
-  void send_bypass(Flit f);
-  /// Arbitrate among non-fresh stage buffers and send the winner; with
-  /// piggybacking, an idle link with queued credits emits a credit-only
-  /// flit instead.
-  void arbitrate_link(Cycle now);
 
   // --- statistics -----------------------------------------------------------
-  std::int64_t flits_sent() const { return flits_sent_; }
-  std::int64_t bypass_flits() const { return bypass_flits_; }
-  std::int64_t idle_reserved_cycles() const { return idle_reserved_cycles_; }
+  std::int64_t flits_sent() const { return stats.flits_sent; }
+  std::int64_t bypass_flits() const { return stats.bypass_flits; }
+  std::int64_t idle_reserved_cycles() const { return stats.idle_reserved_cycles; }
   /// Cycles in which a ready stage flit lost the link (contention measure).
-  std::int64_t contention_cycles() const { return contention_cycles_; }
+  std::int64_t contention_cycles() const { return stats.contention_cycles; }
   /// Active (size-gated) bits sent: control + 2^size_code data bits per
   /// flit. The size field keeps unused data wires from toggling (sec 2.1).
-  std::int64_t active_bits_sent() const { return active_bits_sent_; }
+  std::int64_t active_bits_sent() const { return stats.active_bits_sent; }
   /// Sum over flits of active bits x link mm (inter-router links only).
-  double active_bit_mm() const { return active_bit_mm_; }
-  std::int64_t credit_only_flits() const { return credit_only_flits_; }
+  double active_bit_mm() const { return stats.active_bit_mm; }
+  std::int64_t credit_only_flits() const { return stats.credit_only_flits; }
   /// Data-dependent switching activity: bits that actually toggled on the
   /// link, i.e. the Hamming distance between consecutive frames (the
   /// "toggles" of paper section 4.4). Upper-bounded by active_bits_sent().
-  std::int64_t toggled_bits() const { return toggled_bits_; }
-  double toggled_bit_mm() const { return toggled_bit_mm_; }
+  std::int64_t toggled_bits() const { return stats.toggled_bits; }
+  double toggled_bit_mm() const { return stats.toggled_bit_mm; }
 
  private:
-  void send_on_link(Flit f, bool bypass);
-  VcId carry_pop() {
-    const VcId v = carry_ring_[*carry_head_];
-    *carry_head_ = (*carry_head_ + 1) % carry_cap_;
-    --*carry_count_;
-    return v;
-  }
-
-  topo::Port port_;
-  const RouterParams& params_;
-  Channel<Flit>* link_ = nullptr;
-  Channel<Credit>* credit_downstream_ = nullptr;
+  ReservationTable reservations_;
   LinkTransform* transform_ = nullptr;
   Tracer tracer_;
   Tracer monitor_;
-  double length_mm_ = 0.0;
-
-  int* credits_;  ///< pool slice, `vcs` wide
-  VcAllocator vc_alloc_;
-  ReservationTable reservations_;
-
-  VcId* carry_ring_;  ///< pool ring, carry_cap_ slots
-  int* carry_head_;
-  int* carry_count_;
-  int carry_cap_;
-  Flit* stage_flits_;  ///< pool slab, kNumPorts slots (one per input)
-  bool* stage_full_;
-  bool* stage_fresh_;
-  PriorityArbiter link_arb_;
-  /// This port's credit-arrival byte in the pool's wake row (see
-  /// InputController::arrive_flit_ for the protocol).
-  std::atomic<std::uint8_t>* arrive_credit_;
-  /// Per-cycle transient (one flit per link per cycle), cleared by
-  /// RouterStatePool::clear_cycle_flags at the end of the router's step.
-  bool* link_used_;
-
-  std::int64_t flits_sent_ = 0;
-  std::int64_t bypass_flits_ = 0;
-  std::int64_t idle_reserved_cycles_ = 0;
-  std::int64_t contention_cycles_ = 0;
-  std::int64_t active_bits_sent_ = 0;
-  double active_bit_mm_ = 0.0;
-  std::int64_t credit_only_flits_ = 0;
-  Flit last_sent_;  ///< previous frame on the wire, for toggle counting
-  bool has_last_sent_ = false;
-  std::int64_t toggled_bits_ = 0;
-  double toggled_bit_mm_ = 0.0;
-
-  friend class Router;
 };
 
 }  // namespace ocn::router

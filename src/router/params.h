@@ -2,6 +2,8 @@
 // Defaults describe the paper's example network (section 2).
 #pragma once
 
+#include <cstdint>
+
 #include "sim/types.h"
 
 namespace ocn::router {
@@ -48,6 +50,11 @@ struct RouterParams {
   /// Exclude scheduled_vc from dynamic VC allocation. Must be true whenever
   /// any reservations exist; the Network enables it on flow setup.
   bool exclusive_scheduled_vc = false;
+
+  /// VCs no output port may grant dynamically (bit v = VC v).
+  std::uint8_t excluded_vcs() const {
+    return static_cast<std::uint8_t>(exclusive_scheduled_vc ? 1u << scheduled_vc : 0u);
+  }
 
   bool dropping() const { return flow_control == FlowControl::kDropping; }
 };

@@ -1,11 +1,15 @@
 #include "router/router.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
+
+#include "sim/log.h"
 
 namespace ocn::router {
 
 using topo::Port;
+using routing::TurnCode;
 
 Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& params)
     : node_(node),
@@ -30,19 +34,38 @@ void Router::init_controllers() {
   outputs_.reserve(topo::kNumPorts);
   switch_arbs_.reserve(topo::kNumPorts);
   for (int p = 0; p < topo::kNumPorts; ++p) {
-    inputs_.emplace_back(static_cast<Port>(p), params_, *pool_, slot_);
-    outputs_.emplace_back(static_cast<Port>(p), params_, *pool_, slot_);
+    inputs_.emplace_back(static_cast<Port>(p), params_.vcs);
+    outputs_.emplace_back(static_cast<Port>(p),
+                          ReservationTable(params_.reservation_frame, *pool_, slot_, p));
     switch_arbs_.emplace_back(params_.vcs);
-  }
-  for (int p = 0; p < topo::kNumPorts; ++p) {
-    const Port rev = topo::reverse(static_cast<Port>(p));
-    inputs_[static_cast<std::size_t>(p)].set_reverse_output(
-        &outputs_[static_cast<std::size_t>(rev)]);
   }
   std::memset(req_scratch_, 0, sizeof(req_scratch_));
   std::memset(prio_scratch_, 0, sizeof(prio_scratch_));
   for (int p = 0; p < topo::kNumPorts; ++p) {
     dateline_cache_[p] = topo_.crosses_dateline(node_, static_cast<Port>(p));
+  }
+}
+
+// Every construction path (Network wiring, standalone tests) attaches
+// through these two, so each arrival byte is wired wherever its channel is.
+void Router::attach_input(Port p, Channel<Flit>* in, Channel<Credit>* credit_upstream) {
+  InputController& rec = inputs_[static_cast<std::size_t>(p)];
+  rec.in = in;
+  rec.credit_upstream = credit_upstream;
+  if (in != nullptr) {
+    in->set_wake(pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveFlit));
+  }
+}
+
+void Router::attach_output(Port p, Channel<Flit>* link, Channel<Credit>* credit_downstream,
+                           double length_mm) {
+  OutputController& rec = outputs_[static_cast<std::size_t>(p)];
+  rec.link = link;
+  rec.credit_downstream = credit_downstream;
+  rec.length_mm = length_mm;
+  if (credit_downstream != nullptr) {
+    credit_downstream->set_wake(
+        pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveCredit));
   }
 }
 
@@ -58,9 +81,9 @@ bool Router::effective_dateline(const Flit& head, Port in_port, Port out_port) c
 }
 
 void Router::step(Cycle now) {
-  for (auto& out : outputs_) out.process_credits();
-  for (auto& in : inputs_) in.accept_arrival();
-  for (auto& in : inputs_) in.decode_fronts(now);
+  for (int p = 0; p < topo::kNumPorts; ++p) process_credits(p);
+  for (int p = 0; p < topo::kNumPorts; ++p) accept_arrival(p);
+  for (int p = 0; p < topo::kNumPorts; ++p) decode_fronts(p, now);
   vc_allocation(now);
   reservation_bypass(now);
   link_arbitration(now);
@@ -70,6 +93,107 @@ void Router::step(Cycle now) {
   pool_->clear_cycle_flags(slot_);
 }
 
+// Arrival gates (process_credits, accept_arrival): a port's byte is set iff
+// its channel delivered this cycle, and only attached channels stamp bytes.
+// So the (common) idle case is one contiguous-row byte load, with no probe
+// of the port record or the heap-scattered channel object.
+
+void Router::process_credits(int p) {
+  std::atomic<std::uint8_t>* arrive = pool_->arrival(slot_, p, RouterStatePool::kArriveCredit);
+  if (arrive->load(std::memory_order_relaxed) == 0) return;
+  arrive->store(0, std::memory_order_relaxed);
+  Channel<Credit>* ch = outputs_[static_cast<std::size_t>(p)].credit_downstream;
+  const Credit* credit = ch->receive();
+  if (credit == nullptr) return;
+  if (!params_.dropping()) {  // dropping mode: drain, no credit loop
+    int& c = pool_->credits(slot_, p)[credit->vc];
+    ++c;
+    assert(c <= params_.buffer_depth && "credit overflow: more credits than buffer slots");
+  }
+  ch->consume();
+}
+
+void Router::accept_arrival(int p) {
+  std::atomic<std::uint8_t>* arrive = pool_->arrival(slot_, p, RouterStatePool::kArriveFlit);
+  if (arrive->load(std::memory_order_relaxed) == 0) return;
+  arrive->store(0, std::memory_order_relaxed);
+  InputController& in = inputs_[static_cast<std::size_t>(p)];
+  // Process the arriving flit in place (receive + consume) instead of
+  // take()ing it out: the buffered copy goes channel storage -> ring slab
+  // directly, one 160-byte copy instead of two moves through a temporary.
+  const Flit* arriving = in.in->receive();
+  if (arriving == nullptr) return;
+  const Flit& f = *arriving;
+  // Harvest a piggybacked credit: it belongs to the co-located output
+  // driving the reverse direction of this link.
+  const std::int8_t carried = f.carried_credit_vc;
+  if (carried >= 0) receive_credit(static_cast<int>(topo::reverse(in.port)), carried);
+  if (f.type == FlitType::kCreditOnly) {  // nothing to buffer
+    in.in->consume();
+    return;
+  }
+  const VcId v = f.vc;
+  assert(v >= 0 && v < in.num_vcs());
+
+  if (params_.dropping()) {
+    bool* discarding = pool_->discarding_row(slot_, p);
+    if (discarding[v]) {
+      // Mid-drop: discard through the tail.
+      ++in.stats.flits_dropped;
+      if (is_tail(f.type)) discarding[v] = false;
+      in.in->consume();
+      return;
+    }
+    if (is_head(f.type) &&
+        pool_->depth() - pool_->buf_count_row(slot_, p)[v] < f.packet_flits) {
+      // Contention: drop the whole packet (space for the full packet is
+      // required up front so wormholes never strand mid-packet).
+      ++in.stats.packets_dropped;
+      ++in.stats.flits_dropped;
+      if (!is_tail(f.type)) discarding[v] = true;
+      OCN_TRACE("drop pkt %lld at %s vc %d", static_cast<long long>(f.packet),
+                topo::port_name(in.port), f.vc);
+      in.in->consume();
+      return;
+    }
+  }
+
+  ++in.stats.vc_flits[static_cast<std::size_t>(v)];
+  pool_->buf_push(slot_, p, v, f);
+  // The stored copy must not re-deliver the already-harvested credit.
+  if (carried >= 0) pool_->buf_back(slot_, p, v).carried_credit_vc = -1;
+  in.in->consume();
+}
+
+void Router::decode_fronts(int p, Cycle now) {
+  const int* cnt = pool_->buf_count_row(slot_, p);
+  bool* routed = pool_->routed_row(slot_, p);
+  Cycle* routed_at = pool_->routed_at_row(slot_, p);
+  Port* outport = pool_->out_port_row(slot_, p);
+  bool* aprimed = pool_->alloc_primed_row(slot_, p);
+  const auto port = static_cast<Port>(p);
+  for (VcId v = 0; v < params_.vcs; ++v) {
+    // Only occupied, not-yet-routed VCs can decode.
+    if (cnt[v] == 0 || routed[v]) continue;
+    // New head at the front: whatever the allocation stage cached about
+    // the previous packet's request is stale.
+    aprimed[v] = false;
+    Flit& head = pool_->buf_front(slot_, p, v);
+    // A body flit at the front of an unrouted VC would mean interleaved
+    // packets on one VC — a protocol violation.
+    assert(is_head(head.type) && "body flit at front of unrouted VC");
+    if (!is_head(head.type)) continue;
+    assert(!head.route.empty() && "head flit arrived with an exhausted route");
+    const std::uint8_t code = head.route.pop();
+    // The injection hop carries an absolute direction code; every later
+    // hop a turn relative to the arrival port.
+    outport[v] = port == Port::kTile ? routing::injection_port(code)
+                                     : routing::apply_turn(port, static_cast<TurnCode>(code));
+    routed[v] = true;
+    routed_at[v] = now;
+  }
+}
+
 void Router::vc_allocation(Cycle now) {
   // Rotate the input starting point so no input gets structural priority on
   // downstream VCs. Derived from the cycle counter (identical to a counter
@@ -77,22 +201,19 @@ void Router::vc_allocation(Cycle now) {
   const int start = static_cast<int>(now % topo::kNumPorts);
   for (int i = 0; i < topo::kNumPorts; ++i) {
     const int p = (start + i) % topo::kNumPorts;
-    auto& in = inputs_[static_cast<std::size_t>(p)];
-    if (!in.attached()) continue;
-    // Candidate filter over the pool's contiguous rows — the same pure
-    // reads the views would make, as sequential loads. Only VCs that are
+    if (!inputs_[static_cast<std::size_t>(p)].attached()) continue;
+    // Candidate filter over the pool's contiguous rows: only VCs that are
     // occupied, routed, and still ungranted fall through.
     const int* cnt = pool_->buf_count_row(slot_, p);
     const bool* routed = pool_->routed_row(slot_, p);
-    const VcId* outvc = pool_->out_vc_row(slot_, p);
+    VcId* outvc = pool_->out_vc_row(slot_, p);
     const Cycle* routed_at = pool_->routed_at_row(slot_, p);
     const Port* outport = pool_->out_port_row(slot_, p);
     std::uint8_t* amask = pool_->alloc_mask_row(slot_, p);
     bool* awant = pool_->alloc_want_odd_row(slot_, p);
     bool* ahead = pool_->alloc_head_row(slot_, p);
     bool* aprimed = pool_->alloc_primed_row(slot_, p);
-    const int nvcs = in.num_vcs();
-    for (VcId v = 0; v < nvcs; ++v) {
+    for (VcId v = 0; v < params_.vcs; ++v) {
       if (cnt[v] == 0 || !routed[v] || outvc[v] != kInvalidVc) continue;
       // Conservative pipeline: decode and allocation are separate stages.
       if (!params_.speculative && routed_at[v] >= now) continue;
@@ -102,41 +223,138 @@ void Router::vc_allocation(Cycle now) {
       // trying to produce, and a new head re-decodes, which invalidates).
       // Priming reads the slab once per packet; retries replay the rows.
       if (!aprimed[v]) {
-        const Flit& head = in.vc(v).front();
+        const Flit& head = pool_->buf_front(slot_, p, v);
         aprimed[v] = true;
         ahead[v] = is_head(head.type);
         amask[v] = head.vc_mask;
-        awant[v] = effective_dateline(head, in.port(), outport[v]);
+        awant[v] = effective_dateline(head, static_cast<Port>(p), outport[v]);
       }
       if (!ahead[v]) continue;  // alloc happens at the head only
-      auto& out = outputs_[static_cast<std::size_t>(outport[v])];
       if (v == params_.scheduled_vc && params_.exclusive_scheduled_vc) {
         // Pre-scheduled traffic keeps its dedicated VC end to end; slots
         // were reserved at configuration time so no allocation is needed.
-        in.vc(v).out_vc = params_.scheduled_vc;
+        outvc[v] = params_.scheduled_vc;
         continue;
       }
+      VcAllocator alloc = vc_allocator(static_cast<int>(outport[v]));
       if (params_.dropping()) {
         // Dropping flow control keeps the same VC index across hops; the
         // VC is still owned for the packet's duration so wormholes from
         // different inputs never interleave on one link VC.
-        if (out.vc_alloc().allocate_exact(v)) in.vc(v).out_vc = v;
+        if (alloc.allocate_exact(v)) outvc[v] = v;
         continue;
       }
       const bool ignore_parity = outport[v] == Port::kTile;
-      const VcId granted = out.vc_alloc().allocate(amask[v], awant[v], ignore_parity);
-      if (granted != kInvalidVc) in.vc(v).out_vc = granted;
+      const VcId granted = alloc.allocate(amask[v], awant[v], ignore_parity);
+      if (granted != kInvalidVc) outvc[v] = granted;
     }
   }
 }
 
-Flit Router::take_flit(InputController& in, VcId vc, Port out_port, VcId out_vc) {
-  Flit f = in.pop(vc);
+bool Router::has_credit(int out, VcId vc) const {
+  if (params_.dropping()) return true;  // no credit loop in dropping mode
+  return pool_->credits(slot_, out)[vc] > 0;
+}
+
+void Router::consume_credit(int out, VcId vc) {
+  if (params_.dropping()) return;
+  int& c = pool_->credits(slot_, out)[vc];
+  assert(c > 0);
+  --c;
+}
+
+void Router::receive_credit(int out, VcId vc) {
+  int& c = pool_->credits(slot_, out)[vc];
+  ++c;
+  assert(c <= params_.buffer_depth && "credit overflow via piggyback path");
+}
+
+Flit Router::pop(int in, VcId vc) {
+  bool* popped = pool_->popped(slot_, in);
+  assert(!*popped && "one flit per input port per cycle");
+  *popped = true;
+  InputController& rec = inputs_[static_cast<std::size_t>(in)];
+  ++rec.stats.buffer_reads;
+  Flit f = pool_->buf_pop(slot_, in, vc);
+  if (is_tail(f.type)) pool_->reset_packet_state(slot_, in, vc);
+  // Credit-based flow control returns the freed slot upstream: via the
+  // reverse-direction carry queue when piggybacking, else on the dedicated
+  // credit wire. In dropping mode there is no credit loop.
+  if (!params_.dropping()) {
+    if (params_.piggyback_credits) {
+      pool_->carry_push(slot_, static_cast<int>(topo::reverse(rec.port)), vc);
+    } else if (rec.credit_upstream != nullptr) {
+      rec.credit_upstream->send(Credit{vc});
+    }
+  }
+  return f;
+}
+
+Flit Router::take_flit(int in, VcId vc, Port out_port, VcId out_vc) {
+  Flit f = pop(in, vc);
   if (is_head(f.type)) {
-    f.dateline_crossed = effective_dateline(f, in.port(), out_port);
+    f.dateline_crossed = effective_dateline(f, static_cast<Port>(in), out_port);
   }
   f.vc = out_vc;
   return f;
+}
+
+void Router::stage_push(int out, int input, Flit f) {
+  bool* full = pool_->stage_full(slot_, out);
+  assert(!full[input] && "output stage slot occupied");
+  pool_->stage(slot_, out)[input] = std::move(f);
+  full[input] = true;
+  pool_->stage_fresh(slot_, out)[input] = true;
+}
+
+void Router::send_on_link(int out, Flit f, bool bypass) {
+  OutputController& rec = outputs_[static_cast<std::size_t>(out)];
+  OutputController::Stats& st = rec.stats;
+  bool* link_used = pool_->link_used(slot_, out);
+  assert(rec.link != nullptr);
+  assert(!*link_used);
+  *link_used = true;
+  if (params_.piggyback_credits && pool_->carry_count_row(slot_)[out] > 0) {
+    f.carried_credit_vc = static_cast<std::int8_t>(pool_->carry_pop(slot_, out));
+  }
+  ++st.flits_sent;
+  if (is_tail(f.type)) {
+    VcAllocator alloc = vc_allocator(out);
+    if (alloc.is_allocated(f.vc)) alloc.release(f.vc);
+  }
+  const int active_bits = kControlBits + f.data_bits();
+  st.active_bits_sent += active_bits;
+  // Toggle accounting: Hamming distance of the active data bits against the
+  // previous frame, plus a control-field estimate (half the control bits).
+  {
+    int toggles = kControlBits / 2;
+    if (st.has_last_sent) {
+      const int words = (f.data_bits() + 63) / 64;
+      for (int w = 0; w < words; ++w) {
+        std::uint64_t diff = f.data[static_cast<std::size_t>(w)] ^
+                             st.last_sent[static_cast<std::size_t>(w)];
+        if (w == words - 1 && f.data_bits() % 64 != 0) {
+          diff &= (std::uint64_t{1} << (f.data_bits() % 64)) - 1;
+        }
+        toggles += std::popcount(diff);
+      }
+    } else {
+      toggles += f.data_bits() / 2;  // first frame: assume half the bits move
+    }
+    st.toggled_bits += toggles;
+    if (rec.port != Port::kTile) {
+      st.toggled_bit_mm += static_cast<double>(toggles) * rec.length_mm;
+    }
+    st.last_sent = f.data;
+    st.has_last_sent = true;
+  }
+  if (rec.port != Port::kTile) {
+    ++f.hops;
+    f.link_mm += rec.length_mm;
+    st.active_bit_mm += static_cast<double>(active_bits) * rec.length_mm;
+  }
+  rec.apply_hooks(f, bypass);
+  rec.link->send(std::move(f));
 }
 
 void Router::reservation_bypass(Cycle now) {
@@ -146,20 +364,27 @@ void Router::reservation_bypass(Cycle now) {
   bool any = false;
   for (int p = 0; p < topo::kNumPorts; ++p) any |= resv[p] != 0;
   if (!any) return;
-  for (auto& out : outputs_) {
+  for (int o = 0; o < topo::kNumPorts; ++o) {
+    OutputController& out = outputs_[static_cast<std::size_t>(o)];
     if (!out.attached() || !out.reservations().any()) continue;
     const auto& slot = out.reservations().at(now);
     if (!slot.reserved()) continue;
-    auto& in = inputs_[static_cast<std::size_t>(slot.input)];
-    if (!in.attached() || in.popped_this_cycle()) continue;
-    VcBuffer& buf = in.vc(slot.vc);
-    if (buf.empty() || !buf.routed || buf.out_port != out.port()) continue;
-    if (buf.out_vc == kInvalidVc) continue;
-    if (!out.has_credit(buf.out_vc)) continue;  // reservation mis-set; wait
-    const VcId out_vc = buf.out_vc;
-    out.consume_credit(out_vc);
-    Flit f = take_flit(in, slot.vc, out.port(), out_vc);
-    out.send_bypass(std::move(f));
+    const int i = slot.input;
+    const VcId v = slot.vc;
+    if (!inputs_[static_cast<std::size_t>(i)].attached() || *pool_->popped(slot_, i)) continue;
+    if (pool_->buf_count_row(slot_, i)[v] == 0 || !pool_->routed_row(slot_, i)[v] ||
+        pool_->out_port_row(slot_, i)[v] != out.port) {
+      continue;
+    }
+    const VcId out_vc = pool_->out_vc_row(slot_, i)[v];
+    if (out_vc == kInvalidVc) continue;
+    if (!has_credit(o, out_vc)) continue;  // reservation mis-set; wait
+    consume_credit(o, out_vc);
+    Flit f = take_flit(i, v, out.port, out_vc);
+    // Pre-scheduled bypass: the flit goes straight from the input buffer to
+    // the link, skipping the output stage and arbitration (section 2.6).
+    ++out.stats.bypass_flits;
+    send_on_link(o, std::move(f), /*bypass=*/true);
   }
 }
 
@@ -180,38 +405,86 @@ void Router::link_arbitration(Cycle now) {
     for (int p = 0; p < topo::kNumPorts; ++p) any |= resv[p] != 0;
   }
   if (!any) return;
-  for (auto& out : outputs_) {
-    if (out.attached()) out.arbitrate_link(now);
+  for (int p = 0; p < topo::kNumPorts; ++p) {
+    if (outputs_[static_cast<std::size_t>(p)].attached()) arbitrate_link(p, now);
   }
+}
+
+void Router::arbitrate_link(int p, Cycle now) {
+  OutputController& out = outputs_[static_cast<std::size_t>(p)];
+  bool* link_used = pool_->link_used(slot_, p);
+  if (*link_used) return;
+  const bool slot_reserved = out.reservations().any() && out.reservations().reserved_at(now);
+  if (slot_reserved && !params_.reclaim_idle_slots) {
+    // The reserved flit did not show; the cycle is lost to the reservation.
+    ++out.stats.idle_reserved_cycles;
+    return;
+  }
+  // Arbitrate among non-fresh stage registers; requests and priorities are
+  // stack arrays (per-call vectors once dominated the hot-path profile).
+  Flit* stage = pool_->stage(slot_, p);
+  bool* full = pool_->stage_full(slot_, p);
+  const bool* fresh = pool_->stage_fresh(slot_, p);
+  std::uint8_t requests[topo::kNumPorts] = {};
+  int priority[topo::kNumPorts] = {};
+  int ready = 0;
+  for (int i = 0; i < topo::kNumPorts; ++i) {
+    if (full[i] && !fresh[i]) {
+      requests[i] = 1;
+      priority[i] = params_.priority_arbitration ? stage[i].priority : 0;
+      ++ready;
+    }
+  }
+  if (ready == 0) {
+    // Idle link with credits to return: emit a credit-only flit (the
+    // piggyback scheme's filler, costing a handful of control bits).
+    if (params_.piggyback_credits && pool_->carry_count_row(slot_)[p] > 0) {
+      Flit f;
+      f.type = FlitType::kCreditOnly;
+      f.size_code = 0;
+      f.carried_credit_vc = static_cast<std::int8_t>(pool_->carry_pop(slot_, p));
+      *link_used = true;
+      ++out.stats.credit_only_flits;
+      out.link->send(std::move(f));
+    }
+    return;
+  }
+  const int winner = params_.priority_arbitration
+                         ? out.link_arb.arbitrate(requests, priority)
+                         : out.link_arb.arbitrate_flat(requests);
+  assert(winner >= 0);
+  out.stats.contention_cycles += ready - 1;
+  Flit f = std::move(stage[winner]);
+  full[winner] = false;
+  send_on_link(p, std::move(f), /*bypass=*/false);
 }
 
 void Router::switch_traversal(Cycle now) {
   for (int i = 0; i < topo::kNumPorts; ++i) {
-    auto& in = inputs_[static_cast<std::size_t>(i)];
-    if (!in.attached() || in.popped_this_cycle()) continue;
-    const int nvcs = in.num_vcs();
+    if (!inputs_[static_cast<std::size_t>(i)].attached() || *pool_->popped(slot_, i)) continue;
     // Row filter first (occupied + routed + VC granted), then the remaining
-    // per-candidate checks through the views. Same request set as checking
-    // everything through the views — the predicates are all pure reads.
+    // per-candidate checks against the output port's rows.
     const int* cnt = pool_->buf_count_row(slot_, i);
     const bool* routed = pool_->routed_row(slot_, i);
     const VcId* outvc = pool_->out_vc_row(slot_, i);
+    const Cycle* routed_at = pool_->routed_at_row(slot_, i);
+    const Port* outport = pool_->out_port_row(slot_, i);
     int requesters = 0;
-    for (VcId v = 0; v < nvcs; ++v) {
+    for (VcId v = 0; v < params_.vcs; ++v) {
       req_scratch_[v] = 0;
       prio_scratch_[v] = 0;
       if (cnt[v] == 0 || !routed[v] || outvc[v] == kInvalidVc) continue;
       // Pre-scheduled traffic moves only on its reserved slots (bypass
       // path); letting it use the dynamic path would reintroduce jitter.
       if (params_.exclusive_scheduled_vc && v == params_.scheduled_vc) continue;
-      const VcBuffer& buf = in.vc(v);
-      if (!params_.speculative && buf.routed_at >= now) continue;
-      const auto& out = outputs_[static_cast<std::size_t>(buf.out_port)];
-      if (!out.attached()) continue;
-      if (!out.stage_empty(i)) continue;
-      if (!out.has_credit(buf.out_vc)) continue;
+      if (!params_.speculative && routed_at[v] >= now) continue;
+      const int o = static_cast<int>(outport[v]);
+      if (!outputs_[static_cast<std::size_t>(o)].attached()) continue;
+      if (pool_->stage_full(slot_, o)[i]) continue;
+      if (!has_credit(o, outvc[v])) continue;
       req_scratch_[v] = 1;
-      prio_scratch_[v] = params_.priority_arbitration ? buf.front().priority : 0;
+      prio_scratch_[v] =
+          params_.priority_arbitration ? pool_->buf_front(slot_, i, v).priority : 0;
       ++requesters;
     }
     // Zero requesters: the arbiter would return -1 and leave its pointer
@@ -223,13 +496,11 @@ void Router::switch_traversal(Cycle now) {
                                                                   prio_scratch_)
             : switch_arbs_[static_cast<std::size_t>(i)].arbitrate_flat(req_scratch_);
     if (winner < 0) continue;
-    VcBuffer& buf = in.vc(winner);
-    auto& out = outputs_[static_cast<std::size_t>(buf.out_port)];
-    const VcId out_vc = buf.out_vc;
-    const Port out_port = buf.out_port;
-    out.consume_credit(out_vc);
-    Flit f = take_flit(in, winner, out_port, out_vc);
-    out.stage_push(i, std::move(f));
+    const VcId out_vc = outvc[winner];
+    const Port out_port = outport[winner];
+    consume_credit(static_cast<int>(out_port), out_vc);
+    Flit f = take_flit(i, winner, out_port, out_vc);
+    stage_push(static_cast<int>(out_port), i, std::move(f));
   }
 }
 
@@ -259,7 +530,7 @@ void Router::register_metrics(obs::CounterRegistry& registry,
   for (const auto& in : inputs_) {
     if (!in.attached()) continue;
     const std::string in_prefix =
-        prefix + ".in." + topo::port_name(in.port());
+        prefix + ".in." + topo::port_name(in.port);
     registry.gauge(in_prefix + ".flits", [&in] { return in.flits_arrived(); });
     for (VcId v = 0; v < in.num_vcs(); ++v) {
       registry.gauge(in_prefix + ".vc" + std::to_string(v) + ".flits",

@@ -19,8 +19,11 @@
 // and one on the link when uncontended; the pre-scheduled bypass path takes
 // a single cycle per hop.
 //
-// Router state lives in a RouterStatePool slot; the controllers hold views
-// into it, and the switch arbiters own their rotation pointers.
+// Router is the one place those phases live: each is a private member that
+// addresses its RouterStatePool slot by (slot, port, vc). The per-port
+// records (InputController, OutputController) hold only wiring, the
+// reservation slot table, the link arbiter and statistics, and the switch
+// arbiters own their rotation pointers.
 // core::Network constructs routers against one pool per shard (consecutive
 // slots) so a shard's state is contiguous; the three-argument constructor
 // owns a RouterStatePool(1, params), so a standalone router runs the same
@@ -38,6 +41,7 @@
 #include "router/output_controller.h"
 #include "router/params.h"
 #include "router/soa.h"
+#include "router/vc_allocator.h"
 #include "sim/kernel.h"
 #include "topo/topology.h"
 
@@ -61,6 +65,16 @@ class Router final : public Clockable {
   OutputController& output(topo::Port p) { return outputs_[static_cast<std::size_t>(p)]; }
   const InputController& input(topo::Port p) const { return inputs_[static_cast<std::size_t>(p)]; }
   const OutputController& output(topo::Port p) const { return outputs_[static_cast<std::size_t>(p)]; }
+
+  /// Wire input port `p`: the incoming flit channel and the upstream credit
+  /// return. Either may be null for disabled ports (mesh boundary). The
+  /// flit channel stamps this port's arrival byte in the wake row.
+  void attach_input(topo::Port p, Channel<Flit>* in, Channel<Credit>* credit_upstream);
+  /// Wire output port `p`: the outgoing link and the downstream credit
+  /// return; length_mm is the physical wire length for energy/duty
+  /// accounting. The credit channel stamps this port's arrival byte.
+  void attach_output(topo::Port p, Channel<Flit>* link, Channel<Credit>* credit_downstream,
+                     double length_mm);
 
   void step(Cycle now) override;
 
@@ -102,12 +116,34 @@ class Router final : public Clockable {
 
  private:
   void init_controllers();
+
+  // Pipeline phases, in step() order. `p` is a port index into the pool
+  // slot and the per-port records.
+  void process_credits(int p);
+  void accept_arrival(int p);
+  void decode_fronts(int p, Cycle now);
   void vc_allocation(Cycle now);
   void reservation_bypass(Cycle now);
   void link_arbitration(Cycle now);
+  void arbitrate_link(int p, Cycle now);
   void switch_traversal(Cycle now);
-  /// Prepare a flit popped from (in_port, vc) for transmission on out_vc.
-  Flit take_flit(InputController& in, VcId vc, topo::Port out_port, VcId out_vc);
+
+  // Datapath steps the phases share.
+  bool has_credit(int out, VcId vc) const;
+  void consume_credit(int out, VcId vc);
+  /// Piggyback path: a credit harvested from a flit arriving on the reverse
+  /// link (output `out`'s own downstream buffers were freed).
+  void receive_credit(int out, VcId vc);
+  /// Remove the front flit of (in, vc), returning its credit upstream.
+  Flit pop(int in, VcId vc);
+  /// Prepare a flit popped from (in, vc) for transmission on out_vc.
+  Flit take_flit(int in, VcId vc, topo::Port out_port, VcId out_vc);
+  /// Insert a flit that crossed the switch this cycle into output `out`'s
+  /// stage slot for `input`; it becomes eligible for link arbitration next
+  /// cycle (the stage is a register).
+  void stage_push(int out, int input, Flit f);
+  void send_on_link(int out, Flit f, bool bypass);
+  VcAllocator vc_allocator(int out) { return VcAllocator(*pool_, slot_, out, params_); }
 
   NodeId node_;
   const topo::Topology& topo_;

@@ -2,15 +2,13 @@
 // per-VC and per-port field of the router datapath.
 //
 // Input-buffer rings and occupancy, per-packet routing state, downstream
-// credits, VC-allocation flags and rotation, reservation-slot counts, the
-// output stage registers, the piggyback carry rings and the per-cycle
+// credits, the VC-allocated masks and rotation, reservation-slot counts,
+// the output stage registers, the piggyback carry rings and the per-cycle
 // transients each live in one contiguous array per field, indexed
-// (router, port, vc). The batch phase loops and has_internal_work read
-// these as rows. The object layer (VcBuffer, VcAllocator, ReservationTable,
-// Input/OutputController, Router) holds views bound into a pool slot at
-// construction and owns only state that nothing else reads as a row: the
-// arbiter grant pointers, the reservation slot tables, the allocator's
-// incremental summaries, wiring and statistics (DESIGN.md §4h).
+// (router, port, vc). Router's pipeline phases address them by
+// (slot, port, vc), and the pool's ring functions hide the ring formats.
+// The per-port records (Input/OutputController) own only wiring, the
+// reservation slot table, the link arbiter and statistics (DESIGN.md §4h).
 //
 // Layout notes:
 //   * one pool per shard (core::Network), so a shard's routers occupy a
@@ -42,20 +40,6 @@
 
 namespace ocn::router {
 
-/// Pointers into the pool for one (router, port, vc) input buffer and the
-/// per-packet routing state the input controller keeps alongside it.
-struct VcBufferSlice {
-  Flit* slab = nullptr;  ///< `capacity` flit slots (ring storage)
-  int capacity = 0;
-  int* head = nullptr;
-  int* count = nullptr;
-  bool* routed = nullptr;
-  Cycle* routed_at = nullptr;
-  topo::Port* out_port = nullptr;
-  VcId* out_vc = nullptr;
-  bool* dropping = nullptr;
-};
-
 class RouterStatePool {
  public:
   RouterStatePool(int routers, const RouterParams& params)
@@ -64,8 +48,7 @@ class RouterStatePool {
         depth_(params.buffer_depth),
         carry_cap_(params.vcs * params.buffer_depth),
         credits_(make_ints(n_rpv(), params.buffer_depth)),
-        vc_allocated_(make_bools(n_rpv())),
-        vc_excluded_(make_bools(n_rpv())),
+        vc_allocated_(new std::uint8_t[n_rp()]()),
         vc_rr_(make_ints(n_rp(), 0)),
         resv_count_(make_ints(n_rp(), 0)),
         buf_head_(make_ints(n_rpv(), 0)),
@@ -75,7 +58,6 @@ class RouterStatePool {
         routed_at_(new Cycle[n_rpv()]),
         out_port_(new topo::Port[n_rpv()]),
         out_vc_(new VcId[n_rpv()]),
-        dropping_(make_bools(n_rpv())),
         discarding_(make_bools(n_rpv())),
         stage_flit_(new Flit[n_rp() * static_cast<std::size_t>(topo::kNumPorts)]),
         stage_full_(make_bools(n_rp() * static_cast<std::size_t>(topo::kNumPorts))),
@@ -90,6 +72,7 @@ class RouterStatePool {
         alloc_head_(make_bools(n_rpv())),
         alloc_primed_(make_bools(n_rpv())),
         arrive_(new std::atomic<std::uint8_t>[n_rp() * 2]) {
+    assert(vcs_ >= 1 && vcs_ <= 8 && "the VC-allocated mask is one byte per port");
     for (std::size_t i = 0; i < n_rpv(); ++i) {
       routed_at_[i] = -1;
       out_port_[i] = topo::Port::kTile;
@@ -102,36 +85,59 @@ class RouterStatePool {
 
   int routers() const { return routers_; }
   int vcs() const { return vcs_; }
-  int carry_capacity() const { return carry_cap_; }
+  int depth() const { return depth_; }
 
-  // --- input-buffer + routing state (router, port, vc) ----------------------
-  VcBufferSlice vc_slice(int r, int p, VcId v) {
+  // --- input-buffer rings (router, port, vc) --------------------------------
+  // One ring of `depth()` flit slots per VC. Router's arrival phase pushes,
+  // its switch and bypass phases pop; the head/count format stays here.
+
+  /// Copy-push straight from the caller's storage (the arrival hot path
+  /// copies from the channel output in place — one copy, no temporary).
+  void buf_push(int r, int p, VcId v, const Flit& f) {
     const std::size_t i = rpv(r, p, v);
-    return VcBufferSlice{&buf_slab_[i * static_cast<std::size_t>(depth_)],
-                         depth_,
-                         &buf_head_[i],
-                         &buf_count_[i],
-                         &routed_[i],
-                         &routed_at_[i],
-                         &out_port_[i],
-                         &out_vc_[i],
-                         &dropping_[i]};
+    assert(buf_count_[i] < depth_ && "credit protocol violated: buffer overflow");
+    buf_slab_[slab_slot(i, buf_count_[i])] = f;
+    ++buf_count_[i];
+  }
+  Flit& buf_front(int r, int p, VcId v) {
+    return buf_slab_[slab_slot(rpv(r, p, v), 0)];
+  }
+  /// Most recently pushed flit (for post-push fixups on the stored copy).
+  Flit& buf_back(int r, int p, VcId v) {
+    const std::size_t i = rpv(r, p, v);
+    assert(buf_count_[i] > 0);
+    return buf_slab_[slab_slot(i, buf_count_[i] - 1)];
+  }
+  Flit buf_pop(int r, int p, VcId v) {
+    const std::size_t i = rpv(r, p, v);
+    assert(buf_count_[i] > 0);
+    Flit f = std::move(buf_slab_[slab_slot(i, 0)]);
+    buf_head_[i] = (buf_head_[i] + 1) % depth_;
+    --buf_count_[i];
+    return f;
+  }
+  /// Forget the routing state of the packet whose tail just left the VC.
+  void reset_packet_state(int r, int p, VcId v) {
+    const std::size_t i = rpv(r, p, v);
+    routed_[i] = false;
+    routed_at_[i] = -1;
+    out_port_[i] = topo::Port::kTile;
+    out_vc_[i] = kInvalidVc;
   }
 
-  /// Dropping-flow-control per-VC "currently discarding" flags, `vcs` wide.
-  bool* discarding(int r, int p) { return &discarding_[rpv(r, p, 0)]; }
-
   // --- contiguous per-(router,port) rows, `vcs` wide ------------------------
-  // The batch phase loops (Router::vc_allocation, decode_fronts,
-  // switch_traversal) scan these to reject idle VCs with sequential loads
-  // instead of walking the per-VC view objects; only surviving candidates
-  // fall through to the VcBuffer views. Same predicates, same order — just
-  // cache-friendly.
+  // The phase loops scan these to reject idle VCs with sequential loads;
+  // only surviving candidates touch the wide flit slab.
   const int* buf_count_row(int r, int p) const { return &buf_count_[rpv(r, p, 0)]; }
-  const bool* routed_row(int r, int p) const { return &routed_[rpv(r, p, 0)]; }
-  const VcId* out_vc_row(int r, int p) const { return &out_vc_[rpv(r, p, 0)]; }
-  const Cycle* routed_at_row(int r, int p) const { return &routed_at_[rpv(r, p, 0)]; }
-  const topo::Port* out_port_row(int r, int p) const { return &out_port_[rpv(r, p, 0)]; }
+  /// Per-packet routing state: the head has been route-decoded, the cycle
+  /// it was (non-speculative pipeline gating), the output port its route
+  /// selected, and the downstream VC granted (kInvalidVc until then).
+  bool* routed_row(int r, int p) { return &routed_[rpv(r, p, 0)]; }
+  Cycle* routed_at_row(int r, int p) { return &routed_at_[rpv(r, p, 0)]; }
+  topo::Port* out_port_row(int r, int p) { return &out_port_[rpv(r, p, 0)]; }
+  VcId* out_vc_row(int r, int p) { return &out_vc_[rpv(r, p, 0)]; }
+  /// Dropping flow control: "currently discarding an arriving packet".
+  bool* discarding_row(int r, int p) { return &discarding_[rpv(r, p, 0)]; }
 
   // VC-allocation retry cache: a blocked head re-attempts allocation every
   // cycle, but its request (front-is-head, VC mask, dateline parity) is a
@@ -141,7 +147,7 @@ class RouterStatePool {
   // on retries, so a retry never re-reads the wide flit slab; decode
   // invalidates (a new head means a new request). Cached *request* bits,
   // not cached *state* — the grant outcome is still computed from the live
-  // allocator flags every attempt.
+  // allocated mask every attempt.
   std::uint8_t* alloc_mask_row(int r, int p) { return &alloc_mask_[rpv(r, p, 0)]; }
   bool* alloc_want_odd_row(int r, int p) { return &alloc_want_odd_[rpv(r, p, 0)]; }
   bool* alloc_head_row(int r, int p) { return &alloc_head_[rpv(r, p, 0)]; }
@@ -153,10 +159,11 @@ class RouterStatePool {
     return &stage_full_[rp(r, 0) * static_cast<std::size_t>(topo::kNumPorts)];
   }
 
-  // --- output-controller state (router, port) -------------------------------
+  // --- output-port state (router, port) -------------------------------------
+  /// Downstream credits, `vcs` wide.
   int* credits(int r, int p) { return &credits_[rpv(r, p, 0)]; }
-  bool* vc_allocated(int r, int p) { return &vc_allocated_[rpv(r, p, 0)]; }
-  bool* vc_excluded(int r, int p) { return &vc_excluded_[rpv(r, p, 0)]; }
+  /// Downstream VCs held by a packet: bit v set from grant to tail.
+  std::uint8_t& vc_allocated(int r, int p) { return vc_allocated_[rp(r, p)]; }
   int* vc_rotation(int r, int p) { return &vc_rr_[rp(r, p)]; }
   int* resv_count(int r, int p) { return &resv_count_[rp(r, p)]; }
 
@@ -171,14 +178,23 @@ class RouterStatePool {
     return &stage_fresh_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts)];
   }
 
-  /// Piggyback carry ring: `carry_capacity()` slots. Bounded by credit
-  /// conservation — an entry is a freed buffer slot not yet signalled
-  /// upstream, and there are only vcs * depth slots to free.
-  VcId* carry_ring(int r, int p) {
-    return &carry_ring_[rp(r, p) * static_cast<std::size_t>(carry_cap_)];
+  /// Piggyback carry queue: a ring of vcs * depth slots per output port.
+  /// Bounded by credit conservation — an entry is a freed buffer slot not
+  /// yet signalled upstream, and there are only vcs * depth slots to free.
+  void carry_push(int r, int p, VcId v) {
+    const std::size_t i = rp(r, p);
+    assert(carry_count_[i] < carry_cap_ &&
+           "carry ring overflow: credit conservation violated");
+    carry_ring_[carry_slot(i, carry_count_[i])] = v;
+    ++carry_count_[i];
   }
-  int* carry_head(int r, int p) { return &carry_head_[rp(r, p)]; }
-  int* carry_count(int r, int p) { return &carry_count_[rp(r, p)]; }
+  VcId carry_pop(int r, int p) {
+    const std::size_t i = rp(r, p);
+    const VcId v = carry_ring_[carry_slot(i, 0)];
+    carry_head_[i] = (carry_head_[i] + 1) % carry_cap_;
+    --carry_count_[i];
+    return v;
+  }
 
   // --- per-cycle transients -------------------------------------------------
   /// "This input forwarded a flit this cycle" / "this output's link sent this
@@ -256,6 +272,16 @@ class RouterStatePool {
     assert(v >= 0 && v < vcs_);
     return rp(r, p) * static_cast<std::size_t>(vcs_) + static_cast<std::size_t>(v);
   }
+  /// Slab index of the flit `offset` places behind the front of ring `i`.
+  std::size_t slab_slot(std::size_t i, int offset) const {
+    return i * static_cast<std::size_t>(depth_) +
+           static_cast<std::size_t>((buf_head_[i] + offset) % depth_);
+  }
+  /// Ring index of the carry entry `offset` places behind the front of `i`.
+  std::size_t carry_slot(std::size_t i, int offset) const {
+    return i * static_cast<std::size_t>(carry_cap_) +
+           static_cast<std::size_t>((carry_head_[i] + offset) % carry_cap_);
+  }
 
   static std::unique_ptr<int[]> make_ints(std::size_t n, int fill) {
     auto a = std::make_unique<int[]>(n);
@@ -272,8 +298,7 @@ class RouterStatePool {
   int carry_cap_;
 
   std::unique_ptr<int[]> credits_;
-  std::unique_ptr<bool[]> vc_allocated_;
-  std::unique_ptr<bool[]> vc_excluded_;
+  std::unique_ptr<std::uint8_t[]> vc_allocated_;
   std::unique_ptr<int[]> vc_rr_;
   std::unique_ptr<int[]> resv_count_;
   std::unique_ptr<int[]> buf_head_;
@@ -283,7 +308,6 @@ class RouterStatePool {
   std::unique_ptr<Cycle[]> routed_at_;
   std::unique_ptr<topo::Port[]> out_port_;
   std::unique_ptr<VcId[]> out_vc_;
-  std::unique_ptr<bool[]> dropping_;
   std::unique_ptr<bool[]> discarding_;
   std::unique_ptr<Flit[]> stage_flit_;
   std::unique_ptr<bool[]> stage_full_;

@@ -6,28 +6,26 @@ namespace ocn::router {
 
 bool VcAllocator::eligible(VcId vc, std::uint8_t mask, bool want_odd,
                            bool ignore_parity) const {
-  if (allocated_[vc] || excluded_[vc]) return false;
+  if (((busy() >> vc) & 1u) != 0) return false;
   if ((mask & (1u << vc)) == 0) return false;
   if (enforce_parity_ && !ignore_parity && (vc % 2 == 1) != want_odd) return false;
   return true;
 }
 
 VcId VcAllocator::allocate(std::uint8_t mask, bool want_odd, bool ignore_parity) {
-  // Fast-fail: when every VC named by the mask is allocated or excluded,
-  // eligible() is false for all of them regardless of parity, so the scan
-  // would return kInvalidVc with the rotation pointer untouched — exactly
-  // what this early return does. At saturation this is the common outcome
-  // (ownership persists while the link is credit-starved) even when other
-  // classes' VCs sit free.
-  if ((mask & static_cast<std::uint8_t>(~busy_mask_)) == 0) return kInvalidVc;
+  // Fast-fail: when every VC named by the mask is busy, eligible() is false
+  // for all of them regardless of parity, so the scan would return
+  // kInvalidVc with the rotation pointer untouched — exactly what this
+  // early return does. At saturation this is the common outcome (ownership
+  // persists while the link is credit-starved) even when other classes'
+  // VCs sit free.
+  if ((mask & static_cast<std::uint8_t>(~busy())) == 0) return kInvalidVc;
   const int n = vcs_;
   for (int i = 0; i < n; ++i) {
-    const VcId vc = (*rr_ + i) % n;
+    const VcId vc = (rr_ + i) % n;
     if (eligible(vc, mask, want_odd, ignore_parity)) {
-      allocated_[vc] = true;
-      ++allocated_count_;
-      update_busy_bit(vc);
-      *rr_ = (vc + 1) % n;
+      allocated_ = static_cast<std::uint8_t>(allocated_ | (1u << vc));
+      rr_ = (vc + 1) % n;
       return vc;
     }
   }
@@ -35,31 +33,14 @@ VcId VcAllocator::allocate(std::uint8_t mask, bool want_odd, bool ignore_parity)
 }
 
 bool VcAllocator::allocate_exact(VcId vc) {
-  if (allocated_[vc]) return false;
-  allocated_[vc] = true;
-  ++allocated_count_;
-  update_busy_bit(vc);
+  if (is_allocated(vc)) return false;
+  allocated_ = static_cast<std::uint8_t>(allocated_ | (1u << vc));
   return true;
 }
 
 void VcAllocator::release(VcId vc) {
-  assert(allocated_[vc] && "releasing a VC that was never allocated");
-  allocated_[vc] = false;
-  --allocated_count_;
-  update_busy_bit(vc);
-}
-
-int VcAllocator::free_count() const {
-  int n = 0;
-  for (int i = 0; i < vcs_; ++i) {
-    if (!allocated_[i] && !excluded_[i]) ++n;
-  }
-  return n;
-}
-
-void VcAllocator::set_excluded(VcId vc, bool excluded) {
-  excluded_[vc] = excluded;
-  update_busy_bit(vc);
+  assert(is_allocated(vc) && "releasing a VC that was never allocated");
+  allocated_ = static_cast<std::uint8_t>(allocated_ & ~(1u << vc));
 }
 
 }  // namespace ocn::router

@@ -1,4 +1,4 @@
-// Virtual-channel allocation state for one output controller.
+// Virtual-channel allocation policy for one output port.
 //
 // A packet's head flit must acquire a downstream virtual channel before its
 // flits may cross the link (virtual-channel flow control, Dally '92, cited
@@ -9,14 +9,18 @@
 // pairs {2c, 2c+1}; a packet uses the even member before crossing its ring's
 // dateline and the odd member after (see DESIGN.md on deadlock freedom).
 //
-// The allocated/excluded flags and the rotation pointer live in one
-// (router, port) row of a RouterStatePool; the allocator holds pointers into
-// it plus two summaries only it maintains (allocated count, busy mask). A
-// standalone allocator is a row of a `RouterStatePool(1, params)`.
+// An allocator is a short-lived view that Router constructs wherever it
+// grants or releases a VC. Its state is two (router, port) cells of a
+// RouterStatePool: the allocated mask (bit v = VC v held by a packet) and
+// the rotation pointer. A VC is busy when allocated or excluded, and the
+// excluded mask is a constant of RouterParams (the scheduled VC when it is
+// exclusive). A standalone allocator views a `RouterStatePool(1, params)`.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
+#include "router/params.h"
 #include "router/soa.h"
 #include "sim/types.h"
 
@@ -24,20 +28,14 @@ namespace ocn::router {
 
 class VcAllocator {
  public:
-  /// Binds the (slot, port) row of `pool`; the pool must outlive the
+  /// Views the (slot, port) cells of `pool`; the pool must outlive the
   /// allocator.
-  VcAllocator(RouterStatePool& pool, int slot, int port, bool enforce_parity)
+  VcAllocator(RouterStatePool& pool, int slot, int port, const RouterParams& params)
       : vcs_(pool.vcs()),
-        enforce_parity_(enforce_parity),
+        enforce_parity_(params.enforce_vc_parity),
+        excluded_(params.excluded_vcs()),
         allocated_(pool.vc_allocated(slot, port)),
-        excluded_(pool.vc_excluded(slot, port)),
-        rr_(pool.vc_rotation(slot, port)) {}
-
-  // A copy would share the pool row but not the summaries below.
-  VcAllocator(VcAllocator&&) = default;
-  VcAllocator(const VcAllocator&) = delete;
-  VcAllocator& operator=(const VcAllocator&) = delete;
-  VcAllocator& operator=(VcAllocator&&) = delete;
+        rr_(*pool.vc_rotation(slot, port)) {}
 
   /// Grant a free VC allowed by `mask` with parity matching `want_odd`
   /// (when parity is enforced and not suppressed via `ignore_parity`, e.g.
@@ -47,47 +45,31 @@ class VcAllocator {
   VcId allocate(std::uint8_t mask, bool want_odd, bool ignore_parity = false);
 
   /// Grant a specific VC (used by the scheduled-traffic path and by
-  /// same-VC allocation in dropping mode). Returns false if busy.
+  /// same-VC allocation in dropping mode). Returns false if allocated.
   bool allocate_exact(VcId vc);
 
   void release(VcId vc);
-  bool is_allocated(VcId vc) const { return allocated_[vc]; }
+  bool is_allocated(VcId vc) const { return ((allocated_ >> vc) & 1u) != 0; }
   int vcs() const { return vcs_; }
-  int free_count() const;
-  /// VCs currently allocated (maintained incrementally; equals the popcount
-  /// of the allocated flags — ref::soa_crosscheck asserts this).
-  int allocated_count() const { return allocated_count_; }
+  int free_count() const {
+    return vcs_ - std::popcount(static_cast<unsigned>(busy() & ((1u << vcs_) - 1u)));
+  }
+  int allocated_count() const { return std::popcount(allocated_); }
   /// Fairness-rotation pointer: the VC scanned first on the next allocate().
   /// Exposed for the differential harness's state comparison.
-  int rotation() const { return *rr_; }
-
-  /// Exclude a VC from dynamic allocation (reserved for scheduled traffic).
-  void set_excluded(VcId vc, bool excluded);
+  int rotation() const { return rr_; }
 
  private:
+  /// Bit v set when VC v is allocated or excluded — ineligible regardless
+  /// of parity.
+  std::uint8_t busy() const { return allocated_ | excluded_; }
   bool eligible(VcId vc, std::uint8_t mask, bool want_odd, bool ignore_parity) const;
-
-  /// Recompute `vc`'s bit in busy_mask_ after an allocated_/excluded_ edit.
-  void update_busy_bit(VcId vc) {
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << vc);
-    if (allocated_[vc] || excluded_[vc]) {
-      busy_mask_ |= bit;
-    } else {
-      busy_mask_ &= static_cast<std::uint8_t>(~bit);
-    }
-  }
 
   int vcs_;
   bool enforce_parity_;
-  bool* allocated_;
-  bool* excluded_;
-  int* rr_;
-  int allocated_count_ = 0;
-  /// Bit v set when VC v is allocated or excluded — i.e. ineligible
-  /// regardless of parity. allocate() fast-fails when the request mask is
-  /// covered by this, which at saturation is the usual outcome even when
-  /// other classes' VCs sit free.
-  std::uint8_t busy_mask_ = 0;
+  std::uint8_t excluded_;
+  std::uint8_t& allocated_;
+  int& rr_;
 };
 
 }  // namespace ocn::router

@@ -189,16 +189,18 @@ void RuntimeMonitor::step(Cycle now) {
     auto& rtr = net_.router_at(n);
     for (int p = 0; p < topo::kNumPorts; ++p) {
       const auto port = static_cast<Port>(p);
-      const auto& out = rtr.output(port);
-      if (!out.attached()) continue;
-      const router::InputController* downstream = nullptr;
+      if (!rtr.output(port).attached()) continue;
+      const int* credits = rtr.pool().credits(rtr.pool_slot(), p);
+      const int* downstream = nullptr;  // occupancy of the downstream VCs
       if (port != Port::kTile) {
         const auto link = topo.neighbor(n, port);
-        downstream = &net_.router_at(link->dst).input(link->dst_in_port);
+        auto& dst = net_.router_at(link->dst);
+        downstream = dst.pool().buf_count_row(dst.pool_slot(),
+                                              static_cast<int>(link->dst_in_port));
       }
       for (VcId v = 0; v < rp.vcs; ++v) {
         ++credit_checks_;
-        const int c = out.credits(v);
+        const int c = credits[v];
         if (c < 0 || c > depth) {
           std::string msg = "n";
           msg += std::to_string(n);
@@ -213,7 +215,7 @@ void RuntimeMonitor::step(Cycle now) {
           msg += "]";
           violation(std::move(msg));
         } else if (!dropping_ && downstream != nullptr &&
-                   c + downstream->vc(v).size() > depth) {
+                   c + downstream[v] > depth) {
           // Credits count free downstream slots (less those still in
           // flight), so credits + occupancy can never exceed the depth.
           std::string msg = "n";
@@ -225,7 +227,7 @@ void RuntimeMonitor::step(Cycle now) {
           msg += ": ";
           msg += std::to_string(c);
           msg += " credits + ";
-          msg += std::to_string(downstream->vc(v).size());
+          msg += std::to_string(downstream[v]);
           msg += " buffered flits exceed buffer depth ";
           msg += std::to_string(depth);
           violation(std::move(msg));

@@ -2,6 +2,8 @@
 // equivalence with the dedicated-wire model, credit-only filler flits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chaos/chaos.h"
 #include "core/network.h"
 #include "services/reliable.h"
@@ -167,17 +169,20 @@ void expect_credits_fully_restored(Network& net, const char* context) {
       EXPECT_EQ(nic.injection_credits(v), depth)
           << context << ": nic " << n << " vc " << v;
     }
+    router::Router& r = net.router_at(n);
+    router::RouterStatePool& pool = r.pool();
+    const int slot = r.pool_slot();
     for (int p = 0; p < topo::kNumPorts; ++p) {
-      const auto& out = net.router_at(n).output(static_cast<topo::Port>(p));
-      if (!out.attached()) continue;
-      EXPECT_EQ(out.carry_backlog(), 0)
+      if (!r.output(static_cast<topo::Port>(p)).attached()) continue;
+      EXPECT_EQ(pool.carry_count_row(slot)[p], 0)
           << context << ": node " << n << " out port " << p;
-      EXPECT_EQ(out.staged_flits(), 0)
+      const bool* staged = pool.stage_full(slot, p);
+      EXPECT_EQ(std::count(staged, staged + topo::kNumPorts, true), 0)
           << context << ": node " << n << " out port " << p;
       for (VcId v = 0; v < vcs; ++v) {
-        EXPECT_EQ(out.credits(v), depth)
+        EXPECT_EQ(pool.credits(slot, p)[v], depth)
             << context << ": node " << n << " out port " << p << " vc " << v;
-        EXPECT_FALSE(out.vc_alloc().is_allocated(v))
+        EXPECT_EQ((pool.vc_allocated(slot, p) >> v) & 1, 0)
             << context << ": node " << n << " out port " << p << " vc " << v;
       }
     }

@@ -40,8 +40,8 @@ struct Harness {
       in_credits.push_back(std::make_unique<Channel<Credit>>(1));
       out_flits.push_back(std::make_unique<Channel<Flit>>(1));
       out_credits.push_back(std::make_unique<Channel<Credit>>(1));
-      rtr->input(port).attach(in_flits.back().get(), in_credits.back().get());
-      rtr->output(port).attach(out_flits.back().get(), out_credits.back().get(), 3.0);
+      rtr->attach_input(port, in_flits.back().get(), in_credits.back().get());
+      rtr->attach_output(port, out_flits.back().get(), out_credits.back().get(), 3.0);
       kernel.add(in_flits.back().get());
       kernel.add(in_credits.back().get());
       kernel.add(out_flits.back().get());

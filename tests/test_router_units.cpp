@@ -11,7 +11,6 @@
 #include "router/reservation.h"
 #include "router/soa.h"
 #include "router/vc_allocator.h"
-#include "router/vc_buffer.h"
 
 namespace ocn::router {
 namespace {
@@ -144,8 +143,9 @@ TEST(RoundRobin, IntermittentRequesterIsNotStarved) {
   EXPECT_GT(grants[2], 0);
 }
 
-// The VC allocator, reservation table and VC buffer are views into a
-// RouterStatePool; a standalone unit is a slice of a 1-router pool.
+// The VC allocator and reservation table are views into a RouterStatePool,
+// and the VC buffer rings are pool functions; a standalone unit is a slice
+// of a 1-router pool.
 RouterParams unit_params(int vcs, int depth) {
   RouterParams p;
   p.vcs = vcs;
@@ -154,8 +154,9 @@ RouterParams unit_params(int vcs, int depth) {
 }
 
 TEST(VcAllocator, RespectsMask) {
-  RouterStatePool pool(1, unit_params(8, 4));
-  VcAllocator a(pool, 0, 0, /*enforce_parity=*/false);
+  const RouterParams params = unit_params(8, 4);
+  RouterStatePool pool(1, params);
+  VcAllocator a(pool, 0, 0, params);
   const VcId v = a.allocate(0b00001100, false);
   EXPECT_TRUE(v == 2 || v == 3);
   EXPECT_TRUE(a.is_allocated(v));
@@ -164,8 +165,10 @@ TEST(VcAllocator, RespectsMask) {
 }
 
 TEST(VcAllocator, ParityDiscipline) {
-  RouterStatePool pool(1, unit_params(8, 4));
-  VcAllocator a(pool, 0, 0, /*enforce_parity=*/true);
+  RouterParams params = unit_params(8, 4);
+  params.enforce_vc_parity = true;
+  RouterStatePool pool(1, params);
+  VcAllocator a(pool, 0, 0, params);
   // Even request on a both-parities class mask.
   const VcId even = a.allocate(0b00000011, /*want_odd=*/false);
   EXPECT_EQ(even, 0);
@@ -179,21 +182,53 @@ TEST(VcAllocator, ParityDiscipline) {
 }
 
 TEST(VcAllocator, ExclusionBlocksScheduledVc) {
-  RouterStatePool pool(1, unit_params(8, 4));
-  VcAllocator a(pool, 0, 0, false);
-  a.set_excluded(7, true);
+  RouterParams params = unit_params(8, 4);
+  params.exclusive_scheduled_vc = true;
+  params.scheduled_vc = 7;
+  RouterStatePool pool(1, params);
+  VcAllocator a(pool, 0, 0, params);
   EXPECT_EQ(a.allocate(0b10000000, false), kInvalidVc);
   EXPECT_TRUE(a.allocate_exact(7));  // the scheduled path itself may claim it
   a.release(7);
 }
 
 TEST(VcAllocator, ReleaseMakesVcReusable) {
-  RouterStatePool pool(1, unit_params(4, 4));
-  VcAllocator a(pool, 0, 0, false);
+  const RouterParams params = unit_params(4, 4);
+  RouterStatePool pool(1, params);
+  VcAllocator a(pool, 0, 0, params);
   const VcId v = a.allocate(0b1111, false);
   a.release(v);
   EXPECT_FALSE(a.is_allocated(v));
   EXPECT_EQ(a.free_count(), 4);
+}
+
+// The fast-fail: when every VC the mask names is allocated or excluded,
+// allocate() fails without moving the rotation pointer — what the full
+// eligibility scan would have done (DESIGN.md §4h).
+TEST(VcAllocator, FailedAllocateLeavesRotation) {
+  RouterParams params = unit_params(8, 4);
+  params.enforce_vc_parity = true;
+  params.exclusive_scheduled_vc = true;
+  params.scheduled_vc = 7;
+  RouterStatePool pool(1, params);
+  VcAllocator a(pool, 0, 0, params);
+  EXPECT_EQ(a.allocate(0b01000000, /*want_odd=*/false), 6);
+  const int rotation = a.rotation();
+  EXPECT_EQ(rotation, 7);
+  // VC 6 allocated, VC 7 excluded: the class {6, 7} is covered for either
+  // parity, while other classes' VCs sit free.
+  EXPECT_EQ(a.allocate(0b11000000, /*want_odd=*/false), kInvalidVc);
+  EXPECT_EQ(a.rotation(), rotation);
+  EXPECT_EQ(a.allocate(0b11000000, /*want_odd=*/true), kInvalidVc);
+  EXPECT_EQ(a.rotation(), rotation);
+  EXPECT_EQ(a.allocate(0b11000000, false, /*ignore_parity=*/true), kInvalidVc);
+  EXPECT_EQ(a.rotation(), rotation);
+  EXPECT_EQ(a.allocated_count(), 1);
+  EXPECT_EQ(a.free_count(), 6);
+  // Uncovered again once the VC is released: the grant moves the pointer.
+  a.release(6);
+  EXPECT_EQ(a.allocate(0b11000000, false), 6);
+  EXPECT_EQ(a.rotation(), 7);
 }
 
 TEST(Reservation, SlotLifecycle) {
@@ -219,30 +254,29 @@ TEST(Reservation, CountsSlots) {
   EXPECT_EQ(t.reserved_count(), 2);
 }
 
-TEST(VcBuffer, FifoWithCapacity) {
+TEST(RouterStatePool, RingFifoWithCapacity) {
   RouterStatePool pool(1, unit_params(2, 2));
-  VcBuffer b(pool.vc_slice(0, 0, 0));
-  EXPECT_TRUE(b.empty());
+  const int* count = pool.buf_count_row(0, 0);
+  EXPECT_EQ(count[0], 0);
   Flit f;
   f.packet = 1;
-  b.push(f);
+  pool.buf_push(0, 0, 0, f);
   f.packet = 2;
-  b.push(f);
-  EXPECT_TRUE(b.full());
-  EXPECT_EQ(b.pop().packet, 1);
-  EXPECT_EQ(b.pop().packet, 2);
-  EXPECT_TRUE(b.empty());
+  pool.buf_push(0, 0, 0, f);
+  EXPECT_EQ(count[0], pool.depth());
+  EXPECT_EQ(pool.buf_pop(0, 0, 0).packet, 1);
+  EXPECT_EQ(pool.buf_pop(0, 0, 0).packet, 2);
+  EXPECT_EQ(count[0], 0);
 }
 
-TEST(VcBuffer, PacketStateResets) {
+TEST(RouterStatePool, PacketStateResets) {
   RouterStatePool pool(1, unit_params(2, 4));
-  VcBuffer b(pool.vc_slice(0, 0, 0));
-  b.routed = true;
-  b.out_vc = 3;
-  b.out_port = topo::Port::kColNeg;
-  b.reset_packet_state();
-  EXPECT_FALSE(b.routed);
-  EXPECT_EQ(b.out_vc, kInvalidVc);
+  pool.routed_row(0, 0)[0] = true;
+  pool.out_vc_row(0, 0)[0] = 3;
+  pool.out_port_row(0, 0)[0] = topo::Port::kColNeg;
+  pool.reset_packet_state(0, 0, 0);
+  EXPECT_FALSE(pool.routed_row(0, 0)[0]);
+  EXPECT_EQ(pool.out_vc_row(0, 0)[0], kInvalidVc);
 }
 
 }  // namespace

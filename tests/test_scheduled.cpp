@@ -3,6 +3,10 @@
 // and 2.6).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/network.h"
 #include "traffic/generator.h"
 #include "traffic/scheduled.h"
@@ -193,6 +197,61 @@ TEST(Registers, CodecRoundTrip) {
   EXPECT_EQ(back->vc, w.vc);
   // Non-register packets do not decode.
   EXPECT_FALSE(core::decode_register_write(core::make_word_packet(1, 0, 5)).has_value());
+}
+
+// Register packets come off the network, so a field out of range must be
+// refused with an error naming the field and value — never applied to a
+// port, slot or VC that does not exist, nor aliased modulo the frame.
+TEST(Registers, OutOfRangeFieldsAreRefused) {
+  using Write = core::RegisterWrite;
+  using Read = core::RegisterRead;
+  // Each row edits one field of a valid request (slot 3 of a 32-slot frame).
+  const auto write = [](void (*edit)(Write&)) {
+    Write w;
+    w.slot = 3;
+    w.input_port = static_cast<int>(topo::Port::kTile);
+    w.vc = 7;
+    edit(w);
+    return core::encode_register_write(/*target=*/0, w);
+  };
+  const auto read = [](void (*edit)(Read&)) {
+    Read r;
+    r.slot = 3;
+    edit(r);
+    return core::encode_register_read(/*target=*/0, r);
+  };
+  struct Case {
+    const char* expect;  ///< the "field = value" the error must name
+    core::Packet packet;
+  };
+  const std::vector<Case> cases = {
+      {"kind = 7", write([](Write& w) { w.kind = static_cast<Write::Kind>(7); })},
+      {"output_port = 9", write([](Write& w) { w.output_port = static_cast<topo::Port>(9); })},
+      {"input_port = 9", write([](Write& w) { w.input_port = 9; })},
+      {"vc = 200", write([](Write& w) { w.vc = 200; })},
+      {"slot = 32", write([](Write& w) { w.slot = 32; })},
+      {"slot = 5000", write([](Write& w) { w.slot = 5000; })},
+      {"output_port = 9", read([](Read& r) { r.output_port = static_cast<topo::Port>(9); })},
+      {"slot = 5000", read([](Read& r) { r.slot = 5000; })},
+  };
+
+  {
+    Network net(scheduled_config());  // the unedited write is applied
+    ASSERT_TRUE(net.nic(15).inject(write([](Write&) {}), net.now()));
+    ASSERT_TRUE(net.drain(5000));
+    EXPECT_EQ(net.register_writes_applied(), 1);
+  }
+  for (const Case& c : cases) {
+    Network net(scheduled_config());
+    ASSERT_TRUE(net.nic(15).inject(c.packet, net.now()));
+    try {
+      net.drain(5000);
+      ADD_FAILURE() << c.expect << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(net.register_writes_applied(), 0) << c.expect;
+  }
 }
 
 TEST(ScheduledFlow, MultiSlotFlowScalesBandwidth) {

@@ -35,7 +35,7 @@ std::vector<traffic::TraceEntry> small_trace(const Config& config,
 
 // run_lockstep calls ref::soa_crosscheck after every production tick: each
 // cell of the quick matrix therefore checks every incrementally-maintained
-// summary (retry cache, allocated counts, NIC occupancy counters) against
+// summary (retry cache, NIC occupancy counters) against
 // recomputation, every cycle of the run. Any drift diverges with kind "soa".
 TEST(SoaEquivalence, QuickMatrixAgreesFieldByFieldEveryTick) {
   const std::vector<ref::CampaignCell> cells = ref::quick_matrix();
@@ -65,26 +65,50 @@ TEST(SoaEquivalence, CrosscheckCleanAtResetMidFlightAndAfterDrain) {
   EXPECT_TRUE(ref::soa_crosscheck(net).empty());
 }
 
-// Router state has one home, so a view cannot drift from its cell. What can
-// drift are the incrementally-maintained summaries
-// (VcAllocator::allocated_count_). Corrupt a pool flag behind the counter's
-// back and the cross-check must notice the popcount mismatch.
-TEST(SoaEquivalence, DetectsAllocatedCountDrift) {
+// Router state has one home, so no pool row can drift from a copy of
+// itself. What can drift is the VC-allocation retry cache, which caches the
+// blocked head's request. Hold every downstream VC of router 0 so a head
+// blocks mid-flight, primed and ungranted; flip a bit of its cached mask
+// and the cross-check must name the cache row, restore it and it is clean.
+TEST(SoaEquivalence, DetectsRetryCacheDrift) {
   Network net(Config::paper_baseline());
   router::Router& r = net.router_at(0);
-  const int p = static_cast<int>(topo::Port::kRowPos);
-  r.pool().vc_allocated(r.pool_slot(), p)[0] = true;
+  router::RouterStatePool& pool = r.pool();
+  const int slot = r.pool_slot();
+  for (int p = 0; p < topo::kNumPorts; ++p) pool.vc_allocated(slot, p) = 0xFF;
+  ASSERT_TRUE(net.nic(0).inject(core::make_packet(/*dst=*/5,
+                                                  /*service_class=*/0,
+                                                  /*num_flits=*/4),
+                                net.now()));
+  const int tile = static_cast<int>(topo::Port::kTile);
+  VcId blocked = kInvalidVc;
+  for (int c = 0; c < 10 && blocked == kInvalidVc; ++c) {
+    net.step();
+    for (VcId v = 0; v < net.config().router.vcs; ++v) {
+      if (pool.buf_count_row(slot, tile)[v] > 0 && pool.alloc_primed_row(slot, tile)[v] &&
+          pool.out_vc_row(slot, tile)[v] == kInvalidVc) {
+        blocked = v;
+      }
+    }
+  }
+  ASSERT_NE(blocked, kInvalidVc);
+  EXPECT_TRUE(ref::soa_crosscheck(net).empty());
 
+  std::uint8_t& mask = pool.alloc_mask_row(slot, tile)[blocked];
+  mask ^= 0x01;
   const std::vector<std::string> lines = ref::soa_crosscheck(net);
   ASSERT_FALSE(lines.empty());
   bool found = false;
   for (const auto& l : lines) {
-    if (l.find(".allocated_count") != std::string::npos) found = true;
+    if (l.find(".alloc_cache.mask") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found) << lines.front();
 
-  r.pool().vc_allocated(r.pool_slot(), p)[0] = false;
+  mask ^= 0x01;
   EXPECT_TRUE(ref::soa_crosscheck(net).empty());
+  // Free the held VCs: the blocked packet is granted and drains.
+  for (int p = 0; p < topo::kNumPorts; ++p) pool.vc_allocated(slot, p) = 0;
+  EXPECT_TRUE(net.drain(1000));
 }
 
 // --- quiescence audit -------------------------------------------------------

@@ -442,9 +442,17 @@ TEST(Monitor, RogueFlitOnForbiddenVcIsFlagged) {
   f.dst = link->dst;
   f.packet = 0x7e57;
   f.route.push(static_cast<std::uint8_t>(TurnCode::kExtract));
-  auto& out = net.router_at(0).output(port);
-  out.consume_credit(5);  // keep the credit books balanced downstream
-  out.stage_push(0, f);
+  // Stage it in output row+'s register for input 0, as a switch traversal
+  // would: the pool rows are the router's only copy of this state.
+  router::Router& r = net.router_at(0);
+  router::RouterStatePool& pool = r.pool();
+  const int slot = r.pool_slot();
+  const int p = static_cast<int>(port);
+  --pool.credits(slot, p)[5];  // keep the credit books balanced downstream
+  ASSERT_FALSE(pool.stage_full(slot, p)[0]);
+  pool.stage(slot, p)[0] = f;
+  pool.stage_full(slot, p)[0] = true;
+  pool.stage_fresh(slot, p)[0] = true;
   net.run(4);
 
   EXPECT_FALSE(monitor.ok());
