@@ -21,11 +21,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analyze/analyzer.h"
 #include "ref/campaign.h"
+#include "sim/parse.h"
 
 using namespace ocn;
 
@@ -72,6 +75,11 @@ Options parse(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  // Numeric values parse strictly: a malformed one throws (sim/parse.h).
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    out = flag_value<std::decay_t<decltype(out)>>(flag, need(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--topology") {
@@ -87,13 +95,13 @@ Options parse(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (a == "--radix") {
-      o.config.radix = std::atoi(need(i));
+      number(i, o.config.radix);
     } else if (a == "--vcs") {
-      o.config.router.vcs = std::atoi(need(i));
+      number(i, o.config.router.vcs);
     } else if (a == "--depth") {
-      o.config.router.buffer_depth = std::atoi(need(i));
+      number(i, o.config.router.buffer_depth);
     } else if (a == "--link-latency") {
-      o.config.link_latency = std::atoi(need(i));
+      number(i, o.config.link_latency);
     } else if (a == "--no-vc-parity") {
       o.config.router.enforce_vc_parity = false;
     } else if (a == "--dropping") {
@@ -102,7 +110,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--piggyback") {
       o.config.router.piggyback_credits = true;
     } else if (a == "--shards") {
-      o.shards = std::atoi(need(i));
+      number(i, o.shards);
       if (o.shards < 1) usage(argv[0]);
     } else if (a == "--matrix") {
       o.matrix = true;
@@ -183,7 +191,13 @@ std::vector<Run> matrix_runs(const Options& o, const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ocn-analyze: %s\n", e.what());
+    return 2;
+  }
 
   std::vector<Run> runs;
   if (o.matrix) {

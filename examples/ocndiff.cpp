@@ -25,9 +25,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "ref/campaign.h"
 #include "ref/diff.h"
+#include "sim/parse.h"
 #include "traffic/replay.h"
 
 using namespace ocn;
@@ -95,26 +97,30 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Numeric values parse strictly: a malformed one throws (sim/parse.h).
+    auto number = [&](auto& out) {
+      out = flag_value<std::decay_t<decltype(out)>>(a, next());
+    };
     if (a == "--seeds") {
-      o.seeds = std::atoi(next());
+      number(o.seeds);
     } else if (a == "--trace-cycles") {
-      o.trace_cycles = std::atoll(next());
+      number(o.trace_cycles);
     } else if (a == "--max-cycles") {
-      o.max_cycles = std::atoll(next());
+      number(o.max_cycles);
     } else if (a == "--threads") {
-      o.threads = std::atoi(next());
+      number(o.threads);
     } else if (a == "--seed") {
-      o.master_seed = std::strtoull(next(), nullptr, 10);
+      number(o.master_seed);
     } else if (a == "--cell") {
       o.cell = next();
     } else if (a == "--shards") {
-      o.shards = std::atoi(next());
+      number(o.shards);
       if (o.shards < 2) {
         std::fprintf(stderr, "--shards needs N >= 2\n");
         usage(argv[0]);
       }
     } else if (a == "--radix") {
-      o.radix = std::atoi(next());
+      number(o.radix);
     } else if (a == "--no-minimize") {
       o.minimize = false;
     } else if (a == "--trace-out") {
@@ -122,11 +128,11 @@ Options parse(int argc, char** argv) {
     } else if (a == "--replay") {
       o.replay = next();
     } else if (a == "--kill-node") {
-      o.scenario.kill_node = std::atoi(next());
+      number(o.scenario.kill_node);
     } else if (a == "--kill-port") {
       o.scenario.kill_port = parse_port(next(), argv[0]);
     } else if (a == "--kill-cycle") {
-      o.scenario.kill_cycle = std::atoll(next());
+      number(o.scenario.kill_cycle);
     } else if (a == "--quiet") {
       o.quiet = true;
     } else {
@@ -149,6 +155,13 @@ int run_replay(const Options& o) {
 
   core::Config config = core::Config::paper_baseline();
   if (o.scenario.active()) config.fault_layer = true;
+  const int nodes = config.make_topology()->num_nodes();
+  if ((o.scenario.kill_cycle >= 0 || o.scenario.kill_node != kInvalidNode) &&
+      (o.scenario.kill_node < 0 || o.scenario.kill_node >= nodes)) {
+    std::fprintf(stderr, "ocn-diff: --kill-node: expected a node in [0, %d), got %d\n",
+                 nodes, o.scenario.kill_node);
+    return 2;
+  }
 
   // Shard-determinism replays: a "# shards: N" header (written by the shard
   // campaigns' divergence reports) or an explicit --shards flag. A request
@@ -269,8 +282,8 @@ int run_campaign(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
   try {
+    const Options o = parse(argc, argv);
     if (!o.replay.empty()) return run_replay(o);
     return run_campaign(o);
   } catch (const std::exception& e) {

@@ -11,11 +11,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/network.h"
 #include "phys/power_model.h"
+#include "sim/parse.h"
 #include "traffic/generator.h"
 #include "traffic/replay.h"
 #include "traffic/saturation.h"
@@ -77,6 +80,11 @@ Options parse(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  // Numeric values parse strictly: a malformed one throws (sim/parse.h).
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    out = flag_value<std::decay_t<decltype(out)>>(flag, need(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--topology") {
@@ -92,31 +100,31 @@ Options parse(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (a == "--radix") {
-      o.config.radix = std::atoi(need(i));
+      number(i, o.config.radix);
     } else if (a == "--vcs") {
-      o.config.router.vcs = std::atoi(need(i));
+      number(i, o.config.router.vcs);
     } else if (a == "--depth") {
-      o.config.router.buffer_depth = std::atoi(need(i));
+      number(i, o.config.router.buffer_depth);
     } else if (a == "--link-latency") {
-      o.config.link_latency = std::atoi(need(i));
+      number(i, o.config.link_latency);
     } else if (a == "--pattern") {
       const auto p = parse_pattern(need(i));
       if (!p) usage(argv[0]);
       o.pattern = *p;
     } else if (a == "--rate") {
-      o.rate = std::atof(need(i));
+      number(i, o.rate);
     } else if (a == "--sweep") {
       if (std::sscanf(need(i), "%lf:%lf:%lf", &o.sweep_lo, &o.sweep_hi, &o.sweep_step) != 3) {
         usage(argv[0]);
       }
     } else if (a == "--flits") {
-      o.flits = std::atoi(need(i));
+      number(i, o.flits);
     } else if (a == "--warmup") {
-      o.warmup = std::atoll(need(i));
+      number(i, o.warmup);
     } else if (a == "--cycles") {
-      o.measure = std::atoll(need(i));
+      number(i, o.measure);
     } else if (a == "--seed") {
-      o.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      number(i, o.seed);
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--piggyback") {
@@ -165,7 +173,13 @@ void run_point(const Options& o, double rate, TablePrinter* table) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ocnsim: %s\n", e.what());
+    return 2;
+  }
   try {
     o.config.validate();
   } catch (const std::exception& e) {

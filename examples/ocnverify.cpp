@@ -18,9 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "obs/report.h"
+#include "sim/parse.h"
 #include "traffic/generator.h"
 #include "verify/monitor.h"
 #include "verify/verifier.h"
@@ -65,6 +68,11 @@ Options parse(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  // Numeric values parse strictly: a malformed one throws (sim/parse.h).
+  auto number = [&](int& i, auto& out) {
+    const char* flag = argv[i];
+    out = flag_value<std::decay_t<decltype(out)>>(flag, need(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--topology") {
@@ -80,13 +88,13 @@ Options parse(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (a == "--radix") {
-      o.config.radix = std::atoi(need(i));
+      number(i, o.config.radix);
     } else if (a == "--vcs") {
-      o.config.router.vcs = std::atoi(need(i));
+      number(i, o.config.router.vcs);
     } else if (a == "--depth") {
-      o.config.router.buffer_depth = std::atoi(need(i));
+      number(i, o.config.router.buffer_depth);
     } else if (a == "--link-latency") {
-      o.config.link_latency = std::atoi(need(i));
+      number(i, o.config.link_latency);
     } else if (a == "--no-vc-parity") {
       o.config.router.enforce_vc_parity = false;
     } else if (a == "--dropping") {
@@ -97,9 +105,9 @@ Options parse(int argc, char** argv) {
     } else if (a == "--exclusive-scheduled-vc") {
       o.config.router.exclusive_scheduled_vc = true;
     } else if (a == "--monitor-cycles") {
-      o.monitor_cycles = std::atoll(need(i));
+      number(i, o.monitor_cycles);
     } else if (a == "--rate") {
-      o.rate = std::atof(need(i));
+      number(i, o.rate);
     } else if (a == "--json") {
       o.json_path = need(i);
     } else if (a == "--quiet") {
@@ -166,7 +174,13 @@ int write_json(const Options& o, const verify::Report& report,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ocn-verify: %s\n", e.what());
+    return 2;
+  }
 
   const verify::Report report = verify::verify(o.config);
   if (!o.quiet) {

@@ -35,7 +35,9 @@
 #   diff-smoke     lockstep reference-model campaign (ocn-diff) over the quick
 #                  config matrix x 10 seeds, the same matrix refereed 1-shard
 #                  vs 4-shard, and replay of the checked-in regression trace;
-#                  fails on any divergence.
+#                  fails on any divergence. A replayed trace entry outside
+#                  the 4x4 fabric and `--seeds foo` must be refused with
+#                  exit 2 (a usage error, not a signal).
 #
 # Legs after tsan-sweep run on the default preset's build/ (RelWithDebInfo:
 # the bench floors assume an optimized build). Reports land under
@@ -230,6 +232,24 @@ leg_diff_smoke() {
   "$diff" --shards 4 --seeds 10 --trace-cycles 300 --quiet
   "$diff" --replay tests/data/lockstep_chaos_regression.trace \
     --kill-node 0 --kill-port row+ --kill-cycle 60
+
+  echo "== [diff-smoke] malformed input must be refused with exit 2 =="
+  printf '0,16,5,32\n' > build/diff-out/src_outside_fabric.trace
+  refused_as_usage_error "a trace entry whose src is outside the fabric" \
+    "$diff" --replay build/diff-out/src_outside_fabric.trace
+  refused_as_usage_error "--seeds foo" "$diff" --seeds foo
+}
+
+# Run a command that must reject its input as a usage error: exit status 2,
+# not success, a divergence (1) or a signal (128 + N).
+refused_as_usage_error() {
+  local what=$1 rc=0
+  shift
+  "$@" >/dev/null || rc=$?
+  if [[ "$rc" != 2 ]]; then
+    echo "expected exit 2 refusing $what, got $rc" >&2
+    exit 1
+  fi
 }
 
 run_leg() { "leg_${1//-/_}"; }

@@ -58,7 +58,7 @@ DegradeReport reroute_with(core::Network& net, NodeId node, Port port,
 
 DegradeReport kill_link(core::Network& net, NodeId node, Port port) {
   auto* fault = net.link_fault(node, port);
-  assert(fault && "kill_link requires config.fault_layer");
+  assert(fault && "kill_link needs a link that exists, on a config.fault_layer network");
   if (fault) fault->set_dead(true);
   return reroute_with(net, node, port, /*dead=*/true);
 }

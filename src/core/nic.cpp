@@ -268,51 +268,43 @@ void Nic::consume_flit(Flit flit, Cycle now) {
 
 void Nic::do_injection(Cycle now) {
   if (inject_ == nullptr) return;
-  if (queued_flit_count_ == 0) {
-    // Empty queues mean zero request bits: the arbiter would return -1 with
-    // its pointer frozen, landing in the credit-only branch below — reached
-    // here directly.
-    if (config_.router.piggyback_credits && !carry_to_router_.empty()) {
-      Flit f;
-      f.type = FlitType::kCreditOnly;
-      f.size_code = 0;
-      f.carried_credit_vc = static_cast<std::int8_t>(carry_to_router_.front());
-      carry_to_router_.pop_front();
-      inject_->send(std::move(f));
-    }
-    return;
-  }
-  const int vcs = config_.router.vcs;
-  std::uint8_t* requests = req_scratch_.data();
-  int* priority = prio_scratch_.data();
-  for (VcId v = 0; v < vcs; ++v) {
-    requests[v] = 0;
-    priority[v] = 0;
-    auto& q = vc_queues_[static_cast<std::size_t>(v)];
-    if (q.empty()) continue;
-    if (scheduled_flit_count_ == 0) {
-      // No scheduled flit anywhere in this NIC: every front has
-      // send_at < 0, so the reservation-phase checks above are no-ops and
-      // credit readiness can be tested first — the (common, at saturation)
-      // credit-starved VC then never touches the queue front.
+  // Empty queues mean zero request bits: the arbiter would return -1 with
+  // its pointer frozen, so the scan and the arbiter are skipped.
+  int vc = -1;
+  if (queued_flit_count_ > 0) {
+    const int vcs = config_.router.vcs;
+    std::uint8_t* requests = req_scratch_.data();
+    int* priority = prio_scratch_.data();
+    for (VcId v = 0; v < vcs; ++v) {
+      requests[v] = 0;
+      priority[v] = 0;
+      auto& q = vc_queues_[static_cast<std::size_t>(v)];
+      if (q.empty()) continue;
+      if (scheduled_flit_count_ == 0) {
+        // No scheduled flit anywhere in this NIC: every front has
+        // send_at < 0, so the reservation-phase checks below are no-ops and
+        // credit readiness can be tested first — the (common, at saturation)
+        // credit-starved VC then never touches the queue front.
+        const bool ready =
+            config_.router.dropping() || credits_[static_cast<std::size_t>(v)] > 0;
+        if (!ready) continue;
+        requests[v] = 1;
+        priority[v] = q.front().flit.priority;
+        continue;
+      }
+      const QueuedFlit& qf = q.front();
+      if (qf.send_at >= 0) {
+        if (qf.send_at > now) continue;  // wait for the reservation phase
+        if (qf.send_at < now) ++missed_slots_;
+      }
       const bool ready =
           config_.router.dropping() || credits_[static_cast<std::size_t>(v)] > 0;
       if (!ready) continue;
       requests[v] = 1;
-      priority[v] = q.front().flit.priority;
-      continue;
+      priority[v] = qf.flit.priority;
     }
-    const QueuedFlit& qf = q.front();
-    if (qf.send_at >= 0) {
-      if (qf.send_at > now) continue;  // wait for the reservation phase
-      if (qf.send_at < now) ++missed_slots_;
-    }
-    const bool ready = config_.router.dropping() || credits_[static_cast<std::size_t>(v)] > 0;
-    if (!ready) continue;
-    requests[v] = 1;
-    priority[v] = qf.flit.priority;
+    vc = inject_arb_.arbitrate(requests, priority);
   }
-  const int vc = inject_arb_.arbitrate(requests, priority);
   if (vc < 0) {
     // Nothing to inject: return pending ejection credits on a credit-only
     // flit (piggyback mode's idle-cycle filler).
@@ -357,12 +349,6 @@ void Nic::deliver(Packet&& packet) {
   } else {
     received_.push_back(std::move(packet));
   }
-}
-
-int Nic::queued_flits() const {
-  int n = 0;
-  for (const auto& q : vc_queues_) n += static_cast<int>(q.size());
-  return n;
 }
 
 }  // namespace ocn::core

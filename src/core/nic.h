@@ -6,6 +6,10 @@
 // priority interleaving — injection of a long low-priority packet is
 // interrupted to inject a short high-priority packet and then resumed,
 // because injection arbitration runs per flit across VC queues.
+//
+// Queue occupancy is counted once: counters kept at every push and pop are
+// the only record of it, read by idle_internal(), the injection and
+// ejection gates and the queued_flits()/pending_eject_flits() accessors.
 #pragma once
 
 #include <deque>
@@ -101,34 +105,15 @@ class Nic final : public Clockable {
     return class_latency_[static_cast<std::size_t>(service_class)];
   }
   /// Flits currently queued for injection (all VCs).
-  int queued_flits() const;
+  int queued_flits() const { return queued_flit_count_; }
 
   // --- state inspection (differential harness) ------------------------------
   /// Credits held toward the router's tile input buffer for VC v.
   int injection_credits(VcId vc) const { return credits_[static_cast<std::size_t>(vc)]; }
   /// Ejected flits parked awaiting the one-flit-per-cycle consume port.
-  int pending_eject_flits() const {
-    int n = 0;
-    for (const auto& q : eject_pending_) n += static_cast<int>(q.size());
-    return n;
-  }
+  int pending_eject_flits() const { return eject_pending_count_; }
   /// Piggyback credits queued to ride on the next injected flit.
   int carry_backlog() const { return static_cast<int>(carry_to_router_.size()); }
-  /// Incrementally-maintained occupancy counters behind idle_internal() and
-  /// the injection/ejection fast paths. The SoA cross-check compares them
-  /// against queued_flits()/pending_eject_flits()/scheduled_flits_queued(),
-  /// which recompute from the queues.
-  int queued_flit_counter() const { return queued_flit_count_; }
-  int eject_pending_counter() const { return eject_pending_count_; }
-  int scheduled_flit_counter() const { return scheduled_flit_count_; }
-  /// Scheduled (send_at >= 0) flits queued, recomputed from the queues.
-  int scheduled_flits_queued() const {
-    int n = 0;
-    for (const auto& q : vc_queues_) {
-      for (const auto& qf : q) n += qf.send_at >= 0 ? 1 : 0;
-    }
-    return n;
-  }
   const router::PriorityArbiter& inject_arbiter() const { return inject_arb_; }
   const router::RoundRobinArbiter& eject_arbiter() const { return eject_arb_; }
 
@@ -174,11 +159,10 @@ class Nic final : public Clockable {
   router::PriorityArbiter inject_arb_;
 
   std::vector<std::deque<router::Flit>> eject_pending_;
-  /// Occupancy counters over vc_queues_ / eject_pending_ (sum of queue
-  /// sizes, maintained at every push/pop) so idle_internal() and the
-  /// ejection-arbitration gate are O(1) instead of walking all the
-  /// deques. The accessors queued_flits()/pending_eject_flits() still
-  /// recompute from the queues — the SoA cross-check compares both.
+  /// Occupancy of vc_queues_ / eject_pending_ (sum of queue sizes, kept at
+  /// every push/pop), so idle_internal(), the accessors and the ejection
+  /// gate never walk the deques. ocn-diff compares both against the
+  /// reference model every tick.
   int queued_flit_count_ = 0;
   int eject_pending_count_ = 0;
   /// Scheduled (send_at >= 0) flits currently queued. While zero, the

@@ -9,8 +9,9 @@
 // the link arbiter, the observer hooks and statistics. Credits, the
 // VC-allocated mask, the stage registers and the piggyback carry ring live
 // in the owning router's state pool rows (router/soa.h); Router's pipeline
-// phases do the work and advance these counters in place. The accessors are the read
-// interface for statistics and harnesses.
+// phases do the work and advance these counters in place. The accessors are
+// the read interface for statistics and harnesses; a count the link channel
+// already keeps (sends) is read from it, not counted twice.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,6 @@ namespace ocn::router {
 class OutputController {
  public:
   struct Stats {
-    std::int64_t flits_sent = 0;
     std::int64_t bypass_flits = 0;
     std::int64_t idle_reserved_cycles = 0;
     std::int64_t contention_cycles = 0;
@@ -78,7 +78,11 @@ class OutputController {
   }
 
   // --- statistics -----------------------------------------------------------
-  std::int64_t flits_sent() const { return stats.flits_sent; }
+  /// Flits driven onto the link: every send but the credit-only fillers
+  /// (the link channel counts its sends; 0 on a disabled port).
+  std::int64_t flits_sent() const {
+    return link != nullptr ? link->sends() - stats.credit_only_flits : 0;
+  }
   std::int64_t bypass_flits() const { return stats.bypass_flits; }
   std::int64_t idle_reserved_cycles() const { return stats.idle_reserved_cycles; }
   /// Cycles in which a ready stage flit lost the link (contention measure).

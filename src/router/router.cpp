@@ -170,14 +170,12 @@ void Router::decode_fronts(int p, Cycle now) {
   bool* routed = pool_->routed_row(slot_, p);
   Cycle* routed_at = pool_->routed_at_row(slot_, p);
   Port* outport = pool_->out_port_row(slot_, p);
-  bool* aprimed = pool_->alloc_primed_row(slot_, p);
+  std::uint8_t* amask = pool_->alloc_mask_row(slot_, p);
+  bool* awant = pool_->alloc_want_odd_row(slot_, p);
   const auto port = static_cast<Port>(p);
   for (VcId v = 0; v < params_.vcs; ++v) {
     // Only occupied, not-yet-routed VCs can decode.
     if (cnt[v] == 0 || routed[v]) continue;
-    // New head at the front: whatever the allocation stage cached about
-    // the previous packet's request is stale.
-    aprimed[v] = false;
     Flit& head = pool_->buf_front(slot_, p, v);
     // A body flit at the front of an unrouted VC would mean interleaved
     // packets on one VC — a protocol violation.
@@ -189,6 +187,10 @@ void Router::decode_fronts(int p, Cycle now) {
     // hop a turn relative to the arrival port.
     outport[v] = port == Port::kTile ? routing::injection_port(code)
                                      : routing::apply_turn(port, static_cast<TurnCode>(code));
+    // The same head asks for a downstream VC: its class mask and the
+    // dateline parity it will have on the chosen output.
+    amask[v] = head.vc_mask;
+    awant[v] = effective_dateline(head, port, outport[v]);
     routed[v] = true;
     routed_at[v] = now;
   }
@@ -203,33 +205,20 @@ void Router::vc_allocation(Cycle now) {
     const int p = (start + i) % topo::kNumPorts;
     if (!inputs_[static_cast<std::size_t>(p)].attached()) continue;
     // Candidate filter over the pool's contiguous rows: only VCs that are
-    // occupied, routed, and still ungranted fall through.
+    // occupied, routed, and still ungranted fall through. A candidate's
+    // front is always its decoded head (a pop needs the grant this stage
+    // produces), so the request rows decode wrote are current.
     const int* cnt = pool_->buf_count_row(slot_, p);
     const bool* routed = pool_->routed_row(slot_, p);
     VcId* outvc = pool_->out_vc_row(slot_, p);
     const Cycle* routed_at = pool_->routed_at_row(slot_, p);
     const Port* outport = pool_->out_port_row(slot_, p);
-    std::uint8_t* amask = pool_->alloc_mask_row(slot_, p);
-    bool* awant = pool_->alloc_want_odd_row(slot_, p);
-    bool* ahead = pool_->alloc_head_row(slot_, p);
-    bool* aprimed = pool_->alloc_primed_row(slot_, p);
+    const std::uint8_t* amask = pool_->alloc_mask_row(slot_, p);
+    const bool* awant = pool_->alloc_want_odd_row(slot_, p);
     for (VcId v = 0; v < params_.vcs; ++v) {
       if (cnt[v] == 0 || !routed[v] || outvc[v] != kInvalidVc) continue;
       // Conservative pipeline: decode and allocation are separate stages.
       if (!params_.speculative && routed_at[v] >= now) continue;
-      // Retry cache: the request (front-is-head, mask, parity) is a pure
-      // function of the head flit, which stays at the front for as long as
-      // this VC remains a candidate (a pop requires the grant this stage is
-      // trying to produce, and a new head re-decodes, which invalidates).
-      // Priming reads the slab once per packet; retries replay the rows.
-      if (!aprimed[v]) {
-        const Flit& head = pool_->buf_front(slot_, p, v);
-        aprimed[v] = true;
-        ahead[v] = is_head(head.type);
-        amask[v] = head.vc_mask;
-        awant[v] = effective_dateline(head, static_cast<Port>(p), outport[v]);
-      }
-      if (!ahead[v]) continue;  // alloc happens at the head only
       if (v == params_.scheduled_vc && params_.exclusive_scheduled_vc) {
         // Pre-scheduled traffic keeps its dedicated VC end to end; slots
         // were reserved at configuration time so no allocation is needed.
@@ -317,7 +306,6 @@ void Router::send_on_link(int out, Flit f, bool bypass) {
   if (params_.piggyback_credits && pool_->carry_count_row(slot_)[out] > 0) {
     f.carried_credit_vc = static_cast<std::int8_t>(pool_->carry_pop(slot_, out));
   }
-  ++st.flits_sent;
   if (is_tail(f.type)) {
     VcAllocator alloc = vc_allocator(out);
     if (alloc.is_allocated(f.vc)) alloc.release(f.vc);

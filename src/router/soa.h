@@ -1,12 +1,13 @@
 // Structure-of-arrays store for router state: the single home of every
 // per-VC and per-port field of the router datapath.
 //
-// Input-buffer rings and occupancy, per-packet routing state, downstream
-// credits, the VC-allocated masks and rotation, reservation-slot counts,
-// the output stage registers, the piggyback carry rings and the per-cycle
-// transients each live in one contiguous array per field, indexed
-// (router, port, vc). Router's pipeline phases address them by
-// (slot, port, vc), and the pool's ring functions hide the ring formats.
+// Input-buffer rings and occupancy, per-packet routing state (output port,
+// decoded VC request, granted VC), downstream credits, the VC-allocated
+// masks and rotation, reservation-slot counts, the output stage registers,
+// the piggyback carry rings and the per-cycle transients each live in one
+// contiguous array per field, indexed (router, port, vc). Router's pipeline
+// phases address them by (slot, port, vc), and the pool's ring functions
+// hide the ring formats.
 // The per-port records (Input/OutputController) own only wiring, the
 // reservation slot table, the link arbiter and statistics (DESIGN.md §4h).
 //
@@ -69,8 +70,6 @@ class RouterStatePool {
         link_used_(make_bools(n_rp())),
         alloc_mask_(new std::uint8_t[n_rpv()]()),
         alloc_want_odd_(make_bools(n_rpv())),
-        alloc_head_(make_bools(n_rpv())),
-        alloc_primed_(make_bools(n_rpv())),
         arrive_(new std::atomic<std::uint8_t>[n_rp() * 2]) {
     assert(vcs_ >= 1 && vcs_ <= 8 && "the VC-allocated mask is one byte per port");
     for (std::size_t i = 0; i < n_rpv(); ++i) {
@@ -139,19 +138,12 @@ class RouterStatePool {
   /// Dropping flow control: "currently discarding an arriving packet".
   bool* discarding_row(int r, int p) { return &discarding_[rpv(r, p, 0)]; }
 
-  // VC-allocation retry cache: a blocked head re-attempts allocation every
-  // cycle, but its request (front-is-head, VC mask, dateline parity) is a
-  // pure function of the decoded head flit and construction-time topology —
-  // static for as long as the VC stays a candidate. Router::vc_allocation
-  // primes these rows from the head on the first attempt and replays them
-  // on retries, so a retry never re-reads the wide flit slab; decode
-  // invalidates (a new head means a new request). Cached *request* bits,
-  // not cached *state* — the grant outcome is still computed from the live
-  // allocated mask every attempt.
+  /// The decoded VC request of the packet at the front: its class's VC
+  /// mask and whether it needs an odd (post-dateline) downstream VC. Written
+  /// by decode_fronts with the route, read by every allocation attempt until
+  /// the grant; like out_port, per-packet routing state.
   std::uint8_t* alloc_mask_row(int r, int p) { return &alloc_mask_[rpv(r, p, 0)]; }
   bool* alloc_want_odd_row(int r, int p) { return &alloc_want_odd_[rpv(r, p, 0)]; }
-  bool* alloc_head_row(int r, int p) { return &alloc_head_[rpv(r, p, 0)]; }
-  bool* alloc_primed_row(int r, int p) { return &alloc_primed_[rpv(r, p, 0)]; }
   const int* resv_count_row(int r) const { return &resv_count_[rp(r, 0)]; }
   const int* carry_count_row(int r) const { return &carry_count_[rp(r, 0)]; }
   /// All kNumPorts * kNumPorts stage-occupancy flags of one router slot.
@@ -319,8 +311,6 @@ class RouterStatePool {
   std::unique_ptr<bool[]> link_used_;
   std::unique_ptr<std::uint8_t[]> alloc_mask_;
   std::unique_ptr<bool[]> alloc_want_odd_;
-  std::unique_ptr<bool[]> alloc_head_;
-  std::unique_ptr<bool[]> alloc_primed_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> arrive_;
 };
 

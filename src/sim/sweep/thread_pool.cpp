@@ -1,10 +1,11 @@
 #include "sim/sweep/thread_pool.h"
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+
+#include "sim/parse.h"
 
 namespace ocn::sweep {
 
@@ -13,14 +14,12 @@ int positive_env_int(const char* name, int fallback) {
   // time, never on a worker thread.
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;
-  const char* end = env + std::strlen(env);
-  int v = 0;
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ec != std::errc{} || ptr != end || v < 1) {
+  const std::optional<int> v = parse_number<int>(env);
+  if (!v || *v < 1) {
     throw std::invalid_argument(std::string(name) + "='" + env +
                                 "': expected an integer >= 1");
   }
-  return v;
+  return *v;
 }
 
 int default_threads() {

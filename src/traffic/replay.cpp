@@ -33,9 +33,17 @@ std::vector<TraceEntry> parse_trace(const std::string& csv) {
                                   ": expected cycle,src,dst,bits[,class]");
     }
     e.cycle = cycle;
+    if (e.cycle < 0) {
+      throw std::invalid_argument("trace line " + std::to_string(line_no) +
+                                  ": cycle must be >= 0");
+    }
     if (e.payload_bits < 1) {
       throw std::invalid_argument("trace line " + std::to_string(line_no) +
                                   ": payload_bits must be >= 1");
+    }
+    if (e.service_class < 0 || e.service_class >= 4) {
+      throw std::invalid_argument("trace line " + std::to_string(line_no) +
+                                  ": service_class must be in [0, 4)");
     }
     out.push_back(e);
   }
@@ -79,6 +87,25 @@ std::string trace_to_csv(const std::vector<TraceEntry>& entries) {
 
 TraceReplay::TraceReplay(core::Network& net, std::vector<TraceEntry> entries)
     : net_(net), entries_(std::move(entries)) {
+  const int nodes = net_.num_nodes();
+  const int vcs = net_.config().router.vcs;
+  for (const TraceEntry& e : entries_) {
+    const auto refuse = [&e](const char* field, int value, const std::string& rule) {
+      throw std::invalid_argument("trace entry at cycle " + std::to_string(e.cycle) +
+                                  ": " + field + " " + std::to_string(value) + " " +
+                                  rule);
+    };
+    const std::string fabric = "is outside [0, " + std::to_string(nodes) + ")";
+    if (e.src < 0 || e.src >= nodes) refuse("src", e.src, fabric);
+    if (e.dst < 0 || e.dst >= nodes) refuse("dst", e.dst, fabric);
+    // Nic::inject's rule: class c injects on the VC pair (2c, 2c+1); a
+    // one-VC router carries class 0 alone.
+    const int c = e.service_class;
+    if (c < 0 || !(2 * c + 1 < vcs || (vcs == 1 && c == 0))) {
+      refuse("service_class", c,
+             "has no VC pair on a " + std::to_string(vcs) + "-VC router");
+    }
+  }
   net_.kernel().add(this);
 }
 

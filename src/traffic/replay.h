@@ -27,7 +27,8 @@ struct TraceEntry {
 };
 
 /// Parse trace text. Throws std::invalid_argument with the line number on
-/// malformed input. Entries are sorted by cycle.
+/// malformed input, a negative cycle, payload_bits < 1 or a class outside
+/// [0, 4). Entries are sorted by cycle.
 std::vector<TraceEntry> parse_trace(const std::string& csv);
 
 /// Render entries back to CSV (round-trips with parse_trace).
@@ -44,7 +45,9 @@ int trace_header_shards(const std::string& csv);
 class TraceReplay final : public Clockable {
  public:
   /// Entries must be sorted by cycle (parse_trace guarantees it). Times are
-  /// relative to the cycle start() is called.
+  /// relative to the cycle start() is called. Throws std::invalid_argument,
+  /// naming the field, its value and the entry's cycle, when an entry's src
+  /// or dst is not a node of `net` or its class has no VC pair there.
   TraceReplay(core::Network& net, std::vector<TraceEntry> entries);
 
   void start();

@@ -1,6 +1,9 @@
 // Trace-driven replay: parsing, timing fidelity, backpressure deferral.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "chaos/chaos.h"
 #include "core/network.h"
 #include "core/shard_partition.h"
@@ -36,9 +39,17 @@ TEST(TraceParse, ParsesAndSorts) {
 }
 
 TEST(TraceParse, RejectsMalformedLines) {
-  EXPECT_THROW(parse_trace("1,2\n"), std::invalid_argument);
-  EXPECT_THROW(parse_trace("1,2,3,0\n"), std::invalid_argument);  // bits < 1
-  EXPECT_THROW(parse_trace("nonsense\n"), std::invalid_argument);
+  for (const char* line : {
+           "1,2\n",
+           "1,2,3,0\n",     // bits < 1
+           "nonsense\n",
+           "-5,0,5,32\n",   // negative cycle
+           "0,0,5,32,9\n",  // class above 3
+           "0,0,5,32,4\n",
+           "0,0,5,32,-1\n",
+       }) {
+    EXPECT_THROW(parse_trace(line), std::invalid_argument) << line;
+  }
 }
 
 TEST(TraceParse, CsvRoundTrip) {
@@ -104,6 +115,49 @@ TEST(TraceReplayTest, BackpressureDefersNotDrops) {
   EXPECT_EQ(replay.injected(), total);
   EXPECT_GT(replay.deferred_injections(), 0);
   EXPECT_EQ(net.nic(15).received().size(), static_cast<std::size_t>(total));
+}
+
+// Entries that parse but name no node of the fabric, or a class with no VC
+// pair on its routers, are refused when the replay is built — before any
+// NIC is indexed or Nic::inject's asserts can fire.
+TEST(TraceReplayTest, RefusesEntriesOutsideTheFabric) {
+  struct Row {
+    int vcs;
+    TraceEntry entry;
+    std::string message;
+  };
+  const std::vector<Row> rows = {
+      {8, {3, 16, 5, 32, 0}, "cycle 3: src 16 is outside [0, 16)"},
+      {8, {3, -1, 5, 32, 0}, "cycle 3: src -1 is outside [0, 16)"},
+      {8, {7, 0, 16, 32, 0}, "cycle 7: dst 16 is outside [0, 16)"},
+      {8, {7, 0, -2, 32, 0}, "cycle 7: dst -2 is outside [0, 16)"},
+      {4, {9, 0, 5, 32, 2}, "cycle 9: service_class 2 has no VC pair on a 4-VC router"},
+      {2, {9, 0, 5, 32, 1}, "cycle 9: service_class 1 has no VC pair on a 2-VC router"},
+      {1, {9, 0, 5, 32, 1}, "cycle 9: service_class 1 has no VC pair on a 1-VC router"},
+  };
+  for (const Row& row : rows) {
+    Config c = Config::paper_baseline();
+    if (row.vcs < 8) {  // fewer VCs: a mesh, which needs no dateline pairs
+      c.topology = core::TopologyKind::kMesh;
+      c.router.enforce_vc_parity = false;
+      c.router.vcs = row.vcs;
+      c.router.scheduled_vc = row.vcs - 1;
+    }
+    Network net(c);
+    const std::vector<TraceEntry> trace{{0, 0, 5, 32, 0}, row.entry};
+    try {
+      TraceReplay replay(net, trace);
+      ADD_FAILURE() << "accepted: " << row.message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(row.message), std::string::npos) << e.what();
+    }
+  }
+  // The last VC pair of the router is in range.
+  Network net(Config::paper_baseline());
+  TraceReplay replay(net, {{0, 0, 15, 32, 3}, {0, 15, 0, 32, 0}});
+  replay.start();
+  net.run(200);
+  EXPECT_EQ(replay.injected(), 2);
 }
 
 // --- Golden replay determinism -----------------------------------------

@@ -1,20 +1,22 @@
-// Router-state gates: the summary-invariant check (incrementally maintained
-// counters and caches against recomputation), the quiescence audit (the
-// kernel's skip predicates recompute from occupancy — the stale-flag
-// pattern Channel::take() once had), and arbiter rotation-pointer semantics.
+// Router-state gates: the lockstep quick matrix, the decoded VC request
+// (written with the route, read by every allocation attempt), the
+// quiescence audit (the kernel's skip predicates recompute from occupancy —
+// the stale-flag pattern Channel::take() once had), and arbiter
+// rotation-pointer semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/network.h"
 #include "ref/campaign.h"
 #include "ref/diff.h"
-#include "ref/soa_check.h"
 #include "router/arbiter.h"
 #include "router/router.h"
+#include "sim/rng.h"
 #include "traffic/replay.h"
 
 namespace ocn {
@@ -31,12 +33,12 @@ std::vector<traffic::TraceEntry> small_trace(const Config& config,
                                        /*burst_len=*/3, /*period=*/40, seed);
 }
 
-// --- summary invariants -----------------------------------------------------
+// --- lockstep and router state ---------------------------------------------
 
-// run_lockstep calls ref::soa_crosscheck after every production tick: each
-// cell of the quick matrix therefore checks every incrementally-maintained
-// summary (retry cache, NIC occupancy counters) against
-// recomputation, every cycle of the run. Any drift diverges with kind "soa".
+// run_lockstep compares the production network's state vector (NIC
+// occupancy, buffers, credits, every VC grant, every rotation pointer, the
+// per-port flit counts) with the reference model's after every tick, so
+// each cell of the quick matrix checks every field every cycle.
 TEST(SoaEquivalence, QuickMatrixAgreesFieldByFieldEveryTick) {
   const std::vector<ref::CampaignCell> cells = ref::quick_matrix();
   ASSERT_GE(cells.size(), 12u);
@@ -49,66 +51,72 @@ TEST(SoaEquivalence, QuickMatrixAgreesFieldByFieldEveryTick) {
   }
 }
 
-TEST(SoaEquivalence, CrosscheckCleanAtResetMidFlightAndAfterDrain) {
-  Network net(Config::paper_baseline());
-  EXPECT_TRUE(ref::soa_crosscheck(net).empty());
-  ASSERT_TRUE(net.nic(0).inject(core::make_packet(/*dst=*/5,
-                                                  /*service_class=*/0,
-                                                  /*num_flits=*/4),
-                                net.now()));
-  for (int c = 0; c < 30; ++c) {
-    net.step();
-    const auto lines = ref::soa_crosscheck(net);
-    EXPECT_TRUE(lines.empty()) << "cycle " << c << ": " << lines.front();
-  }
-  ASSERT_TRUE(net.drain(1000));
-  EXPECT_TRUE(ref::soa_crosscheck(net).empty());
-}
-
-// Router state has one home, so no pool row can drift from a copy of
-// itself. What can drift is the VC-allocation retry cache, which caches the
-// blocked head's request. Hold every downstream VC of router 0 so a head
-// blocks mid-flight, primed and ungranted; flip a bit of its cached mask
-// and the cross-check must name the cache row, restore it and it is clean.
-TEST(SoaEquivalence, DetectsRetryCacheDrift) {
-  Network net(Config::paper_baseline());
-  router::Router& r = net.router_at(0);
-  router::RouterStatePool& pool = r.pool();
-  const int slot = r.pool_slot();
-  for (int p = 0; p < topo::kNumPorts; ++p) pool.vc_allocated(slot, p) = 0xFF;
-  ASSERT_TRUE(net.nic(0).inject(core::make_packet(/*dst=*/5,
-                                                  /*service_class=*/0,
-                                                  /*num_flits=*/4),
-                                net.now()));
-  const int tile = static_cast<int>(topo::Port::kTile);
-  VcId blocked = kInvalidVc;
-  for (int c = 0; c < 10 && blocked == kInvalidVc; ++c) {
-    net.step();
-    for (VcId v = 0; v < net.config().router.vcs; ++v) {
-      if (pool.buf_count_row(slot, tile)[v] > 0 && pool.alloc_primed_row(slot, tile)[v] &&
-          pool.out_vc_row(slot, tile)[v] == kInvalidVc) {
-        blocked = v;
+// Check every VC the allocation stage would consider (occupied, routed, no
+// VC granted): its front must be the decoded head, and the request rows
+// must be what that head asks for. Returns the first mismatch, or "".
+std::string check_decoded_requests(Network& net, std::int64_t& candidates) {
+  const int vcs = net.config().router.vcs;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    router::Router& r = net.router_at(n);
+    router::RouterStatePool& pool = r.pool();
+    const int slot = r.pool_slot();
+    for (int p = 0; p < topo::kNumPorts; ++p) {
+      const auto port = static_cast<topo::Port>(p);
+      if (!r.input(port).attached()) continue;
+      const int* count = pool.buf_count_row(slot, p);
+      const bool* routed = pool.routed_row(slot, p);
+      const VcId* out_vc = pool.out_vc_row(slot, p);
+      const topo::Port* out_port = pool.out_port_row(slot, p);
+      const std::uint8_t* mask = pool.alloc_mask_row(slot, p);
+      const bool* want_odd = pool.alloc_want_odd_row(slot, p);
+      for (VcId v = 0; v < vcs; ++v) {
+        if (count[v] == 0 || !routed[v] || out_vc[v] != kInvalidVc) continue;
+        ++candidates;
+        const router::Flit& front = pool.buf_front(slot, p, v);
+        std::ostringstream where;
+        where << "node " << n << " " << topo::port_name(port) << " vc " << v << ": ";
+        if (!router::is_head(front.type)) return where.str() + "front is not a head";
+        if (mask[v] != front.vc_mask) {
+          where << "mask row " << int(mask[v]) << ", head " << int(front.vc_mask);
+          return where.str();
+        }
+        if (want_odd[v] != r.effective_dateline(front, port, out_port[v])) {
+          return where.str() + "want-odd row disagrees with the head";
+        }
       }
     }
   }
-  ASSERT_NE(blocked, kInvalidVc);
-  EXPECT_TRUE(ref::soa_crosscheck(net).empty());
+  return "";
+}
 
-  std::uint8_t& mask = pool.alloc_mask_row(slot, tile)[blocked];
-  mask ^= 0x01;
-  const std::vector<std::string> lines = ref::soa_crosscheck(net);
-  ASSERT_FALSE(lines.empty());
-  bool found = false;
-  for (const auto& l : lines) {
-    if (l.find(".alloc_cache.mask") != std::string::npos) found = true;
+// Allocation reads the request decode wrote and never the head itself, so
+// the rows must be current from the decode cycle on — also in the two-stage
+// pipeline, where the first attempt comes a cycle after decode. Saturated
+// paper baseline (parity on), all four classes, packets of 1-5 flits.
+TEST(RouterState, DecodedRequestMatchesHeadEveryCycle) {
+  for (const bool speculative : {true, false}) {
+    Config config = Config::paper_baseline();
+    config.router.speculative = speculative;
+    Network net(config);
+    const int nodes = net.num_nodes();
+    Rng rng(11, 0xdec0de);
+    std::int64_t candidates = 0;
+    for (int c = 0; c < 400; ++c) {
+      for (NodeId src = 0; src < nodes; ++src) {
+        auto dst = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(nodes - 1)));
+        if (dst >= src) ++dst;
+        net.nic(src).inject(
+            core::make_packet(dst, static_cast<int>(rng.next_below(4)),
+                              1 + static_cast<int>(rng.next_below(5))),
+            net.now());
+      }
+      net.step();
+      const std::string err = check_decoded_requests(net, candidates);
+      ASSERT_EQ(err, "") << "speculative=" << speculative << " cycle " << c;
+    }
+    // Saturation keeps many heads blocked on allocation.
+    EXPECT_GT(candidates, 10000) << "speculative=" << speculative;
   }
-  EXPECT_TRUE(found) << lines.front();
-
-  mask ^= 0x01;
-  EXPECT_TRUE(ref::soa_crosscheck(net).empty());
-  // Free the held VCs: the blocked packet is granted and drains.
-  for (int p = 0; p < topo::kNumPorts; ++p) pool.vc_allocated(slot, p) = 0;
-  EXPECT_TRUE(net.drain(1000));
 }
 
 // --- quiescence audit -------------------------------------------------------
@@ -171,7 +179,7 @@ TEST(Quiescence, AllQuiescentImpliesNothingInFlight) {
 }
 
 // Drain each component mid-tick and check the skip predicate tracks the
-// occupancy it recomputes from: the NIC with ejected flits parked behind a
+// occupancy: the NIC with ejected flits parked behind a
 // stalled client must stay active until the client drains them, then go
 // idle.
 TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
@@ -184,14 +192,12 @@ TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
   // Let the flits arrive and park in the ejection-pending queues.
   for (int c = 0; c < 200 && dst.pending_eject_flits() == 0; ++c) net.step();
   ASSERT_GT(dst.pending_eject_flits(), 0);
-  EXPECT_EQ(dst.eject_pending_counter(), dst.pending_eject_flits());
   EXPECT_FALSE(component_idle(dst));
 
   // Mid-run, un-stall: the parked flits drain one per cycle; the predicate
-  // must flip exactly when the recomputed occupancy reaches zero.
+  // must flip exactly when the occupancy reaches zero.
   dst.set_ejection_stall(/*vc=*/0, false);
   for (int c = 0; c < 200 && dst.packets_delivered() == 0; ++c) {
-    EXPECT_EQ(dst.eject_pending_counter(), dst.pending_eject_flits());
     if (dst.pending_eject_flits() > 0) {
       EXPECT_FALSE(component_idle(dst));
     }
@@ -200,8 +206,8 @@ TEST(Quiescence, NicStaysActiveWhilePendingEjectsDrain) {
   EXPECT_EQ(dst.packets_delivered(), 1);
   ASSERT_TRUE(net.drain(500));
   EXPECT_TRUE(component_idle(dst));
-  EXPECT_EQ(dst.eject_pending_counter(), 0);
-  EXPECT_EQ(dst.queued_flit_counter(), 0);
+  EXPECT_EQ(dst.pending_eject_flits(), 0);
+  EXPECT_EQ(dst.queued_flits(), 0);
 }
 
 // The injection side of the same audit: queued flits keep the source NIC
@@ -212,7 +218,7 @@ TEST(Quiescence, RoutersAlongThePathFlipAndRecover) {
   ASSERT_TRUE(net.nic(0).inject(
       core::make_packet(/*dst=*/3, /*service_class=*/0, /*num_flits=*/6),
       net.now()));
-  EXPECT_EQ(net.nic(0).queued_flit_counter(), net.nic(0).queued_flits());
+  EXPECT_EQ(net.nic(0).queued_flits(), 6);
   EXPECT_FALSE(component_idle(net.nic(0)));
 
   // Row route 0 -> 3 on the radix-4 torus: router 3 must wake up while the

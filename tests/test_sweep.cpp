@@ -5,13 +5,16 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "sim/parse.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/sweep/sweep.h"
@@ -97,6 +100,51 @@ TEST(ThreadPool, DefaultThreadsParsesEnvStrictly) {
   }
   ASSERT_EQ(unsetenv("OCN_SWEEP_THREADS"), 0);
   EXPECT_GE(sweep::default_threads(), 1);
+}
+
+// The helper every numeric command-line flag and positive_env_int parse
+// through: the whole text must be one number of the target type.
+TEST(StrictParse, WholeTextOrNothing) {
+  struct IntRow {
+    const char* text;
+    std::optional<int> want;
+  };
+  const std::vector<IntRow> ints = {
+      {"12", 12},         {"-3", -3},         {"0", 0},
+      {"foo", {}},        {"1x", {}},         {"", {}},
+      {" 1", {}},         {"1 ", {}},         {"+1", {}},
+      {"1.5", {}},        {"99999999999", {}},
+  };
+  for (const IntRow& row : ints) {
+    EXPECT_EQ(parse_number<int>(row.text), row.want) << "'" << row.text << "'";
+  }
+  EXPECT_EQ(parse_number<std::int64_t>("99999999999"), 99999999999);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_number<std::uint64_t>("-1"), std::nullopt);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("1e-3"), 1e-3);
+  EXPECT_EQ(parse_number<double>("0.3x"), std::nullopt);
+  EXPECT_EQ(parse_number<double>(""), std::nullopt);
+
+  EXPECT_EQ(flag_value<int>("--seeds", "10"), 10);
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {"foo", "--seeds: expected an integer, got 'foo'"},
+      {"1x", "--seeds: expected an integer, got '1x'"},
+  };
+  for (const auto& [text, message] : refused) {
+    try {
+      (void)flag_value<int>("--seeds", text);
+      ADD_FAILURE() << "accepted --seeds '" << text << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+  try {
+    (void)flag_value<double>("--rate", "0.3x");
+    ADD_FAILURE() << "accepted --rate '0.3x'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--rate: expected a number, got '0.3x'");
+  }
 }
 
 TEST(SweepRunner, MapReturnsIndexOrderedDerivedSeeds) {
