@@ -17,8 +17,7 @@ bool g_quick = false;
 
 double saturation(int vcs) {
   core::Config c = core::Config::paper_baseline();
-  c.router.vcs = vcs;
-  c.router.scheduled_vc = vcs - 1;
+  c.router.set_vcs(vcs);
   core::Network net(c);
   traffic::HarnessOptions opt;
   opt.injection_rate = 0.9;
@@ -26,7 +25,8 @@ double saturation(int vcs) {
   opt.measure = g_quick ? 1000 : 3000;
   opt.drain_max = 1;
   opt.seed = 67;
-  // Use only the classes that exist: vcs/2 classes.
+  // Below 8 VCs every packet uses class 0, which exists at every VC count;
+  // with 8 VCs packets spread over all four classes.
   opt.randomize_class = vcs >= 8;
   opt.service_class = 0;
   traffic::LoadHarness harness(net, opt);

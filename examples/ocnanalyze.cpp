@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "analyze/analyzer.h"
+#include "core/config_flags.h"
 #include "ref/campaign.h"
 #include "sim/parse.h"
 
@@ -81,34 +82,10 @@ Options parse(int argc, char** argv) {
     out = flag_value<std::decay_t<decltype(out)>>(flag, need(i));
   };
   for (int i = 1; i < argc; ++i) {
+    if (core::parse_config_flag(o.config, argc, argv, i)) continue;
     const std::string a = argv[i];
-    if (a == "--topology") {
-      const std::string v = need(i);
-      if (v == "mesh") {
-        o.config.topology = core::TopologyKind::kMesh;
-        o.config.router.enforce_vc_parity = false;
-      } else if (v == "torus") {
-        o.config.topology = core::TopologyKind::kTorus;
-      } else if (v == "folded_torus") {
-        o.config.topology = core::TopologyKind::kFoldedTorus;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (a == "--radix") {
-      number(i, o.config.radix);
-    } else if (a == "--vcs") {
-      number(i, o.config.router.vcs);
-    } else if (a == "--depth") {
-      number(i, o.config.router.buffer_depth);
-    } else if (a == "--link-latency") {
-      number(i, o.config.link_latency);
-    } else if (a == "--no-vc-parity") {
+    if (a == "--no-vc-parity") {
       o.config.router.enforce_vc_parity = false;
-    } else if (a == "--dropping") {
-      o.config.router.flow_control = router::FlowControl::kDropping;
-      o.config.router.enforce_vc_parity = false;
-    } else if (a == "--piggyback") {
-      o.config.router.piggyback_credits = true;
     } else if (a == "--shards") {
       number(i, o.shards);
       if (o.shards < 1) usage(argv[0]);

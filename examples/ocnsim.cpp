@@ -16,6 +16,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/config_flags.h"
 #include "core/network.h"
 #include "phys/power_model.h"
 #include "sim/parse.h"
@@ -31,7 +32,7 @@ struct Options {
   core::Config config = core::Config::paper_baseline();
   traffic::Pattern pattern = traffic::Pattern::kUniform;
   double rate = -1.0;            // single point; <0 means sweep
-  double sweep_lo = 0.05, sweep_hi = 0.9, sweep_step = 0.1;
+  NumberRange sweep{0.05, 0.9, 0.1};
   int flits = 1;
   Cycle warmup = 1000, measure = 5000;
   bool csv = false;
@@ -86,37 +87,16 @@ Options parse(int argc, char** argv) {
     out = flag_value<std::decay_t<decltype(out)>>(flag, need(i));
   };
   for (int i = 1; i < argc; ++i) {
+    if (core::parse_config_flag(o.config, argc, argv, i)) continue;
     const std::string a = argv[i];
-    if (a == "--topology") {
-      const std::string v = need(i);
-      if (v == "mesh") {
-        o.config.topology = core::TopologyKind::kMesh;
-        o.config.router.enforce_vc_parity = false;
-      } else if (v == "torus") {
-        o.config.topology = core::TopologyKind::kTorus;
-      } else if (v == "folded_torus") {
-        o.config.topology = core::TopologyKind::kFoldedTorus;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (a == "--radix") {
-      number(i, o.config.radix);
-    } else if (a == "--vcs") {
-      number(i, o.config.router.vcs);
-    } else if (a == "--depth") {
-      number(i, o.config.router.buffer_depth);
-    } else if (a == "--link-latency") {
-      number(i, o.config.link_latency);
-    } else if (a == "--pattern") {
+    if (a == "--pattern") {
       const auto p = parse_pattern(need(i));
       if (!p) usage(argv[0]);
       o.pattern = *p;
     } else if (a == "--rate") {
       number(i, o.rate);
     } else if (a == "--sweep") {
-      if (std::sscanf(need(i), "%lf:%lf:%lf", &o.sweep_lo, &o.sweep_hi, &o.sweep_step) != 3) {
-        usage(argv[0]);
-      }
+      o.sweep = range_value(a, need(i));
     } else if (a == "--flits") {
       number(i, o.flits);
     } else if (a == "--warmup") {
@@ -127,13 +107,8 @@ Options parse(int argc, char** argv) {
       number(i, o.seed);
     } else if (a == "--csv") {
       o.csv = true;
-    } else if (a == "--piggyback") {
-      o.config.router.piggyback_credits = true;
     } else if (a == "--no-speculative") {
       o.config.router.speculative = false;
-    } else if (a == "--dropping") {
-      o.config.router.flow_control = router::FlowControl::kDropping;
-      o.config.router.enforce_vc_parity = false;
     } else if (a == "--find-saturation") {
       o.find_saturation = true;
     } else if (a == "--trace") {
@@ -242,7 +217,7 @@ int main(int argc, char** argv) {
   if (o.rate >= 0) {
     run_point(o, o.rate, &table);
   } else {
-    for (double r = o.sweep_lo; r <= o.sweep_hi + 1e-9; r += o.sweep_step) {
+    for (double r = o.sweep.lo; r <= o.sweep.hi + 1e-9; r += o.sweep.step) {
       run_point(o, r, &table);
     }
   }

@@ -21,7 +21,8 @@
 #                  config matrix at shards {1,2,4} and the full matrix with
 #                  the radix sweep (JSON report), the --break corruptions and
 #                  link latency 0 which must be refused, and the ocn-verify
-#                  positive/negative smoke.
+#                  positive/negative smoke (the baseline and `--vcs 4` must
+#                  prove deadlock freedom).
 #   bench-smoke    quick benches with --json, compared against
 #                  bench/baselines/ by scripts/bench_compare.py (e13 numeric
 #                  with its counters snapshot exact, m1 schema-only with its
@@ -35,9 +36,12 @@
 #   diff-smoke     lockstep reference-model campaign (ocn-diff) over the quick
 #                  config matrix x 10 seeds, the same matrix refereed 1-shard
 #                  vs 4-shard, and replay of the checked-in regression trace;
-#                  fails on any divergence. A replayed trace entry outside
-#                  the 4x4 fabric and `--seeds foo` must be refused with
-#                  exit 2 (a usage error, not a signal).
+#                  fails on any divergence. The documented
+#                  `ocnsim --vcs 4 --depth 2 --flits 4 --cycles 2000` example
+#                  must run. A replayed trace entry outside the 4x4 fabric,
+#                  `ocn-diff --seeds foo` and `ocnsim --sweep 0.1:0.2:0` must
+#                  be refused with exit 2 (a usage error, not a signal; the
+#                  sweep runs under `timeout 60`, so a hang exits 124).
 #
 # Legs after tsan-sweep run on the default preset's build/ (RelWithDebInfo:
 # the bench floors assume an optimized build). Reports land under
@@ -176,6 +180,8 @@ leg_analyze_smoke() {
 
   echo "== [analyze-smoke] ocn-verify: paper baseline must prove deadlock freedom =="
   ./build/examples/ocn-verify --quiet
+  echo "== [analyze-smoke] ocn-verify: the baseline with 4 VCs must too =="
+  ./build/examples/ocn-verify --vcs 4 --quiet
   echo "== [analyze-smoke] ocn-verify: dateline-disabled radix-6 torus must find the cycle =="
   if ./build/examples/ocn-verify --topology torus --no-vc-parity --radix 6 --quiet; then
     echo "expected the verifier to reject this config" >&2
@@ -225,7 +231,7 @@ leg_chaos_smoke() {
 
 leg_diff_smoke() {
   echo "== [diff-smoke] lockstep reference-model campaign =="
-  need ocn-diff >/dev/null
+  need ocn-diff ocnsim >/dev/null
   local diff=./build/examples/ocn-diff
   mkdir -p build/diff-out
   "$diff" --seeds 10 --trace-cycles 300 --quiet --trace-out build/diff-out
@@ -233,11 +239,16 @@ leg_diff_smoke() {
   "$diff" --replay tests/data/lockstep_chaos_regression.trace \
     --kill-node 0 --kill-port row+ --kill-cycle 60
 
+  echo "== [diff-smoke] ocnsim: the documented --vcs 4 example must run =="
+  ./build/examples/ocnsim --vcs 4 --depth 2 --flits 4 --cycles 2000 >/dev/null
+
   echo "== [diff-smoke] malformed input must be refused with exit 2 =="
   printf '0,16,5,32\n' > build/diff-out/src_outside_fabric.trace
   refused_as_usage_error "a trace entry whose src is outside the fabric" \
     "$diff" --replay build/diff-out/src_outside_fabric.trace
   refused_as_usage_error "--seeds foo" "$diff" --seeds foo
+  refused_as_usage_error "--sweep with a zero step" \
+    timeout 60 ./build/examples/ocnsim --sweep 0.1:0.2:0
 }
 
 # Run a command that must reject its input as a usage error: exit status 2,

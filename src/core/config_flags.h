@@ -1,0 +1,22 @@
+// The configuration flags every command-line tool takes (ocnsim, ocn-verify,
+// ocn-analyze), parsed in one place so the tools agree on what they mean.
+#pragma once
+
+#include "core/config.h"
+
+namespace ocn::core {
+
+/// When argv[i] is one of the shared configuration flags, applies it to
+/// `config`, leaves i on the last argument it used (its value, if it takes
+/// one) and returns true; otherwise returns false and leaves i alone. A
+/// missing or malformed value throws std::invalid_argument naming the flag.
+///
+///   --topology mesh|torus|folded_torus   mesh also drops the dateline
+///                                        VC-parity discipline
+///   --radix K, --depth N, --link-latency N
+///   --vcs N                              also puts scheduled_vc on VC N-1
+///   --dropping                           dropping flow control (no parity)
+///   --piggyback                          piggybacked credits
+bool parse_config_flag(Config& config, int argc, char** argv, int& i);
+
+}  // namespace ocn::core

@@ -26,4 +26,19 @@ std::uint8_t vc_mask_for_class(int service_class) {
   return static_cast<std::uint8_t>(0b11u << (2 * service_class));
 }
 
+bool class_has_vc_pair(int service_class, int vcs) {
+  return service_class >= 0 &&
+         (2 * service_class + 1 < vcs || (vcs == 1 && service_class == 0));
+}
+
+std::vector<int> dynamic_classes(const router::RouterParams& params) {
+  std::vector<int> classes;
+  for (int c = 0; c < 4; ++c) {
+    if (!class_has_vc_pair(c, params.vcs)) continue;
+    if (params.exclusive_scheduled_vc && c == params.scheduled_vc / 2) continue;
+    classes.push_back(c);
+  }
+  return classes;
+}
+
 }  // namespace ocn::core

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "router/flit.h"
+#include "router/params.h"
 #include "sim/types.h"
 
 namespace ocn::core {
@@ -70,5 +71,14 @@ Packet make_word_packet(NodeId dst, int service_class, std::uint64_t word,
 /// VC mask for a service class: both members of the VC pair (the dateline
 /// scheme needs both parities available).
 std::uint8_t vc_mask_for_class(int service_class);
+
+/// Whether service class c has its VC pair {2c, 2c+1} on a `vcs`-VC router;
+/// a one-VC router carries class 0 alone. Nic::inject requires it.
+bool class_has_vc_pair(int service_class, int vcs);
+
+/// The classes dynamic traffic may inject: each of the four classes with a
+/// VC pair, less the scheduled VC's class when that VC is exclusive
+/// (Nic::inject refuses it).
+std::vector<int> dynamic_classes(const router::RouterParams& params);
 
 }  // namespace ocn::core

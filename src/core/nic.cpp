@@ -23,11 +23,13 @@ Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes
       eject_pending_(static_cast<std::size_t>(config.router.vcs)),
       eject_stalled_(static_cast<std::size_t>(config.router.vcs), false),
       eject_arb_(config.router.vcs),
-      reassembly_(static_cast<std::size_t>(config.router.vcs)),
+      assembling_(static_cast<std::size_t>(config.router.vcs)),
       req_scratch_(static_cast<std::size_t>(config.router.vcs), 0),
       prio_scratch_(static_cast<std::size_t>(config.router.vcs), 0),
       next_packet_id_(static_cast<PacketId>(node) << 40),
-      class_latency_(4) {}
+      class_latency_(4) {
+  for (Packet& p : assembling_) p.flit_payloads.clear();
+}
 
 bool Nic::idle_internal() const {
   if (!loopback_.empty() || !carry_to_router_.empty()) return false;
@@ -57,56 +59,49 @@ void Nic::set_ejection_stall(VcId vc, bool stalled) {
   eject_stalled_[static_cast<std::size_t>(vc)] = stalled;
 }
 
-void Nic::enqueue_packet_flits(Packet& packet, Cycle now, Cycle send_at) {
-  const bool scheduled = send_at >= 0;
-  const VcId inject_vc =
-      scheduled ? config_.router.scheduled_vc
-                : static_cast<VcId>(2 * packet.service_class);
-  assert(inject_vc < config_.router.vcs);
-
+void Nic::enqueue(Packet& packet, Cycle now, Cycle send_at) {
+  const VcId vc = send_at >= 0 ? config_.router.scheduled_vc
+                               : static_cast<VcId>(2 * packet.service_class);
+  assert(vc < config_.router.vcs);
   packet.src = node_;
   packet.id = ++next_packet_id_;
   packet.created = now;
+  queued_flit_count_ += packet.num_flits();
+  const routing::SourceRoute route = routes_.compute(node_, packet.dst);
+  vc_queues_[static_cast<std::size_t>(vc)].push_back(
+      Queued{std::move(packet), route, send_at, 0});
+}
 
-  const int n = packet.num_flits();
-  for (int i = 0; i < n; ++i) {
-    Flit f;
-    if (n == 1) {
-      f.type = FlitType::kHeadTail;
-    } else if (i == 0) {
-      f.type = FlitType::kHead;
-    } else if (i == n - 1) {
-      f.type = FlitType::kTail;
-    } else {
-      f.type = FlitType::kBody;
-    }
-    f.vc = inject_vc;
-    f.vc_mask = vc_mask_for_class(packet.service_class);
-    f.size_code = (i == n - 1) ? static_cast<std::uint8_t>(
-                                     router::size_code_for_bits(packet.last_flit_bits))
-                               : static_cast<std::uint8_t>(router::kMaxSizeCode);
-    if (router::is_head(f.type)) f.route = routes_.compute(node_, packet.dst);
-    f.data = packet.flit_payloads[static_cast<std::size_t>(i)];
-    f.packet = packet.id;
-    f.src = node_;
-    f.dst = packet.dst;
-    f.flit_index = i;
-    f.packet_flits = n;
-    f.created = packet.created;
-    f.injected = now;  // refined when the flit actually departs
-    f.priority = scheduled ? 1000 : packet.service_class;
-    vc_queues_[static_cast<std::size_t>(inject_vc)].push_back(
-        QueuedFlit{std::move(f), send_at});
-    ++queued_flit_count_;
-    if (scheduled) ++scheduled_flit_count_;
-  }
+Flit Nic::cut_flit(const Queued& q, VcId vc, Cycle now) const {
+  const Packet& p = q.packet;
+  const int n = p.num_flits();
+  const int i = q.next_flit;
+  const bool head = i == 0;
+  const bool tail = i == n - 1;
+  Flit f;
+  f.type = head ? (tail ? FlitType::kHeadTail : FlitType::kHead)
+                : (tail ? FlitType::kTail : FlitType::kBody);
+  f.vc = vc;
+  f.vc_mask = vc_mask_for_class(p.service_class);
+  f.size_code = tail ? static_cast<std::uint8_t>(router::size_code_for_bits(p.last_flit_bits))
+                     : static_cast<std::uint8_t>(router::kMaxSizeCode);
+  if (head) f.route = q.route;
+  f.data = p.flit_payloads[static_cast<std::size_t>(i)];
+  f.packet = p.id;
+  f.src = node_;
+  f.dst = p.dst;
+  f.flit_index = i;
+  f.packet_flits = n;
+  f.created = p.created;
+  f.injected = now;
+  f.priority = q.priority();
+  return f;
 }
 
 bool Nic::inject(Packet packet, Cycle now) {
   assert(packet.dst >= 0 && packet.dst < routes_.topology().num_nodes());
-  assert(packet.service_class >= 0 && packet.service_class < 4);
-  assert(static_cast<VcId>(2 * packet.service_class + 1) < config_.router.vcs ||
-         config_.router.vcs == 1);
+  assert(packet.service_class < 4 &&
+         class_has_vc_pair(packet.service_class, config_.router.vcs));
   if (config_.router.exclusive_scheduled_vc &&
       packet.service_class == config_.router.scheduled_vc / 2) {
     // The scheduled VC pair belongs to pre-scheduled traffic: a dynamic
@@ -124,6 +119,8 @@ bool Nic::inject(Packet packet, Cycle now) {
     packet.id = ++next_packet_id_;
     packet.created = now;
     packet.injected = now;
+    packet.hops = 0;
+    packet.link_mm = 0.0;
     ++packets_injected_;
     flits_injected_ += packet.num_flits();
     loopback_.emplace_back(std::move(packet), now + 1);
@@ -136,7 +133,7 @@ bool Nic::inject(Packet packet, Cycle now) {
     return false;
   }
   ++count;
-  enqueue_packet_flits(packet, now, /*send_at=*/-1);
+  enqueue(packet, now, /*send_at=*/-1);
   return true;
 }
 
@@ -144,7 +141,7 @@ void Nic::schedule_packet(Packet packet, Cycle send_at, Cycle now) {
   assert(packet.num_flits() == 1 && "scheduled traffic uses single-flit packets");
   assert(packet.dst != node_);
   packet.scheduled = true;
-  enqueue_packet_flits(packet, now, send_at);
+  enqueue(packet, now, send_at);
 }
 
 void Nic::step(Cycle now) {
@@ -167,14 +164,7 @@ void Nic::step(Cycle now) {
     Packet p = std::move(loopback_.front().first);
     loopback_.pop_front();
     p.delivered = now;
-    ++packets_delivered_;
     flits_delivered_ += p.num_flits();
-    latency_.add(static_cast<double>(p.latency()));
-    network_latency_.add(static_cast<double>(p.network_latency()));
-    hops_.add(0.0);
-    link_mm_.add(0.0);
-    class_latency_[static_cast<std::size_t>(p.service_class)].add(
-        static_cast<double>(p.latency()));
     deliver(std::move(p));
   }
 }
@@ -230,40 +220,30 @@ void Nic::process_ejection(Cycle now) {
 
 void Nic::consume_flit(Flit flit, Cycle now) {
   ++flits_delivered_;
-  auto& r = reassembly_[static_cast<std::size_t>(flit.vc)];
+  Packet& p = assembling_[static_cast<std::size_t>(flit.vc)];
   if (router::is_head(flit.type)) {
-    assert(!r.active && "head flit while a packet is still being reassembled");
-    r.active = true;
-    r.head = flit;
-    r.payloads.clear();
+    assert(p.flit_payloads.empty() && "head flit while a packet is still being reassembled");
+    p.src = flit.src;
+    p.dst = flit.dst;
+    p.id = flit.packet;
+    p.created = flit.created;
+    p.injected = flit.injected;
+    p.flit_payloads.reserve(static_cast<std::size_t>(flit.packet_flits));
   }
-  assert(r.active && "body/tail flit without a head");
-  r.payloads.push_back(flit.data);
+  assert((router::is_head(flit.type) || !p.flit_payloads.empty()) &&
+         "body/tail flit without a head");
+  p.flit_payloads.push_back(flit.data);
   if (!router::is_tail(flit.type)) return;
 
-  Packet p;
-  p.src = r.head.src;
-  p.dst = r.head.dst;
-  p.id = r.head.packet;
-  p.service_class = flit.priority >= 1000 ? 3 : r.head.priority;
+  p.service_class = flit.priority >= 1000 ? 3 : flit.priority;
   p.scheduled = flit.priority >= 1000;
-  p.flit_payloads = std::move(r.payloads);
   p.last_flit_bits = router::data_bits_for_code(flit.size_code);
-  p.created = r.head.created;
-  p.injected = r.head.injected;
   p.delivered = now;
   p.hops = flit.hops;
   p.link_mm = flit.link_mm;
-  r = Reassembly{};
-
-  ++packets_delivered_;
-  latency_.add(static_cast<double>(p.latency()));
-  network_latency_.add(static_cast<double>(p.network_latency()));
-  hops_.add(static_cast<double>(p.hops));
-  link_mm_.add(p.link_mm);
-  class_latency_[static_cast<std::size_t>(p.service_class)].add(
-      static_cast<double>(p.latency()));
-  deliver(std::move(p));
+  Packet done = std::move(p);
+  p.flit_payloads.clear();
+  deliver(std::move(done));
 }
 
 void Nic::do_injection(Cycle now) {
@@ -276,32 +256,14 @@ void Nic::do_injection(Cycle now) {
     std::uint8_t* requests = req_scratch_.data();
     int* priority = prio_scratch_.data();
     for (VcId v = 0; v < vcs; ++v) {
-      requests[v] = 0;
-      priority[v] = 0;
-      auto& q = vc_queues_[static_cast<std::size_t>(v)];
-      if (q.empty()) continue;
-      if (scheduled_flit_count_ == 0) {
-        // No scheduled flit anywhere in this NIC: every front has
-        // send_at < 0, so the reservation-phase checks below are no-ops and
-        // credit readiness can be tested first — the (common, at saturation)
-        // credit-starved VC then never touches the queue front.
-        const bool ready =
-            config_.router.dropping() || credits_[static_cast<std::size_t>(v)] > 0;
-        if (!ready) continue;
-        requests[v] = 1;
-        priority[v] = q.front().flit.priority;
-        continue;
-      }
-      const QueuedFlit& qf = q.front();
-      if (qf.send_at >= 0) {
-        if (qf.send_at > now) continue;  // wait for the reservation phase
-        if (qf.send_at < now) ++missed_slots_;
-      }
-      const bool ready =
-          config_.router.dropping() || credits_[static_cast<std::size_t>(v)] > 0;
-      if (!ready) continue;
-      requests[v] = 1;
-      priority[v] = qf.flit.priority;
+      const auto& q = vc_queues_[static_cast<std::size_t>(v)];
+      // A scheduled packet waits for its reservation phase.
+      const bool ready = !q.empty() &&
+                         (config_.router.dropping() ||
+                          credits_[static_cast<std::size_t>(v)] > 0) &&
+                         q.front().send_at <= now;
+      requests[v] = ready ? 1 : 0;
+      priority[v] = ready ? q.front().priority() : 0;
     }
     vc = inject_arb_.arbitrate(requests, priority);
   }
@@ -319,27 +281,35 @@ void Nic::do_injection(Cycle now) {
     return;
   }
   auto& q = vc_queues_[static_cast<std::size_t>(vc)];
-  QueuedFlit qf = std::move(q.front());
-  q.pop_front();
+  Queued& front = q.front();
+  Flit f = cut_flit(front, static_cast<VcId>(vc), now);
   --queued_flit_count_;
-  if (qf.send_at >= 0) --scheduled_flit_count_;
   if (!config_.router.dropping()) --credits_[static_cast<std::size_t>(vc)];
   if (config_.router.piggyback_credits && !carry_to_router_.empty()) {
-    qf.flit.carried_credit_vc = static_cast<std::int8_t>(carry_to_router_.front());
+    f.carried_credit_vc = static_cast<std::int8_t>(carry_to_router_.front());
     carry_to_router_.pop_front();
   }
-  qf.flit.injected = now;
-  if (router::is_head(qf.flit.type)) ++packets_injected_;
+  if (router::is_head(f.type)) ++packets_injected_;
   ++flits_injected_;
-  if (router::is_tail(qf.flit.type) && qf.send_at < 0) {
-    --queued_packets_per_class_[static_cast<std::size_t>(qf.flit.priority >= 1000
-                                                             ? 3
-                                                             : qf.flit.priority)];
+  if (router::is_tail(f.type)) {
+    if (front.send_at < 0) {
+      --queued_packets_per_class_[static_cast<std::size_t>(front.packet.service_class)];
+    }
+    q.pop_front();
+  } else {
+    ++front.next_flit;
   }
-  inject_->send(std::move(qf.flit));
+  inject_->send(std::move(f));
 }
 
 void Nic::deliver(Packet&& packet) {
+  ++packets_delivered_;
+  const auto latency = static_cast<double>(packet.latency());
+  latency_.add(latency);
+  network_latency_.add(static_cast<double>(packet.network_latency()));
+  hops_.add(static_cast<double>(packet.hops));
+  link_mm_.add(packet.link_mm);
+  class_latency_[static_cast<std::size_t>(packet.service_class)].add(latency);
   if (delivery_observer_) delivery_observer_(packet);
   for (const auto& filter : filters_) {
     if (filter(packet)) return;

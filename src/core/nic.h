@@ -7,6 +7,16 @@
 // interrupted to inject a short high-priority packet and then resumed,
 // because injection arbitration runs per flit across VC queues.
 //
+// Each datagram is held once, as its Packet. inject() and schedule_packet()
+// stamp it (src, id, created), compute its source route and queue it on its
+// VC; a chaos reroute after that leaves the queued route alone. Each cycle
+// the injection arbiter picks a VC and cut_flit() builds that queue's next
+// flit from the packet as it leaves for the wire; the packet is popped once
+// its tail has left. On ejection, each VC assembles one Packet: the head flit
+// writes its identity, every flit appends its payload, and the tail writes
+// the rest and hands it to deliver(), which records the statistics for
+// network and loopback deliveries alike.
+//
 // Queue occupancy is counted once: counters kept at every push and pop are
 // the only record of it, read by idle_internal(), the injection and
 // ejection gates and the queued_flits()/pending_eject_flits() accessors.
@@ -96,7 +106,6 @@ class Nic final : public Clockable {
   std::int64_t flits_injected() const { return flits_injected_; }
   std::int64_t flits_delivered() const { return flits_delivered_; }
   std::int64_t injection_queue_rejects() const { return queue_rejects_; }
-  std::int64_t missed_slots() const { return missed_slots_; }
   const Accumulator& latency() const { return latency_; }
   const Accumulator& network_latency() const { return network_latency_; }
   const Accumulator& hops() const { return hops_; }
@@ -104,7 +113,7 @@ class Nic final : public Clockable {
   const Accumulator& class_latency(int service_class) const {
     return class_latency_[static_cast<std::size_t>(service_class)];
   }
-  /// Flits currently queued for injection (all VCs).
+  /// Flits of queued packets not yet sent (all VCs).
   int queued_flits() const { return queued_flit_count_; }
 
   // --- state inspection (differential harness) ------------------------------
@@ -118,18 +127,20 @@ class Nic final : public Clockable {
   const router::RoundRobinArbiter& eject_arbiter() const { return eject_arb_; }
 
  private:
-  struct QueuedFlit {
-    router::Flit flit;
-    Cycle send_at = -1;  ///< exact departure cycle for scheduled flits
-  };
-  struct Reassembly {
-    bool active = false;
-    router::Flit head;  ///< metadata from the head flit
-    std::vector<router::Payload> payloads;
-    int last_bits = router::kDataBits;
+  /// A datagram waiting on its injection VC: the packet, the route it was
+  /// queued with, and how many of its flits have already left.
+  struct Queued {
+    Packet packet;
+    routing::SourceRoute route;
+    Cycle send_at = -1;  ///< exact departure cycle for scheduled packets
+    int next_flit = 0;
+    /// Scheduled packets outrank every service class at the injection
+    /// arbiter.
+    int priority() const { return send_at >= 0 ? 1000 : packet.service_class; }
   };
 
-  void enqueue_packet_flits(Packet& packet, Cycle now, Cycle send_at);
+  void enqueue(Packet& packet, Cycle now, Cycle send_at);
+  router::Flit cut_flit(const Queued& queued, VcId vc, Cycle now) const;
   void process_ejection(Cycle now);
   void consume_flit(router::Flit flit, Cycle now);
   void do_injection(Cycle now);
@@ -150,7 +161,7 @@ class Nic final : public Clockable {
   static constexpr int kWakeWidth = 2;
   std::atomic<std::uint8_t> arrive_[kWakeWidth] = {};
 
-  std::vector<std::deque<QueuedFlit>> vc_queues_;
+  std::vector<std::deque<Queued>> vc_queues_;
   /// Piggyback mode: credits for the router's tile output controller
   /// (reassembly slots freed here), carried on injected flits.
   std::deque<VcId> carry_to_router_;
@@ -159,20 +170,16 @@ class Nic final : public Clockable {
   router::PriorityArbiter inject_arb_;
 
   std::vector<std::deque<router::Flit>> eject_pending_;
-  /// Occupancy of vc_queues_ / eject_pending_ (sum of queue sizes, kept at
-  /// every push/pop), so idle_internal(), the accessors and the ejection
-  /// gate never walk the deques. ocn-diff compares both against the
-  /// reference model every tick.
+  /// Unsent flits of the packets in vc_queues_ and flits in eject_pending_,
+  /// kept at every push, send and pop, so idle_internal(), the accessors and
+  /// the ejection gate never walk the deques. ocn-diff compares both against
+  /// the reference model every tick.
   int queued_flit_count_ = 0;
   int eject_pending_count_ = 0;
-  /// Scheduled (send_at >= 0) flits currently queued. While zero, the
-  /// injection request scan can test credit readiness before touching the
-  /// queue front (no reservation-phase checks or missed-slot accounting can
-  /// apply), which skips the deque access for credit-starved VCs.
-  int scheduled_flit_count_ = 0;
   std::vector<bool> eject_stalled_;
   router::RoundRobinArbiter eject_arb_;
-  std::vector<Reassembly> reassembly_;
+  /// The packet each VC is assembling; no payloads between packets.
+  std::vector<Packet> assembling_;
   // Per-cycle arbitration scratch, reused to keep allocations off the hot
   // path.
   std::vector<std::uint8_t> req_scratch_;  // raw-arbiter request format
@@ -191,7 +198,6 @@ class Nic final : public Clockable {
   std::int64_t flits_injected_ = 0;
   std::int64_t flits_delivered_ = 0;
   std::int64_t queue_rejects_ = 0;
-  std::int64_t missed_slots_ = 0;
   Accumulator latency_;
   Accumulator network_latency_;
   Accumulator hops_;

@@ -51,6 +51,12 @@ struct RouterParams {
   /// any reservations exist; the Network enables it on flow setup.
   bool exclusive_scheduled_vc = false;
 
+  /// Sets the VC count and keeps the scheduled VC on the top one.
+  void set_vcs(int n) {
+    vcs = n;
+    scheduled_vc = n - 1;
+  }
+
   /// VCs no output port may grant dynamically (bit v = VC v).
   std::uint8_t excluded_vcs() const {
     return static_cast<std::uint8_t>(exclusive_scheduled_vc ? 1u << scheduled_vc : 0u);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -34,6 +35,33 @@ T flag_value(std::string_view flag, std::string_view text) {
   throw std::invalid_argument(std::string(flag) + ": expected " +
                               (std::is_integral_v<T> ? "an integer" : "a number") +
                               ", got '" + std::string(text) + "'");
+}
+
+/// A LO:HI:STEP range given for command-line flag `flag`.
+struct NumberRange {
+  double lo = 0, hi = 0, step = 0;
+};
+
+/// `text` as LO:HI:STEP when it is three numbers (parse_number) with LO <= HI
+/// and a finite STEP > 0 that moves both LO and HI (which rules out infinite
+/// ends and steps below their precision), so a loop from LO by STEP passes
+/// HI; otherwise throws std::invalid_argument
+/// "<flag>: expected LO:HI:STEP with LO <= HI and STEP > 0, got '<text>'".
+inline NumberRange range_value(std::string_view flag, std::string_view text) {
+  const std::size_t a = text.find(':');
+  const std::size_t b = a == std::string_view::npos ? a : text.find(':', a + 1);
+  if (b != std::string_view::npos) {
+    const auto lo = parse_number<double>(text.substr(0, a));
+    const auto hi = parse_number<double>(text.substr(a + 1, b - a - 1));
+    const auto step = parse_number<double>(text.substr(b + 1));
+    if (lo && hi && step && *lo <= *hi && *step > 0 && std::isfinite(*step) &&
+        *lo + *step > *lo && *hi + *step > *hi) {
+      return {*lo, *hi, *step};
+    }
+  }
+  throw std::invalid_argument(std::string(flag) +
+                              ": expected LO:HI:STEP with LO <= HI and STEP > 0, got '" +
+                              std::string(text) + "'");
 }
 
 }  // namespace ocn

@@ -1,12 +1,29 @@
 #include "traffic/generator.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 namespace ocn::traffic {
 
 LoadHarness::LoadHarness(core::Network& net, const HarnessOptions& options)
     : net_(net),
       opt_(options),
+      classes_(core::dynamic_classes(net.config().router)),
       pattern_(options.pattern, net.topology(), options.hotspot_fraction,
                options.hotspot_node) {
+  const std::string vcs = std::to_string(net.config().router.vcs);
+  if (classes_.empty()) {
+    throw std::invalid_argument("LoadHarness: no service class fits a " + vcs +
+                                "-VC router");
+  }
+  if (!opt_.randomize_class &&
+      std::find(classes_.begin(), classes_.end(), opt_.service_class) == classes_.end()) {
+    throw std::invalid_argument("LoadHarness: service_class " +
+                                std::to_string(opt_.service_class) +
+                                " is not one dynamic traffic may use on a " + vcs +
+                                "-VC router");
+  }
   const int n = net.num_nodes();
   sample_buffers_.resize(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
@@ -45,12 +62,8 @@ void LoadHarness::step(Cycle now) {
     auto& rng = rngs_[static_cast<std::size_t>(i)];
     if (!processes_[static_cast<std::size_t>(i)].fire(rng)) continue;
     const NodeId dst = pattern_.destination(i, rng);
-    // The scheduled class is off limits to dynamic traffic when the
-    // network reserves it (see Nic::inject).
-    const int classes =
-        net_.config().router.exclusive_scheduled_vc ? 3 : 4;
     const int cls = opt_.randomize_class
-                        ? static_cast<int>(rng.next_below(static_cast<std::uint64_t>(classes)))
+                        ? classes_[static_cast<std::size_t>(rng.next_below(classes_.size()))]
                         : opt_.service_class;
     core::Packet p = core::make_packet(dst, cls, opt_.packet_flits);
     // Watermark for debugging: generation cycle in the first payload word.

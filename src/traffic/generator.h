@@ -26,9 +26,10 @@ struct HarnessOptions {
   double injection_rate = 0.1;  ///< packets per node per cycle
   int packet_flits = 1;
   int service_class = 0;
-  /// Spread packets uniformly over service classes 0..3 (all four VC
-  /// pairs), the realistic use of the paper's 8 VCs. When false all
-  /// packets use service_class.
+  /// Spread packets uniformly over the classes dynamic traffic may use
+  /// (core::dynamic_classes: 0..3 on the paper's 8 VCs). When false all
+  /// packets use service_class. The harness refuses (std::invalid_argument)
+  /// a network with no such class, or a service_class that is not one.
   bool randomize_class = true;
   Cycle warmup = 1000;
   Cycle measure = 5000;
@@ -107,6 +108,8 @@ class LoadHarness final : public Clockable {
 
   core::Network& net_;
   HarnessOptions opt_;
+  /// core::dynamic_classes of the network's routers, drawn from by index.
+  std::vector<int> classes_;
   TrafficPattern pattern_;
   std::vector<InjectionProcess> processes_;
   std::vector<Rng> rngs_;

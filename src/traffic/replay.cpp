@@ -98,11 +98,8 @@ TraceReplay::TraceReplay(core::Network& net, std::vector<TraceEntry> entries)
     const std::string fabric = "is outside [0, " + std::to_string(nodes) + ")";
     if (e.src < 0 || e.src >= nodes) refuse("src", e.src, fabric);
     if (e.dst < 0 || e.dst >= nodes) refuse("dst", e.dst, fabric);
-    // Nic::inject's rule: class c injects on the VC pair (2c, 2c+1); a
-    // one-VC router carries class 0 alone.
-    const int c = e.service_class;
-    if (c < 0 || !(2 * c + 1 < vcs || (vcs == 1 && c == 0))) {
-      refuse("service_class", c,
+    if (!core::class_has_vc_pair(e.service_class, vcs)) {
+      refuse("service_class", e.service_class,
              "has no VC pair on a " + std::to_string(vcs) + "-VC router");
     }
   }

@@ -94,17 +94,6 @@ RouteExpansion expand_scheduled_route(const core::Config& config,
                 /*scheduled=*/true);
 }
 
-std::vector<int> dynamic_classes(const core::Config& config) {
-  std::vector<int> classes;
-  const auto& rp = config.router;
-  const int max_classes = rp.vcs == 1 ? 1 : rp.vcs / 2;
-  for (int c = 0; c < std::min(4, max_classes); ++c) {
-    if (rp.exclusive_scheduled_vc && c == rp.scheduled_vc / 2) continue;
-    classes.push_back(c);
-  }
-  return classes;
-}
-
 Cdg::Cdg(const core::Config& config, const routing::RouteComputer& routes)
     : topo_(&routes.topology()), vcs_(config.router.vcs) {
   const topo::Topology& topo = *topo_;
@@ -140,7 +129,7 @@ Cdg::Cdg(const core::Config& config, const routing::RouteComputer& routes)
   // produce. Scheduled flows add their fixed-VC chains as well; their slots
   // are conflict-free by construction, but the channels are still held
   // across cycles whenever a bypass hop waits on a credit.
-  const auto classes = dynamic_classes(config);
+  const auto classes = core::dynamic_classes(config.router);
   for (NodeId s = 0; s < num_nodes_; ++s) {
     for (NodeId d = 0; d < num_nodes_; ++d) {
       if (s == d) continue;

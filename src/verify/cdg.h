@@ -56,11 +56,6 @@ RouteExpansion expand_scheduled_route(const core::Config& config,
                                       const routing::RouteComputer& routes,
                                       NodeId src, NodeId dst);
 
-/// Service classes dynamic traffic may inject under this configuration
-/// (class pair must exist within the VC count; the scheduled class is closed
-/// when exclusive_scheduled_vc — Nic::inject refuses it).
-std::vector<int> dynamic_classes(const core::Config& config);
-
 class Cdg {
  public:
   Cdg(const core::Config& config, const routing::RouteComputer& routes);

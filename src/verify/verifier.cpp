@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/interface.h"
 #include "verify/cdg.h"
 
 namespace ocn::verify {
@@ -277,7 +278,7 @@ Report verify(const core::Config& config) {
 
   // --- (2) route lint + per-class VC reachability ---------------------------
   FindingAggregator agg;
-  const auto classes = dynamic_classes(config);
+  const auto classes = core::dynamic_classes(config.router);
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
       if (s == d) continue;

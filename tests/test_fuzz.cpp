@@ -29,14 +29,13 @@ Config random_config(Rng& rng) {
       break;
   }
   c.radix = 2 + static_cast<int>(rng.next_below(5));         // 2..6
-  c.router.vcs = 2 * (1 + static_cast<int>(rng.next_below(4)));  // 2,4,6,8
+  c.router.set_vcs(2 * (1 + static_cast<int>(rng.next_below(4))));  // 2,4,6,8
   c.router.buffer_depth = 1 + static_cast<int>(rng.next_below(6));
   c.link_latency = 1 + static_cast<int>(rng.next_below(3));
   c.router.piggyback_credits = rng.bernoulli(0.3);
   c.router.speculative = rng.bernoulli(0.7);
   c.router.priority_arbitration = rng.bernoulli(0.7);
   c.fault_layer = rng.bernoulli(0.2);  // healthy links; layer exercised
-  c.router.scheduled_vc = c.router.vcs - 1;
   c.seed = rng.next_u64();
   return c;
 }

@@ -2,6 +2,12 @@
 // by another test file.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/config_flags.h"
 #include "core/deflection.h"
 #include "core/interface.h"
 #include "core/partition.h"
@@ -112,6 +118,92 @@ TEST(Config, TopologyKindNames) {
   EXPECT_STREQ(core::topology_kind_name(core::TopologyKind::kMesh), "mesh");
   EXPECT_STREQ(core::topology_kind_name(core::TopologyKind::kTorus), "torus");
   EXPECT_STREQ(core::topology_kind_name(core::TopologyKind::kFoldedTorus), "folded_torus");
+}
+
+// The configuration flags ocnsim, ocn-verify and ocn-analyze share, parsed
+// by one function: each row is a command line and the change it makes to the
+// paper baseline (or the message it is refused with).
+TEST(ConfigFlags, ParsesTheFlagsEveryToolShares) {
+  using core::Config;
+  struct Row {
+    std::vector<std::string> args;
+    std::function<void(Config&)> edit;  ///< applied to the expected config
+    std::string error;                  ///< non-empty: the refusal message
+  };
+  const std::vector<Row> rows = {
+      {{"--topology", "mesh"},
+       [](Config& c) {
+         c.topology = core::TopologyKind::kMesh;
+         c.router.enforce_vc_parity = false;
+       },
+       ""},
+      {{"--topology", "torus"}, [](Config& c) { c.topology = core::TopologyKind::kTorus; }, ""},
+      {{"--topology", "folded_torus"}, [](Config&) {}, ""},
+      {{"--radix", "8"}, [](Config& c) { c.radix = 8; }, ""},
+      // The scheduled VC follows the VC count down (ocnsim --vcs 4 used to
+      // fail validation with scheduled_vc 7).
+      {{"--vcs", "4"},
+       [](Config& c) {
+         c.router.vcs = 4;
+         c.router.scheduled_vc = 3;
+       },
+       ""},
+      {{"--vcs", "2"},
+       [](Config& c) {
+         c.router.vcs = 2;
+         c.router.scheduled_vc = 1;
+       },
+       ""},
+      {{"--depth", "2"}, [](Config& c) { c.router.buffer_depth = 2; }, ""},
+      {{"--link-latency", "3"}, [](Config& c) { c.link_latency = 3; }, ""},
+      {{"--dropping"},
+       [](Config& c) {
+         c.router.flow_control = router::FlowControl::kDropping;
+         c.router.enforce_vc_parity = false;
+       },
+       ""},
+      {{"--piggyback"}, [](Config& c) { c.router.piggyback_credits = true; }, ""},
+      {{"--vcs", "4x"}, nullptr, "--vcs: expected an integer, got '4x'"},
+      {{"--radix", "big"}, nullptr, "--radix: expected an integer, got 'big'"},
+      {{"--depth"}, nullptr, "--depth: missing value"},
+      {{"--topology", "ring"}, nullptr,
+       "--topology: expected mesh, torus or folded_torus, got 'ring'"},
+  };
+  for (const Row& row : rows) {
+    std::vector<std::string> args = {"tool"};
+    args.insert(args.end(), row.args.begin(), row.args.end());
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+    const std::string line = args[1] + (args.size() > 2 ? " " + args[2] : "");
+    Config got = Config::paper_baseline();
+    int i = 1;
+    if (!row.error.empty()) {
+      try {
+        (void)core::parse_config_flag(got, argc, argv.data(), i);
+        ADD_FAILURE() << "accepted " << line;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), row.error);
+      }
+      continue;
+    }
+    EXPECT_TRUE(core::parse_config_flag(got, argc, argv.data(), i)) << line;
+    EXPECT_EQ(i, argc - 1) << line;  // left on the flag's last argument
+    Config want = Config::paper_baseline();
+    row.edit(want);
+    EXPECT_EQ(got.summary(), want.summary()) << line;
+    EXPECT_NO_THROW(got.validate()) << line;
+  }
+  // Any other flag is the tool's own: untouched, not consumed.
+  for (const char* other : {"--rate", "--no-vc-parity", "--shards", "vcs"}) {
+    std::string arg = other;
+    char* argv[] = {arg.data(), arg.data()};
+    Config got = Config::paper_baseline();
+    int i = 1;
+    EXPECT_FALSE(core::parse_config_flag(got, 2, argv, i)) << other;
+    EXPECT_EQ(i, 1);
+    EXPECT_EQ(got.summary(), Config::paper_baseline().summary());
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // deliberately unused there.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,6 +25,51 @@ using core::TopologyKind;
 using traffic::HarnessOptions;
 using traffic::LoadHarness;
 using traffic::Pattern;
+
+// The harness draws only classes the routers carry: each class with a VC
+// pair, less the scheduled VC's when it is exclusive. Below 8 VCs it used to
+// draw all four and abort in Nic::inject.
+TEST(LoadHarness, ClassesFitTheVcCount) {
+  for (int vcs : {2, 4, 6, 8}) {
+    for (bool exclusive : {false, true}) {
+      Config c = Config::paper_baseline();
+      c.router.set_vcs(vcs);
+      c.router.exclusive_scheduled_vc = exclusive;
+      std::set<int> want;
+      for (int cls = 0; cls < vcs / 2; ++cls) {
+        if (!(exclusive && cls == (vcs - 1) / 2)) want.insert(cls);
+      }
+      SCOPED_TRACE("vcs " + std::to_string(vcs) + (exclusive ? " exclusive" : ""));
+      Network net(c);
+      HarnessOptions opt;
+      opt.injection_rate = 0.1;
+      opt.warmup = 100;
+      opt.measure = 500;
+      if (want.empty()) {
+        EXPECT_THROW(LoadHarness(net, opt), std::invalid_argument);
+        continue;
+      }
+      std::set<int> seen;
+      net.set_delivery_observer([&seen](const core::Packet& p) { seen.insert(p.service_class); });
+      LoadHarness harness(net, opt);
+      EXPECT_TRUE(harness.run().drained);
+      EXPECT_EQ(seen, want);
+    }
+  }
+  // A fixed class must be one of them.
+  Config c = Config::paper_baseline();
+  c.router.set_vcs(4);
+  Network net(c);
+  HarnessOptions opt;
+  opt.randomize_class = false;
+  opt.service_class = 2;
+  EXPECT_THROW(LoadHarness(net, opt), std::invalid_argument);
+  c = Config::paper_baseline();
+  c.router.exclusive_scheduled_vc = true;
+  Network reserved(c);
+  opt.service_class = 3;
+  EXPECT_THROW(LoadHarness(reserved, opt), std::invalid_argument);
+}
 
 Config config_for(TopologyKind kind, int radix = 4) {
   Config c = Config::paper_baseline();

@@ -3,7 +3,12 @@
 // stall credit loop.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "chaos/chaos.h"
 #include "core/network.h"
+#include "core/trace.h"
 
 namespace ocn {
 namespace {
@@ -136,6 +141,38 @@ TEST(Nic, PerClassLatencyTracked) {
   EXPECT_EQ(net.nic(5).class_latency(0).count(), 1);
   EXPECT_EQ(net.nic(5).class_latency(3).count(), 1);
   EXPECT_EQ(net.nic(5).class_latency(1).count(), 0);
+}
+
+TEST(Nic, QueuedPacketKeepsTheRouteItWasQueuedWith) {
+  // The source route is computed when a packet is queued, not when its head
+  // leaves: a reroute commits to new packets only, as for packets in flight.
+  Config c = Config::paper_baseline();
+  c.fault_layer = true;
+  Network net(c);
+  core::TraceRecorder recorder;
+  net.enable_tracing(&recorder);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(net.nic(0).inject(core::make_word_packet(3, 0, i), net.now()));
+  }
+  net.run(2);
+  ASSERT_EQ(net.nic(0).queued_flits(), 10);
+  ASSERT_TRUE(chaos::kill_link(net, 0, topo::Port::kRowPos).committed);
+  ASSERT_TRUE(net.nic(0).inject(core::make_word_packet(3, 0, 12), net.now()));
+  net.run(200);
+
+  // The first link each packet takes out of router 0, in injection order
+  // (one VC queue, one tile input buffer: no packet overtakes another).
+  std::vector<PacketId> order;
+  std::map<PacketId, topo::Port> first_hop;
+  for (const core::TraceEvent& e : recorder.events()) {
+    if (e.node != 0 || e.port == topo::Port::kTile) continue;
+    if (first_hop.emplace(e.packet, e.port).second) order.push_back(e.packet);
+  }
+  ASSERT_EQ(order.size(), 13u);
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(first_hop[order[i]], topo::Port::kRowPos) << "queued packet " << i;
+  }
+  EXPECT_EQ(first_hop[order[12]], topo::Port::kRowNeg);
 }
 
 }  // namespace

@@ -140,8 +140,7 @@ TEST(TraceReplayTest, RefusesEntriesOutsideTheFabric) {
     if (row.vcs < 8) {  // fewer VCs: a mesh, which needs no dateline pairs
       c.topology = core::TopologyKind::kMesh;
       c.router.enforce_vc_parity = false;
-      c.router.vcs = row.vcs;
-      c.router.scheduled_vc = row.vcs - 1;
+      c.router.set_vcs(row.vcs);
     }
     Network net(c);
     const std::vector<TraceEntry> trace{{0, 0, 5, 32, 0}, row.entry};

@@ -147,6 +147,31 @@ TEST(StrictParse, WholeTextOrNothing) {
   }
 }
 
+// ocnsim --sweep LO:HI:STEP: three whole numbers, LO <= HI and a STEP that
+// moves the sweep past HI (a zero step used to loop forever).
+TEST(StrictParse, RangeIsThreeNumbersThatEnd) {
+  const NumberRange r = range_value("--sweep", "0.05:0.9:0.1");
+  EXPECT_EQ(r.lo, 0.05);
+  EXPECT_EQ(r.hi, 0.9);
+  EXPECT_EQ(r.step, 0.1);
+  const NumberRange point = range_value("--sweep", "0.3:0.3:1");
+  EXPECT_EQ(point.lo, 0.3);
+  EXPECT_EQ(point.hi, 0.3);
+  for (const char* bad : {"0.1:0.2:0", "0.1:0.2:-0.05", "0.3:0.1:0.05", "0.1:0.2:0.05junk",
+                          "0.1:0.2", "0.1:0.2:0.05:0.1", "", "::", "a:0.2:0.1",
+                          "0.1:inf:0.1", "-inf:0.2:0.1", "nan:0.2:0.1", "0.1:0.2:inf", "1:1:1e-20",
+                          " 0.1:0.2:0.1"}) {
+    try {
+      (void)range_value("--sweep", bad);
+      ADD_FAILURE() << "accepted --sweep '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--sweep: expected LO:HI:STEP with LO <= HI and STEP > 0, got '") +
+                    bad + "'");
+    }
+  }
+}
+
 TEST(SweepRunner, MapReturnsIndexOrderedDerivedSeeds) {
   sweep::SweepOptions opt;
   opt.threads = 3;

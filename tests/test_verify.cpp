@@ -145,7 +145,7 @@ TEST(Verifier, OddVcCountWithParityIsRejectedUpFront) {
   EXPECT_TRUE(has_code(rep.findings, "config-vc-parity", Severity::kError));
   // The orphan class cannot even be injected (its odd pair member does not
   // exist), so the producible-traffic model excludes it entirely.
-  EXPECT_EQ(verify::dynamic_classes(c), std::vector<int>{0});
+  EXPECT_EQ(core::dynamic_classes(c.router), std::vector<int>{0});
 }
 
 TEST(Verifier, ExcludedVcLeavesAnEmptyAllocatableSet) {
