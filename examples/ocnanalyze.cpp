@@ -62,7 +62,8 @@ struct Options {
       "  --quick                              with --matrix: skip the radix sweep\n"
       "  --break KIND                         corrupt the model before analysis:\n"
       "                                       zero-latency-cross | global-mutator\n"
-      "                                       | gated-boundary (proof must fail)\n"
+      "                                       | gated-boundary\n"
+      "                                       | cross-shard-worklist (proof must fail)\n"
       "  --json PATH                          write the runs as an\n"
       "                                       ocn-analyze/v1 JSON document\n"
       "  --quiet                              exit status only\n",
@@ -126,6 +127,8 @@ analyze::AnalysisReport analyze_one(const core::Config& config, int shards,
     kind = analyze::BreakKind::kGlobalMutator;
   } else if (break_kind == "gated-boundary") {
     kind = analyze::BreakKind::kGatedBoundary;
+  } else if (break_kind == "cross-shard-worklist") {
+    kind = analyze::BreakKind::kCrossShardWorklist;
   } else {
     std::fprintf(stderr, "unknown --break kind '%s'\n", break_kind.c_str());
     usage(argv0);

@@ -23,6 +23,7 @@ const char* break_kind_name(BreakKind k) {
     case BreakKind::kZeroLatencyCross: return "zero-latency-cross";
     case BreakKind::kGlobalMutator: return "global-mutator";
     case BreakKind::kGatedBoundary: return "gated-boundary";
+    case BreakKind::kCrossShardWorklist: return "cross-shard-worklist";
   }
   return "?";
 }
@@ -202,6 +203,34 @@ FootprintModel build_footprint(const core::Config& config,
   m.access(clients, harness_state, Phase::kSerialStep, AccessKind::kRead);
   m.access(clients, harness_state, Phase::kSerialStep, AccessKind::kWrite);
 
+  // --- worklists --------------------------------------------------------------
+  // Each shard list's due bitmap (over its components) and live bitmap (over
+  // its interior channels), plain words (sim/kernel.h). The shard's own
+  // worker reads and clears them: the phase-A scan of the due words and the
+  // phase-B walk of the live words, both modelled on the shard's advancer.
+  // The other writers are added below: a NIC's mark_due() on itself and on
+  // its router (phase A), the serial clients' injections (serial phase), a
+  // sender's live bit (phase A) and an advance's wake stamp (phase B).
+  std::vector<int> due_bits(static_cast<std::size_t>(shards));
+  std::vector<int> live_bits(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    const std::string shard = "shard." + std::to_string(s);
+    const int adv = advancer[static_cast<std::size_t>(s)];
+    const int due = m.add_state(State{shard + ".due_bits", 0, false, s, false, false});
+    const int live = m.add_state(State{shard + ".live_bits", 0, false, s, false, false});
+    due_bits[static_cast<std::size_t>(s)] = due;
+    live_bits[static_cast<std::size_t>(s)] = live;
+    m.access(adv, due, Phase::kParallelStep, AccessKind::kRead);
+    m.access(adv, due, Phase::kParallelStep, AccessKind::kWrite);
+    m.access(adv, live, Phase::kAdvance, AccessKind::kWrite);
+  }
+  for (NodeId i = 0; i < n; ++i) {
+    const int due = due_bits[static_cast<std::size_t>(partition.shard_of(i))];
+    m.access(nic_of[static_cast<std::size_t>(i)], due, Phase::kParallelStep,
+             AccessKind::kWrite);
+    m.access(clients, due, Phase::kSerialStep, AccessKind::kWrite);
+  }
+
   // --- channels --------------------------------------------------------------
   // One state per delay line, carrying sender (write, phase A), receiver
   // (read, phase A) and the phase-B advance by the classifying shard —
@@ -236,6 +265,14 @@ FootprintModel build_footprint(const core::Config& config,
              AccessKind::kWrite);
     m.access(advancer[static_cast<std::size_t>(adv)], wake, Phase::kAdvance,
              AccessKind::kWrite);
+    // The same stamp lists the receiver in its shard's due bitmap; a send on
+    // an interior channel lists the channel in its shard's live bitmap.
+    m.access(advancer[static_cast<std::size_t>(adv)], due_bits[static_cast<std::size_t>(adv)],
+             Phase::kAdvance, AccessKind::kWrite);
+    if (s_snd == s_rcv) {
+      m.access(sender, live_bits[static_cast<std::size_t>(s_snd)], Phase::kParallelStep,
+               AccessKind::kWrite);
+    }
     m.components[static_cast<std::size_t>(advancer[static_cast<std::size_t>(adv)])]
         .work += kChannelWork;
     return id;
@@ -313,6 +350,18 @@ FootprintModel build_footprint(const core::Config& config,
     }
     m.obligations.push_back(std::move(wake));
   }
+  {
+    ObligationSpec worklists;
+    worklists.name = "worklist-filing";
+    worklists.claim =
+        "each shard's due and live bitmap words are written in the parallel "
+        "phases only by that shard's components and advancer (mark_due, "
+        "sends, wake stamps, clears), and otherwise only by the serial "
+        "clients";
+    worklists.states = due_bits;
+    worklists.states.insert(worklists.states.end(), live_bits.begin(), live_bits.end());
+    m.obligations.push_back(std::move(worklists));
+  }
 
   return m;
 }
@@ -347,6 +396,36 @@ void corrupt(FootprintModel& model, BreakKind kind) {
         if (s.channel && s.boundary) s.boundary = false;
       }
       return;
+    case BreakKind::kCrossShardWorklist: {
+      const auto named = [](const auto& items, const std::string& name) {
+        for (std::size_t i = 0; i < items.size(); ++i) {
+          if (items[i].name == name) return static_cast<int>(i);
+        }
+        return -1;
+      };
+      // The first boundary channel and the shard of its sender (the
+      // component writing it in phase A).
+      for (std::size_t sid = 0; sid < model.states.size(); ++sid) {
+        const State& s = model.states[sid];
+        if (!s.channel || !s.boundary) continue;
+        for (const Access& a : model.accesses) {
+          if (a.state != static_cast<int>(sid) || a.phase != Phase::kParallelStep ||
+              a.kind != AccessKind::kWrite) {
+            continue;
+          }
+          const int sender_shard = model.components[static_cast<std::size_t>(a.component)].shard;
+          const int advancer = named(
+              model.components, "shard." + std::to_string(s.advance_shard) + ".advancer");
+          const int due =
+              named(model.states, "shard." + std::to_string(sender_shard) + ".due_bits");
+          if (advancer >= 0 && due >= 0) {
+            model.access(advancer, due, Phase::kAdvance, AccessKind::kWrite);
+          }
+          return;
+        }
+      }
+      return;
+    }
   }
 }
 

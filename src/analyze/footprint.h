@@ -17,8 +17,9 @@
 //   states      every piece of shared mutable state a tick touches: channel
 //               delay lines (flit + credit per link, tile ports), per-node
 //               router/NIC internals (arbiter pointers, buffers, stats),
-//               per-node observer/tracer buffers, and global accumulators
-//               (the NIC register-write counter);
+//               per-node observer/tracer buffers, each shard's worklist
+//               bitmaps, and global accumulators (the NIC register-write
+//               counter);
 //   accesses    who reads/writes each state in which tick phase.
 //
 // Edges of the footprint graph are (writer, reader) pairs on one state; the
@@ -151,6 +152,10 @@ enum class BreakKind {
   /// Cross-shard channels classified interior, so active() gates advance()
   /// although its two counters are written by two shards.
   kGatedBoundary,
+  /// One boundary channel's receiver bit filed in the sender shard's due
+  /// bitmap, so the receiver shard's advancer writes a word the sender
+  /// shard's workers also write in phase B.
+  kCrossShardWorklist,
 };
 
 const char* break_kind_name(BreakKind k);

@@ -128,8 +128,9 @@ void Network::build() {
     // Channels delivering INTO the router were wired to its arrival bytes
     // by the attach calls above; channels delivering into the NIC are wired
     // to the NIC's wake row by Nic::attach. Packets a client enqueues
-    // through the Nic API reach no wake byte; the NIC's idle_internal()
-    // sees them in its queue counters.
+    // through the Nic API reach no wake byte: the NIC's idle_internal()
+    // sees them in its queue counters, and the enqueue calls mark_due() to
+    // put the NIC back on its shard's worklist.
     add_channel(i, i, inj.flits.get());
     add_channel(i, i, inj.credits.get());
     add_channel(i, i, ej.flits.get());
@@ -200,6 +201,7 @@ void Network::install_register_filters() {
       check_register_field("slot", write->slot, table.frame());
       if (write->kind == RegisterWrite::Kind::kReserveSlot) {
         table.reserve(write->slot, write->input_port, write->vc);
+        rtr->mark_due();  // a reserved slot keeps the router on the clock
       } else {
         table.clear(write->slot);
       }
@@ -295,6 +297,7 @@ std::optional<Cycle> Network::reserve_flow(NodeId src, NodeId dst, Cycle phase_h
           table.reserve(static_cast<int>(((t % frame) + frame) % frame), input, vc);
       assert(reserved);
       (void)reserved;
+      router_at(node).mark_due();
       if (path[i] != Port::kTile) node = topology_->neighbor(node, path[i])->dst;
     }
     return phase;

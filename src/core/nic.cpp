@@ -70,6 +70,7 @@ void Nic::enqueue(Packet& packet, Cycle now, Cycle send_at) {
   const routing::SourceRoute route = routes_.compute(node_, packet.dst);
   vc_queues_[static_cast<std::size_t>(vc)].push_back(
       Queued{std::move(packet), route, send_at, 0});
+  mark_due();
 }
 
 Flit Nic::cut_flit(const Queued& q, VcId vc, Cycle now) const {
@@ -124,6 +125,7 @@ bool Nic::inject(Packet packet, Cycle now) {
     ++packets_injected_;
     flits_injected_ += packet.num_flits();
     loopback_.emplace_back(std::move(packet), now + 1);
+    mark_due();
     return true;
   }
 

@@ -1,8 +1,12 @@
 #include "sim/kernel.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 
 #include "sim/sweep/thread_pool.h"
@@ -10,11 +14,12 @@
 namespace ocn {
 
 ChannelBase::ChannelBase(int latency, std::string name) : name_(std::move(name)) {
-  if (latency < 1) {
-    throw std::invalid_argument("channel latency must be >= 1, got " +
+  if (latency < 1 || latency > kMaxLatency) {
+    throw std::invalid_argument("channel latency must be in [1, " +
+                                std::to_string(kMaxLatency) + "], got " +
                                 std::to_string(latency));
   }
-  slots_ = latency + 1;
+  slots_ = static_cast<std::int16_t>(latency + 1);
   full_ = std::make_unique<std::uint8_t[]>(static_cast<std::size_t>(slots_));
 }
 
@@ -29,6 +34,7 @@ int ChannelBase::claim_send_slot() {
   }
   full_[slot] = 1;
   ++sent_;
+  if (live_word_ != nullptr) *live_word_ |= std::uint64_t{1} << live_shift_;
   return slot;
 }
 
@@ -41,28 +47,124 @@ Kernel::~Kernel() = default;
 void Kernel::add(Clockable* c, std::atomic<std::uint8_t>* wake, int width) {
   assert((wake != nullptr) == (width > 0));
   tail_.components.push_back({c, wake, width});
+  prepared_ = false;
 }
 
-void Kernel::add(ChannelBase* ch) { tail_.interior.push_back(ch); }
+void Kernel::add(ChannelBase* ch) {
+  tail_.interior.push_back(ch);
+  prepared_ = false;
+}
 
 void Kernel::add_to_shard(int shard, Clockable* c, std::atomic<std::uint8_t>* wake,
                           int width) {
   assert((wake != nullptr) == (width > 0));
   shards_.at(static_cast<std::size_t>(shard)).components.push_back({c, wake, width});
+  prepared_ = false;
 }
 
 void Kernel::add_interior(int shard, ChannelBase* ch) {
   shards_.at(static_cast<std::size_t>(shard)).interior.push_back(ch);
+  prepared_ = false;
 }
 
 void Kernel::add_boundary(int shard, ChannelBase* ch) {
   shards_.at(static_cast<std::size_t>(shard)).boundary.push_back(ch);
+  prepared_ = false;
+}
+
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+/// A bitmap over `n` entries with every entry's bit set.
+std::vector<std::uint64_t> all_set(std::size_t n) {
+  std::vector<std::uint64_t> words((n + kWordBits - 1) / kWordBits, ~std::uint64_t{0});
+  if (n % kWordBits != 0) words.back() = (std::uint64_t{1} << (n % kWordBits)) - 1;
+  return words;
+}
+
+std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << (i % kWordBits); }
+
+}  // namespace
+
+void Kernel::prepare() {
+  // Every wake row (list, index) sorted by address, so a channel's wake
+  // pointer names the component it wakes. List id shards_.size() is the
+  // tail.
+  struct Row {
+    std::uint32_t list = 0;
+    std::uint32_t index = 0;
+  };
+  const std::size_t tail_id = shards_.size();
+  const auto entry = [&](const Row& r) -> const ComponentEntry& {
+    return (r.list == tail_id ? tail_ : shards_[r.list]).components[r.index];
+  };
+  const std::less<const std::atomic<std::uint8_t>*> before;
+  std::vector<Row> rows;
+  for (std::size_t id = 0; id <= tail_id; ++id) {
+    const List& list = id == tail_id ? tail_ : shards_[id];
+    for (std::size_t i = 0; i < list.components.size(); ++i) {
+      if (list.components[i].wake_width > 0) {
+        rows.push_back({static_cast<std::uint32_t>(id), static_cast<std::uint32_t>(i)});
+      }
+    }
+  }
+  std::sort(rows.begin(), rows.end(),
+            [&](const Row& a, const Row& b) { return before(entry(a).wake, entry(b).wake); });
+
+  // The index of the component in list `id` that `ch` wakes; -1 for none
+  // or a tail component (the tail is scanned every cycle). A channel that
+  // wakes a component of another shard list would set a bit another worker
+  // owns, and would otherwise leave its receiver unlisted.
+  const auto receiver = [&](const ChannelBase* ch, std::size_t id) {
+    const std::atomic<std::uint8_t>* wake = ch->wake_;
+    auto it = std::upper_bound(rows.begin(), rows.end(), wake,
+                               [&](const auto* w, const Row& r) { return before(w, entry(r).wake); });
+    if (wake == nullptr || it == rows.begin()) return -1;
+    const ComponentEntry& e = entry(*--it);
+    if (!before(wake, e.wake + e.wake_width) || it->list == tail_id) return -1;
+    if (it->list != id) {
+      throw std::logic_error("channel '" + ch->name() +
+                             "' wakes a component of another shard list; file it "
+                             "under its receiver's shard");
+    }
+    return static_cast<int>(it->index);
+  };
+
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    List& list = shards_[s];
+    list.due = all_set(list.components.size());
+    for (std::size_t i = 0; i < list.components.size(); ++i) {
+      Clockable* c = list.components[i].component;
+      c->due_word_ = &list.due[i / kWordBits];
+      c->due_bit_ = bit_of(i);
+    }
+    list.live = all_set(list.interior.size());
+    list.interior_receiver.resize(list.interior.size());
+    for (std::size_t i = 0; i < list.interior.size(); ++i) {
+      ChannelBase* ch = list.interior[i];
+      ch->live_word_ = &list.live[i / kWordBits];
+      ch->live_shift_ = static_cast<std::uint8_t>(i % kWordBits);
+      list.interior_receiver[i] = receiver(ch, s);
+    }
+    list.boundary_receiver.resize(list.boundary.size());
+    for (std::size_t i = 0; i < list.boundary.size(); ++i) {
+      list.boundary[i]->live_word_ = nullptr;
+      list.boundary_receiver[i] = receiver(list.boundary[i], s);
+    }
+  }
+  for (const ComponentEntry& e : tail_.components) e.component->due_word_ = nullptr;
+  for (ChannelBase* ch : tail_.interior) {
+    ch->live_word_ = nullptr;
+    receiver(ch, tail_id);  // throws if it wakes a shard component
+  }
+  prepared_ = true;
 }
 
 void Kernel::remove(Clockable* c) {
   if (in_tick_) {
     // A component may detach itself (or a peer) from inside step(); erasing
-    // here would invalidate the iteration in step_list(). Defer to
+    // here would invalidate the iteration in step_tail(). Defer to
     // end_tick(), after the loops are done with the vectors.
     deferred_removals_.push_back(c);
     return;
@@ -70,7 +172,62 @@ void Kernel::remove(Clockable* c) {
   std::erase_if(tail_.components, [c](const ComponentEntry& e) { return e.component == c; });
 }
 
-void Kernel::step_list(List& list, Cycle now) {
+void Kernel::step_shard(List& list, Cycle now) {
+  int stepped = 0;
+  std::uint64_t* due = list.due.data();
+  for (std::size_t w = 0; w < list.due.size(); ++w) {
+    // `visited` covers the bits at or below the last visit, so re-reading
+    // due[w] after each step picks up bits a step set above it.
+    std::uint64_t visited = 0;
+    for (std::uint64_t pending; (pending = due[w] & ~visited) != 0;) {
+      const std::uint64_t bit = pending & (~pending + 1);
+      visited |= bit | (bit - 1);
+      const ComponentEntry& e =
+          list.components[w * kWordBits + static_cast<std::size_t>(std::countr_zero(bit))];
+      if (step_component_if_due(e, now)) {
+        ++stepped;
+      } else if (e.wake_width > 0) {
+        due[w] &= ~bit;
+      }
+    }
+  }
+  list.stepped = stepped;
+}
+
+void Kernel::advance_shard(List& list) {
+  int advanced = 0;
+  std::uint64_t* due = list.due.data();
+  const auto wake = [due](int receiver) {
+    if (receiver >= 0) {
+      const auto r = static_cast<std::size_t>(receiver);
+      due[r / kWordBits] |= bit_of(r);
+    }
+  };
+  for (std::size_t w = 0; w < list.live.size(); ++w) {
+    // Phase B sets no live bit, so one read of the word suffices.
+    std::uint64_t word = list.live[w];
+    std::uint64_t still_live = word;
+    while (word != 0) {
+      const std::uint64_t bit = word & (~word + 1);
+      word &= word - 1;
+      const std::size_t i = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bit));
+      ChannelBase* ch = list.interior[i];
+      if (ch->active()) {
+        if (ch->advance()) wake(list.interior_receiver[i]);
+        ++advanced;
+      }
+      if (!ch->active()) still_live &= ~bit;
+    }
+    list.live[w] = still_live;
+  }
+  for (std::size_t i = 0; i < list.boundary.size(); ++i) {
+    if (list.boundary[i]->advance()) wake(list.boundary_receiver[i]);
+    ++advanced;
+  }
+  list.advanced = advanced;
+}
+
+void Kernel::step_tail(List& list, Cycle now) {
   int stepped = 0;
   for (const ComponentEntry& e : list.components) {
     if (step_component_if_due(e, now)) ++stepped;
@@ -78,7 +235,7 @@ void Kernel::step_list(List& list, Cycle now) {
   list.stepped = stepped;
 }
 
-void Kernel::advance_list(List& list) {
+void Kernel::advance_tail(List& list) {
   int advanced = 0;
   for (ChannelBase* ch : list.interior) {
     if (ch->active()) {
@@ -86,11 +243,29 @@ void Kernel::advance_list(List& list) {
       ++advanced;
     }
   }
-  for (ChannelBase* ch : list.boundary) {
-    ch->advance();
-    ++advanced;
-  }
   list.advanced = advanced;
+}
+
+std::vector<const Clockable*> Kernel::due_but_unlisted() const {
+  std::vector<const Clockable*> out;
+  if (!prepared_) return out;  // the next tick lists every entry
+  for (const List& list : shards_) {
+    for (std::size_t i = 0; i < list.components.size(); ++i) {
+      const ComponentEntry& e = list.components[i];
+      if ((list.due[i / kWordBits] & bit_of(i)) == 0 && component_due(e)) {
+        out.push_back(e.component);
+      }
+    }
+  }
+  return out;
+}
+
+int Kernel::listed_channels() const {
+  int n = 0;
+  for (const List& list : shards_) {
+    for (const std::uint64_t w : list.live) n += std::popcount(w);
+  }
+  return n;
 }
 
 template <typename F>
@@ -113,6 +288,7 @@ void Kernel::end_tick() {
 }
 
 void Kernel::tick() {
+  if (!prepared_) prepare();
   in_tick_ = true;
   // Runs on normal exit and on unwind alike (a step() that throws, or a
   // worker's exception rethrown by the pool), so a caught exception never
@@ -123,10 +299,10 @@ void Kernel::tick() {
   } end_tick_guard{*this};
 
   const Cycle now = now_;
-  for_each_shard([now](List& shard) { step_list(shard, now); });
-  step_list(tail_, now);
-  for_each_shard([](List& shard) { advance_list(shard); });
-  advance_list(tail_);
+  for_each_shard([now](List& shard) { step_shard(shard, now); });
+  step_tail(tail_, now);
+  for_each_shard([](List& shard) { advance_shard(shard); });
+  advance_tail(tail_);
 
   int stepped = tail_.stepped;
   int advanced = tail_.advanced;

@@ -12,10 +12,10 @@
 // (both endpoints in the shard) and boundary channels (endpoints in two
 // shards). The tail holds whatever is registered with a plain add():
 // traffic clients, services, monitors. One tick is
-//   phase A  every shard's components, then the tail's components;
-//   phase B  every shard's channels, then the tail's channels; interior and
-//            tail channels are skipped while inactive, boundary channels
-//            always advance;
+//   phase A  every shard's listed components (see Worklists), then the
+//            tail's components;
+//   phase B  every shard's listed interior channels and all its boundary
+//            channels, then the tail's active channels;
 //   then     the cycle-end hook, time, metrics and deferred removals.
 // With one shard both phases run inline on the calling thread. With more,
 // the kernel's own ThreadPool runs one worker per shard and the pool's join
@@ -39,10 +39,38 @@
 // width 0 and is due exactly when !idle_internal().
 // kernel.component_steps counts the steps the predicate lets through; the
 // e13 baseline value-compares it.
+//
+// Worklists. A shard list does not evaluate the predicate for every entry:
+// it keeps a due bitmap over its components and a live bitmap over its
+// interior channels, and phases A and B visit only the set bits, in
+// registration order. Phase A re-reads a word after each visit, so a bit
+// set during the scan at a higher index is seen in the same cycle, as a
+// linear scan would see it; one set at a lower index is seen next cycle.
+// A due bit is set
+//   - by a channel advance that stamps a wake byte of the component (the
+//     list maps each channel to its receiver's index, so the channel
+//     itself carries no receiver pointer);
+//   - by Clockable::mark_due(), which code that creates work for a
+//     component outside that component's own step() must call (an inject
+//     into a NIC's queue, a reservation written into a router's table);
+//   - for every entry whenever the registrations change.
+// A visited entry runs the unchanged predicate; its bit is cleared only
+// when the predicate says "not due", so a stepped component is visited
+// again next cycle, and one whose step() throws stays listed. Entries with
+// a width-0 row are visited every cycle: the kernel cannot see when their
+// internal state changes. A live bit is set by every send on the channel
+// (claim_send_slot) and cleared after phase B once active() is false.
+// Boundary channels advance every cycle and the serial tail keeps a plain
+// scan, so neither keeps a bitmap. With mark_due() called where the
+// contract asks, the predicate still decides every step, so the bitmaps
+// change no result, only which entries are looked at: an idle fabric costs
+// the kernel one word load per 64 entries. due_but_unlisted() referees the
+// contract.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -67,8 +95,28 @@ class Clockable {
   /// True when, with every byte of the component's wake row clear, step()
   /// would be an exact no-op this cycle — including statistics. Arrivals
   /// are covered by the row; this covers internal work only. The default
-  /// keeps the component on the clock.
+  /// keeps the component on the clock. On a shard list the answer may turn
+  /// from true to false only through the component's own step(), an
+  /// arrival, or a mark_due() call: the kernel stops asking once it is
+  /// true (a time-based wake-up must keep answering false while it waits).
   virtual bool idle_internal() const { return false; }
+
+  /// Put the component back on its shard's worklist: call it wherever
+  /// work is created for the component outside its own step() (a packet
+  /// queued from a client, a reservation written by another component).
+  /// Must run on the component's own shard in phase A, in the serial tail
+  /// or between ticks, and only while the kernel it is registered with
+  /// lives. A no-op for tail components and for components not registered
+  /// yet, since those are visited every cycle or on their first tick
+  /// anyway.
+  void mark_due() {
+    if (due_word_ != nullptr) *due_word_ |= due_bit_;
+  }
+
+ private:
+  friend class Kernel;
+  std::uint64_t* due_word_ = nullptr;  // this entry's word of its list's due bitmap
+  std::uint64_t due_bit_ = 0;
 };
 
 /// Untyped half of a channel: the ring's bookkeeping, so the kernel advances
@@ -84,10 +132,13 @@ class ChannelBase {
  public:
   /// End of cycle: retire the output slot (an unconsumed value expires), step
   /// head_ on, stamp the wake byte if a value arrives. No payload moves.
-  void advance() {
+  /// Returns true when a value arrived (the receiver has work next cycle).
+  bool advance() {
     consume();
-    head_ = head_ + 1 == slots_ ? 0 : head_ + 1;
-    if (full_[head_] != 0) notify_wake();
+    head_ = static_cast<std::int16_t>(head_ + 1 == slots_ ? 0 : head_ + 1);
+    if (full_[head_] == 0) return false;
+    notify_wake();
+    return true;
   }
 
   /// Clear the arriving value, if any. In-place receivers (receive(), the
@@ -107,6 +158,8 @@ class ChannelBase {
   bool send_pending() const { return full_[send_slot()] != 0; }
 
   int latency() const { return slots_ - 1; }
+  /// The ring position is 16 bits wide, which keeps the channel small.
+  static constexpr int kMaxLatency = 32766;
   std::int64_t sends() const { return sent_; }
   const std::string& name() const { return name_; }
 
@@ -120,28 +173,37 @@ class ChannelBase {
   void set_wake(std::atomic<std::uint8_t>* wake) { wake_ = wake; }
 
  protected:
-  /// Throws std::invalid_argument unless latency >= 1: a zero-latency
-  /// channel would couple same-cycle steps and break determinism.
+  /// Throws std::invalid_argument unless 1 <= latency <= kMaxLatency: a
+  /// zero-latency channel would couple same-cycle steps and break
+  /// determinism.
   ChannelBase(int latency, std::string name);
   ~ChannelBase() = default;  // never deleted through the base
 
   int send_slot() const { return head_ == 0 ? slots_ - 1 : head_ - 1; }
-  /// Mark the send slot engaged and return it; terminates on a second send
-  /// in one cycle.
+  /// Mark the send slot engaged, set the channel's live bit (interior
+  /// channels of a shard list) and return the slot; terminates on a second
+  /// send in one cycle.
   int claim_send_slot();
 
   std::unique_ptr<std::uint8_t[]> full_;  // engaged byte per slot
-  int head_ = 0;
+  std::int16_t head_ = 0;
 
  private:
   void notify_wake() {
     if (wake_ != nullptr) wake_->store(1, std::memory_order_relaxed);
   }
 
-  int slots_ = 0;
+  friend class Kernel;
+
+  std::int16_t slots_ = 0;
+  std::uint8_t live_shift_ = 0;  // this channel's bit in *live_word_
   std::int64_t sent_ = 0;
   std::int64_t retired_ = 0;
   std::atomic<std::uint8_t>* wake_ = nullptr;
+  /// This channel's word of its list's live bitmap; null unless the channel
+  /// is interior to a shard list. Written by the sender in phase A, which
+  /// for an interior channel runs on the advancing shard.
+  std::uint64_t* live_word_ = nullptr;
   std::string name_;
 };
 
@@ -175,29 +237,38 @@ class Channel final : public ChannelBase {
   std::unique_ptr<T[]> ring_;
 };
 
+// 64x64 fabrics hold ~49k channels; the live-bit location is the only
+// per-channel cost of the worklists (the receiver index lives in the list),
+// and it fits in the 88 bytes a 96-byte allocation holds. A Channel's size
+// does not depend on T: the ring is a separate block.
+static_assert(sizeof(Channel<int>) <= 88, "keep Channel<T> within 88 bytes");
+
 /// A registered component plus its wake row: `wake_width` contiguous
 /// arrival bytes (one per inbound channel, stamped by the channel's
 /// advance). The kernel never clears the bytes — each byte is owned by the
 /// step code that consumes its channel, which clears it as it probes (so an
 /// un-probed engaged arrival keeps its byte, and the component stays due).
+/// On a shard list the entry's index is also its bit in the due bitmap; a
+/// width-0 entry's bit is never cleared.
 struct ComponentEntry {
   Clockable* component = nullptr;
   std::atomic<std::uint8_t>* wake = nullptr;
   int wake_width = 0;
 };
 
-/// The kernel's one skip predicate: step the component when any byte of
-/// its wake row is set or it has internal work. Returns true when the
+/// The kernel's one skip predicate: any byte of the wake row is set or the
+/// component has internal work.
+inline bool component_due(const ComponentEntry& e) {
+  for (int i = 0; i < e.wake_width; ++i) {
+    if (e.wake[i].load(std::memory_order_relaxed) != 0) return true;
+  }
+  return !e.component->idle_internal();
+}
+
+/// Step the component when component_due() holds. Returns true when the
 /// component was stepped.
 inline bool step_component_if_due(const ComponentEntry& e, Cycle now) {
-  bool arrivals = false;
-  for (int i = 0; i < e.wake_width; ++i) {
-    if (e.wake[i].load(std::memory_order_relaxed) != 0) {
-      arrivals = true;
-      break;
-    }
-  }
-  if (!arrivals && e.component->idle_internal()) return false;
+  if (!component_due(e)) return false;
   e.component->step(now);
   return true;
 }
@@ -223,7 +294,9 @@ class Kernel {
 
   /// As add(), on shard `shard`'s list. The row's bytes must be stamped
   /// only by channels filed under the same shard (the component is their
-  /// receiver), so a wake byte never crosses a shard.
+  /// receiver), so a wake byte never crosses a shard; the first tick after
+  /// a registration throws std::logic_error naming a channel that breaks
+  /// this.
   void add_to_shard(int shard, Clockable* c, std::atomic<std::uint8_t>* wake = nullptr,
                     int width = 0);
   /// A channel whose sender and receiver both live in `shard`; skipped
@@ -260,6 +333,16 @@ class Kernel {
   /// (active-set instrumentation).
   int last_tick_stepped() const { return last_tick_stepped_; }
 
+  /// Referee for the mark_due() call sites: the shard components the skip
+  /// predicate would step now whose due bit is clear, in shard and
+  /// registration order. Between ticks it is empty unless some code created
+  /// work for a component without calling mark_due(). Costs one predicate
+  /// evaluation per shard component.
+  std::vector<const Clockable*> due_but_unlisted() const;
+  /// Interior channels on the shards' live worklists. After a tick it
+  /// equals the number of active interior channels.
+  int listed_channels() const;
+
   // --- observability ---------------------------------------------------------
   /// Attach a counter registry. The kernel registers its own counters
   /// (`kernel.cycles`, `kernel.component_steps`, `kernel.channel_advances`)
@@ -288,12 +371,25 @@ class Kernel {
     std::vector<ComponentEntry> components;
     std::vector<ChannelBase*> interior;
     std::vector<ChannelBase*> boundary;
+    // Worklists of a shard list, sized by prepare(): bit i of `due` lists
+    // components[i], bit i of `live` lists interior[i]. The receiver
+    // arrays give the components index a channel's arrival wakes (-1: a
+    // tail component or none).
+    std::vector<std::uint64_t> due;
+    std::vector<std::uint64_t> live;
+    std::vector<int> interior_receiver;
+    std::vector<int> boundary_receiver;
     int stepped = 0;
     int advanced = 0;
   };
 
-  static void step_list(List& list, Cycle now);
-  static void advance_list(List& list);
+  /// Size the worklists after a registration change, list every entry and
+  /// point each shard component and interior channel at its bit.
+  void prepare();
+  static void step_shard(List& list, Cycle now);
+  static void advance_shard(List& list);
+  static void step_tail(List& list, Cycle now);
+  static void advance_tail(List& list);
   template <typename F>
   void for_each_shard(const F& body);
   void end_tick();
@@ -305,6 +401,7 @@ class Kernel {
   Cycle now_ = 0;
   int last_tick_stepped_ = 0;
   bool in_tick_ = false;
+  bool prepared_ = false;  // worklists match the registrations
   std::vector<Clockable*> deferred_removals_;
 
   obs::CounterRegistry* metrics_ = nullptr;

@@ -197,6 +197,27 @@ TEST(Analyzer, GatedBoundaryCorruptionRefused) {
   EXPECT_TRUE(has_code(r, "gated-boundary-channel"));
 }
 
+TEST(Analyzer, CrossShardWorklistCorruptionRefused) {
+  const analyze::AnalysisReport r =
+      analyze_broken(baseline(), 2, analyze::BreakKind::kCrossShardWorklist);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.race_free);
+  EXPECT_TRUE(has_code(r, "shard-crossing-mutable-state"));
+  const auto* worklists = obligation(r, "worklist-filing");
+  ASSERT_NE(worklists, nullptr);
+  EXPECT_FALSE(worklists->proven);
+  ASSERT_FALSE(worklists->witness.empty());
+  EXPECT_NE(worklists->witness.front().find("due_bits"), std::string::npos);
+  // The honest model proves the same obligation at every shard count.
+  for (const int shards : {1, 2, 4}) {
+    const analyze::AnalysisReport honest = analyze::analyze_config(baseline(), shards);
+    EXPECT_TRUE(honest.ok()) << shards << "\n" << honest.to_string();
+    const auto* ob = obligation(honest, "worklist-filing");
+    ASSERT_NE(ob, nullptr);
+    EXPECT_TRUE(ob->proven) << shards;
+  }
+}
+
 TEST(Analyzer, CorruptionsAreCleanAtOneShardExceptZeroLatency) {
   // The corruptions model *sharding* bugs: with one shard there is nothing
   // to race with, so the analyzer correctly accepts them (the sequential

@@ -11,6 +11,7 @@
 // the tsan preset races the shard workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -24,6 +25,7 @@
 #include "sim/kernel.h"
 #include "traffic/generator.h"
 #include "traffic/replay.h"
+#include "traffic/scheduled.h"
 
 namespace ocn {
 namespace {
@@ -231,6 +233,310 @@ TEST(KernelShards, WorkerExceptionEndsTheTick) {
   EXPECT_EQ(tail.steps, 0);
   EXPECT_EQ(k.now(), 3);
   EXPECT_EQ(k.last_tick_stepped(), 1);
+}
+
+// --- Worklists --------------------------------------------------------------
+
+// A component on a one-byte wake row, due while `pending`. Stepping on cycle
+// `poke_at`, it hands work to `poke` through mark_due(), as a NIC's register
+// filter does for its router.
+struct Marker final : Clockable {
+  std::atomic<std::uint8_t> wake[1] = {};
+  bool pending = false;
+  Marker* poke = nullptr;
+  Cycle poke_at = -1;
+  std::vector<Cycle> steps;
+  void step(Cycle now) override {
+    steps.push_back(now);
+    pending = false;
+    if (now == poke_at && poke != nullptr) {
+      poke->pending = true;
+      poke->mark_due();
+    }
+  }
+  bool idle_internal() const override { return !pending; }
+};
+
+// A mark_due() during phase A reaches a higher index in the same cycle, the
+// bit-63 -> bit-64 word boundary included, and a lower index on the next
+// cycle: the cycles a linear scan of the list steps them on.
+TEST(KernelWorklist, MarkDueDuringTheScanStepsWhereALinearScanWould) {
+  struct Case {
+    std::size_t from;
+    std::size_t to;
+    Cycle delay;  // cycles from the poke to the poked component's step
+  };
+  const Case cases[] = {{0, 1, 0},   {62, 63, 0}, {63, 64, 0}, {10, 127, 0},
+                        {64, 129, 0}, {1, 0, 1},   {64, 63, 1}, {129, 5, 1}};
+  for (const int shards : {1, 2}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", " + std::to_string(c.from) +
+                   " pokes " + std::to_string(c.to));
+      Kernel k(shards);
+      std::vector<Marker> markers(130);
+      for (Marker& m : markers) k.add_to_shard(shards - 1, &m, m.wake, 1);
+      k.run(2);  // every entry is listed on the first tick and found idle
+      Marker& from = markers[c.from];
+      Marker& to = markers[c.to];
+      const Cycle poke = k.now();
+      from.poke = &to;
+      from.poke_at = poke;
+      from.pending = true;
+      from.mark_due();
+      for (int i = 0; i < 3; ++i) {
+        k.tick();
+        EXPECT_TRUE(k.due_but_unlisted().empty()) << "cycle " << k.now() - 1;
+      }
+      EXPECT_EQ(from.steps, std::vector<Cycle>{poke});
+      EXPECT_EQ(to.steps, std::vector<Cycle>{poke + c.delay});
+      int steps = 0;
+      for (const Marker& m : markers) steps += static_cast<int>(m.steps.size());
+      EXPECT_EQ(steps, 2);
+    }
+  }
+}
+
+// Sends one value on each cycle of `sends`; width 0, so visited every cycle.
+struct Source final : Clockable {
+  Channel<int>* out = nullptr;
+  std::vector<Cycle> sends;
+  void step(Cycle now) override {
+    for (const Cycle c : sends) {
+      if (c == now) out->send(static_cast<int>(now));
+    }
+  }
+};
+
+// Woken by its one inbound channel only; takes the arrival unless `expire`,
+// in which case the value stays on the wire until the advance retires it.
+struct Sink final : Clockable {
+  Channel<int>* in = nullptr;
+  std::atomic<std::uint8_t> wake[1] = {};
+  bool expire = false;
+  int taken = 0;
+  void step(Cycle) override {
+    wake[0].store(0, std::memory_order_relaxed);
+    if (!expire && in->take()) ++taken;
+  }
+  bool idle_internal() const override { return true; }
+};
+
+struct LiveRun {
+  std::vector<int> stepped;            // last_tick_stepped per cycle
+  std::vector<std::int64_t> advances;  // kernel.channel_advances per cycle
+  int taken = 0;
+};
+
+// One source -> sink channel. On a shard list (`shard`) it runs on the
+// worklists, and after every tick the channel's live bit must be set exactly
+// when active(); in the serial tail the same system runs on the plain scan,
+// the reference for the per-cycle counts.
+LiveRun run_live(int latency, const std::vector<Cycle>& sends, bool expire, bool shard) {
+  Kernel k(1);
+  obs::CounterRegistry registry;
+  k.attach_metrics(&registry);
+  Channel<int> ch(latency);
+  Source src;
+  src.out = &ch;
+  src.sends = sends;
+  Sink sink;
+  sink.in = &ch;
+  sink.expire = expire;
+  ch.set_wake(&sink.wake[0]);
+  if (shard) {
+    k.add_to_shard(0, &src);
+    k.add_to_shard(0, &sink, sink.wake, 1);
+    k.add_interior(0, &ch);
+  } else {
+    k.add(&src);
+    k.add(&sink, sink.wake, 1);
+    k.add(&ch);
+  }
+  LiveRun out;
+  const obs::Counter& advances = registry.counter("kernel.channel_advances");
+  for (Cycle c = 0; c < 16; ++c) {
+    const std::int64_t before = advances.value();
+    k.tick();
+    out.stepped.push_back(k.last_tick_stepped());
+    out.advances.push_back(advances.value() - before);
+    if (shard) {
+      EXPECT_EQ(k.listed_channels(), ch.active() ? 1 : 0) << "cycle " << c;
+      EXPECT_TRUE(k.due_but_unlisted().empty()) << "cycle " << c;
+    }
+  }
+  out.taken = sink.taken;
+  return out;
+}
+
+TEST(KernelWorklist, LiveBitTracksActiveAfterEveryTick) {
+  struct Case {
+    const char* name;
+    std::vector<Cycle> sends;
+    bool expire;
+  };
+  const Case cases[] = {
+      // take() of the last value deactivates the channel before phase B.
+      {"one value taken", {0}, false},
+      {"one value expires", {0}, true},
+      {"back-to-back values taken", {0, 1, 2}, false},
+      {"back-to-back values expire", {0, 1, 2}, true},
+      {"gap of two taken", {0, 2, 9}, false},
+      {"gap of five expires", {0, 5}, true},
+  };
+  for (const int latency : {1, 3}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + ", latency " + std::to_string(latency));
+      const LiveRun worklist = run_live(latency, c.sends, c.expire, /*shard=*/true);
+      const LiveRun scan = run_live(latency, c.sends, c.expire, /*shard=*/false);
+      EXPECT_EQ(worklist.stepped, scan.stepped);
+      EXPECT_EQ(worklist.advances, scan.advances);
+      EXPECT_EQ(worklist.taken, scan.taken);
+      EXPECT_EQ(worklist.taken, c.expire ? 0 : static_cast<int>(c.sends.size()));
+    }
+  }
+}
+
+// A channel filed under one shard that wakes a component of another would
+// set a bit the other shard's worker owns; the first tick refuses it.
+TEST(KernelWorklist, ChannelWakingAnotherShardIsRefused) {
+  Kernel k(2);
+  Channel<int> ch(1, "misfiled");
+  Sink sink;
+  sink.in = &ch;
+  ch.set_wake(&sink.wake[0]);
+  k.add_to_shard(1, &sink, sink.wake, 1);
+  k.add_interior(0, &ch);
+  try {
+    k.tick();
+    ADD_FAILURE() << "a mis-filed channel was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("misfiled"), std::string::npos) << e.what();
+  }
+}
+
+// --- The mark_due() referee --------------------------------------------------
+
+// A synthesized SoC trace plus self-addressed packets, which the NIC
+// delivers through its loopback queue without touching a channel.
+std::vector<traffic::TraceEntry> referee_trace(int nodes, std::uint64_t seed) {
+  std::vector<traffic::TraceEntry> trace = traffic::synthesize_soc_trace(
+      nodes, /*flows=*/8, /*bursts=*/6, /*burst_len=*/3, /*period=*/40, seed);
+  for (int i = 0; i < 6; ++i) {
+    const auto node = static_cast<NodeId>((5 * i) % nodes);
+    trace.push_back({static_cast<Cycle>(7 + 31 * i), node, node, 64, 0});
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const auto& a, const auto& b) { return a.cycle < b.cycle; });
+  return trace;
+}
+
+// Referees the worklists in the middle of a tick, from the serial tail:
+// once every shard component has stepped, a component another one gave
+// work to in this phase (a NIC's register filter writing its router's
+// table) must be listed, or it misses the step a linear scan would give it
+// in this same cycle. Wake bytes are stamped only in phase B, so anything
+// due here but unlisted lacks a mark_due().
+struct MidTickReferee final : Clockable {
+  const Kernel* kernel = nullptr;
+  std::vector<Cycle> failures;
+  void step(Cycle now) override {
+    if (!kernel->due_but_unlisted().empty()) failures.push_back(now);
+  }
+};
+
+// Ticks `net` `cycles` times, calling `before(now)` ahead of each tick, and
+// demands after every tick, and from `referee` within it, that no shard
+// component the skip predicate would step is missing from its worklist:
+// work created outside a component's own step() must come with a
+// mark_due(). Nothing is registered in between, since a registration lists
+// every entry again and would hide a missing mark.
+template <typename F>
+void run_refereed(Network& net, const MidTickReferee& referee, Cycle cycles, const F& before) {
+  for (Cycle t = 0; t < cycles; ++t) {
+    before(net.now());
+    net.step();
+    const std::vector<const Clockable*> unlisted = net.kernel().due_but_unlisted();
+    ASSERT_TRUE(unlisted.empty())
+        << unlisted.size() << " due components unlisted after cycle " << net.now() - 1;
+    ASSERT_TRUE(referee.failures.empty())
+        << "due components unlisted within cycle " << referee.failures.front();
+  }
+}
+
+void run_refereed(Network& net, const MidTickReferee& referee, Cycle cycles) {
+  run_refereed(net, referee, cycles, [](Cycle) {});
+}
+
+TEST(KernelWorklist, QuickMatrixLeavesNoDueComponentUnlisted) {
+  for (const ref::CampaignCell& cell : ref::quick_matrix()) {
+    for (const int shards : {1, 4}) {
+      SCOPED_TRACE(cell.name + " at " + std::to_string(shards) + " shards");
+      Network net(cell.config, shards);
+      MidTickReferee referee;
+      referee.kernel = &net.kernel();
+      net.kernel().add(&referee);
+      TraceReplay replay(net, referee_trace(net.num_nodes(), 11));
+      replay.start();
+      const ref::Scenario& kill = cell.scenario;
+      run_refereed(net, referee, 600, [&](Cycle now) {
+        if (kill.active() && now == kill.kill_cycle) {
+          EXPECT_TRUE(chaos::kill_link(net, kill.kill_node, kill.kill_port).committed);
+        }
+      });
+      EXPECT_TRUE(replay.finished());
+      EXPECT_TRUE(net.idle());
+    }
+  }
+}
+
+// Reservations written by register packets (a NIC filter writing its
+// router's table) and by Network::reserve_flow, and the scheduled packets a
+// ScheduledFlow queues, all create work outside the receiver's step().
+TEST(KernelWorklist, ReservationsAndScheduledFlowsLeaveNoDueComponentUnlisted) {
+  Config c = Config::paper_baseline();
+  c.router.exclusive_scheduled_vc = true;
+  c.router.reservation_frame = 32;
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    Network net(c, shards);
+    MidTickReferee referee;
+    referee.kernel = &net.kernel();
+    net.kernel().add(&referee);
+    // Registered before the first tick; started below.
+    traffic::ScheduledFlow flow(net, 3, 12);
+    // The scheduled class is reserved, so the dynamic packets use class 0.
+    std::vector<traffic::TraceEntry> trace = referee_trace(net.num_nodes(), 13);
+    for (traffic::TraceEntry& e : trace) e.service_class = 0;
+    TraceReplay replay(net, std::move(trace));
+
+    const auto phase = net.reserve_flow(0, 5, 7);
+    ASSERT_TRUE(phase.has_value());
+    net.release_flow(0, 5, *phase);
+    // Stalled ejection holds the register packets in their NICs until the
+    // routers they program have gone idle and left the worklists.
+    const auto stall_all = [&](bool stalled) {
+      for (NodeId n = 0; n < net.num_nodes(); ++n) {
+        for (VcId v = 0; v < c.router.vcs; ++v) net.nic(n).set_ejection_stall(v, stalled);
+      }
+    };
+    stall_all(true);
+    net.program_flow_registers(/*config_master=*/15, 0, 5, *phase);
+    run_refereed(net, referee, 100);
+    stall_all(false);
+    run_refereed(net, referee, 100);
+    EXPECT_EQ(net.register_writes_applied(),
+              static_cast<std::int64_t>(net.routes().port_path(0, 5).size()));
+
+    // A reservation written straight into idle routers.
+    ASSERT_TRUE(net.reserve_flow(2, 9, 3).has_value());
+    run_refereed(net, referee, 50);
+
+    flow.start();
+    replay.start();
+    run_refereed(net, referee, 600);
+    EXPECT_GT(flow.received(), 0);
+    EXPECT_TRUE(replay.finished());
+  }
 }
 
 // --- Golden replay at N shards -----------------------------------------
