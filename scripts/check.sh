@@ -173,6 +173,14 @@ leg_analyze_smoke() {
       exit 1
     fi
   done
+  # The cross-shard-worklist witness is a write-write pair: its second
+  # access (phase B's due-bit stamp) must be labelled a write.
+  local witness
+  witness=$("$analyze" --shards 2 --break cross-shard-worklist 2>&1 || true)
+  if ! grep -q -- 'due_bits \[plain state\] --write\[' <<<"$witness"; then
+    echo "expected the cross-shard-worklist witness to name its phase-B access --write[" >&2
+    exit 1
+  fi
   if "$analyze" --shards 2 --link-latency 0 --quiet; then
     echo "expected the analyzer to refuse link latency 0" >&2
     exit 1

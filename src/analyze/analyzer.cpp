@@ -61,14 +61,15 @@ struct Analysis {
   }
 
   /// "A (shard 0) --write[parallel step]--> S --read[parallel step]--> B
-  /// (shard 1)" — the witness path's spine.
-  std::string edge_path(int sid, int writer_access, int reader_access) const {
+  /// (shard 1)" — the witness path's spine. The second access is labelled
+  /// with its own kind: a write-write pair prints "--write[" twice.
+  std::string edge_path(int sid, int writer_access, int other_access) const {
     const Access& w = m.accesses[static_cast<std::size_t>(writer_access)];
-    const Access& r = m.accesses[static_cast<std::size_t>(reader_access)];
+    const Access& o = m.accesses[static_cast<std::size_t>(other_access)];
+    const char* other_kind = o.kind == AccessKind::kRead ? " --read[" : " --write[";
     return m.describe_component(w.component) + " --write[" +
-           phase_name(w.phase) + "]--> " + m.describe_state(sid) +
-           " --read[" + phase_name(r.phase) + "]--> " +
-           m.describe_component(r.component);
+           phase_name(w.phase) + "]--> " + m.describe_state(sid) + other_kind +
+           phase_name(o.phase) + "]--> " + m.describe_component(o.component);
   }
 
   /// A parallel writer and a parallel access from a different shard, for

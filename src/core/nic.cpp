@@ -24,7 +24,6 @@ Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes
       eject_stalled_(static_cast<std::size_t>(config.router.vcs), false),
       eject_arb_(config.router.vcs),
       assembling_(static_cast<std::size_t>(config.router.vcs)),
-      req_scratch_(static_cast<std::size_t>(config.router.vcs), 0),
       prio_scratch_(static_cast<std::size_t>(config.router.vcs), 0),
       next_packet_id_(static_cast<PacketId>(node) << 40),
       class_latency_(4) {
@@ -202,10 +201,11 @@ void Nic::process_ejection(Cycle now) {
   if (eject_pending_count_ == 0) return;
   // Consume at most one flit per cycle (the physical port is one flit wide)
   // from a non-stalled VC, returning its credit.
+  std::uint32_t requests = 0;
   for (std::size_t v = 0; v < eject_pending_.size(); ++v) {
-    req_scratch_[v] = !eject_pending_[v].empty() && !eject_stalled_[v] ? 1 : 0;
+    if (!eject_pending_[v].empty() && !eject_stalled_[v]) requests |= std::uint32_t{1} << v;
   }
-  const int vc = eject_arb_.arbitrate(req_scratch_.data());
+  const int vc = eject_arb_.arbitrate(requests);
   if (vc < 0) return;
   Flit f = std::move(eject_pending_[static_cast<std::size_t>(vc)].front());
   eject_pending_[static_cast<std::size_t>(vc)].pop_front();
@@ -255,7 +255,7 @@ void Nic::do_injection(Cycle now) {
   int vc = -1;
   if (queued_flit_count_ > 0) {
     const int vcs = config_.router.vcs;
-    std::uint8_t* requests = req_scratch_.data();
+    std::uint32_t requests = 0;
     int* priority = prio_scratch_.data();
     for (VcId v = 0; v < vcs; ++v) {
       const auto& q = vc_queues_[static_cast<std::size_t>(v)];
@@ -264,8 +264,10 @@ void Nic::do_injection(Cycle now) {
                          (config_.router.dropping() ||
                           credits_[static_cast<std::size_t>(v)] > 0) &&
                          q.front().send_at <= now;
-      requests[v] = ready ? 1 : 0;
-      priority[v] = ready ? q.front().priority() : 0;
+      if (ready) {
+        requests |= std::uint32_t{1} << v;
+        priority[v] = q.front().priority();
+      }
     }
     vc = inject_arb_.arbitrate(requests, priority);
   }

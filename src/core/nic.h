@@ -182,7 +182,6 @@ class Nic final : public Clockable {
   std::vector<Packet> assembling_;
   // Per-cycle arbitration scratch, reused to keep allocations off the hot
   // path.
-  std::vector<std::uint8_t> req_scratch_;  // raw-arbiter request format
   std::vector<int> prio_scratch_;
 
   std::deque<std::pair<Packet, Cycle>> loopback_;  ///< self-addressed, (packet, deliver_at)

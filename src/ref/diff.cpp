@@ -46,12 +46,16 @@ void production_snapshot(core::Network& net, const traffic::TraceReplay& replay,
       out.push_back(in.flits_dropped());
       out.push_back(r.switch_arb(port).pointer());
       const int* count = pool.buf_count_row(slot, p);
-      const bool* routed = pool.routed_row(slot, p);
+      const router::VcState* state = pool.vc_state_row(slot, p);
       const topo::Port* out_port = pool.out_port_row(slot, p);
       const VcId* out_vc = pool.out_vc_row(slot, p);
       for (VcId v = 0; v < vcs; ++v) {
         out.push_back(count[v]);
-        out.push_back(routed[v] ? 1 : 0);
+        // "Routed": the head's route entry has been decoded.
+        out.push_back(state[v] == router::VcState::kVcWait ||
+                              state[v] == router::VcState::kActive
+                          ? 1
+                          : 0);
         out.push_back(static_cast<std::int64_t>(out_port[v]));
         out.push_back(out_vc[v]);
       }

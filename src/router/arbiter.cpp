@@ -2,43 +2,20 @@
 
 namespace ocn::router {
 
-int RoundRobinArbiter::arbitrate(const std::uint8_t* requests) {
-  for (int i = 0; i < inputs_; ++i) {
-    const int candidate = (next_ + i) % inputs_;
-    if (requests[candidate]) {
-      next_ = (candidate + 1) % inputs_;
-      return candidate;
-    }
+int PriorityArbiter::arbitrate(std::uint32_t requests, const int* priority) {
+  if (requests == 0) return -1;
+  int best = priority[std::countr_zero(requests)];
+  for (std::uint32_t r = requests & (requests - 1); r != 0; r &= r - 1) {
+    const int level = priority[std::countr_zero(r)];
+    if (level > best) best = level;
   }
-  return -1;
-}
-
-int RoundRobinArbiter::arbitrate_at_level(const std::uint8_t* requests,
-                                          const int* priority, int level) {
-  for (int i = 0; i < inputs_; ++i) {
-    const int candidate = (next_ + i) % inputs_;
-    if (requests[candidate] && priority[candidate] == level) {
-      next_ = (candidate + 1) % inputs_;
-      return candidate;
-    }
+  // Round-robin among the highest-priority requesters.
+  std::uint32_t at_best = 0;
+  for (std::uint32_t r = requests; r != 0; r &= r - 1) {
+    const int i = std::countr_zero(r);
+    if (priority[i] == best) at_best |= std::uint32_t{1} << i;
   }
-  return -1;
-}
-
-int PriorityArbiter::arbitrate(const std::uint8_t* requests,
-                               const int* priority) {
-  bool any = false;
-  int best = 0;
-  for (int i = 0; i < rr_.inputs(); ++i) {
-    if (requests[i] && (!any || priority[i] > best)) {
-      best = priority[i];
-      any = true;
-    }
-  }
-  if (!any) return -1;
-  // Round-robin among the highest-priority requesters, without building a
-  // filtered request vector (this runs per input port per cycle).
-  return rr_.arbitrate_at_level(requests, priority, best);
+  return rr_.arbitrate(at_best);
 }
 
 }  // namespace ocn::router

@@ -8,13 +8,13 @@ bool ReservationTable::reserve(int slot, int input, VcId vc) {
   assert(slot >= 0 && slot < frame());
   if (slots_[static_cast<std::size_t>(slot)].reserved()) return false;
   slots_[static_cast<std::size_t>(slot)] = Slot{input, vc};
-  ++*reserved_count_;
+  pool_->resv_adjust(slot_, port_, 1);
   return true;
 }
 
 void ReservationTable::clear(int slot) {
   assert(slot >= 0 && slot < frame());
-  if (slots_[static_cast<std::size_t>(slot)].reserved()) --*reserved_count_;
+  if (slots_[static_cast<std::size_t>(slot)].reserved()) pool_->resv_adjust(slot_, port_, -1);
   slots_[static_cast<std::size_t>(slot)] = Slot{};
 }
 

@@ -9,10 +9,11 @@
 //
 // The slot table is cold (touched only at configuration time and on the
 // reserved cycles) and read by nothing else, so the table owns it as a
-// vector. The reserved-slot *count* is read as a row by the per-cycle
-// bypass gate and the event-skip occupancy scan, so it lives in the
-// (router, port) cell of a RouterStatePool. A standalone table binds a cell
-// of a `RouterStatePool(1, params)`.
+// vector. The reserved-slot *count* lives in the (router, port) cell of a
+// RouterStatePool, whose resv_adjust also keeps the router's reserved-
+// outputs mask (the bypass and link-arbitration phases and the skip
+// predicate read the mask). A standalone table binds a cell of a
+// `RouterStatePool(1, params)`.
 #pragma once
 
 #include <vector>
@@ -33,7 +34,7 @@ class ReservationTable {
   /// Binds the reserved-slot count of (slot, port) in `pool`; the pool
   /// must outlive the table.
   ReservationTable(int frame, RouterStatePool& pool, int slot, int port)
-      : slots_(frame > 0 ? frame : 1), reserved_count_(pool.resv_count(slot, port)) {}
+      : slots_(frame > 0 ? frame : 1), pool_(&pool), slot_(slot), port_(port) {}
 
   int frame() const { return static_cast<int>(slots_.size()); }
 
@@ -45,10 +46,9 @@ class ReservationTable {
   const Slot& at(Cycle now) const { return slots_[index(now)]; }
   bool reserved_at(Cycle now) const { return at(now).reserved(); }
 
-  /// Number of reserved slots; maintained incrementally so the per-cycle
-  /// `any()` check in the router hot path is O(1).
-  int reserved_count() const { return *reserved_count_; }
-  bool any() const { return *reserved_count_ > 0; }
+  /// Number of reserved slots; maintained incrementally.
+  int reserved_count() const { return pool_->resv_count(slot_, port_); }
+  bool any() const { return reserved_count() > 0; }
 
  private:
   int index(Cycle now) const {
@@ -56,7 +56,9 @@ class ReservationTable {
     return static_cast<int>(((now % f) + f) % f);
   }
   std::vector<Slot> slots_;
-  int* reserved_count_;
+  RouterStatePool* pool_;
+  int slot_;
+  int port_;
 };
 
 }  // namespace ocn::router

@@ -39,7 +39,6 @@ void Router::init_controllers() {
                           ReservationTable(params_.reservation_frame, *pool_, slot_, p));
     switch_arbs_.emplace_back(params_.vcs);
   }
-  std::memset(req_scratch_, 0, sizeof(req_scratch_));
   std::memset(prio_scratch_, 0, sizeof(prio_scratch_));
   for (int p = 0; p < topo::kNumPorts; ++p) {
     dateline_cache_[p] = topo_.crosses_dateline(node_, static_cast<Port>(p));
@@ -83,13 +82,13 @@ bool Router::effective_dateline(const Flit& head, Port in_port, Port out_port) c
 void Router::step(Cycle now) {
   for (int p = 0; p < topo::kNumPorts; ++p) process_credits(p);
   for (int p = 0; p < topo::kNumPorts; ++p) accept_arrival(p);
-  for (int p = 0; p < topo::kNumPorts; ++p) decode_fronts(p, now);
+  decode_fronts();
   vc_allocation(now);
   reservation_bypass(now);
   link_arbitration(now);
-  switch_traversal(now);
-  // The per-cycle transients (popped, link_used, stage_fresh) are pool
-  // rows, cleared with three contiguous writes.
+  switch_traversal();
+  // The per-cycle bits (popped, link used, decoded this cycle) live in the
+  // router's mask record and are cleared together.
   pool_->clear_cycle_flags(slot_);
 }
 
@@ -165,19 +164,17 @@ void Router::accept_arrival(int p) {
   in.in->consume();
 }
 
-void Router::decode_fronts(int p, Cycle now) {
-  const int* cnt = pool_->buf_count_row(slot_, p);
-  bool* routed = pool_->routed_row(slot_, p);
-  Cycle* routed_at = pool_->routed_at_row(slot_, p);
-  Port* outport = pool_->out_port_row(slot_, p);
-  std::uint8_t* amask = pool_->alloc_mask_row(slot_, p);
-  bool* awant = pool_->alloc_want_odd_row(slot_, p);
-  const auto port = static_cast<Port>(p);
-  for (VcId v = 0; v < params_.vcs; ++v) {
-    // Only occupied, not-yet-routed VCs can decode.
-    if (cnt[v] == 0 || routed[v]) continue;
+void Router::decode_fronts() {
+  // Routing VCs: occupied, neither waiting for a VC nor granted.
+  const RouterMasks& m = pool_->masks(slot_);
+  for (std::uint64_t todo = m.occupied & ~(m.vc_wait | m.ready); todo != 0;
+       todo &= todo - 1) {
+    const int bit = std::countr_zero(todo);
+    const int p = bit / 8;
+    const VcId v = bit % 8;
+    const auto port = static_cast<Port>(p);
     Flit& head = pool_->buf_front(slot_, p, v);
-    // A body flit at the front of an unrouted VC would mean interleaved
+    // A body flit at the front of a Routing VC would mean interleaved
     // packets on one VC — a protocol violation.
     assert(is_head(head.type) && "body flit at front of unrouted VC");
     if (!is_head(head.type)) continue;
@@ -185,57 +182,62 @@ void Router::decode_fronts(int p, Cycle now) {
     const std::uint8_t code = head.route.pop();
     // The injection hop carries an absolute direction code; every later
     // hop a turn relative to the arrival port.
-    outport[v] = port == Port::kTile ? routing::injection_port(code)
-                                     : routing::apply_turn(port, static_cast<TurnCode>(code));
+    const Port out = port == Port::kTile
+                         ? routing::injection_port(code)
+                         : routing::apply_turn(port, static_cast<TurnCode>(code));
     // The same head asks for a downstream VC: its class mask and the
     // dateline parity it will have on the chosen output.
-    amask[v] = head.vc_mask;
-    awant[v] = effective_dateline(head, port, outport[v]);
-    routed[v] = true;
-    routed_at[v] = now;
+    pool_->set_route(slot_, p, v, out, head.vc_mask, effective_dateline(head, port, out));
   }
 }
 
 void Router::vc_allocation(Cycle now) {
+  const RouterMasks& m = pool_->masks(slot_);
+  // Conservative pipeline: decode and allocation are separate stages, so a
+  // VC decoded this cycle waits for the next.
+  const std::uint64_t waiting = params_.speculative ? m.vc_wait : m.vc_wait & ~m.decoded;
+  if (waiting == 0) return;
   // Rotate the input starting point so no input gets structural priority on
   // downstream VCs. Derived from the cycle counter (identical to a counter
   // incremented every cycle) so skipped idle cycles don't perturb it.
   const int start = static_cast<int>(now % topo::kNumPorts);
   for (int i = 0; i < topo::kNumPorts; ++i) {
     const int p = (start + i) % topo::kNumPorts;
-    if (!inputs_[static_cast<std::size_t>(p)].attached()) continue;
-    // Candidate filter over the pool's contiguous rows: only VCs that are
-    // occupied, routed, and still ungranted fall through. A candidate's
-    // front is always its decoded head (a pop needs the grant this stage
-    // produces), so the request rows decode wrote are current.
-    const int* cnt = pool_->buf_count_row(slot_, p);
-    const bool* routed = pool_->routed_row(slot_, p);
-    VcId* outvc = pool_->out_vc_row(slot_, p);
-    const Cycle* routed_at = pool_->routed_at_row(slot_, p);
+    unsigned lane = mask_lane(waiting, p);
+    if (lane == 0) continue;
     const Port* outport = pool_->out_port_row(slot_, p);
     const std::uint8_t* amask = pool_->alloc_mask_row(slot_, p);
     const bool* awant = pool_->alloc_want_odd_row(slot_, p);
-    for (VcId v = 0; v < params_.vcs; ++v) {
-      if (cnt[v] == 0 || !routed[v] || outvc[v] != kInvalidVc) continue;
-      // Conservative pipeline: decode and allocation are separate stages.
-      if (!params_.speculative && routed_at[v] >= now) continue;
+    std::uint16_t* seen = pool_->alloc_seen_row(slot_, p);
+    for (; lane != 0; lane &= lane - 1) {
+      const VcId v = std::countr_zero(lane);
       if (v == params_.scheduled_vc && params_.exclusive_scheduled_vc) {
         // Pre-scheduled traffic keeps its dedicated VC end to end; slots
         // were reserved at configuration time so no allocation is needed.
-        outvc[v] = params_.scheduled_vc;
+        pool_->grant(slot_, p, v, params_.scheduled_vc);
         continue;
       }
-      VcAllocator alloc = vc_allocator(static_cast<int>(outport[v]));
+      const int out = static_cast<int>(outport[v]);
+      // Retry on change: with the request fixed, success depends only on
+      // the output's allocated mask, and a failure moves nothing, so an
+      // attempt against the mask of the last failure would fail again.
+      const std::uint8_t allocated = pool_->vc_allocated(slot_, out);
+      if (seen[v] == allocated) continue;
+      VcAllocator alloc = vc_allocator(out);
+      VcId granted = kInvalidVc;
       if (params_.dropping()) {
         // Dropping flow control keeps the same VC index across hops; the
         // VC is still owned for the packet's duration so wormholes from
         // different inputs never interleave on one link VC.
-        if (alloc.allocate_exact(v)) outvc[v] = v;
-        continue;
+        if (alloc.allocate_exact(v)) granted = v;
+      } else {
+        granted = alloc.allocate(amask[v], awant[v], outport[v] == Port::kTile);
       }
-      const bool ignore_parity = outport[v] == Port::kTile;
-      const VcId granted = alloc.allocate(amask[v], awant[v], ignore_parity);
-      if (granted != kInvalidVc) outvc[v] = granted;
+      if (granted != kInvalidVc) {
+        pool_->grant(slot_, p, v, granted);
+      } else {
+        seen[v] = allocated;
+      }
     }
   }
 }
@@ -259,13 +261,11 @@ void Router::receive_credit(int out, VcId vc) {
 }
 
 Flit Router::pop(int in, VcId vc) {
-  bool* popped = pool_->popped(slot_, in);
-  assert(!*popped && "one flit per input port per cycle");
-  *popped = true;
+  assert(!pool_->popped(slot_, in) && "one flit per input port per cycle");
+  pool_->set_popped(slot_, in);
   InputController& rec = inputs_[static_cast<std::size_t>(in)];
   ++rec.stats.buffer_reads;
   Flit f = pool_->buf_pop(slot_, in, vc);
-  if (is_tail(f.type)) pool_->reset_packet_state(slot_, in, vc);
   // Credit-based flow control returns the freed slot upstream: via the
   // reverse-direction carry queue when piggybacking, else on the dedicated
   // credit wire. In dropping mode there is no credit loop.
@@ -288,21 +288,12 @@ Flit Router::take_flit(int in, VcId vc, Port out_port, VcId out_vc) {
   return f;
 }
 
-void Router::stage_push(int out, int input, Flit f) {
-  bool* full = pool_->stage_full(slot_, out);
-  assert(!full[input] && "output stage slot occupied");
-  pool_->stage(slot_, out)[input] = std::move(f);
-  full[input] = true;
-  pool_->stage_fresh(slot_, out)[input] = true;
-}
-
 void Router::send_on_link(int out, Flit f, bool bypass) {
   OutputController& rec = outputs_[static_cast<std::size_t>(out)];
   OutputController::Stats& st = rec.stats;
-  bool* link_used = pool_->link_used(slot_, out);
   assert(rec.link != nullptr);
-  assert(!*link_used);
-  *link_used = true;
+  assert(!pool_->link_used(slot_, out));
+  pool_->set_link_used(slot_, out);
   if (params_.piggyback_credits && pool_->carry_count_row(slot_)[out] > 0) {
     f.carried_credit_vc = static_cast<std::int8_t>(pool_->carry_pop(slot_, out));
   }
@@ -346,26 +337,21 @@ void Router::send_on_link(int out, Flit f, bool bypass) {
 }
 
 void Router::reservation_bypass(Cycle now) {
-  // Pool-row early-out: without a single reserved slot anywhere (the common
-  // case outside scheduled-traffic configs) there is nothing to bypass.
-  const int* resv = pool_->resv_count_row(slot_);
-  bool any = false;
-  for (int p = 0; p < topo::kNumPorts; ++p) any |= resv[p] != 0;
-  if (!any) return;
-  for (int o = 0; o < topo::kNumPorts; ++o) {
+  const RouterMasks& m = pool_->masks(slot_);
+  for (unsigned outs = m.resv; outs != 0; outs &= outs - 1) {
+    const int o = std::countr_zero(outs);
     OutputController& out = outputs_[static_cast<std::size_t>(o)];
-    if (!out.attached() || !out.reservations().any()) continue;
+    if (!out.attached()) continue;
     const auto& slot = out.reservations().at(now);
     if (!slot.reserved()) continue;
     const int i = slot.input;
     const VcId v = slot.vc;
-    if (!inputs_[static_cast<std::size_t>(i)].attached() || *pool_->popped(slot_, i)) continue;
-    if (pool_->buf_count_row(slot_, i)[v] == 0 || !pool_->routed_row(slot_, i)[v] ||
+    // The reserved VC must hold a granted flit routed to this output.
+    if (((m.ready >> mask_bit(i, v)) & 1u) == 0 || pool_->popped(slot_, i) ||
         pool_->out_port_row(slot_, i)[v] != out.port) {
       continue;
     }
     const VcId out_vc = pool_->out_vc_row(slot_, i)[v];
-    if (out_vc == kInvalidVc) continue;
     if (!has_credit(o, out_vc)) continue;  // reservation mis-set; wait
     consume_credit(o, out_vc);
     Flit f = take_flit(i, v, out.port, out_vc);
@@ -377,53 +363,34 @@ void Router::reservation_bypass(Cycle now) {
 }
 
 void Router::link_arbitration(Cycle now) {
-  // Pool-row gate: arbitrate_link can only act when some stage register is
-  // occupied, a piggyback credit is queued (credit-only filler), or a
-  // reservation exists (idle reserved slots are accounted every cycle).
-  // All three are visible in contiguous pool rows.
-  bool any = false;
-  const bool* full = pool_->stage_full_block(slot_);
-  for (int i = 0; i < topo::kNumPorts * topo::kNumPorts; ++i) any |= full[i];
-  if (!any && params_.piggyback_credits) {
-    const int* carry = pool_->carry_count_row(slot_);
-    for (int p = 0; p < topo::kNumPorts; ++p) any |= carry[p] != 0;
-  }
-  if (!any) {
-    const int* resv = pool_->resv_count_row(slot_);
-    for (int p = 0; p < topo::kNumPorts; ++p) any |= resv[p] != 0;
-  }
-  if (!any) return;
+  // arbitrate_link can only act on an output with an occupied stage
+  // register, a queued piggyback credit (credit-only filler) or a
+  // reservation (idle reserved slots are accounted every cycle).
+  const RouterMasks& m = pool_->masks(slot_);
+  unsigned outs = m.carry | m.resv;
   for (int p = 0; p < topo::kNumPorts; ++p) {
+    if (mask_lane(m.stage, p) != 0) outs |= 1u << p;
+  }
+  for (; outs != 0; outs &= outs - 1) {
+    const int p = std::countr_zero(outs);
     if (outputs_[static_cast<std::size_t>(p)].attached()) arbitrate_link(p, now);
   }
 }
 
 void Router::arbitrate_link(int p, Cycle now) {
   OutputController& out = outputs_[static_cast<std::size_t>(p)];
-  bool* link_used = pool_->link_used(slot_, p);
-  if (*link_used) return;
+  if (pool_->link_used(slot_, p)) return;
   const bool slot_reserved = out.reservations().any() && out.reservations().reserved_at(now);
   if (slot_reserved && !params_.reclaim_idle_slots) {
     // The reserved flit did not show; the cycle is lost to the reservation.
     ++out.stats.idle_reserved_cycles;
     return;
   }
-  // Arbitrate among non-fresh stage registers; requests and priorities are
-  // stack arrays (per-call vectors once dominated the hot-path profile).
-  Flit* stage = pool_->stage(slot_, p);
-  bool* full = pool_->stage_full(slot_, p);
-  const bool* fresh = pool_->stage_fresh(slot_, p);
-  std::uint8_t requests[topo::kNumPorts] = {};
-  int priority[topo::kNumPorts] = {};
-  int ready = 0;
-  for (int i = 0; i < topo::kNumPorts; ++i) {
-    if (full[i] && !fresh[i]) {
-      requests[i] = 1;
-      priority[i] = params_.priority_arbitration ? stage[i].priority : 0;
-      ++ready;
-    }
-  }
-  if (ready == 0) {
+  // Arbitrate among the full stage registers. Every one was filled on an
+  // earlier cycle: switch traversal, the only filler, runs after this
+  // phase.
+  const unsigned full = mask_lane(pool_->masks(slot_).stage, p);
+  if (full == 0) {
     // Idle link with credits to return: emit a credit-only flit (the
     // piggyback scheme's filler, costing a handful of control bits).
     if (params_.piggyback_credits && pool_->carry_count_row(slot_)[p] > 0) {
@@ -431,64 +398,69 @@ void Router::arbitrate_link(int p, Cycle now) {
       f.type = FlitType::kCreditOnly;
       f.size_code = 0;
       f.carried_credit_vc = static_cast<std::int8_t>(pool_->carry_pop(slot_, p));
-      *link_used = true;
+      pool_->set_link_used(slot_, p);
       ++out.stats.credit_only_flits;
       out.link->send(std::move(f));
     }
     return;
   }
-  const int winner = params_.priority_arbitration
-                         ? out.link_arb.arbitrate(requests, priority)
-                         : out.link_arb.arbitrate_flat(requests);
+  int winner;
+  if (params_.priority_arbitration) {
+    const Flit* stage = pool_->stage(slot_, p);
+    int priority[topo::kNumPorts] = {};
+    for (unsigned bits = full; bits != 0; bits &= bits - 1) {
+      const int i = std::countr_zero(bits);
+      priority[i] = stage[i].priority;
+    }
+    winner = out.link_arb.arbitrate(full, priority);
+  } else {
+    winner = out.link_arb.arbitrate_flat(full);
+  }
   assert(winner >= 0);
-  out.stats.contention_cycles += ready - 1;
-  Flit f = std::move(stage[winner]);
-  full[winner] = false;
-  send_on_link(p, std::move(f), /*bypass=*/false);
+  out.stats.contention_cycles += std::popcount(full) - 1;
+  send_on_link(p, pool_->stage_take(slot_, p, winner), /*bypass=*/false);
 }
 
-void Router::switch_traversal(Cycle now) {
+void Router::switch_traversal() {
+  const RouterMasks& m = pool_->masks(slot_);
+  // Granted VCs with a buffered flit. Pre-scheduled traffic moves only on
+  // its reserved slots (bypass path); letting it use the dynamic path
+  // would reintroduce jitter. (In the conservative pipeline a VC decoded
+  // this cycle has no grant yet, so it is not ready.)
+  const std::uint64_t ready =
+      m.ready & ~(std::uint64_t{0x0101010101} * params_.excluded_vcs());
   for (int i = 0; i < topo::kNumPorts; ++i) {
-    if (!inputs_[static_cast<std::size_t>(i)].attached() || *pool_->popped(slot_, i)) continue;
-    // Row filter first (occupied + routed + VC granted), then the remaining
-    // per-candidate checks against the output port's rows.
-    const int* cnt = pool_->buf_count_row(slot_, i);
-    const bool* routed = pool_->routed_row(slot_, i);
+    unsigned lane = mask_lane(ready, i);
+    if (lane == 0 || pool_->popped(slot_, i)) continue;
     const VcId* outvc = pool_->out_vc_row(slot_, i);
-    const Cycle* routed_at = pool_->routed_at_row(slot_, i);
     const Port* outport = pool_->out_port_row(slot_, i);
-    int requesters = 0;
-    for (VcId v = 0; v < params_.vcs; ++v) {
-      req_scratch_[v] = 0;
-      prio_scratch_[v] = 0;
-      if (cnt[v] == 0 || !routed[v] || outvc[v] == kInvalidVc) continue;
-      // Pre-scheduled traffic moves only on its reserved slots (bypass
-      // path); letting it use the dynamic path would reintroduce jitter.
-      if (params_.exclusive_scheduled_vc && v == params_.scheduled_vc) continue;
-      if (!params_.speculative && routed_at[v] >= now) continue;
+    std::uint32_t requests = 0;
+    for (; lane != 0; lane &= lane - 1) {
+      const VcId v = std::countr_zero(lane);
       const int o = static_cast<int>(outport[v]);
       if (!outputs_[static_cast<std::size_t>(o)].attached()) continue;
-      if (pool_->stage_full(slot_, o)[i]) continue;
+      if (((m.stage >> mask_bit(o, i)) & 1u) != 0) continue;
       if (!has_credit(o, outvc[v])) continue;
-      req_scratch_[v] = 1;
-      prio_scratch_[v] =
-          params_.priority_arbitration ? pool_->buf_front(slot_, i, v).priority : 0;
-      ++requesters;
+      requests |= std::uint32_t{1} << v;
+      if (params_.priority_arbitration) {
+        prio_scratch_[v] = pool_->buf_front(slot_, i, v).priority;
+      }
     }
     // Zero requesters: the arbiter would return -1 and leave its pointer
     // frozen (the semantics tests/test_router_units.cpp pins) — skip it.
-    if (requesters == 0) continue;
+    if (requests == 0) continue;
     const int winner =
         params_.priority_arbitration
-            ? switch_arbs_[static_cast<std::size_t>(i)].arbitrate(req_scratch_,
-                                                                  prio_scratch_)
-            : switch_arbs_[static_cast<std::size_t>(i)].arbitrate_flat(req_scratch_);
+            ? switch_arbs_[static_cast<std::size_t>(i)].arbitrate(requests, prio_scratch_)
+            : switch_arbs_[static_cast<std::size_t>(i)].arbitrate_flat(requests);
     if (winner < 0) continue;
     const VcId out_vc = outvc[winner];
     const Port out_port = outport[winner];
     consume_credit(static_cast<int>(out_port), out_vc);
-    Flit f = take_flit(i, winner, out_port, out_vc);
-    stage_push(static_cast<int>(out_port), i, std::move(f));
+    // Into the output stage register for this input: eligible for link
+    // arbitration from the next cycle (the stage is a register).
+    pool_->stage_put(slot_, static_cast<int>(out_port), i,
+                     take_flit(i, winner, out_port, out_vc));
   }
 }
 

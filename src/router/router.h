@@ -79,12 +79,22 @@ class Router final : public Clockable {
   void step(Cycle now) override;
 
   /// Skip predicate, internal half: no buffered or staged flits, queued
-  /// carry credits or reservation slots (one contiguous pool scan). Arrivals
-  /// are the wake row's half — a channel delivering into this router stamps
-  /// its per-port arrival byte as it advances. When both are clear, a step
-  /// would change nothing: the per-cycle state a skipped step would touch
-  /// (allocation rotation) is derived from the cycle counter.
-  bool idle_internal() const override { return !pool_->has_internal_work(slot_); }
+  /// carry credits or reservation slots, i.e. no work bit set in the
+  /// router's masks (RouterMasks, kept at the transitions; see soa.h).
+  /// Arrivals are the wake row's half — a channel delivering into this
+  /// router stamps its per-port arrival byte as it advances. When both are
+  /// clear, a step would change nothing: the per-cycle state a skipped step
+  /// would touch (allocation rotation) is derived from the cycle counter.
+  /// Every phase of a step likewise walks set mask bits only, and a VcWait
+  /// VC retries allocation only once its output's allocated mask differs
+  /// from the one its last attempt failed against: with its request fixed,
+  /// success depends only on that mask (the excluded VCs are constant),
+  /// and a failed attempt moves no pointer, so the skipped attempts are
+  /// exactly the ones that would fail.
+  bool idle_internal() const override {
+    const RouterMasks& m = pool_->masks(slot_);
+    return (m.occupied | m.stage | m.carry | m.resv) == 0;
+  }
 
   /// The per-port arrival bytes channels stamp and the kernel scans; see
   /// idle_internal(). Contiguous, wake_width() bytes wide.
@@ -121,12 +131,12 @@ class Router final : public Clockable {
   // slot and the per-port records.
   void process_credits(int p);
   void accept_arrival(int p);
-  void decode_fronts(int p, Cycle now);
+  void decode_fronts();
   void vc_allocation(Cycle now);
   void reservation_bypass(Cycle now);
   void link_arbitration(Cycle now);
   void arbitrate_link(int p, Cycle now);
-  void switch_traversal(Cycle now);
+  void switch_traversal();
 
   // Datapath steps the phases share.
   bool has_credit(int out, VcId vc) const;
@@ -138,10 +148,6 @@ class Router final : public Clockable {
   Flit pop(int in, VcId vc);
   /// Prepare a flit popped from (in, vc) for transmission on out_vc.
   Flit take_flit(int in, VcId vc, topo::Port out_port, VcId out_vc);
-  /// Insert a flit that crossed the switch this cycle into output `out`'s
-  /// stage slot for `input`; it becomes eligible for link arbitration next
-  /// cycle (the stage is a register).
-  void stage_push(int out, int input, Flit f);
   void send_on_link(int out, Flit f, bool bypass);
   VcAllocator vc_allocator(int out) { return VcAllocator(*pool_, slot_, out, params_); }
 
@@ -154,8 +160,7 @@ class Router final : public Clockable {
   std::vector<InputController> inputs_;
   std::vector<OutputController> outputs_;
   std::vector<PriorityArbiter> switch_arbs_;  // one per input, over VCs
-  // Per-cycle switch-arbitration scratch (stack-resident, no allocation).
-  std::uint8_t req_scratch_[kMaxArbiterInputs];
+  // Per-cycle switch-arbitration priorities, indexed by VC (no allocation).
   int prio_scratch_[kMaxArbiterInputs];
   // crosses_dateline(node_, port) is a pure function of construction-time
   // topology; cached so effective_dateline (VC allocation, every candidate

@@ -36,7 +36,7 @@ TEST(Flit, HeadTailPredicates) {
 
 TEST(RoundRobin, RotatesGrants) {
   RoundRobinArbiter arb(4);
-  const std::uint8_t all[] = {1, 1, 1, 1};
+  const std::uint32_t all = 0b1111;
   EXPECT_EQ(arb.arbitrate(all), 0);
   EXPECT_EQ(arb.arbitrate(all), 1);
   EXPECT_EQ(arb.arbitrate(all), 2);
@@ -46,9 +46,9 @@ TEST(RoundRobin, RotatesGrants) {
 
 TEST(RoundRobin, SkipsNonRequesters) {
   RoundRobinArbiter arb(4);
-  const std::uint8_t only2[] = {0, 0, 1, 0};
-  const std::uint8_t zero_and_2[] = {1, 0, 1, 0};
-  const std::uint8_t none[] = {0, 0, 0, 0};
+  const std::uint32_t only2 = 0b0100;
+  const std::uint32_t zero_and_2 = 0b0101;
+  const std::uint32_t none = 0;
   EXPECT_EQ(arb.arbitrate(only2), 2);
   EXPECT_EQ(arb.arbitrate(zero_and_2), 0);  // pointer at 3 wraps
   EXPECT_EQ(arb.arbitrate(none), -1);
@@ -57,14 +57,14 @@ TEST(RoundRobin, SkipsNonRequesters) {
 TEST(RoundRobin, FairUnderFullLoad) {
   RoundRobinArbiter arb(3);
   std::vector<int> grants(3, 0);
-  const std::uint8_t all[] = {1, 1, 1};
+  const std::uint32_t all = 0b111;
   for (int i = 0; i < 300; ++i) ++grants[static_cast<std::size_t>(arb.arbitrate(all))];
   for (int g : grants) EXPECT_EQ(g, 100);
 }
 
 TEST(PriorityArb, HighPriorityAlwaysWins) {
   PriorityArbiter arb(3);
-  const std::uint8_t all[] = {1, 1, 1};
+  const std::uint32_t all = 0b111;
   const int prio[] = {0, 5, 1};
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(arb.arbitrate(all, prio), 1);
@@ -74,7 +74,7 @@ TEST(PriorityArb, HighPriorityAlwaysWins) {
 TEST(PriorityArb, TiesRotate) {
   PriorityArbiter arb(3);
   std::vector<int> grants(3, 0);
-  const std::uint8_t all[] = {1, 1, 1};
+  const std::uint32_t all = 0b111;
   const int prio[] = {2, 2, 2};
   for (int i = 0; i < 90; ++i) {
     ++grants[static_cast<std::size_t>(arb.arbitrate(all, prio))];
@@ -91,8 +91,8 @@ TEST(PriorityArb, TiesRotate) {
 // forever.
 TEST(RoundRobin, PointerFrozenOnNoGrantCycles) {
   RoundRobinArbiter arb(4);
-  const std::uint8_t first_two[] = {1, 1, 0, 0};
-  const std::uint8_t none[] = {0, 0, 0, 0};
+  const std::uint32_t first_two = 0b0011;
+  const std::uint32_t none = 0;
   EXPECT_EQ(arb.arbitrate(first_two), 0);
   EXPECT_EQ(arb.pointer(), 1);
   for (int i = 0; i < 5; ++i) {
@@ -104,8 +104,8 @@ TEST(RoundRobin, PointerFrozenOnNoGrantCycles) {
 
 TEST(PriorityArb, PointerFrozenOnNoGrantCycles) {
   PriorityArbiter arb(3);
-  const std::uint8_t all[] = {1, 1, 1};
-  const std::uint8_t none[] = {0, 0, 0};
+  const std::uint32_t all = 0b111;
+  const std::uint32_t none = 0;
   const int ones[] = {1, 1, 1};
   const int zeros[] = {0, 0, 0};
   EXPECT_EQ(arb.arbitrate(all, ones), 0);
@@ -127,7 +127,7 @@ TEST(RoundRobin, IntermittentRequesterIsNotStarved) {
   int waiting = 0;  // consecutive cycles input 0 requested without a grant
   for (int cycle = 0; cycle < 300; ++cycle) {
     const bool eligible0 = cycle % 3 == 0;
-    const std::uint8_t req[] = {static_cast<std::uint8_t>(eligible0), 1, 1};
+    const std::uint32_t req = (eligible0 ? 0b001u : 0u) | 0b110u;
     const int winner = arb.arbitrate(req);
     ASSERT_GE(winner, 0);
     ++grants[static_cast<std::size_t>(winner)];
@@ -231,6 +231,83 @@ TEST(VcAllocator, FailedAllocateLeavesRotation) {
   EXPECT_EQ(a.rotation(), 7);
 }
 
+// The precondition of retry-on-change (Router::vc_allocation): a VcWait VC
+// skips its attempt while its output's allocated mask equals the one its
+// last attempt failed against. That is exact when, with the request (mask,
+// parity) fixed, success depends only on allocated | excluded, and a
+// failure changes nothing. Checked exhaustively for 8 VCs: every allocated
+// mask, both excluded masks (none, VC 7), every request mask, both parity
+// wants, with parity ignored or not and enforced or not, and every
+// rotation pointer.
+TEST(VcAllocator, AllocateOutcomeDependsOnlyOnBusyMaskAndRequest) {
+  for (const bool enforce : {false, true}) {
+    for (const bool exclusive : {false, true}) {
+      RouterParams params = unit_params(8, 4);
+      params.enforce_vc_parity = enforce;
+      params.exclusive_scheduled_vc = exclusive;
+      params.scheduled_vc = 7;
+      const std::uint8_t excluded = params.excluded_vcs();
+      RouterStatePool pool(1, params);
+      // outcome[busy][mask][want_odd][ignore_parity]: -1 unseen, else 0/1.
+      std::vector<int> outcome(256 * 256 * 4, -1);
+      for (int allocated = 0; allocated < 256; ++allocated) {
+        for (int mask = 0; mask < 256; ++mask) {
+          for (int want = 0; want < 4; ++want) {
+            const bool want_odd = (want & 1) != 0;
+            const bool ignore_parity = (want & 2) != 0;
+            const int busy = allocated | excluded;
+            int& expect = outcome[static_cast<std::size_t>((busy * 256 + mask) * 4 + want)];
+            for (int rotation = 0; rotation < 8; ++rotation) {
+              pool.vc_allocated(0, 0) = static_cast<std::uint8_t>(allocated);
+              *pool.vc_rotation(0, 0) = rotation;
+              VcAllocator a(pool, 0, 0, params);
+              const VcId v =
+                  a.allocate(static_cast<std::uint8_t>(mask), want_odd, ignore_parity);
+              const int ok = v != kInvalidVc ? 1 : 0;
+              if (expect < 0) expect = ok;
+              ASSERT_EQ(ok, expect) << "allocated " << allocated << " mask " << mask
+                                    << " want " << want << " rotation " << rotation;
+              if (ok == 0) {
+                ASSERT_EQ(pool.vc_allocated(0, 0), allocated);
+                ASSERT_EQ(a.rotation(), rotation);
+              } else {
+                // A grant takes one free VC the mask names.
+                ASSERT_NE((mask >> v) & 1, 0);
+                ASSERT_EQ((busy >> v) & 1, 0);
+                ASSERT_EQ(pool.vc_allocated(0, 0), allocated | (1 << v));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same for dropping mode's allocate_exact(v): success depends only on
+// whether v is allocated, and a failure changes nothing.
+TEST(VcAllocator, AllocateExactOutcomeDependsOnlyOnAllocatedMask) {
+  for (const bool exclusive : {false, true}) {
+    RouterParams params = unit_params(8, 4);
+    params.exclusive_scheduled_vc = exclusive;
+    params.scheduled_vc = 7;
+    RouterStatePool pool(1, params);
+    for (int allocated = 0; allocated < 256; ++allocated) {
+      for (VcId v = 0; v < 8; ++v) {
+        for (int rotation = 0; rotation < 8; ++rotation) {
+          pool.vc_allocated(0, 0) = static_cast<std::uint8_t>(allocated);
+          *pool.vc_rotation(0, 0) = rotation;
+          VcAllocator a(pool, 0, 0, params);
+          const bool ok = a.allocate_exact(v);
+          ASSERT_EQ(ok, ((allocated >> v) & 1) == 0) << "allocated " << allocated << " vc " << v;
+          ASSERT_EQ(a.rotation(), rotation);
+          ASSERT_EQ(pool.vc_allocated(0, 0), ok ? allocated | (1 << v) : allocated);
+        }
+      }
+    }
+  }
+}
+
 TEST(Reservation, SlotLifecycle) {
   RouterStatePool pool(1, unit_params(8, 4));
   ReservationTable t(16, pool, 0, 0);
@@ -271,12 +348,25 @@ TEST(RouterStatePool, RingFifoWithCapacity) {
 
 TEST(RouterStatePool, PacketStateResets) {
   RouterStatePool pool(1, unit_params(2, 4));
-  pool.routed_row(0, 0)[0] = true;
-  pool.out_vc_row(0, 0)[0] = 3;
-  pool.out_port_row(0, 0)[0] = topo::Port::kColNeg;
-  pool.reset_packet_state(0, 0, 0);
-  EXPECT_FALSE(pool.routed_row(0, 0)[0]);
+  Flit head;
+  head.type = FlitType::kHead;
+  Flit tail;
+  tail.type = FlitType::kTail;
+  pool.buf_push(0, 0, 0, head);
+  pool.buf_push(0, 0, 0, tail);
+  EXPECT_EQ(pool.vc_state_row(0, 0)[0], VcState::kRouting);
+  pool.set_route(0, 0, 0, topo::Port::kColNeg, 0xff, false);
+  pool.grant(0, 0, 0, 3);
+  EXPECT_EQ(pool.vc_state_row(0, 0)[0], VcState::kActive);
+  EXPECT_EQ(pool.out_vc_row(0, 0)[0], 3);
+  pool.buf_pop(0, 0, 0);
+  EXPECT_EQ(pool.vc_state_row(0, 0)[0], VcState::kActive);
+  // The tail leaving ends the packet: no route, no VC, no work.
+  pool.buf_pop(0, 0, 0);
+  EXPECT_EQ(pool.vc_state_row(0, 0)[0], VcState::kIdle);
   EXPECT_EQ(pool.out_vc_row(0, 0)[0], kInvalidVc);
+  EXPECT_EQ(pool.out_port_row(0, 0)[0], topo::Port::kTile);
+  EXPECT_EQ(pool.masks(0).occupied | pool.masks(0).ready | pool.masks(0).vc_wait, 0u);
 }
 
 }  // namespace

@@ -39,16 +39,18 @@ using traffic::TraceReplay;
 
 // One node of a four-relay ring: forwards each token it receives (until the
 // token has made kMaxHops hops) and injects a fresh token every `period`
-// cycles. Arrivals wake it through a one-byte wake row; injection cycles
-// are its internal work.
+// cycles. Arrivals wake it through a one-byte wake row. A relay with a
+// period waits on time, which no arrival or mark_due() announces, so it
+// keeps answering "not idle" (the Clockable::idle_internal contract).
 struct Relay final : Clockable {
   static constexpr int kMaxHops = 3;
-  const Kernel* kernel = nullptr;
   Channel<int>* in = nullptr;
   Channel<int>* out = nullptr;
   std::atomic<std::uint8_t> wake[1] = {};
   int period = 0;  // 0 = never injects
   int steps = 0;
+  int due = 0;  // steps on a multiple of `period`
+  int injections = 0;
   Cycle last_step = -1;
 
   void step(Cycle now) override {
@@ -58,11 +60,16 @@ struct Relay final : Clockable {
       wake[0].store(0, std::memory_order_relaxed);
       if (auto hops = in->take(); hops && *hops < kMaxHops) out->send(*hops + 1);
     }
-    if (period > 0 && now % period == 0 && !out->send_pending()) out->send(0);
+    if (period > 0 && now % period == 0) {
+      ++due;
+      // A token forwarded this cycle holds the link: that injection is lost.
+      if (!out->send_pending()) {
+        out->send(0);
+        ++injections;
+      }
+    }
   }
-  bool idle_internal() const override {
-    return period == 0 || kernel->now() % period != 0;
-  }
+  bool idle_internal() const override { return period == 0; }
 };
 
 // A serial-tail component stepped every cycle: counts the relays that have
@@ -79,6 +86,8 @@ struct TailProbe final : Clockable {
 
 struct RingRun {
   std::vector<int> relay_steps;
+  std::vector<int> relay_due;
+  std::vector<int> relay_injections;
   std::vector<int> relays_stepped_before_tail;
   std::vector<int> last_tick_stepped;
   std::vector<std::int64_t> steps_per_cycle;  // kernel.component_steps deltas
@@ -97,7 +106,6 @@ RingRun run_ring(int shards, Cycle cycles) {
   const auto shard_of = [shards](int relay) { return relay < 2 ? 0 : shards - 1; };
   for (int i = 0; i < 4; ++i) {
     Relay& r = relays[static_cast<std::size_t>(i)];
-    r.kernel = &k;
     r.period = periods[i];
     r.out = &links[static_cast<std::size_t>(i)];
     r.in = &links[static_cast<std::size_t>((i + 3) % 4)];
@@ -122,10 +130,15 @@ RingRun run_ring(int shards, Cycle cycles) {
   for (Cycle c = 0; c < cycles; ++c) {
     const std::int64_t before = steps.value();
     k.tick();
+    EXPECT_TRUE(k.due_but_unlisted().empty()) << "cycle " << c;
     out.last_tick_stepped.push_back(k.last_tick_stepped());
     out.steps_per_cycle.push_back(steps.value() - before);
   }
-  for (const Relay& r : relays) out.relay_steps.push_back(r.steps);
+  for (const Relay& r : relays) {
+    out.relay_steps.push_back(r.steps);
+    out.relay_due.push_back(r.due);
+    out.relay_injections.push_back(r.injections);
+  }
   out.relays_stepped_before_tail = probe.relays_stepped_before;
   return out;
 }
@@ -143,6 +156,14 @@ TEST(KernelShards, ShardComponentsStepBeforeTheTailWithOneShardCounts) {
   EXPECT_EQ(two.relays_stepped_before_tail, one.relays_stepped_before_tail);
   // The ring is idle on some cycles, so the skip predicate is exercised.
   EXPECT_LT(two.relay_steps[1], 60);
+  // A relay with a period steps on every injection cycle: relay 0 on the
+  // 12 multiples of 5 below 60, relay 2 on the 9 multiples of 7. A forward
+  // in the same cycle takes the link on one of relay 0's and two of relay
+  // 2's.
+  for (const RingRun* run : {&one, &two}) {
+    EXPECT_EQ(run->relay_due, (std::vector<int>{12, 0, 9, 0}));
+    EXPECT_EQ(run->relay_injections, (std::vector<int>{11, 0, 7, 0}));
+  }
 }
 
 TEST(KernelShards, LastTickSteppedSumsShardsAndTail) {

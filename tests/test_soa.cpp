@@ -1,23 +1,27 @@
 // Router-state gates: the lockstep quick matrix, the decoded VC request
-// (written with the route, read by every allocation attempt), the
-// quiescence audit (the kernel's skip predicates recompute from occupancy —
-// the stale-flag pattern Channel::take() once had), and arbiter
-// rotation-pointer semantics.
+// (written with the route, read by every allocation attempt), the mask
+// referee (every VC state byte and router mask recomputed from the rows
+// after every step — the stale-flag pattern Channel::take() once had), the
+// quiescence audit, and arbiter rotation-pointer semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "chaos/chaos.h"
 #include "core/network.h"
 #include "ref/campaign.h"
 #include "ref/diff.h"
 #include "router/arbiter.h"
 #include "router/router.h"
+#include "router/vc_allocator.h"
 #include "sim/rng.h"
 #include "traffic/replay.h"
+#include "traffic/scheduled.h"
 
 namespace ocn {
 namespace {
@@ -64,13 +68,13 @@ std::string check_decoded_requests(Network& net, std::int64_t& candidates) {
       const auto port = static_cast<topo::Port>(p);
       if (!r.input(port).attached()) continue;
       const int* count = pool.buf_count_row(slot, p);
-      const bool* routed = pool.routed_row(slot, p);
-      const VcId* out_vc = pool.out_vc_row(slot, p);
+      const router::VcState* state = pool.vc_state_row(slot, p);
       const topo::Port* out_port = pool.out_port_row(slot, p);
       const std::uint8_t* mask = pool.alloc_mask_row(slot, p);
       const bool* want_odd = pool.alloc_want_odd_row(slot, p);
       for (VcId v = 0; v < vcs; ++v) {
-        if (count[v] == 0 || !routed[v] || out_vc[v] != kInvalidVc) continue;
+        if (state[v] != router::VcState::kVcWait) continue;
+        if (count[v] == 0) return "VcWait VC with an empty buffer";
         ++candidates;
         const router::Flit& front = pool.buf_front(slot, p, v);
         std::ostringstream where;
@@ -117,6 +121,246 @@ TEST(RouterState, DecodedRequestMatchesHeadEveryCycle) {
     // Saturation keeps many heads blocked on allocation.
     EXPECT_GT(candidates, 10000) << "speculative=" << speculative;
   }
+}
+
+// --- the mask referee --------------------------------------------------------
+
+// What the referee compares across one step: every VC state byte, in
+// (node, port, vc) order, and, in (node, port) order, every input's
+// buffer reads and every output's link cycles used (sends, credit-only
+// fillers and idle reserved slots).
+struct StepSnapshot {
+  std::vector<router::VcState> states;
+  std::vector<std::int64_t> reads;
+  std::vector<std::int64_t> link_cycles;
+};
+
+std::int64_t link_cycles(const router::OutputController& o) {
+  return o.flits_sent() + o.credit_only_flits() + o.idle_reserved_cycles();
+}
+
+StepSnapshot snapshot(Network& net) {
+  StepSnapshot out;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    const router::Router& r = net.router_at(n);
+    for (int p = 0; p < topo::kNumPorts; ++p) {
+      const router::VcState* state = r.pool().vc_state_row(r.pool_slot(), p);
+      out.states.insert(out.states.end(), state, state + r.params().vcs);
+      out.reads.push_back(r.input(static_cast<topo::Port>(p)).buffer_reads());
+      out.link_cycles.push_back(link_cycles(r.output(static_cast<topo::Port>(p))));
+    }
+  }
+  return out;
+}
+
+// Recompute every VC state byte and every RouterMasks word of every router
+// from the pool rows (buf_count, out_vc, out_port, stage_full, carry_count,
+// resv_count) and return the first disagreement, or "". Also check the
+// retry-on-change rule: a VcWait VC skipping its attempt (its output's
+// allocated mask equals the one it last failed against) must really fail
+// against that mask, re-tried on a scratch copy of the output's cells.
+// The per-cycle bits are clear after a step, so they are checked by their
+// effect against `before`, taken before the step: no input forwards two
+// flits in one step (popped), no output uses its link twice (link used),
+// and in the two-stage pipeline no VC goes from Idle or Routing to Active
+// in one step (decoded).
+std::string check_router_masks(Network& net, const StepSnapshot& before) {
+  using router::VcState;
+  const router::RouterParams& params = net.config().router;
+  const int vcs = params.vcs;
+  router::RouterStatePool scratch(1, params);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    router::Router& r = net.router_at(n);
+    router::RouterStatePool& pool = r.pool();
+    const int slot = r.pool_slot();
+    const std::size_t base = static_cast<std::size_t>(n) * topo::kNumPorts *
+                             static_cast<std::size_t>(vcs);
+    router::RouterMasks want;
+    for (int p = 0; p < topo::kNumPorts; ++p) {
+      const int* count = pool.buf_count_row(slot, p);
+      const VcState* state = pool.vc_state_row(slot, p);
+      const VcId* out_vc = pool.out_vc_row(slot, p);
+      const topo::Port* out_port = pool.out_port_row(slot, p);
+      std::uint16_t* seen = pool.alloc_seen_row(slot, p);
+      for (VcId v = 0; v < vcs; ++v) {
+        const std::uint64_t bit = std::uint64_t{1} << router::mask_bit(p, v);
+        const VcState st = state[v];
+        const auto fail = [&](const char* what) {
+          std::ostringstream where;
+          where << "node " << n << " port " << p << " vc " << v << " state "
+                << static_cast<int>(st) << ": " << what;
+          return where.str();
+        };
+        // The state byte against the rows: granted iff Active, empty and
+        // ungranted iff Idle, a head at the front while Routing or VcWait.
+        if ((out_vc[v] != kInvalidVc) != (st == VcState::kActive)) {
+          return fail("out_vc disagrees with the state byte");
+        }
+        if ((st == VcState::kIdle) != (count[v] == 0 && out_vc[v] == kInvalidVc)) {
+          return fail("Idle disagrees with the buffer count");
+        }
+        if ((st == VcState::kRouting || st == VcState::kVcWait) &&
+            !router::is_head(pool.buf_front(slot, p, v).type)) {
+          return fail("front of an undecoded or waiting VC is not a head");
+        }
+        if ((st == VcState::kIdle || st == VcState::kRouting) &&
+            out_port[v] != topo::Port::kTile) {
+          return fail("stale out_port");
+        }
+        const VcState was = before.states[base + static_cast<std::size_t>(p * vcs + v)];
+        if (!params.speculative && st == VcState::kActive &&
+            (was == VcState::kIdle || was == VcState::kRouting)) {
+          return fail("decoded and granted in one step of the two-stage pipeline");
+        }
+        if (count[v] > 0) want.occupied |= bit;
+        if (st == VcState::kVcWait) want.vc_wait |= bit;
+        if (st == VcState::kActive && count[v] > 0) want.ready |= bit;
+        if (st != VcState::kVcWait || seen[v] == router::RouterStatePool::kAllocUntried) {
+          continue;
+        }
+        const int out = static_cast<int>(out_port[v]);
+        if (seen[v] != pool.vc_allocated(slot, out)) continue;  // retries next step
+        scratch.vc_allocated(0, 0) = pool.vc_allocated(slot, out);
+        *scratch.vc_rotation(0, 0) = *pool.vc_rotation(slot, out);
+        router::VcAllocator trial(scratch, 0, 0, params);
+        const bool granted =
+            params.dropping()
+                ? trial.allocate_exact(v)
+                : trial.allocate(pool.alloc_mask_row(slot, p)[v],
+                                 pool.alloc_want_odd_row(slot, p)[v],
+                                 out_port[v] == topo::Port::kTile) != kInvalidVc;
+        if (granted) return fail("skipped an allocation that would succeed");
+      }
+      const auto np = static_cast<std::size_t>(n * topo::kNumPorts + p);
+      if (r.input(static_cast<topo::Port>(p)).buffer_reads() - before.reads[np] > 1) {
+        return "node " + std::to_string(n) + " port " + std::to_string(p) +
+               ": an input forwarded two flits in one step";
+      }
+      if (link_cycles(r.output(static_cast<topo::Port>(p))) - before.link_cycles[np] > 1) {
+        return "node " + std::to_string(n) + " port " + std::to_string(p) +
+               ": an output used its link twice in one step";
+      }
+      const bool* staged = pool.stage_full(slot, p);
+      for (int i = 0; i < topo::kNumPorts; ++i) {
+        if (staged[i]) want.stage |= std::uint64_t{1} << router::mask_bit(p, i);
+      }
+      if (pool.carry_count_row(slot)[p] > 0) want.carry |= static_cast<std::uint8_t>(1u << p);
+      if (pool.resv_count(slot, p) > 0) want.resv |= static_cast<std::uint8_t>(1u << p);
+    }
+    const router::RouterMasks& got = pool.masks(slot);
+    const std::pair<const char*, bool> words[] = {
+        {"occupied", got.occupied == want.occupied},
+        {"vc_wait", got.vc_wait == want.vc_wait},
+        {"ready", got.ready == want.ready},
+        {"stage", got.stage == want.stage},
+        {"carry", got.carry == want.carry},
+        {"resv", got.resv == want.resv},
+        // The per-cycle bits are cleared at the end of every step.
+        {"decoded", got.decoded == 0},
+        {"popped", got.popped == 0},
+        {"link_used", got.link_used == 0},
+    };
+    for (const auto& [name, ok] : words) {
+      if (!ok) return "node " + std::to_string(n) + ": mask " + name + " disagrees with the rows";
+    }
+    const bool idle = (want.occupied | want.stage | want.carry | want.resv) == 0;
+    if (r.idle_internal() != idle) {
+      return "node " + std::to_string(n) + ": idle_internal disagrees with the rows";
+    }
+  }
+  return "";
+}
+
+// Offer `rate` packets per node per cycle of 1..max_flits flits on the
+// dynamic classes for `cycles` cycles, then step on for up to `drain`
+// cycles until every router has been idle for 20; check the masks after
+// every step. Returns the first disagreement (with its cycle), or "".
+std::string run_mask_referee(Network& net, double rate, int max_flits, Cycle cycles,
+                             Cycle drain, std::uint64_t seed,
+                             std::int64_t* waiting = nullptr) {
+  const std::vector<int> classes = core::dynamic_classes(net.config().router);
+  const int nodes = net.num_nodes();
+  Rng rng(seed, 0x3a5c);
+  int idle_for = 0;
+  for (Cycle c = 0; c < cycles + drain && idle_for < 20; ++c) {
+    if (c < cycles) {
+      for (NodeId src = 0; src < nodes; ++src) {
+        if (rng.next_double() >= rate) continue;
+        auto dst = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(nodes - 1)));
+        if (dst >= src) ++dst;
+        const int cls = classes[rng.next_below(classes.size())];
+        net.nic(src).inject(
+            core::make_packet(dst, cls,
+                              1 + static_cast<int>(rng.next_below(
+                                      static_cast<std::uint64_t>(max_flits)))),
+            net.now());
+      }
+    }
+    const StepSnapshot before = snapshot(net);
+    net.step();
+    const std::string err = check_router_masks(net, before);
+    if (!err.empty()) return "cycle " + std::to_string(c) + ": " + err;
+    bool idle = c >= cycles;
+    for (NodeId n = 0; n < nodes && idle; ++n) idle = net.router_at(n).idle_internal();
+    idle_for = idle ? idle_for + 1 : 0;
+    if (waiting != nullptr) {
+      for (NodeId n = 0; n < nodes; ++n) {
+        const router::Router& r = net.router_at(n);
+        *waiting += std::popcount(r.pool().masks(r.pool_slot()).vc_wait);
+      }
+    }
+  }
+  return "";
+}
+
+// Every quick-matrix cell, the link-kill ones with their kill mid-load,
+// at a load past saturation with packets of 1-5 flits.
+TEST(RouterMasks, MatchRowsAfterEveryStepOverTheQuickMatrix) {
+  for (const auto& cell : ref::quick_matrix()) {
+    Network net(cell.config);
+    if (cell.scenario.active()) {
+      // Run up to the kill, then let the rest of the load reroute.
+      const std::string before =
+          run_mask_referee(net, 0.2, 5, cell.scenario.kill_cycle, /*drain=*/0, 7);
+      ASSERT_EQ(before, "") << cell.name;
+      chaos::kill_link(net, cell.scenario.kill_node, cell.scenario.kill_port);
+    }
+    EXPECT_EQ(run_mask_referee(net, 0.2, 5, 300, 3000, 7), "") << cell.name;
+  }
+}
+
+// Past saturation on the simbench 16x16 shape: heads block on allocation
+// for thousands of cycles, so retry-on-change skips most attempts.
+TEST(RouterMasks, MatchRowsPastSaturationOn16x16) {
+  Config config = Config::paper_baseline();
+  config.radix = 16;
+  Network net(config);
+  std::int64_t waiting = 0;
+  EXPECT_EQ(run_mask_referee(net, 0.9 / 4, 4, 500, 300, 3, &waiting), "");
+  EXPECT_GT(waiting, 100000);
+}
+
+// Reservations written by register packets (the resv mask set and cleared
+// mid-run), a four-slot scheduled flow riding the bypass path, and dynamic
+// load heavy enough that a bypass and a switch traversal often want the
+// same input in one cycle.
+TEST(RouterMasks, MatchRowsWithRegisterProgrammedScheduledFlow) {
+  Config config = Config::paper_baseline();
+  config.router.exclusive_scheduled_vc = true;
+  config.router.reservation_frame = 32;
+  Network net(config);
+  const auto phase = net.reserve_flow(0, 5, 7);
+  ASSERT_TRUE(phase.has_value());
+  net.release_flow(0, 5, *phase);
+  net.program_flow_registers(/*config_master=*/15, 0, 5, *phase);
+  traffic::ScheduledFlow flow(net, 2, 13, 3, /*slots_per_frame=*/4);
+  flow.start();
+  EXPECT_EQ(run_mask_referee(net, 0.25, 2, 400, 400, 5), "");
+  EXPECT_GT(net.register_writes_applied(), 0);
+  EXPECT_GT(flow.received(), 0);
+  net.clear_flow_registers(/*config_master=*/15, 0, 5, *phase);
+  EXPECT_EQ(run_mask_referee(net, 0.25, 2, 400, 400, 6), "");
+  EXPECT_GT(net.stats().bypass_flits, 0);
 }
 
 // --- quiescence audit -------------------------------------------------------
@@ -252,10 +496,6 @@ struct ArbStep {
   int want_pointer;
 };
 
-void expand(std::uint8_t mask, int inputs, std::uint8_t* req) {
-  for (int i = 0; i < inputs; ++i) req[i] = (mask >> i) & 1u;
-}
-
 TEST(ArbiterRotation, PointerFollowsTableOverIdleBusyMix) {
   constexpr int kInputs = 4;
   const std::vector<ArbStep> table = {
@@ -271,10 +511,8 @@ TEST(ArbiterRotation, PointerFollowsTableOverIdleBusyMix) {
   };
 
   router::RoundRobinArbiter arb(kInputs);
-  std::uint8_t req[kInputs];
   for (std::size_t s = 0; s < table.size(); ++s) {
-    expand(table[s].request_mask, kInputs, req);
-    EXPECT_EQ(arb.arbitrate(req), table[s].want_grant) << "step " << s;
+    EXPECT_EQ(arb.arbitrate(table[s].request_mask), table[s].want_grant) << "step " << s;
     EXPECT_EQ(arb.pointer(), table[s].want_pointer) << "step " << s;
   }
 }
@@ -286,13 +524,11 @@ TEST(ArbiterRotation, PriorityFlatPathMatchesFullPathOnEqualPriorities) {
   router::PriorityArbiter full(kInputs);
   router::PriorityArbiter flat(kInputs);
 
-  std::uint8_t req[kInputs];
   const int prio[kInputs] = {0, 0, 0, 0, 0};
   for (std::size_t s = 0; s < masks.size(); ++s) {
-    expand(masks[s], kInputs, req);
     // arbitrate_flat (priority_arbitration disabled) must be exactly the
     // priority path with a flat priority vector, idle ticks included.
-    EXPECT_EQ(flat.arbitrate_flat(req), full.arbitrate(req, prio))
+    EXPECT_EQ(flat.arbitrate_flat(masks[s]), full.arbitrate(masks[s], prio))
         << "step " << s;
     EXPECT_EQ(flat.pointer(), full.pointer()) << "step " << s;
   }
@@ -307,16 +543,13 @@ TEST(ArbiterRotation, ZeroRequesterTickNeverPerturbsNextGrant) {
       router::RoundRobinArbiter a(kInputs);
       router::RoundRobinArbiter b(kInputs);
       // Rotate both pointers to the same position via granted calls.
-      std::uint8_t all[kInputs] = {1, 1, 1, 1};
+      const std::uint32_t all = 0b1111;
       for (int i = 0; i < spin; ++i) {
         a.arbitrate(all);
         b.arbitrate(all);
       }
-      std::uint8_t none[kInputs] = {0, 0, 0, 0};
-      EXPECT_EQ(b.arbitrate(none), -1);
-      std::uint8_t req[kInputs];
-      expand(mask, kInputs, req);
-      EXPECT_EQ(a.arbitrate(req), b.arbitrate(req))
+      EXPECT_EQ(b.arbitrate(0), -1);
+      EXPECT_EQ(a.arbitrate(mask), b.arbitrate(mask))
           << "mask " << int(mask) << " spin " << spin;
     }
   }

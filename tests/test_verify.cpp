@@ -450,9 +450,7 @@ TEST(Monitor, RogueFlitOnForbiddenVcIsFlagged) {
   const int p = static_cast<int>(port);
   --pool.credits(slot, p)[5];  // keep the credit books balanced downstream
   ASSERT_FALSE(pool.stage_full(slot, p)[0]);
-  pool.stage(slot, p)[0] = f;
-  pool.stage_full(slot, p)[0] = true;
-  pool.stage_fresh(slot, p)[0] = true;
+  pool.stage_put(slot, p, 0, f);
   net.run(4);
 
   EXPECT_FALSE(monitor.ok());
