@@ -63,7 +63,8 @@ struct Options {
       "  --break KIND                         corrupt the model before analysis:\n"
       "                                       zero-latency-cross | global-mutator\n"
       "                                       | gated-boundary\n"
-      "                                       | cross-shard-worklist (proof must fail)\n"
+      "                                       | cross-shard-worklist | shared-flit-arena\n"
+      "                                       (proof must fail)\n"
       "  --json PATH                          write the runs as an\n"
       "                                       ocn-analyze/v1 JSON document\n"
       "  --quiet                              exit status only\n",
@@ -129,6 +130,8 @@ analyze::AnalysisReport analyze_one(const core::Config& config, int shards,
     kind = analyze::BreakKind::kGatedBoundary;
   } else if (break_kind == "cross-shard-worklist") {
     kind = analyze::BreakKind::kCrossShardWorklist;
+  } else if (break_kind == "shared-flit-arena") {
+    kind = analyze::BreakKind::kSharedFlitArena;
   } else {
     std::fprintf(stderr, "unknown --break kind '%s'\n", break_kind.c_str());
     usage(argv0);

@@ -167,7 +167,8 @@ leg_analyze_smoke() {
   "$analyze" --matrix --quiet --json build/analyze-out/matrix.json
 
   echo "== [analyze-smoke] broken partitions must be refused =="
-  for kind in zero-latency-cross global-mutator gated-boundary cross-shard-worklist; do
+  for kind in zero-latency-cross global-mutator gated-boundary cross-shard-worklist \
+              shared-flit-arena; do
     if "$analyze" --shards 2 --break "$kind" --quiet; then
       echo "expected the analyzer to refuse --break $kind" >&2
       exit 1

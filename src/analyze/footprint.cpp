@@ -24,6 +24,7 @@ const char* break_kind_name(BreakKind k) {
     case BreakKind::kGlobalMutator: return "global-mutator";
     case BreakKind::kGatedBoundary: return "gated-boundary";
     case BreakKind::kCrossShardWorklist: return "cross-shard-worklist";
+    case BreakKind::kSharedFlitArena: return "shared-flit-arena";
   }
   return "?";
 }
@@ -122,10 +123,13 @@ FootprintModel build_footprint(const core::Config& config,
 
   // --- per-node internal state ---------------------------------------------
   // router.N.pool is the node's RouterStatePool slot: the SoA rows holding
-  // every per-VC field (buffer rings, routing decisions, credits, the
-  // VC-allocated masks, pipeline stage, per-cycle transients) that the
-  // router's pipeline phases read and write. One state suffices because the
-  // whole slot has one owner — the router component on the node's shard.
+  // every per-VC field (buffer rings of flit handles, routing decisions,
+  // credits, the VC-allocated masks, the stage handles, per-cycle
+  // transients) that the router's pipeline phases read and write. One
+  // state suffices because the whole slot has one owner — the router
+  // component on the node's shard. The flits those handles name live in
+  // the shard's arena (shard.S.flit_arena, below), which all of the
+  // shard's routers share.
   std::vector<int> arb_state(static_cast<std::size_t>(n));
   std::vector<int> router_state(static_cast<std::size_t>(n));
   std::vector<int> nic_state(static_cast<std::size_t>(n));
@@ -224,6 +228,23 @@ FootprintModel build_footprint(const core::Config& config,
     m.access(adv, due, Phase::kParallelStep, AccessKind::kWrite);
     m.access(adv, live, Phase::kAdvance, AccessKind::kWrite);
   }
+  // --- flit arenas -----------------------------------------------------------
+  // One RouterStatePool per shard, so one arena per shard: every router of
+  // shard S allocates arriving flits in it, edits them in place, copies them
+  // onto its links and frees them, all in its own phase-A step. Nothing
+  // else touches it — a flit leaves the arena by value, on a channel.
+  std::vector<int> flit_arenas(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    flit_arenas[static_cast<std::size_t>(s)] = m.add_state(
+        State{"shard." + std::to_string(s) + ".flit_arena", 0, false, s, false, false});
+  }
+  for (NodeId i = 0; i < n; ++i) {
+    const int arena = flit_arenas[static_cast<std::size_t>(partition.shard_of(i))];
+    const int rtr = router_of[static_cast<std::size_t>(i)];
+    m.access(rtr, arena, Phase::kParallelStep, AccessKind::kRead);
+    m.access(rtr, arena, Phase::kParallelStep, AccessKind::kWrite);
+  }
+
   for (NodeId i = 0; i < n; ++i) {
     const int due = due_bits[static_cast<std::size_t>(partition.shard_of(i))];
     m.access(nic_of[static_cast<std::size_t>(i)], due, Phase::kParallelStep,
@@ -362,6 +383,12 @@ FootprintModel build_footprint(const core::Config& config,
     worklists.states.insert(worklists.states.end(), live_bits.begin(), live_bits.end());
     m.obligations.push_back(std::move(worklists));
   }
+  m.obligations.push_back(ObligationSpec{
+      "flit-arena-ownership",
+      "each shard's flit arena (the flits its routers' input rings and stage "
+      "registers hold by handle) is allocated, edited and freed only by that "
+      "shard's routers in the parallel step phase",
+      flit_arenas});
 
   return m;
 }
@@ -423,6 +450,20 @@ void corrupt(FootprintModel& model, BreakKind kind) {
           }
           return;
         }
+      }
+      return;
+    }
+    case BreakKind::kSharedFlitArena: {
+      // One arena for the whole network: re-point every access to a
+      // shard's arena at a single state, the layout a global pool would be.
+      const int shared = model.add_state(
+          State{"global.flit_arena", 0, false, kSerialShard, false, false});
+      for (Access& a : model.accesses) {
+        const std::string& name = model.states[static_cast<std::size_t>(a.state)].name;
+        if (name.starts_with("shard.") && name.ends_with(".flit_arena")) a.state = shared;
+      }
+      for (ObligationSpec& ob : model.obligations) {
+        if (ob.name == "flit-arena-ownership") ob.states.push_back(shared);
       }
       return;
     }

@@ -18,8 +18,8 @@
 //               delay lines (flit + credit per link, tile ports), per-node
 //               router/NIC internals (arbiter pointers, buffers, stats),
 //               per-node observer/tracer buffers, each shard's worklist
-//               bitmaps, and global accumulators (the NIC register-write
-//               counter);
+//               bitmaps and flit arena, and global accumulators (the NIC
+//               register-write counter);
 //   accesses    who reads/writes each state in which tick phase.
 //
 // Edges of the footprint graph are (writer, reader) pairs on one state; the
@@ -156,6 +156,10 @@ enum class BreakKind {
   /// bitmap, so the receiver shard's advancer writes a word the sender
   /// shard's workers also write in phase B.
   kCrossShardWorklist,
+  /// One flit arena shared by every shard's routers instead of one per
+  /// shard (per RouterStatePool): routers of two shards allocate, edit and
+  /// free in the same plain state in phase A.
+  kSharedFlitArena,
 };
 
 const char* break_kind_name(BreakKind k);

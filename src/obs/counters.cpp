@@ -38,12 +38,28 @@ Json MetricsSnapshot::to_json() const {
   return Json::object().set("cycle", Json(cycle)).set("counters", std::move(counters));
 }
 
+namespace {
+
+/// `v` as an int64, or std::runtime_error naming `what`: for a non-number,
+/// and for a double outside [-2^63, 2^63), where the cast is undefined.
+std::int64_t snapshot_int(const Json& v, const std::string& what) {
+  if (v.is_int()) return v.as_int();
+  if (!v.is_number()) throw std::runtime_error("metrics snapshot: " + what + " is not a number");
+  const double d = v.as_number();
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    throw std::runtime_error("metrics snapshot: " + what + " is outside the int64 range");
+  }
+  return static_cast<std::int64_t>(d);
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsSnapshot::from_json(const Json& j) {
   MetricsSnapshot s;
-  if (const Json* c = j.find("cycle")) s.cycle = c->as_int();
+  if (const Json* c = j.find("cycle")) s.cycle = snapshot_int(*c, "'cycle'");
   if (const Json* counters = j.find("counters"); counters && counters->is_object()) {
     for (const auto& [k, v] : counters->as_object()) {
-      s.values.emplace_back(k, v.as_int());
+      s.values.emplace_back(k, snapshot_int(v, "counter '" + k + "'"));
     }
   }
   return s;

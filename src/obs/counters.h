@@ -61,6 +61,8 @@ struct MetricsSnapshot {
   void merge(const MetricsSnapshot& other);
 
   Json to_json() const;
+  /// Inverse of to_json. Throws std::runtime_error naming the key when
+  /// `cycle` or a counter value is not a number or lies outside int64.
   static MetricsSnapshot from_json(const Json& j);
 };
 

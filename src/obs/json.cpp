@@ -65,6 +65,11 @@ void append_double(std::string& out, double d) {
 
 class Parser {
  public:
+  /// Deepest array/object nesting a document may have. The parser recurses
+  /// once per level, so without a bound a run of '[' overflows the stack;
+  /// reports nest a handful of levels.
+  static constexpr int kMaxNesting = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
@@ -104,12 +109,34 @@ class Parser {
     return true;
   }
 
+  /// One level of array/object nesting, refused beyond kMaxNesting.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxNesting) {
+        p_.fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+      }
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   Json parse_value() {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': {
+        const Nest nest(*this);
+        return parse_object();
+      }
+      case '[': {
+        const Nest nest(*this);
+        return parse_array();
+      }
       case '"': return Json(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -290,6 +317,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -66,7 +66,8 @@ class Json {
   std::string dump(int indent = 0) const;
 
   /// Parse a complete JSON document. Throws std::runtime_error with a byte
-  /// offset on malformed input or trailing garbage.
+  /// offset on malformed input, trailing garbage or arrays and objects
+  /// nested more than 256 deep.
   static Json parse(std::string_view text);
 
   /// Structural equality. Integer-valued and double-valued numbers compare

@@ -66,8 +66,9 @@ void production_snapshot(core::Network& net, const traffic::TraceReplay& replay,
       out.push_back(o.flits_sent());
       out.push_back(o.credit_only_flits());
       out.push_back(pool.carry_count_row(slot)[p]);
-      const bool* staged = pool.stage_full(slot, p);
-      out.push_back(std::count(staged, staged + topo::kNumPorts, true));
+      const router::FlitRef* staged = pool.stage_row(slot, p);
+      out.push_back(topo::kNumPorts -
+                    std::count(staged, staged + topo::kNumPorts, router::kNoFlit));
       out.push_back(o.link_arb.pointer());
       out.push_back(*pool.vc_rotation(slot, p));
       const int* credits = pool.credits(slot, p);

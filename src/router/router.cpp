@@ -118,8 +118,9 @@ void Router::accept_arrival(int p) {
   arrive->store(0, std::memory_order_relaxed);
   InputController& in = inputs_[static_cast<std::size_t>(p)];
   // Process the arriving flit in place (receive + consume) instead of
-  // take()ing it out: the buffered copy goes channel storage -> ring slab
-  // directly, one 160-byte copy instead of two moves through a temporary.
+  // take()ing it out: buf_push copies it from the channel slot straight
+  // into an arena slot, the hop's one copy in (send_on_link's copy onto
+  // the next link is its one copy out).
   const Flit* arriving = in.in->receive();
   if (arriving == nullptr) return;
   const Flit& f = *arriving;
@@ -260,12 +261,12 @@ void Router::receive_credit(int out, VcId vc) {
   assert(c <= params_.buffer_depth && "credit overflow via piggyback path");
 }
 
-Flit Router::pop(int in, VcId vc) {
+FlitRef Router::pop(int in, VcId vc) {
   assert(!pool_->popped(slot_, in) && "one flit per input port per cycle");
   pool_->set_popped(slot_, in);
   InputController& rec = inputs_[static_cast<std::size_t>(in)];
   ++rec.stats.buffer_reads;
-  Flit f = pool_->buf_pop(slot_, in, vc);
+  const FlitRef ref = pool_->buf_pop(slot_, in, vc);
   // Credit-based flow control returns the freed slot upstream: via the
   // reverse-direction carry queue when piggybacking, else on the dedicated
   // credit wire. In dropping mode there is no credit loop.
@@ -276,19 +277,21 @@ Flit Router::pop(int in, VcId vc) {
       rec.credit_upstream->send(Credit{vc});
     }
   }
-  return f;
+  return ref;
 }
 
-Flit Router::take_flit(int in, VcId vc, Port out_port, VcId out_vc) {
-  Flit f = pop(in, vc);
+FlitRef Router::take_flit(int in, VcId vc, Port out_port, VcId out_vc) {
+  const FlitRef ref = pop(in, vc);
+  Flit& f = pool_->flit(ref);
   if (is_head(f.type)) {
     f.dateline_crossed = effective_dateline(f, static_cast<Port>(in), out_port);
   }
   f.vc = out_vc;
-  return f;
+  return ref;
 }
 
-void Router::send_on_link(int out, Flit f, bool bypass) {
+void Router::send_on_link(int out, FlitRef ref, bool bypass) {
+  Flit& f = pool_->flit(ref);
   OutputController& rec = outputs_[static_cast<std::size_t>(out)];
   OutputController::Stats& st = rec.stats;
   assert(rec.link != nullptr);
@@ -333,7 +336,9 @@ void Router::send_on_link(int out, Flit f, bool bypass) {
     st.active_bit_mm += static_cast<double>(active_bits) * rec.length_mm;
   }
   rec.apply_hooks(f, bypass);
-  rec.link->send(std::move(f));
+  // The hop's one copy out: arena slot -> link ring. The slot is free again.
+  rec.link->send(f);
+  pool_->flit_free(ref);
 }
 
 void Router::reservation_bypass(Cycle now) {
@@ -354,11 +359,10 @@ void Router::reservation_bypass(Cycle now) {
     const VcId out_vc = pool_->out_vc_row(slot_, i)[v];
     if (!has_credit(o, out_vc)) continue;  // reservation mis-set; wait
     consume_credit(o, out_vc);
-    Flit f = take_flit(i, v, out.port, out_vc);
     // Pre-scheduled bypass: the flit goes straight from the input buffer to
     // the link, skipping the output stage and arbitration (section 2.6).
     ++out.stats.bypass_flits;
-    send_on_link(o, std::move(f), /*bypass=*/true);
+    send_on_link(o, take_flit(i, v, out.port, out_vc), /*bypass=*/true);
   }
 }
 
@@ -400,17 +404,17 @@ void Router::arbitrate_link(int p, Cycle now) {
       f.carried_credit_vc = static_cast<std::int8_t>(pool_->carry_pop(slot_, p));
       pool_->set_link_used(slot_, p);
       ++out.stats.credit_only_flits;
-      out.link->send(std::move(f));
+      out.link->send(f);
     }
     return;
   }
   int winner;
   if (params_.priority_arbitration) {
-    const Flit* stage = pool_->stage(slot_, p);
+    const FlitRef* stage = pool_->stage_row(slot_, p);
     int priority[topo::kNumPorts] = {};
     for (unsigned bits = full; bits != 0; bits &= bits - 1) {
       const int i = std::countr_zero(bits);
-      priority[i] = stage[i].priority;
+      priority[i] = pool_->flit(stage[i]).priority;
     }
     winner = out.link_arb.arbitrate(full, priority);
   } else {

@@ -144,11 +144,15 @@ class Router final : public Clockable {
   /// Piggyback path: a credit harvested from a flit arriving on the reverse
   /// link (output `out`'s own downstream buffers were freed).
   void receive_credit(int out, VcId vc);
+  // The flit moves by handle (FlitRef, soa.h) from its input ring to the
+  // link and is edited in place in the pool's arena.
   /// Remove the front flit of (in, vc), returning its credit upstream.
-  Flit pop(int in, VcId vc);
+  FlitRef pop(int in, VcId vc);
   /// Prepare a flit popped from (in, vc) for transmission on out_vc.
-  Flit take_flit(int in, VcId vc, topo::Port out_port, VcId out_vc);
-  void send_on_link(int out, Flit f, bool bypass);
+  FlitRef take_flit(int in, VcId vc, topo::Port out_port, VcId out_vc);
+  /// Drive a flit onto output `out`'s link: copy it into the link ring and
+  /// free its arena slot.
+  void send_on_link(int out, FlitRef ref, bool bypass);
   VcAllocator vc_allocator(int out) { return VcAllocator(*pool_, slot_, out, params_); }
 
   NodeId node_;

@@ -11,6 +11,27 @@
 // The per-port records (Input/OutputController) own only wiring, the
 // reservation slot table, the link arbiter and statistics (DESIGN.md §4h).
 //
+// Flit arena. The flits themselves live in one arena per pool, and the
+// input rings and stage registers hold 4-byte FlitRef handles into it:
+//   * one copy in, one copy out: buf_push copies an arriving flit from
+//     the channel slot into a fresh arena slot; pop, take_flit, the stage
+//     registers and the bypass move only the handle, and the router edits
+//     the flit in place (VC, dateline, hops, carried credit, link hooks)
+//     until send_on_link copies it into the link ring and frees the slot;
+//   * the arena is a std::vector<Flit> reserved once to the pool's
+//     capacity, routers x ports x (vcs x depth + ports) — every ring slot
+//     and every stage slot full at once — so it never reallocates and a
+//     Flit& stays valid across an allocation;
+//   * slots are handed out from a LIFO free list (a just-freed, cache-warm
+//     slot is reused first) and the arena grows only when the list is
+//     empty, so pages above its high-water mark are never written and
+//     never become resident: RSS follows the flits in flight, not the
+//     buffer slots that could hold one;
+//   * an empty stage slot holds kNoFlit, so the handle is also the
+//     "stage full" record;
+//   * a pool's arena is touched only by its own routers, i.e. by one
+//     shard's worker in phase A (shard.S.flit_arena in src/analyze).
+//
 // Layout notes:
 //   * one pool per shard (core::Network), so a shard's routers occupy a
 //     contiguous slab and phase-A workers never share cache lines for hot
@@ -32,8 +53,8 @@
 //     (buf_push, buf_pop, set_route, grant, stage_put/stage_take,
 //     carry_push/carry_pop, resv_adjust) and is derived state, so no phase
 //     writes one directly. RouterMasks.* in tests/test_soa.cpp recomputes
-//     every state byte and mask from the rows (buf_count, out_vc,
-//     stage_full, carry_count, resv_count) after every step — a test
+//     every state byte and mask from the rows (buf_count, out_vc, the
+//     stage handles, carry_count, resv_count) after every step — a test
 //     referee for the Channel::take() cached-bit lesson (DESIGN.md §4h),
 //     not a second runtime path;
 //   * the arrival flags are the kernel's wake bytes, one per inbound
@@ -49,6 +70,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "router/flit.h"
 #include "router/params.h"
@@ -56,6 +78,11 @@
 #include "topo/topology.h"
 
 namespace ocn::router {
+
+/// Handle of a flit in its pool's arena (see the header notes).
+using FlitRef = std::uint32_t;
+/// The handle of no flit: an empty stage register.
+inline constexpr FlitRef kNoFlit = 0xffffffffu;
 
 /// Per-VC packet state of an input VC (see the header notes).
 enum class VcState : std::uint8_t { kIdle, kRouting, kVcWait, kActive };
@@ -98,13 +125,13 @@ class RouterStatePool {
         resv_count_(make_ints(n_rp(), 0)),
         buf_head_(make_ints(n_rpv(), 0)),
         buf_count_(make_ints(n_rpv(), 0)),
-        buf_slab_(new Flit[n_rpv() * static_cast<std::size_t>(depth_)]),
+        arena_cap_(n_rp() * static_cast<std::size_t>(vcs_ * depth_ + topo::kNumPorts)),
+        buf_slab_(new FlitRef[n_rpv() * static_cast<std::size_t>(depth_)]),
         vc_state_(new VcState[n_rpv()]()),
         out_port_(new topo::Port[n_rpv()]),
         out_vc_(new VcId[n_rpv()]),
         discarding_(make_bools(n_rpv())),
-        stage_flit_(new Flit[n_rp() * static_cast<std::size_t>(topo::kNumPorts)]),
-        stage_full_(make_bools(n_rp() * static_cast<std::size_t>(topo::kNumPorts))),
+        stage_flit_(new FlitRef[n_stage()]),
         carry_ring_(new VcId[n_rp() * static_cast<std::size_t>(carry_cap_)]),
         carry_head_(make_ints(n_rp(), 0)),
         carry_count_(make_ints(n_rp(), 0)),
@@ -114,6 +141,11 @@ class RouterStatePool {
         masks_(new RouterMasks[static_cast<std::size_t>(routers)]),
         arrive_(new std::atomic<std::uint8_t>[n_rp() * 2]) {
     assert(vcs_ >= 1 && vcs_ <= 8 && "the VC-allocated mask is one byte per port");
+    assert(arena_cap_ < kNoFlit && "arena handles are 32-bit");
+    // Reserved, not filled: pages above the high-water mark stay untouched.
+    arena_.reserve(arena_cap_);
+    free_.reserve(arena_cap_);
+    for (std::size_t i = 0; i < n_stage(); ++i) stage_flit_[i] = kNoFlit;
     for (std::size_t i = 0; i < n_rpv(); ++i) {
       out_port_[i] = topo::Port::kTile;
       out_vc_[i] = kInvalidVc;
@@ -131,18 +163,37 @@ class RouterStatePool {
   /// Router `r`'s masks, read-only: every write is a transition below.
   const RouterMasks& masks(int r) const { return masks_[slot(r)]; }
 
+  // --- flit arena -------------------------------------------------------------
+  // The flits the rings and stage registers hold by handle (header notes).
+
+  Flit& flit(FlitRef ref) {
+    assert(ref < arena_.size());
+    return arena_[ref];
+  }
+  /// Return a slot to the free list: the router calls this once the flit
+  /// has been copied onto its link.
+  void flit_free(FlitRef ref) {
+    assert(ref < arena_.size());
+    free_.push_back(ref);
+  }
+  /// Slots ever handed out (the high-water mark), the reserved bound, and
+  /// the free slots among them, for tests.
+  std::size_t arena_size() const { return arena_.size(); }
+  std::size_t arena_capacity() const { return arena_cap_; }
+  const std::vector<FlitRef>& free_list() const { return free_; }
+
   // --- input-buffer rings (router, port, vc) --------------------------------
-  // One ring of `depth()` flit slots per VC. Router's arrival phase pushes,
+  // One ring of `depth()` handles per VC. Router's arrival phase pushes,
   // its switch and bypass phases pop; the head/count format stays here.
 
-  /// Copy-push straight from the caller's storage (the arrival hot path
-  /// copies from the channel output in place — one copy, no temporary).
+  /// Copy the arriving flit straight from the caller's storage (the
+  /// channel output slot) into a fresh arena slot — the hop's one copy in.
   /// An empty VC becomes occupied: Idle -> Routing (a new head), or an
   /// Active VC waiting for its next body flit becomes ready again.
   void buf_push(int r, int p, VcId v, const Flit& f) {
     const std::size_t i = rpv(r, p, v);
     assert(buf_count_[i] < depth_ && "credit protocol violated: buffer overflow");
-    buf_slab_[slab_slot(i, buf_count_[i])] = f;
+    buf_slab_[slab_slot(i, buf_count_[i])] = flit_alloc(f);
     if (buf_count_[i]++ == 0) {
       RouterMasks& m = masks_[slot(r)];
       const std::uint64_t bit = std::uint64_t{1} << mask_bit(p, v);
@@ -154,28 +205,31 @@ class RouterStatePool {
       }
     }
   }
-  Flit& buf_front(int r, int p, VcId v) {
-    return buf_slab_[slab_slot(rpv(r, p, v), 0)];
+  /// Handle of the flit `offset` places behind the front (offset <
+  /// buf_count), for tests.
+  FlitRef buf_ref(int r, int p, VcId v, int offset) const {
+    const std::size_t i = rpv(r, p, v);
+    assert(offset >= 0 && offset < buf_count_[i]);
+    return buf_slab_[slab_slot(i, offset)];
   }
+  Flit& buf_front(int r, int p, VcId v) { return arena_[buf_ref(r, p, v, 0)]; }
   /// Most recently pushed flit (for post-push fixups on the stored copy).
   Flit& buf_back(int r, int p, VcId v) {
-    const std::size_t i = rpv(r, p, v);
-    assert(buf_count_[i] > 0);
-    return buf_slab_[slab_slot(i, buf_count_[i] - 1)];
+    return arena_[buf_ref(r, p, v, buf_count_[rpv(r, p, v)] - 1)];
   }
-  /// Remove the front flit. A tail ends the packet: its routing state is
-  /// forgotten and the VC goes to Routing (the next head is already
-  /// buffered) or Idle. A body flit leaving the last buffered slot leaves
-  /// the VC Active but no longer ready.
-  Flit buf_pop(int r, int p, VcId v) {
+  /// Remove the front flit and hand over its handle. A tail ends the
+  /// packet: its routing state is forgotten and the VC goes to Routing
+  /// (the next head is already buffered) or Idle. A body flit leaving the
+  /// last buffered slot leaves the VC Active but no longer ready.
+  FlitRef buf_pop(int r, int p, VcId v) {
     const std::size_t i = rpv(r, p, v);
     assert(buf_count_[i] > 0);
-    Flit f = std::move(buf_slab_[slab_slot(i, 0)]);
+    const FlitRef ref = buf_slab_[slab_slot(i, 0)];
     buf_head_[i] = (buf_head_[i] + 1) % depth_;
     const int left = --buf_count_[i];
     RouterMasks& m = masks_[slot(r)];
     const std::uint64_t bit = std::uint64_t{1} << mask_bit(p, v);
-    if (is_tail(f.type)) {
+    if (is_tail(arena_[ref].type)) {
       vc_state_[i] = left > 0 ? VcState::kRouting : VcState::kIdle;
       out_port_[i] = topo::Port::kTile;
       out_vc_[i] = kInvalidVc;
@@ -184,7 +238,7 @@ class RouterStatePool {
       m.ready &= ~bit;
     }
     if (left == 0) m.occupied &= ~bit;
-    return f;
+    return ref;
   }
 
   // --- per-packet routing state ---------------------------------------------
@@ -255,29 +309,24 @@ class RouterStatePool {
     m.resv = static_cast<std::uint8_t>(resv_count_[i] > 0 ? m.resv | bit : m.resv & ~bit);
   }
 
-  /// Output stage registers: `kNumPorts` slots (one per input port).
-  const Flit* stage(int r, int p) const {
-    return &stage_flit_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts)];
-  }
-  const bool* stage_full(int r, int p) const {
-    return &stage_full_[rp(r, p) * static_cast<std::size_t>(topo::kNumPorts)];
-  }
+  /// Output stage registers: `kNumPorts` handle slots (one per input
+  /// port), kNoFlit when empty.
+  const FlitRef* stage_row(int r, int p) const { return &stage_flit_[stage_slot(r, p, 0)]; }
   /// Fill output `out`'s stage register for `input` (empty until now).
-  void stage_put(int r, int out, int input, Flit f) {
-    const std::size_t i = rp(r, out) * static_cast<std::size_t>(topo::kNumPorts) +
-                          static_cast<std::size_t>(input);
-    assert(!stage_full_[i] && "output stage slot occupied");
-    stage_flit_[i] = std::move(f);
-    stage_full_[i] = true;
+  void stage_put(int r, int out, int input, FlitRef ref) {
+    const std::size_t i = stage_slot(r, out, input);
+    assert(stage_flit_[i] == kNoFlit && "output stage slot occupied");
+    assert(ref != kNoFlit);
+    stage_flit_[i] = ref;
     masks_[slot(r)].stage |= std::uint64_t{1} << mask_bit(out, input);
   }
-  Flit stage_take(int r, int out, int input) {
-    const std::size_t i = rp(r, out) * static_cast<std::size_t>(topo::kNumPorts) +
-                          static_cast<std::size_t>(input);
-    assert(stage_full_[i]);
-    stage_full_[i] = false;
+  FlitRef stage_take(int r, int out, int input) {
+    const std::size_t i = stage_slot(r, out, input);
+    const FlitRef ref = stage_flit_[i];
+    assert(ref != kNoFlit);
+    stage_flit_[i] = kNoFlit;
     masks_[slot(r)].stage &= ~(std::uint64_t{1} << mask_bit(out, input));
-    return std::move(stage_flit_[i]);
+    return ref;
   }
 
   /// Piggyback carry queue: a ring of vcs * depth slots per output port.
@@ -351,6 +400,7 @@ class RouterStatePool {
     return static_cast<std::size_t>(routers_) * static_cast<std::size_t>(topo::kNumPorts);
   }
   std::size_t n_rpv() const { return n_rp() * static_cast<std::size_t>(vcs_); }
+  std::size_t n_stage() const { return n_rp() * static_cast<std::size_t>(topo::kNumPorts); }
   std::size_t rp(int r, int p) const {
     assert(r >= 0 && r < routers_ && p >= 0 && p < topo::kNumPorts);
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(topo::kNumPorts) +
@@ -364,6 +414,25 @@ class RouterStatePool {
   std::size_t slab_slot(std::size_t i, int offset) const {
     return i * static_cast<std::size_t>(depth_) +
            static_cast<std::size_t>((buf_head_[i] + offset) % depth_);
+  }
+  /// Stage slot of output `out`'s register for `input`.
+  std::size_t stage_slot(int r, int out, int input) const {
+    assert(input >= 0 && input < topo::kNumPorts);
+    return rp(r, out) * static_cast<std::size_t>(topo::kNumPorts) +
+           static_cast<std::size_t>(input);
+  }
+  /// A free arena slot holding a copy of `f`: the last freed one, else the
+  /// next never-used one (the reserve bounds the arena, so no reallocation).
+  FlitRef flit_alloc(const Flit& f) {
+    if (!free_.empty()) {
+      const FlitRef ref = free_.back();
+      free_.pop_back();
+      arena_[ref] = f;
+      return ref;
+    }
+    assert(arena_.size() < arena_cap_ && "flit arena exhausted: a slot leaked");
+    arena_.push_back(f);
+    return static_cast<FlitRef>(arena_.size() - 1);
   }
   /// Ring index of the carry entry `offset` places behind the front of `i`.
   std::size_t carry_slot(std::size_t i, int offset) const {
@@ -391,13 +460,15 @@ class RouterStatePool {
   std::unique_ptr<int[]> resv_count_;
   std::unique_ptr<int[]> buf_head_;
   std::unique_ptr<int[]> buf_count_;
-  std::unique_ptr<Flit[]> buf_slab_;
+  std::size_t arena_cap_;
+  std::vector<Flit> arena_;
+  std::vector<FlitRef> free_;
+  std::unique_ptr<FlitRef[]> buf_slab_;
   std::unique_ptr<VcState[]> vc_state_;
   std::unique_ptr<topo::Port[]> out_port_;
   std::unique_ptr<VcId[]> out_vc_;
   std::unique_ptr<bool[]> discarding_;
-  std::unique_ptr<Flit[]> stage_flit_;
-  std::unique_ptr<bool[]> stage_full_;
+  std::unique_ptr<FlitRef[]> stage_flit_;
   std::unique_ptr<VcId[]> carry_ring_;
   std::unique_ptr<int[]> carry_head_;
   std::unique_ptr<int[]> carry_count_;

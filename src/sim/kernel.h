@@ -231,7 +231,9 @@ class Channel final : public ChannelBase {
     return v;
   }
 
-  void send(T v) { ring_[claim_send_slot()] = std::move(v); }
+  /// Copy `v` into the send slot (one copy: a caller's flit is read in
+  /// place, never passed through a by-value temporary).
+  void send(const T& v) { ring_[claim_send_slot()] = v; }
 
  private:
   std::unique_ptr<T[]> ring_;

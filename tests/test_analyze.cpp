@@ -218,6 +218,34 @@ TEST(Analyzer, CrossShardWorklistCorruptionRefused) {
   }
 }
 
+TEST(Analyzer, SharedFlitArenaCorruptionRefused) {
+  const analyze::AnalysisReport r =
+      analyze_broken(baseline(), 2, analyze::BreakKind::kSharedFlitArena);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.race_free);
+  EXPECT_TRUE(has_code(r, "shard-crossing-mutable-state"));
+  bool named = false;
+  for (const auto& f : r.findings) {
+    if (f.message.find("global.flit_arena") != std::string::npos) named = true;
+  }
+  EXPECT_TRUE(named);
+  const auto* arenas = obligation(r, "flit-arena-ownership");
+  ASSERT_NE(arenas, nullptr);
+  EXPECT_FALSE(arenas->proven);
+  ASSERT_FALSE(arenas->witness.empty());
+  EXPECT_NE(arenas->witness.front().find("global.flit_arena"), std::string::npos);
+  // The honest model, one arena per shard, is proven shard-local at every
+  // shard count.
+  for (const int shards : {1, 2, 4}) {
+    const analyze::AnalysisReport honest = analyze::analyze_config(baseline(), shards);
+    EXPECT_TRUE(honest.ok()) << shards << "\n" << honest.to_string();
+    const auto* ob = obligation(honest, "flit-arena-ownership");
+    ASSERT_NE(ob, nullptr);
+    EXPECT_TRUE(ob->proven) << shards;
+    EXPECT_EQ(ob->proof, "shard-local") << shards;
+  }
+}
+
 TEST(Analyzer, CorruptionsAreCleanAtOneShardExceptZeroLatency) {
   // The corruptions model *sharding* bugs: with one shard there is nothing
   // to race with, so the analyzer correctly accepts them (the sequential
@@ -225,7 +253,8 @@ TEST(Analyzer, CorruptionsAreCleanAtOneShardExceptZeroLatency) {
   const auto topo = baseline().make_topology();
   const auto single = core::ShardPartition::single(topo->num_nodes());
   for (const auto kind : {analyze::BreakKind::kGlobalMutator,
-                          analyze::BreakKind::kGatedBoundary}) {
+                          analyze::BreakKind::kGatedBoundary,
+                          analyze::BreakKind::kSharedFlitArena}) {
     analyze::FootprintModel m = analyze::build_footprint(baseline(), single);
     analyze::corrupt(m, kind);
     const analyze::AnalysisReport r = analyze::analyze(m);

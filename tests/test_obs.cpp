@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "obs/counters.h"
 #include "obs/json.h"
 #include "obs/report.h"
+#include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/sweep/sweep.h"
 #include "sim/sweep/thread_pool.h"
@@ -72,6 +75,29 @@ TEST(Json, ParseErrorsCarryByteOffsets) {
   EXPECT_THROW(obs::Json::parse("[1, 2"), std::runtime_error);
   EXPECT_THROW(obs::Json::parse("tru"), std::runtime_error);
   EXPECT_THROW(obs::Json::parse("1 2"), std::runtime_error);
+}
+
+TEST(Json, NestingBeyondTheLimitIsRefused) {
+  const auto levels = [](int n, const char* open, const char* close) {
+    std::string doc;
+    for (int i = 0; i < n; ++i) doc += open;
+    for (int i = 0; i < n; ++i) doc += close;
+    return doc;
+  };
+  EXPECT_NO_THROW(obs::Json::parse(levels(256, "[", "]")));
+  EXPECT_NO_THROW(obs::Json::parse(levels(256, "{\"k\":", "}").replace(
+      static_cast<std::size_t>(256 * 5), 0, "0")));
+  for (const std::string& doc :
+       {levels(257, "[", "]"), levels(257, "{\"k\":", "}"), std::string(1000000, '[')}) {
+    try {
+      obs::Json::parse(doc);
+      ADD_FAILURE() << "accepted " << doc.size() << " bytes of nesting";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("json parse error at byte ", 0), 0u) << what;
+      EXPECT_NE(what.find("nesting deeper than 256"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Json, RoundTripsDoublesExactly) {
@@ -209,6 +235,35 @@ TEST(MetricsSnapshot, JsonRoundTrip) {
       obs::MetricsSnapshot::from_json(s.to_json());
   EXPECT_EQ(back.cycle, s.cycle);
   EXPECT_EQ(back.values, s.values);
+}
+
+TEST(MetricsSnapshot, FromJsonRefusesNonNumbersAndOutOfRangeValues) {
+  struct Case {
+    const char* doc;
+    const char* names;  // the key the message must name
+  };
+  const Case refused[] = {
+      {R"({"cycle": "500"})", "'cycle'"},
+      {R"({"cycle": null})", "'cycle'"},
+      {R"({"cycle": 9.3e18})", "'cycle'"},
+      {R"({"cycle": -1e300})", "'cycle'"},
+      {R"({"counters": {"net.packets": [1]}})", "'net.packets'"},
+      {R"({"counters": {"a": 1, "net.flits": true}})", "'net.flits'"},
+      {R"({"counters": {"net.flits": 1e19}})", "'net.flits'"},
+  };
+  for (const Case& c : refused) {
+    try {
+      obs::MetricsSnapshot::from_json(obs::Json::parse(c.doc));
+      ADD_FAILURE() << "accepted " << c.doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos) << e.what();
+    }
+  }
+  // In range: a double is truncated as before, -2^63 is the lowest value.
+  const obs::MetricsSnapshot s = obs::MetricsSnapshot::from_json(
+      obs::Json::parse(R"({"cycle": 2.0, "counters": {"a": -9223372036854775808.0}})"));
+  EXPECT_EQ(s.cycle, 2);
+  EXPECT_EQ(s.value("a"), std::numeric_limits<std::int64_t>::min());
 }
 
 // Worker threads each own a registry; snapshots merge on the calling thread
@@ -366,6 +421,104 @@ TEST(Report, WriteProducesParseableFileAndFailsOnBadPath) {
   EXPECT_EQ(obs::Json::parse(body.str()), r.to_json());
   std::remove(path.c_str());
   EXPECT_FALSE(r.write("/nonexistent-dir/nope/report.json"));
+}
+
+// --- mutated reports ----------------------------------------------------------
+
+// What a reader of a bench report does with it: parse the document and
+// read back every counter snapshot.
+void read_report(const std::string& text) {
+  const obs::Json doc = obs::Json::parse(text);
+  const obs::Json* snapshots = doc.find("counters");
+  if (snapshots == nullptr || !snapshots->is_array()) return;
+  for (const obs::Json& s : snapshots->as_array()) obs::MetricsSnapshot::from_json(s);
+}
+
+// Seeded byte flips, deletions, insertions, truncations and nesting bombs
+// of a real ocn-bench-report/v1 document, plus targeted swaps of the
+// snapshot values: each mutant must parse or throw std::runtime_error —
+// never another exception, a crash, or (under the asan and ubsan legs) a
+// sanitizer report.
+TEST(ReportMutation, EveryMutantParsesOrThrowsRuntimeError) {
+  const std::string path = std::string(OCN_TEST_DATA_DIR) + "/golden_report.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string original = buf.str();
+  ASSERT_NE(original.find(obs::kReportSchema), std::string::npos);
+  ASSERT_NO_THROW(read_report(original));
+
+  std::vector<std::pair<std::string, std::string>> mutants;  // (what, text)
+  const auto swap_value = [&](const std::string& from, const std::string& to) {
+    std::string m = original;
+    const std::size_t at = m.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    mutants.emplace_back("swap " + to, m.replace(at, from.size(), to));
+  };
+  swap_value("\"cycle\": 500", "\"cycle\": \"500\"");
+  swap_value("\"cycle\": 500", "\"cycle\": 1e300");
+  swap_value("\"kernel.cycles\": 500", "\"kernel.cycles\": [500]");
+  swap_value("\"kernel.cycles\": 500", "\"kernel.cycles\": -9.3e18");
+
+  Rng rng(2026, 0x6a50);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  const std::string significant = "{}[]:,\"\\-+.0123456789eEtfn \n";
+  for (int i = 0; i < 1000; ++i) {
+    std::string m = original;
+    const int kind = static_cast<int>(below(5));
+    const std::size_t at = below(m.size());
+    std::string what;
+    switch (kind) {
+      case 0:
+        m[at] = static_cast<char>(m[at] ^ (1 << below(8)));
+        what = "flip";
+        break;
+      case 1:
+        m.erase(at, 1 + below(16));
+        what = "delete";
+        break;
+      case 2:
+        m.insert(at, 1, below(2) == 0 ? significant[below(significant.size())]
+                                      : static_cast<char>(below(256)));
+        what = "insert";
+        break;
+      case 3:
+        m.resize(at);
+        what = "truncate";
+        break;
+      default: {
+        const std::size_t depth = std::size_t{1} << (8 + below(13));  // 256 .. 1M
+        m.insert(at, below(2) == 0 ? std::string(depth, '[') : [&] {
+          std::string objects;
+          for (std::size_t d = 0; d < depth && d < 100000; ++d) objects += "{\"a\":";
+          return objects;
+        }());
+        what = "nest";
+        break;
+      }
+    }
+    mutants.emplace_back(what + " #" + std::to_string(i) + " at " + std::to_string(at),
+                         std::move(m));
+  }
+
+  int parsed = 0;
+  int refused = 0;
+  for (const auto& [what, text] : mutants) {
+    try {
+      read_report(text);
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << typeid(e).name() << ": " << e.what();
+    }
+  }
+  // Both outcomes occur: the loop is not refusing (or accepting) everything.
+  EXPECT_GT(parsed, 10);
+  EXPECT_GT(refused, 500);
 }
 
 }  // namespace

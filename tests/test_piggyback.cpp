@@ -176,8 +176,8 @@ void expect_credits_fully_restored(Network& net, const char* context) {
       if (!r.output(static_cast<topo::Port>(p)).attached()) continue;
       EXPECT_EQ(pool.carry_count_row(slot)[p], 0)
           << context << ": node " << n << " out port " << p;
-      const bool* staged = pool.stage_full(slot, p);
-      EXPECT_EQ(std::count(staged, staged + topo::kNumPorts, true), 0)
+      const router::FlitRef* staged = pool.stage_row(slot, p);
+      EXPECT_EQ(std::count(staged, staged + topo::kNumPorts, router::kNoFlit), topo::kNumPorts)
           << context << ": node " << n << " out port " << p;
       for (VcId v = 0; v < vcs; ++v) {
         EXPECT_EQ(pool.credits(slot, p)[v], depth)

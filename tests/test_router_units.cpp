@@ -341,8 +341,8 @@ TEST(RouterStatePool, RingFifoWithCapacity) {
   f.packet = 2;
   pool.buf_push(0, 0, 0, f);
   EXPECT_EQ(count[0], pool.depth());
-  EXPECT_EQ(pool.buf_pop(0, 0, 0).packet, 1);
-  EXPECT_EQ(pool.buf_pop(0, 0, 0).packet, 2);
+  EXPECT_EQ(pool.flit(pool.buf_pop(0, 0, 0)).packet, 1);
+  EXPECT_EQ(pool.flit(pool.buf_pop(0, 0, 0)).packet, 2);
   EXPECT_EQ(count[0], 0);
 }
 
@@ -359,10 +359,10 @@ TEST(RouterStatePool, PacketStateResets) {
   pool.grant(0, 0, 0, 3);
   EXPECT_EQ(pool.vc_state_row(0, 0)[0], VcState::kActive);
   EXPECT_EQ(pool.out_vc_row(0, 0)[0], 3);
-  pool.buf_pop(0, 0, 0);
+  pool.flit_free(pool.buf_pop(0, 0, 0));
   EXPECT_EQ(pool.vc_state_row(0, 0)[0], VcState::kActive);
   // The tail leaving ends the packet: no route, no VC, no work.
-  pool.buf_pop(0, 0, 0);
+  pool.flit_free(pool.buf_pop(0, 0, 0));
   EXPECT_EQ(pool.vc_state_row(0, 0)[0], VcState::kIdle);
   EXPECT_EQ(pool.out_vc_row(0, 0)[0], kInvalidVc);
   EXPECT_EQ(pool.out_port_row(0, 0)[0], topo::Port::kTile);

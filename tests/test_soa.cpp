@@ -2,12 +2,15 @@
 // (written with the route, read by every allocation attempt), the mask
 // referee (every VC state byte and router mask recomputed from the rows
 // after every step — the stale-flag pattern Channel::take() once had), the
+// arena referee (every flit handle held once or free, none leaked), the
 // quiescence audit, and arbiter rotation-pointer semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -154,11 +157,12 @@ StepSnapshot snapshot(Network& net) {
 }
 
 // Recompute every VC state byte and every RouterMasks word of every router
-// from the pool rows (buf_count, out_vc, out_port, stage_full, carry_count,
-// resv_count) and return the first disagreement, or "". Also check the
-// retry-on-change rule: a VcWait VC skipping its attempt (its output's
-// allocated mask equals the one it last failed against) must really fail
-// against that mask, re-tried on a scratch copy of the output's cells.
+// from the pool rows (buf_count, out_vc, out_port, the stage handles,
+// carry_count, resv_count) and return the first disagreement, or "". Also
+// check the retry-on-change rule: a VcWait VC skipping its attempt (its
+// output's allocated mask equals the one it last failed against) must
+// really fail against that mask, re-tried on a scratch copy of the
+// output's cells.
 // The per-cycle bits are clear after a step, so they are checked by their
 // effect against `before`, taken before the step: no input forwards two
 // flits in one step (popped), no output uses its link twice (link used),
@@ -240,9 +244,11 @@ std::string check_router_masks(Network& net, const StepSnapshot& before) {
         return "node " + std::to_string(n) + " port " + std::to_string(p) +
                ": an output used its link twice in one step";
       }
-      const bool* staged = pool.stage_full(slot, p);
+      const router::FlitRef* staged = pool.stage_row(slot, p);
       for (int i = 0; i < topo::kNumPorts; ++i) {
-        if (staged[i]) want.stage |= std::uint64_t{1} << router::mask_bit(p, i);
+        if (staged[i] != router::kNoFlit) {
+          want.stage |= std::uint64_t{1} << router::mask_bit(p, i);
+        }
       }
       if (pool.carry_count_row(slot)[p] > 0) want.carry |= static_cast<std::uint8_t>(1u << p);
       if (pool.resv_count(slot, p) > 0) want.resv |= static_cast<std::uint8_t>(1u << p);
@@ -273,11 +279,13 @@ std::string check_router_masks(Network& net, const StepSnapshot& before) {
 
 // Offer `rate` packets per node per cycle of 1..max_flits flits on the
 // dynamic classes for `cycles` cycles, then step on for up to `drain`
-// cycles until every router has been idle for 20; check the masks after
-// every step. Returns the first disagreement (with its cycle), or "".
-std::string run_mask_referee(Network& net, double rate, int max_flits, Cycle cycles,
-                             Cycle drain, std::uint64_t seed,
-                             std::int64_t* waiting = nullptr) {
+// cycles until every router has been idle for 20. `step_and_check` makes
+// each step and returns the referee's first disagreement, or "". Returns
+// the first disagreement (with its cycle), or "".
+std::string run_referee(Network& net, double rate, int max_flits, Cycle cycles, Cycle drain,
+                        std::uint64_t seed,
+                        const std::function<std::string()>& step_and_check,
+                        std::int64_t* waiting = nullptr) {
   const std::vector<int> classes = core::dynamic_classes(net.config().router);
   const int nodes = net.num_nodes();
   Rng rng(seed, 0x3a5c);
@@ -296,9 +304,7 @@ std::string run_mask_referee(Network& net, double rate, int max_flits, Cycle cyc
             net.now());
       }
     }
-    const StepSnapshot before = snapshot(net);
-    net.step();
-    const std::string err = check_router_masks(net, before);
+    const std::string err = step_and_check();
     if (!err.empty()) return "cycle " + std::to_string(c) + ": " + err;
     bool idle = c >= cycles;
     for (NodeId n = 0; n < nodes && idle; ++n) idle = net.router_at(n).idle_internal();
@@ -311,6 +317,20 @@ std::string run_mask_referee(Network& net, double rate, int max_flits, Cycle cyc
     }
   }
   return "";
+}
+
+// The mask referee over run_referee: check_router_masks after every step.
+std::string run_mask_referee(Network& net, double rate, int max_flits, Cycle cycles,
+                             Cycle drain, std::uint64_t seed,
+                             std::int64_t* waiting = nullptr) {
+  return run_referee(
+      net, rate, max_flits, cycles, drain, seed,
+      [&net] {
+        const StepSnapshot before = snapshot(net);
+        net.step();
+        return check_router_masks(net, before);
+      },
+      waiting);
 }
 
 // Every quick-matrix cell, the link-kill ones with their kill mid-load,
@@ -360,6 +380,126 @@ TEST(RouterMasks, MatchRowsWithRegisterProgrammedScheduledFlow) {
   EXPECT_GT(flow.received(), 0);
   net.clear_flow_registers(/*config_master=*/15, 0, 5, *phase);
   EXPECT_EQ(run_mask_referee(net, 0.25, 2, 400, 400, 6), "");
+  EXPECT_GT(net.stats().bypass_flits, 0);
+}
+
+// --- the arena referee -------------------------------------------------------
+
+// Check every pool's flit arena against the handles its routers' input
+// rings and stage registers hold: each held handle is in range and held
+// once, none is on the free list (which itself names each slot once),
+// held plus free is the arena's size, and the size is within the reserved
+// capacity. With `drained`, no handle may be held at all. Returns the
+// first disagreement, or "".
+std::string check_flit_arenas(Network& net, bool drained = false) {
+  std::vector<std::pair<const router::RouterStatePool*, std::vector<router::FlitRef>>> held;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    const router::Router& r = net.router_at(n);
+    const router::RouterStatePool& pool = r.pool();
+    const int slot = r.pool_slot();
+    auto it = std::find_if(held.begin(), held.end(),
+                           [&pool](const auto& e) { return e.first == &pool; });
+    if (it == held.end()) it = held.insert(held.end(), {&pool, {}});
+    for (int p = 0; p < topo::kNumPorts; ++p) {
+      const int* count = pool.buf_count_row(slot, p);
+      for (VcId v = 0; v < pool.vcs(); ++v) {
+        for (int k = 0; k < count[v]; ++k) it->second.push_back(pool.buf_ref(slot, p, v, k));
+      }
+      const router::FlitRef* staged = pool.stage_row(slot, p);
+      for (int i = 0; i < topo::kNumPorts; ++i) {
+        if (staged[i] != router::kNoFlit) it->second.push_back(staged[i]);
+      }
+    }
+  }
+  for (const auto& [pool, refs] : held) {
+    const std::size_t size = pool->arena_size();
+    if (size > pool->arena_capacity()) return "arena grew past its capacity";
+    if (drained && !refs.empty()) {
+      return std::to_string(refs.size()) + " handles still held after drain";
+    }
+    enum : char { kUnseen, kHeld, kFree };
+    std::vector<char> seen(size, kUnseen);
+    for (const router::FlitRef ref : refs) {
+      if (ref >= size) return "held handle " + std::to_string(ref) + " out of range";
+      if (seen[ref] != kUnseen) return "handle " + std::to_string(ref) + " held twice";
+      seen[ref] = kHeld;
+    }
+    for (const router::FlitRef ref : pool->free_list()) {
+      if (ref >= size) return "free handle " + std::to_string(ref) + " out of range";
+      if (seen[ref] == kHeld) return "held handle " + std::to_string(ref) + " is on the free list";
+      if (seen[ref] == kFree) return "handle " + std::to_string(ref) + " freed twice";
+      seen[ref] = kFree;
+    }
+    if (refs.size() + pool->free_list().size() != size) {
+      return "held " + std::to_string(refs.size()) + " + free " +
+             std::to_string(pool->free_list().size()) + " != arena size " +
+             std::to_string(size) + " (a slot leaked)";
+    }
+  }
+  return "";
+}
+
+// The arena referee over run_referee: check_flit_arenas after every step.
+std::string run_arena_referee(Network& net, double rate, int max_flits, Cycle cycles,
+                              Cycle drain, std::uint64_t seed) {
+  return run_referee(net, rate, max_flits, cycles, drain, seed, [&net] {
+    net.step();
+    return check_flit_arenas(net);
+  });
+}
+
+// Drain what is left and require every arena slot back on its free list.
+std::string drain_and_check_arenas(Network& net) {
+  if (!net.drain(5000)) return "network did not drain";
+  return check_flit_arenas(net, /*drained=*/true);
+}
+
+// Every quick-matrix cell (dropping, piggyback credit-only fillers, the
+// link-kill reroutes), past saturation with packets of 1-5 flits.
+TEST(FlitArena, HandlesAccountedAfterEveryStepOverTheQuickMatrix) {
+  for (const auto& cell : ref::quick_matrix()) {
+    Network net(cell.config);
+    if (cell.scenario.active()) {
+      const std::string before =
+          run_arena_referee(net, 0.2, 5, cell.scenario.kill_cycle, /*drain=*/0, 7);
+      ASSERT_EQ(before, "") << cell.name;
+      chaos::kill_link(net, cell.scenario.kill_node, cell.scenario.kill_port);
+    }
+    EXPECT_EQ(run_arena_referee(net, 0.2, 5, 300, 3000, 7), "") << cell.name;
+    EXPECT_EQ(drain_and_check_arenas(net), "") << cell.name;
+    EXPECT_GT(net.router_at(0).pool().arena_size(), 0u) << cell.name;
+  }
+}
+
+// Past saturation on the simbench 16x16 shape, 4 shards (one arena each):
+// rings and stage registers stay full for thousands of cycles.
+TEST(FlitArena, HandlesAccountedPastSaturationOn16x16) {
+  Config config = Config::paper_baseline();
+  config.radix = 16;
+  Network net(config, /*shards=*/4);
+  ASSERT_EQ(net.shards(), 4);
+  EXPECT_NE(&net.router_at(0).pool(), &net.router_at(config.radix * config.radix - 1).pool());
+  EXPECT_EQ(run_arena_referee(net, 0.9 / 4, 4, 500, 300, 3), "");
+  EXPECT_EQ(drain_and_check_arenas(net), "");
+}
+
+// A register-programmed scheduled flow: its flits leave by the bypass
+// path (pop straight to the link), dynamic flits by the stage registers.
+TEST(FlitArena, HandlesAccountedWithRegisterProgrammedScheduledFlow) {
+  Config config = Config::paper_baseline();
+  config.router.exclusive_scheduled_vc = true;
+  config.router.reservation_frame = 32;
+  Network net(config);
+  const auto phase = net.reserve_flow(0, 5, 7);
+  ASSERT_TRUE(phase.has_value());
+  net.release_flow(0, 5, *phase);
+  net.program_flow_registers(/*config_master=*/15, 0, 5, *phase);
+  traffic::ScheduledFlow flow(net, 2, 13, 3, /*slots_per_frame=*/4);
+  flow.start();
+  EXPECT_EQ(run_arena_referee(net, 0.25, 2, 400, 400, 5), "");
+  flow.stop();
+  EXPECT_EQ(drain_and_check_arenas(net), "");
+  EXPECT_GT(flow.received(), 0);
   EXPECT_GT(net.stats().bypass_flits, 0);
 }
 

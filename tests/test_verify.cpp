@@ -443,14 +443,18 @@ TEST(Monitor, RogueFlitOnForbiddenVcIsFlagged) {
   f.packet = 0x7e57;
   f.route.push(static_cast<std::uint8_t>(TurnCode::kExtract));
   // Stage it in output row+'s register for input 0, as a switch traversal
-  // would: the pool rows are the router's only copy of this state.
+  // would: buffered through input 0's ring (the arena's one way in), popped
+  // by handle and staged. The pool rows are the router's only copy of this
+  // state.
   router::Router& r = net.router_at(0);
   router::RouterStatePool& pool = r.pool();
   const int slot = r.pool_slot();
   const int p = static_cast<int>(port);
   --pool.credits(slot, p)[5];  // keep the credit books balanced downstream
-  ASSERT_FALSE(pool.stage_full(slot, p)[0]);
-  pool.stage_put(slot, p, 0, f);
+  ASSERT_EQ(pool.stage_row(slot, p)[0], router::kNoFlit);
+  ASSERT_EQ(pool.buf_count_row(slot, 0)[5], 0);
+  pool.buf_push(slot, 0, 5, f);
+  pool.stage_put(slot, p, 0, pool.buf_pop(slot, 0, 5));
   net.run(4);
 
   EXPECT_FALSE(monitor.ok());
