@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/wiring.h"
+
 namespace ocn::analyze {
 
 const char* phase_name(Phase p) {
@@ -99,18 +101,28 @@ FootprintModel build_footprint(const core::Config& config,
   const int n = topo->num_nodes();
   const int shards = partition.shards();
 
+  // An access both read and written in one phase, and a plain state.
+  const auto read_write = [&m](int component, int state, Phase phase) {
+    m.access(component, state, phase, AccessKind::kRead);
+    m.access(component, state, phase, AccessKind::kWrite);
+  };
+  const auto plain = [&m](std::string name, int shard) {
+    return m.add_state(State{std::move(name), 0, false, shard, false, false});
+  };
+  const auto per_node = [n] { return std::vector<int>(static_cast<std::size_t>(n)); };
+  const auto per_shard = [shards] { return std::vector<int>(static_cast<std::size_t>(shards)); };
+
   // --- components, mirroring Network::build registration order -------------
-  std::vector<int> nic_of(static_cast<std::size_t>(n));
-  std::vector<int> router_of(static_cast<std::size_t>(n));
+  std::vector<int> nic_of = per_node();
+  std::vector<int> router_of = per_node();
   for (NodeId i = 0; i < n; ++i) {
+    const auto k = static_cast<std::size_t>(i);
     const int s = partition.shard_of(i);
-    nic_of[static_cast<std::size_t>(i)] =
-        m.add_component("nic." + std::to_string(i), s, kNicWork);
-    router_of[static_cast<std::size_t>(i)] =
-        m.add_component("router." + std::to_string(i), s, router_work(config));
+    nic_of[k] = m.add_component("nic." + std::to_string(i), s, kNicWork);
+    router_of[k] = m.add_component("router." + std::to_string(i), s, router_work(config));
   }
   // Per-shard channel advancers (phase B executors).
-  std::vector<int> advancer(static_cast<std::size_t>(shards));
+  std::vector<int> advancer = per_shard();
   for (int s = 0; s < shards; ++s) {
     advancer[static_cast<std::size_t>(s)] =
         m.add_component("shard." + std::to_string(s) + ".advancer", s, 0.0);
@@ -130,64 +142,52 @@ FootprintModel build_footprint(const core::Config& config,
   // component on the node's shard. The flits those handles name live in
   // the shard's arena (shard.S.flit_arena, below), which all of the
   // shard's routers share.
-  std::vector<int> arb_state(static_cast<std::size_t>(n));
-  std::vector<int> router_state(static_cast<std::size_t>(n));
-  std::vector<int> nic_state(static_cast<std::size_t>(n));
-  std::vector<int> router_wake(static_cast<std::size_t>(n));
-  std::vector<int> nic_wake(static_cast<std::size_t>(n));
-  std::vector<int> delivery_buf(static_cast<std::size_t>(n));
-  std::vector<int> trace_buf(static_cast<std::size_t>(n));
+  std::vector<int> arb_state = per_node();
+  std::vector<int> router_state = per_node();
+  std::vector<int> nic_state = per_node();
+  std::vector<int> router_wake = per_node();
+  std::vector<int> nic_wake = per_node();
+  std::vector<int> delivery_buf = per_node();
+  std::vector<int> trace_buf = per_node();
   for (NodeId i = 0; i < n; ++i) {
+    const auto k = static_cast<std::size_t>(i);
     const std::string node = std::to_string(i);
     const int s = partition.shard_of(i);
-    arb_state[static_cast<std::size_t>(i)] =
-        m.add_state(State{"router." + node + ".arb", 0, false, kSerialShard, false, false});
-    router_state[static_cast<std::size_t>(i)] =
-        m.add_state(State{"router." + node + ".pool", 0, false, kSerialShard, false, false});
-    nic_state[static_cast<std::size_t>(i)] =
-        m.add_state(State{"nic." + node + ".state", 0, false, kSerialShard, false, false});
+    arb_state[k] = plain("router." + node + ".arb", kSerialShard);
+    router_state[k] = plain("router." + node + ".pool", kSerialShard);
+    nic_state[k] = plain("nic." + node + ".state", kSerialShard);
     // Per-port arrival bytes (the pool's wake row / the NIC's arrival
     // flags): stamped by the phase-B advance of each incoming channel,
     // scanned by the kernel's event-skip test and read/cleared by the
     // receiving component in phase A. The stamping accesses are added by
     // add_channel below; here the receiver's own step accesses.
-    router_wake[static_cast<std::size_t>(i)] =
-        m.add_state(State{"router." + node + ".wake_row", 0, false, s, false, false});
-    nic_wake[static_cast<std::size_t>(i)] =
-        m.add_state(State{"nic." + node + ".wake", 0, false, s, false, false});
-    delivery_buf[static_cast<std::size_t>(i)] =
-        m.add_state(State{"nic." + node + ".delivery_buffer", 0, false, kSerialShard, false, false});
-    trace_buf[static_cast<std::size_t>(i)] =
-        m.add_state(State{"router." + node + ".trace_buffer", 0, false, kSerialShard, false, false});
+    router_wake[k] = plain("router." + node + ".wake_row", s);
+    nic_wake[k] = plain("nic." + node + ".wake", s);
+    delivery_buf[k] = plain("nic." + node + ".delivery_buffer", kSerialShard);
+    trace_buf[k] = plain("router." + node + ".trace_buffer", kSerialShard);
 
-    const int nic = nic_of[static_cast<std::size_t>(i)];
-    const int rtr = router_of[static_cast<std::size_t>(i)];
+    const int nic = nic_of[k];
+    const int rtr = router_of[k];
     // Routers own their arbiter/allocator rotation pointers and pipeline
     // state outright; NICs own their queues, stats and delivery path. The
     // NIC's register-write filter pokes its own router's reservation tables
     // (same node, hence same shard).
-    m.access(rtr, arb_state[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kRead);
-    m.access(rtr, arb_state[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
-    m.access(rtr, router_state[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kRead);
-    m.access(rtr, router_state[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
-    m.access(nic, router_state[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
-    m.access(nic, nic_state[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kRead);
-    m.access(nic, nic_state[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
+    read_write(rtr, arb_state[k], Phase::kParallelStep);
+    read_write(rtr, router_state[k], Phase::kParallelStep);
+    m.access(nic, router_state[k], Phase::kParallelStep, AccessKind::kWrite);
+    read_write(nic, nic_state[k], Phase::kParallelStep);
     // Delivery observer callbacks land in the node's buffer during the
     // parallel phase; tracer hooks likewise per router. Both flush serially.
     // The receiver probes its arrival bytes and clears them as it consumes
     // (read + write, phase A).
-    m.access(rtr, router_wake[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kRead);
-    m.access(rtr, router_wake[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
-    m.access(nic, nic_wake[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kRead);
-    m.access(nic, nic_wake[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
-    m.access(nic, delivery_buf[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
-    m.access(rtr, trace_buf[static_cast<std::size_t>(i)], Phase::kParallelStep, AccessKind::kWrite);
-    m.access(flusher, delivery_buf[static_cast<std::size_t>(i)], Phase::kSerialFlush, AccessKind::kRead);
-    m.access(flusher, trace_buf[static_cast<std::size_t>(i)], Phase::kSerialFlush, AccessKind::kRead);
+    read_write(rtr, router_wake[k], Phase::kParallelStep);
+    read_write(nic, nic_wake[k], Phase::kParallelStep);
+    m.access(nic, delivery_buf[k], Phase::kParallelStep, AccessKind::kWrite);
+    m.access(rtr, trace_buf[k], Phase::kParallelStep, AccessKind::kWrite);
+    m.access(flusher, delivery_buf[k], Phase::kSerialFlush, AccessKind::kRead);
+    m.access(flusher, trace_buf[k], Phase::kSerialFlush, AccessKind::kRead);
     // The serial-phase globals drive NICs (injection) and read stats.
-    m.access(clients, nic_state[static_cast<std::size_t>(i)], Phase::kSerialStep, AccessKind::kRead);
-    m.access(clients, nic_state[static_cast<std::size_t>(i)], Phase::kSerialStep, AccessKind::kWrite);
+    read_write(clients, nic_state[k], Phase::kSerialStep);
   }
 
   // --- global accumulators ---------------------------------------------------
@@ -195,17 +195,12 @@ FootprintModel build_footprint(const core::Config& config,
   // phase: modelled as the atomic commutative accumulator it is.
   const int reg_counter = m.add_state(
       State{"net.register_writes_applied", 0, false, kSerialShard, false, true});
-  for (NodeId i = 0; i < n; ++i) {
-    m.access(nic_of[static_cast<std::size_t>(i)], reg_counter, Phase::kParallelStep,
-             AccessKind::kWrite);
-  }
+  for (const int nic : nic_of) m.access(nic, reg_counter, Phase::kParallelStep, AccessKind::kWrite);
   m.access(clients, reg_counter, Phase::kSerialStep, AccessKind::kRead);
   // The harness/monitor's own state (RNGs, fold buffers) lives with the
   // serial clients component.
-  const int harness_state =
-      m.add_state(State{"global.harness", 0, false, kSerialShard, false, false});
-  m.access(clients, harness_state, Phase::kSerialStep, AccessKind::kRead);
-  m.access(clients, harness_state, Phase::kSerialStep, AccessKind::kWrite);
+  const int harness_state = plain("global.harness", kSerialShard);
+  read_write(clients, harness_state, Phase::kSerialStep);
 
   // --- worklists --------------------------------------------------------------
   // Each shard list's due bitmap (over its components) and live bitmap (over
@@ -215,34 +210,30 @@ FootprintModel build_footprint(const core::Config& config,
   // The other writers are added below: a NIC's mark_due() on itself and on
   // its router (phase A), the serial clients' injections (serial phase), a
   // sender's live bit (phase A) and an advance's wake stamp (phase B).
-  std::vector<int> due_bits(static_cast<std::size_t>(shards));
-  std::vector<int> live_bits(static_cast<std::size_t>(shards));
+  std::vector<int> due_bits = per_shard();
+  std::vector<int> live_bits = per_shard();
   for (int s = 0; s < shards; ++s) {
+    const auto k = static_cast<std::size_t>(s);
     const std::string shard = "shard." + std::to_string(s);
-    const int adv = advancer[static_cast<std::size_t>(s)];
-    const int due = m.add_state(State{shard + ".due_bits", 0, false, s, false, false});
-    const int live = m.add_state(State{shard + ".live_bits", 0, false, s, false, false});
-    due_bits[static_cast<std::size_t>(s)] = due;
-    live_bits[static_cast<std::size_t>(s)] = live;
-    m.access(adv, due, Phase::kParallelStep, AccessKind::kRead);
-    m.access(adv, due, Phase::kParallelStep, AccessKind::kWrite);
-    m.access(adv, live, Phase::kAdvance, AccessKind::kWrite);
+    due_bits[k] = plain(shard + ".due_bits", s);
+    live_bits[k] = plain(shard + ".live_bits", s);
+    read_write(advancer[k], due_bits[k], Phase::kParallelStep);
+    m.access(advancer[k], live_bits[k], Phase::kAdvance, AccessKind::kWrite);
   }
   // --- flit arenas -----------------------------------------------------------
   // One RouterStatePool per shard, so one arena per shard: every router of
   // shard S allocates arriving flits in it, edits them in place, copies them
   // onto its links and frees them, all in its own phase-A step. Nothing
   // else touches it — a flit leaves the arena by value, on a channel.
-  std::vector<int> flit_arenas(static_cast<std::size_t>(shards));
+  std::vector<int> flit_arenas = per_shard();
   for (int s = 0; s < shards; ++s) {
-    flit_arenas[static_cast<std::size_t>(s)] = m.add_state(
-        State{"shard." + std::to_string(s) + ".flit_arena", 0, false, s, false, false});
+    flit_arenas[static_cast<std::size_t>(s)] =
+        plain("shard." + std::to_string(s) + ".flit_arena", s);
   }
   for (NodeId i = 0; i < n; ++i) {
-    const int arena = flit_arenas[static_cast<std::size_t>(partition.shard_of(i))];
-    const int rtr = router_of[static_cast<std::size_t>(i)];
-    m.access(rtr, arena, Phase::kParallelStep, AccessKind::kRead);
-    m.access(rtr, arena, Phase::kParallelStep, AccessKind::kWrite);
+    read_write(router_of[static_cast<std::size_t>(i)],
+               flit_arenas[static_cast<std::size_t>(partition.shard_of(i))],
+               Phase::kParallelStep);
   }
 
   for (NodeId i = 0; i < n; ++i) {
@@ -253,75 +244,46 @@ FootprintModel build_footprint(const core::Config& config,
   }
 
   // --- channels --------------------------------------------------------------
-  // One state per delay line, carrying sender (write, phase A), receiver
-  // (read, phase A) and the phase-B advance by the classifying shard —
-  // exactly Network::build's add_channel: interior when both endpoints
-  // share a shard, boundary (advanced by the *receiver's* shard,
-  // unconditionally) otherwise. Sender/receiver are per channel direction:
-  // a link's credit channel flows dst -> src, so it is filed under
-  // shard_of(src) while the flit channel is filed under shard_of(dst).
-  // Each advance also stamps the receiving component's arrival byte
-  // (ChannelBase::notify_wake), modelled as a phase-B write to the wake
-  // state — the analyzer folds it into the shard-locality check, which is
-  // what makes the receiver-shard filing invariant a proven property rather
-  // than a comment.
+  // One state per channel of the wiring plan Network::build builds, in plan
+  // order: sender (write, phase A), receiver (read, phase A) and the phase-B
+  // advance by the shard core::file_channel names. A link's credit channel
+  // runs from its `to` end back to `from`. Each advance also stamps the
+  // receiver's arrival byte (ChannelBase::notify_wake), a phase-B write to
+  // its wake state that the shard-locality check folds in: that makes the
+  // receiver-shard filing a proven property rather than a comment.
   std::vector<int> chan_states;
-  const auto add_channel = [&](const std::string& name, NodeId sender_node,
-                               NodeId receiver_node, int latency, int sender,
-                               int receiver, int wake) {
-    const int s_snd = partition.shard_of(sender_node);
-    const int s_rcv = partition.shard_of(receiver_node);
-    State st;
-    st.name = "chan." + name;
-    st.latency = latency;
-    st.channel = true;
-    st.boundary = s_snd != s_rcv;
-    st.advance_shard = s_rcv;
-    const int adv = st.advance_shard;
-    const int id = m.add_state(std::move(st));
+  const auto component = [&](const core::LinkEnd& end) {
+    return (end.nic ? nic_of : router_of)[static_cast<std::size_t>(end.node)];
+  };
+  const auto wake_of = [&](const core::LinkEnd& end) {
+    return (end.nic ? nic_wake : router_wake)[static_cast<std::size_t>(end.node)];
+  };
+  const auto add_channel = [&](const std::string& name, int latency,
+                               const core::LinkEnd& sender, const core::LinkEnd& receiver) {
+    const core::Filing filing = core::file_channel(partition, sender.node, receiver.node);
+    const int adv = advancer[static_cast<std::size_t>(filing.shard)];
+    const int snd = component(sender);
+    const int id =
+        m.add_state(State{"chan." + name, latency, true, filing.shard, filing.boundary, false});
     chan_states.push_back(id);
-    m.access(sender, id, Phase::kParallelStep, AccessKind::kWrite);
-    m.access(receiver, id, Phase::kParallelStep, AccessKind::kRead);
-    m.access(advancer[static_cast<std::size_t>(adv)], id, Phase::kAdvance,
-             AccessKind::kWrite);
-    m.access(advancer[static_cast<std::size_t>(adv)], wake, Phase::kAdvance,
-             AccessKind::kWrite);
+    m.access(snd, id, Phase::kParallelStep, AccessKind::kWrite);
+    m.access(component(receiver), id, Phase::kParallelStep, AccessKind::kRead);
+    m.access(adv, id, Phase::kAdvance, AccessKind::kWrite);
+    m.access(adv, wake_of(receiver), Phase::kAdvance, AccessKind::kWrite);
     // The same stamp lists the receiver in its shard's due bitmap; a send on
     // an interior channel lists the channel in its shard's live bitmap.
-    m.access(advancer[static_cast<std::size_t>(adv)], due_bits[static_cast<std::size_t>(adv)],
-             Phase::kAdvance, AccessKind::kWrite);
-    if (s_snd == s_rcv) {
-      m.access(sender, live_bits[static_cast<std::size_t>(s_snd)], Phase::kParallelStep,
+    m.access(adv, due_bits[static_cast<std::size_t>(filing.shard)], Phase::kAdvance,
+             AccessKind::kWrite);
+    if (!filing.boundary) {
+      m.access(snd, live_bits[static_cast<std::size_t>(filing.shard)], Phase::kParallelStep,
                AccessKind::kWrite);
     }
-    m.components[static_cast<std::size_t>(advancer[static_cast<std::size_t>(adv)])]
-        .work += kChannelWork;
-    return id;
+    m.components[static_cast<std::size_t>(adv)].work += kChannelWork;
   };
-
-  for (const auto& desc : topo->channels()) {
-    const std::string name = "link:" + std::to_string(desc.src) + ":" +
-                             topo::port_name(desc.src_out_port);
-    const int src_rtr = router_of[static_cast<std::size_t>(desc.src)];
-    const int dst_rtr = router_of[static_cast<std::size_t>(desc.dst)];
-    add_channel(name, desc.src, desc.dst, config.link_latency, src_rtr, dst_rtr,
-                router_wake[static_cast<std::size_t>(desc.dst)]);
-    // Credits flow downstream -> upstream: the upstream router's output
-    // controller is the receiver, so the channel files under its shard.
-    add_channel(name + ":credit", desc.dst, desc.src, config.link_latency,
-                dst_rtr, src_rtr, router_wake[static_cast<std::size_t>(desc.src)]);
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    const std::string node = std::to_string(i);
-    const int nic = nic_of[static_cast<std::size_t>(i)];
-    const int rtr = router_of[static_cast<std::size_t>(i)];
-    const int rw = router_wake[static_cast<std::size_t>(i)];
-    const int nw = nic_wake[static_cast<std::size_t>(i)];
-    add_channel("inject:" + node, i, i, 1, nic, rtr, rw);
-    add_channel("inject_credit:" + node, i, i, 1, rtr, nic, nw);
-    add_channel("eject:" + node, i, i, 1, rtr, nic, nw);
-    add_channel("eject_credit:" + node, i, i, 1, nic, rtr, rw);
-  }
+  core::for_each_link(config, *topo, [&](const core::Link& link) {
+    add_channel(link.flit_name, link.latency, link.from, link.to);
+    add_channel(link.credit_name, link.latency, link.to, link.from);
+  });
 
   // --- determinism obligations ----------------------------------------------
   m.obligations.push_back(ObligationSpec{

@@ -8,8 +8,11 @@
 // trial-compute-then-prove discipline the CDG deadlock verifier applies to
 // routing, applied to our own parallelism.
 //
-// The model enumerates, for a Config + wiring + ShardPartition, exactly
-// what core::Network::build registers:
+// The model enumerates, for a Config + ShardPartition, what
+// core::Network::build registers. It does not keep a copy of the wiring: its
+// channel states come from walking the same wiring plan Network::build
+// builds (core::for_each_link), filed by the same rule (core::file_channel),
+// so the proof covers the channels the network really creates.
 //
 //   components  every router, NIC, per-shard channel advancer, plus the
 //               serial-phase globals (traffic clients/services/monitor and
@@ -130,8 +133,9 @@ struct FootprintModel {
 };
 
 /// Build the footprint of one tick of core::Network(config) under the given
-/// partition, mirroring Network::build's component/channel classification.
-/// Unlike the Network constructor this never rejects the configuration
+/// partition: components in Network::build's registration order, one
+/// channel state per channel of the wiring plan (core/wiring.h), in plan
+/// order. Unlike the Network constructor this never rejects the configuration
 /// (Config::validate is not consulted): unbuildable systems — a zero-latency
 /// link, say — are modelled faithfully so the analyzer can *explain* what
 /// breaks, the same stance verify::verify takes on dateline-free tori.

@@ -38,7 +38,6 @@ class SteeredLink {
   bool configure_steering();
   /// Forget the configuration (simulates an unconfigured part).
   void reset_steering();
-  bool steering_configured() const { return steering_configured_; }
 
   /// Drive logical bits through the physical wires: steer at the
   /// transmitter, apply stuck-at faults, de-steer at the receiver.

@@ -2,9 +2,9 @@
 //
 // "The network presents a simple reliable datagram interface to each tile":
 // an input port (into the network) and an output port (out of it), each a
-// 256-bit data field plus control subfields. PortSignals below mirrors the
-// wire-level fields; Packet is the client-level datagram the NIC converts
-// to and from flit streams.
+// 256-bit data field plus control subfields (router::Flit carries them on
+// the wire). Packet is the client-level datagram the NIC converts to and
+// from flit streams.
 #pragma once
 
 #include <cstdint>
@@ -15,18 +15,6 @@
 #include "sim/types.h"
 
 namespace ocn::core {
-
-/// Wire-level view of one cycle on the tile input or output port. Field
-/// widths follow section 2.1: type 2b, size 4b (logarithmic), virtual
-/// channel mask 8b, route 16b, data 256b; ready (8b) travels the opposite
-/// way and is modelled by the NIC's per-VC credit state.
-struct PortSignals {
-  router::FlitType type = router::FlitType::kHeadTail;
-  std::uint8_t size = router::kMaxSizeCode;
-  std::uint8_t vc_mask = 0xFF;
-  std::uint16_t route = 0;
-  router::Payload data{};
-};
 
 /// Client-level datagram. One entry of flit_payloads becomes one flit; the
 /// last flit may carry fewer bits (size-field power gating, section 2.1).

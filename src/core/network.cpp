@@ -1,9 +1,11 @@
 #include "core/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
 
+#include "core/wiring.h"
 #include "sim/log.h"
 
 namespace ocn::core {
@@ -28,28 +30,9 @@ Network::Network(Config config, int shards)
 
 void Network::build() {
   const int n = topology_->num_nodes();
-  // Component/channel placement: every per-node object goes to its node's
-  // shard; a channel whose endpoints straddle two shards is a boundary
-  // channel (advanced every cycle). Tile-port channels connect a node to
-  // itself, so they are always interior.
-  //
-  // Channels are classified (sender, receiver) and a boundary channel is
-  // filed under the RECEIVER's shard. That choice is what makes the
-  // event-skip arrival bytes shard-local: a channel stamps its receiver's
-  // per-port arrival byte as it advances (phase B), and filing the channel
-  // under the receiver's shard means the stamping worker IS the byte
-  // owner's worker — the same one that reads and clears the byte in phase
-  // A. No arrival byte is ever touched by two shards.
-  const auto add_channel = [this](NodeId sender, NodeId receiver, ChannelBase* ch) {
-    if (shard_of(sender) == shard_of(receiver)) {
-      kernel_.add_interior(shard_of(sender), ch);
-    } else {
-      kernel_.add_boundary(shard_of(receiver), ch);
-    }
-  };
-
   // Per-shard SoA pools: routers of shard s take consecutive slots in
-  // pools_[s], in node order.
+  // pools_[s], in node order. Every per-node object goes to its node's
+  // shard.
   std::vector<int> shard_router_count(static_cast<std::size_t>(shards_), 0);
   for (NodeId i = 0; i < n; ++i) {
     ++shard_router_count[static_cast<std::size_t>(shard_of(i))];
@@ -74,70 +57,47 @@ void Network::build() {
     kernel_.add_to_shard(shard_of(i), rtr, rtr->wake_row(), router::Router::wake_width());
   }
 
-  // Inter-router links.
-  for (const auto& desc : topology_->channels()) {
-    LinkChannels link;
-    const std::string name = "link:" + std::to_string(desc.src) + ":" +
-                             topo::port_name(desc.src_out_port);
-    link.flits = std::make_unique<Channel<Flit>>(config_.link_latency, name);
-    link.credits = std::make_unique<Channel<Credit>>(config_.link_latency, name + ":credit");
-    link.src = desc.src;
-    link.port = desc.src_out_port;
-    link.length_mm = desc.length_mm;
-    router_at(desc.src).attach_output(desc.src_out_port, link.flits.get(),
-                                      link.credits.get(), desc.length_mm);
-    router_at(desc.dst).attach_input(desc.dst_in_port, link.flits.get(), link.credits.get());
-    // Event-skip: the attach calls above wired each channel to its
-    // receiver's per-port arrival byte (flits -> dst input port, credits
-    // -> src output port).
-    // The credit channel flows dst -> src, so it is classified with the
-    // opposite (sender, receiver) pair — the receiver-shard filing rule
-    // above keeps both channels' wake stamping shard-local.
-    add_channel(desc.src, desc.dst, link.flits.get());
-    add_channel(desc.dst, desc.src, link.credits.get());
-    if (config_.fault_layer) {
-      auto transform = std::make_unique<FaultyLinkTransform>(
-          SteeredLink(router::kDataBits, config_.link_spare_bits));
-      router_at(desc.src).output(desc.src_out_port).set_transform(transform.get());
-      fault_transforms_.push_back(std::move(transform));
+  // One loop over the wiring plan: a flit channel `from` -> `to` and a
+  // credit channel back per link. The attach calls wire each channel to its
+  // receiver's arrival byte, and the kernel is told that receiver.
+  const auto component = [this](const LinkEnd& end) -> const Clockable* {
+    return end.nic ? static_cast<const Clockable*>(&nic(end.node)) : &router_at(end.node);
+  };
+  const auto file = [&](ChannelBase* ch, const LinkEnd& sender, const LinkEnd& receiver) {
+    const Filing filing = file_channel(partition_, sender.node, receiver.node);
+    if (filing.boundary) {
+      kernel_.add_boundary(filing.shard, ch, component(receiver));
     } else {
-      fault_transforms_.push_back(nullptr);
+      kernel_.add_interior(filing.shard, ch, component(receiver));
     }
-    links_.push_back(std::move(link));
-  }
-
-  // Tile ports (NIC <-> router), one flit + one credit channel per direction.
-  inject_links_.reserve(static_cast<std::size_t>(n));
-  eject_links_.reserve(static_cast<std::size_t>(n));
-  for (NodeId i = 0; i < n; ++i) {
-    LinkChannels inj;
-    inj.flits = std::make_unique<Channel<Flit>>(1, "inject:" + std::to_string(i));
-    inj.credits = std::make_unique<Channel<Credit>>(1, "inject_credit:" + std::to_string(i));
-    inj.src = i;
-    inj.port = Port::kTile;
-    router_at(i).attach_input(Port::kTile, inj.flits.get(), inj.credits.get());
-
-    LinkChannels ej;
-    ej.flits = std::make_unique<Channel<Flit>>(1, "eject:" + std::to_string(i));
-    ej.credits = std::make_unique<Channel<Credit>>(1, "eject_credit:" + std::to_string(i));
-    ej.src = i;
-    ej.port = Port::kTile;
-    router_at(i).attach_output(Port::kTile, ej.flits.get(), ej.credits.get(), 0.0);
-
-    nic(i).attach(inj.flits.get(), inj.credits.get(), ej.flits.get(), ej.credits.get());
-    // Channels delivering INTO the router were wired to its arrival bytes
-    // by the attach calls above; channels delivering into the NIC are wired
-    // to the NIC's wake row by Nic::attach. Packets a client enqueues
-    // through the Nic API reach no wake byte: the NIC's idle_internal()
-    // sees them in its queue counters, and the enqueue calls mark_due() to
-    // put the NIC back on its shard's worklist.
-    add_channel(i, i, inj.flits.get());
-    add_channel(i, i, inj.credits.get());
-    add_channel(i, i, ej.flits.get());
-    add_channel(i, i, ej.credits.get());
-    inject_links_.push_back(std::move(inj));
-    eject_links_.push_back(std::move(ej));
-  }
+  };
+  for_each_link(config_, *topology_, [&](Link& link) {
+    LinkChannels& ch = links_.emplace_back();
+    ch.flits = std::make_unique<Channel<Flit>>(link.latency, std::move(link.flit_name));
+    ch.credits = std::make_unique<Channel<Credit>>(link.latency, std::move(link.credit_name));
+    ch.src = link.from.node;
+    ch.port = link.from.port;
+    ch.length_mm = link.length_mm;
+    if (link.from.nic) {
+      nic(link.from.node).attach_inject(ch.flits.get(), ch.credits.get());
+    } else {
+      router_at(link.from.node)
+          .attach_output(link.from.port, ch.flits.get(), ch.credits.get(), link.length_mm);
+    }
+    if (link.to.nic) {
+      nic(link.to.node).attach_eject(ch.flits.get(), ch.credits.get());
+    } else {
+      router_at(link.to.node).attach_input(link.to.port, ch.flits.get(), ch.credits.get());
+    }
+    file(ch.flits.get(), link.from, link.to);
+    file(ch.credits.get(), link.to, link.from);
+    if (config_.fault_layer && !link.tile()) {
+      ch.fault = std::make_unique<FaultyLinkTransform>(
+          SteeredLink(router::kDataBits, config_.link_spare_bits));
+      router_at(link.from.node).output(link.from.port).set_transform(ch.fault.get());
+    }
+    if (!link.tile()) ++router_links_;  // the topology channels come first
+  });
 }
 
 void Network::step() { kernel_.tick(); }
@@ -254,12 +214,40 @@ bool Network::drain(Cycle max_cycles) {
   return idle();
 }
 
+namespace {
+
+/// One hop of a flow's path.
+struct FlowHop {
+  NodeId node;   ///< the router the hop leaves
+  int input;     ///< the port it arrived on (kTile at the source)
+  Port output;   ///< the port it leaves by
+  Cycle time;    ///< phase + 1 + i * link_latency
+  int slot;      ///< `time` wrapped into the reservation frame
+};
+
+/// The hops of the flow src -> dst sent at `phase`, in path order: the one
+/// walk along a flow path that reservations, register programming and
+/// flow_slot_times share.
+std::vector<FlowHop> flow_hops(const Network& net, NodeId src, NodeId dst, Cycle phase) {
+  std::vector<FlowHop> hops;
+  const auto path = net.routes().port_path(src, dst);
+  const Cycle frame = net.config().router.reservation_frame;
+  NodeId node = src;
+  int input = static_cast<int>(Port::kTile);
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const Cycle t = phase + 1 + static_cast<Cycle>(i) * net.config().link_latency;
+    hops.push_back({node, input, path[i], t, static_cast<int>(((t % frame) + frame) % frame)});
+    if (path[i] != Port::kTile) node = net.topology().neighbor(node, path[i])->dst;
+    input = static_cast<int>(path[i]);
+  }
+  return hops;
+}
+
+}  // namespace
+
 std::vector<Cycle> Network::flow_slot_times(NodeId src, NodeId dst, Cycle phase) const {
   std::vector<Cycle> times;
-  const auto path = routes_.port_path(src, dst);
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    times.push_back(phase + 1 + static_cast<Cycle>(i) * config_.link_latency);
-  }
+  for (const FlowHop& hop : flow_hops(*this, src, dst, phase)) times.push_back(hop.time);
   return times;
 }
 
@@ -269,36 +257,22 @@ std::optional<Cycle> Network::reserve_flow(NodeId src, NodeId dst, Cycle phase_h
         "reserve_flow requires config.router.exclusive_scheduled_vc "
         "(the scheduled VC must not be shared with dynamic traffic)");
   }
-  const auto path = routes_.port_path(src, dst);
-  if (path.empty()) return std::nullopt;
   const int frame = config_.router.reservation_frame;
-  const VcId vc = config_.router.scheduled_vc;
-
   for (int attempt = 0; attempt < frame; ++attempt) {
     const Cycle phase = (phase_hint + attempt) % frame;
-    // Check all hops first.
-    bool ok = true;
-    NodeId node = src;
-    for (std::size_t i = 0; i < path.size() && ok; ++i) {
-      const Cycle t = phase + 1 + static_cast<Cycle>(i) * config_.link_latency;
-      const auto& table = router_at(node).output(path[i]).reservations();
-      if (table.at(t).reserved()) ok = false;
-      if (path[i] != Port::kTile) node = topology_->neighbor(node, path[i])->dst;
-    }
-    if (!ok) continue;
-    // Commit.
-    node = src;
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      const Cycle t = phase + 1 + static_cast<Cycle>(i) * config_.link_latency;
-      const int input = i == 0 ? static_cast<int>(Port::kTile)
-                               : static_cast<int>(path[i - 1]);
-      auto& table = router_at(node).output(path[i]).reservations();
-      const bool reserved =
-          table.reserve(static_cast<int>(((t % frame) + frame) % frame), input, vc);
+    const std::vector<FlowHop> hops = flow_hops(*this, src, dst, phase);
+    if (hops.empty()) return std::nullopt;
+    // Check all hops first, then commit.
+    const auto taken = [this](const FlowHop& hop) {
+      return router_at(hop.node).output(hop.output).reservations().at(hop.slot).reserved();
+    };
+    if (std::any_of(hops.begin(), hops.end(), taken)) continue;
+    for (const FlowHop& hop : hops) {
+      const bool reserved = router_at(hop.node).output(hop.output).reservations().reserve(
+          hop.slot, hop.input, config_.router.scheduled_vc);
       assert(reserved);
       (void)reserved;
-      router_at(node).mark_due();
-      if (path[i] != Port::kTile) node = topology_->neighbor(node, path[i])->dst;
+      router_at(hop.node).mark_due();
     }
     return phase;
   }
@@ -306,52 +280,36 @@ std::optional<Cycle> Network::reserve_flow(NodeId src, NodeId dst, Cycle phase_h
 }
 
 void Network::release_flow(NodeId src, NodeId dst, Cycle phase) {
-  const auto path = routes_.port_path(src, dst);
-  const int frame = config_.router.reservation_frame;
-  NodeId node = src;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const Cycle t = phase + 1 + static_cast<Cycle>(i) * config_.link_latency;
-    auto& table = router_at(node).output(path[i]).reservations();
-    table.clear(static_cast<int>(((t % frame) + frame) % frame));
-    if (path[i] != Port::kTile) node = topology_->neighbor(node, path[i])->dst;
+  for (const FlowHop& hop : flow_hops(*this, src, dst, phase)) {
+    router_at(hop.node).output(hop.output).reservations().clear(hop.slot);
   }
 }
 
 void Network::program_flow_registers(NodeId config_master, NodeId src, NodeId dst,
                                      Cycle phase) {
-  const auto path = routes_.port_path(src, dst);
-  const int frame = config_.router.reservation_frame;
-  NodeId node = src;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const Cycle t = phase + 1 + static_cast<Cycle>(i) * config_.link_latency;
+  for (const FlowHop& hop : flow_hops(*this, src, dst, phase)) {
     RegisterWrite w;
     w.kind = RegisterWrite::Kind::kReserveSlot;
-    w.output_port = path[i];
-    w.slot = static_cast<int>(((t % frame) + frame) % frame);
-    w.input_port = i == 0 ? static_cast<int>(Port::kTile) : static_cast<int>(path[i - 1]);
+    w.output_port = hop.output;
+    w.slot = hop.slot;
+    w.input_port = hop.input;
     w.vc = config_.router.scheduled_vc;
-    const bool accepted = nic(config_master).inject(encode_register_write(node, w), now());
+    const bool accepted = nic(config_master).inject(encode_register_write(hop.node, w), now());
     assert(accepted && "configuration master NIC queue overflow");
     (void)accepted;
-    if (path[i] != Port::kTile) node = topology_->neighbor(node, path[i])->dst;
   }
 }
 
 void Network::clear_flow_registers(NodeId config_master, NodeId src, NodeId dst,
                                    Cycle phase) {
-  const auto path = routes_.port_path(src, dst);
-  const int frame = config_.router.reservation_frame;
-  NodeId node = src;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const Cycle t = phase + 1 + static_cast<Cycle>(i) * config_.link_latency;
+  for (const FlowHop& hop : flow_hops(*this, src, dst, phase)) {
     RegisterWrite w;
     w.kind = RegisterWrite::Kind::kClearSlot;
-    w.output_port = path[i];
-    w.slot = static_cast<int>(((t % frame) + frame) % frame);
-    const bool accepted = nic(config_master).inject(encode_register_write(node, w), now());
+    w.output_port = hop.output;
+    w.slot = hop.slot;
+    const bool accepted = nic(config_master).inject(encode_register_write(hop.node, w), now());
     assert(accepted && "configuration master NIC queue overflow");
     (void)accepted;
-    if (path[i] != Port::kTile) node = topology_->neighbor(node, path[i])->dst;
   }
 }
 
@@ -383,10 +341,8 @@ void Network::enable_tracing(TraceRecorder* recorder) {
 }
 
 FaultyLinkTransform* Network::link_fault(NodeId node, Port port) {
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].src == node && links_[i].port == port) {
-      return fault_transforms_[i].get();
-    }
+  for (const LinkChannels& link : router_links()) {
+    if (link.src == node && link.port == port) return link.fault.get();
   }
   return nullptr;
 }
@@ -419,7 +375,7 @@ void Network::register_metrics(obs::CounterRegistry& registry, Cycle sample_inte
   for (const auto& r : routers_) {
     r->register_metrics(registry, "router." + std::to_string(r->node()));
   }
-  for (const auto& link : links_) {
+  for (const auto& link : router_links()) {
     const Channel<router::Flit>* ch = link.flits.get();
     registry.gauge("link." + std::to_string(link.src) + "." +
                        topo::port_name(link.port) + ".flits",
@@ -481,7 +437,7 @@ EnergyReport Network::energy(const phys::PowerModel& power) const {
       toggled_bit_mm += out.toggled_bit_mm();
     }
   }
-  for (const auto& link : links_) {
+  for (const auto& link : router_links()) {
     e.flit_mm += static_cast<double>(link.flits->sends()) * link.length_mm;
   }
   // hop_energy_pj(bits) and wire energy are linear in bits, so summing
@@ -498,8 +454,8 @@ EnergyReport Network::energy(const phys::PowerModel& power) const {
 
 std::vector<LinkUsage> Network::link_usage() const {
   std::vector<LinkUsage> out;
-  out.reserve(links_.size());
-  for (const auto& link : links_) {
+  out.reserve(router_links_);
+  for (const auto& link : router_links()) {
     out.push_back({link.src, link.port, link.length_mm, link.flits->sends()});
   }
   return out;

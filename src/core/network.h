@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -175,15 +176,20 @@ class Network {
   }
 
  private:
+  /// The channels of one wiring-plan link (core/wiring.h).
   struct LinkChannels {
     std::unique_ptr<Channel<router::Flit>> flits;
     std::unique_ptr<Channel<router::Credit>> credits;
     NodeId src = kInvalidNode;
     topo::Port port = topo::Port::kTile;
     double length_mm = 0.0;
+    /// Null unless config.fault_layer and the link is a topology channel.
+    std::unique_ptr<FaultyLinkTransform> fault;
   };
 
   void build();
+  /// The topology-channel links (the first entries of links_).
+  std::span<const LinkChannels> router_links() const { return {links_.data(), router_links_}; }
   void install_register_filters();
   void flush_observer_buffers();
   std::int64_t stats_packets_injected() const;
@@ -203,11 +209,8 @@ class Network {
   std::vector<std::unique_ptr<router::RouterStatePool>> pools_;
   std::vector<std::unique_ptr<router::Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<LinkChannels> links_;
-  // Tile-port channels, indexed by node.
-  std::vector<LinkChannels> inject_links_;
-  std::vector<LinkChannels> eject_links_;
-  std::vector<std::unique_ptr<FaultyLinkTransform>> fault_transforms_;
+  std::vector<LinkChannels> links_;  // every wiring-plan link, in plan order
+  std::size_t router_links_ = 0;
 
   // Observer plumbing: callbacks fired during the component phase land in
   // per-node buffers, replayed in node order at the end of the cycle.

@@ -35,21 +35,22 @@ bool Nic::idle_internal() const {
   return queued_flit_count_ == 0 && eject_pending_count_ == 0;
 }
 
-void Nic::attach(Channel<Flit>* inject, Channel<Credit>* inject_credit,
-                 Channel<Flit>* eject, Channel<Credit>* eject_credit) {
+void Nic::attach_inject(Channel<Flit>* inject, Channel<Credit>* inject_credit) {
   inject_ = inject;
   inject_credit_ = inject_credit;
+  inject_credit_->set_wake(&arrive_[kCreditArrive]);
+}
+
+void Nic::attach_eject(Channel<Flit>* eject, Channel<Credit>* eject_credit) {
   eject_ = eject;
   eject_credit_ = eject_credit;
-  if (inject_credit_ != nullptr) inject_credit_->set_wake(&arrive_[kCreditArrive]);
-  if (eject_ != nullptr) eject_->set_wake(&arrive_[kEjectArrive]);
+  eject_->set_wake(&arrive_[kEjectArrive]);
 }
 
 std::uint8_t Nic::ready_mask() const {
   std::uint8_t mask = 0;
   for (std::size_t v = 0; v < credits_.size(); ++v) {
-    const bool ready = config_.router.dropping() || credits_[v] > 0;
-    if (ready) mask |= static_cast<std::uint8_t>(1u << v);
+    if (credits_[v] > 0) mask |= static_cast<std::uint8_t>(1u << v);
   }
   return mask;
 }
@@ -148,15 +149,12 @@ void Nic::schedule_packet(Packet packet, Cycle send_at, Cycle now) {
 void Nic::step(Cycle now) {
   // Credits returned by the tile input controller (arrival-byte gated; see
   // wake_row()).
-  if (inject_credit_ != nullptr &&
-      arrive_[kCreditArrive].load(std::memory_order_relaxed) != 0) {
+  if (arrive_[kCreditArrive].load(std::memory_order_relaxed) != 0) {
     arrive_[kCreditArrive].store(0, std::memory_order_relaxed);
     if (auto credit = inject_credit_->take()) {
-      if (!config_.router.dropping()) {
-        auto& c = credits_[static_cast<std::size_t>(credit->vc)];
-        ++c;
-        assert(c <= config_.router.buffer_depth);
-      }
+      auto& c = credits_[static_cast<std::size_t>(credit->vc)];
+      ++c;
+      assert(c <= config_.router.buffer_depth);
     }
   }
   process_ejection(now);
@@ -171,7 +169,6 @@ void Nic::step(Cycle now) {
 }
 
 void Nic::process_ejection(Cycle now) {
-  if (eject_ == nullptr) return;
   // Arrival-byte gated, in-place arrival handling (receive + consume): the
   // pending-queue copy goes straight from channel storage, skipping the
   // take() temporary.
@@ -182,7 +179,7 @@ void Nic::process_ejection(Cycle now) {
       const Flit& fl = *arriving;
       // Harvest a piggybacked credit for the tile input buffers upstream.
       const std::int8_t carried = fl.carried_credit_vc;
-      if (carried >= 0 && !config_.router.dropping()) {
+      if (carried >= 0) {
         auto& c = credits_[static_cast<std::size_t>(carried)];
         ++c;
         assert(c <= config_.router.buffer_depth);
@@ -213,7 +210,7 @@ void Nic::process_ejection(Cycle now) {
   if (!config_.router.dropping()) {
     if (config_.router.piggyback_credits) {
       carry_to_router_.push_back(static_cast<VcId>(vc));
-    } else if (eject_credit_ != nullptr) {
+    } else {
       eject_credit_->send(Credit{static_cast<VcId>(vc)});
     }
   }
@@ -249,7 +246,6 @@ void Nic::consume_flit(Flit flit, Cycle now) {
 }
 
 void Nic::do_injection(Cycle now) {
-  if (inject_ == nullptr) return;
   // Empty queues mean zero request bits: the arbiter would return -1 with
   // its pointer frozen, so the scan and the arbiter are skipped.
   int vc = -1;
@@ -260,9 +256,7 @@ void Nic::do_injection(Cycle now) {
     for (VcId v = 0; v < vcs; ++v) {
       const auto& q = vc_queues_[static_cast<std::size_t>(v)];
       // A scheduled packet waits for its reservation phase.
-      const bool ready = !q.empty() &&
-                         (config_.router.dropping() ||
-                          credits_[static_cast<std::size_t>(v)] > 0) &&
+      const bool ready = !q.empty() && credits_[static_cast<std::size_t>(v)] > 0 &&
                          q.front().send_at <= now;
       if (ready) {
         requests |= std::uint32_t{1} << v;

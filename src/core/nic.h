@@ -41,8 +41,10 @@ class Nic final : public Clockable {
 
   Nic(NodeId node, const Config& config, const routing::RouteComputer& routes);
 
-  void attach(Channel<router::Flit>* inject, Channel<router::Credit>* inject_credit,
-              Channel<router::Flit>* eject, Channel<router::Credit>* eject_credit);
+  /// Wire the tile ports (Network::build does, before the first step); the
+  /// inbound channels stamp the NIC's wake row.
+  void attach_inject(Channel<router::Flit>* inject, Channel<router::Credit>* inject_credit);
+  void attach_eject(Channel<router::Flit>* eject, Channel<router::Credit>* eject_credit);
 
   NodeId node() const { return node_; }
 
@@ -166,6 +168,7 @@ class Nic final : public Clockable {
   /// (reassembly slots freed here), carried on injected flits.
   std::deque<VcId> carry_to_router_;
   std::vector<int> queued_packets_per_class_;
+  /// Dropping mode neither consumes nor returns any: they stay at depth.
   std::vector<int> credits_;
   router::PriorityArbiter inject_arb_;
 

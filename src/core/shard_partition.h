@@ -39,7 +39,6 @@ class ShardPartition {
   int shards() const { return shards_; }
   int num_nodes() const { return static_cast<int>(owner_.size()); }
   int shard_of(NodeId n) const { return owner_[static_cast<std::size_t>(n)]; }
-  bool cross_shard(NodeId a, NodeId b) const { return shard_of(a) != shard_of(b); }
 
   /// Nodes owned by each shard (index = shard).
   std::vector<int> nodes_per_shard() const;

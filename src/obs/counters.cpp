@@ -40,16 +40,13 @@ Json MetricsSnapshot::to_json() const {
 
 namespace {
 
-/// `v` as an int64, or std::runtime_error naming `what`: for a non-number,
-/// and for a double outside [-2^63, 2^63), where the cast is undefined.
+/// `v` as an int64 (Json::as_int), or std::runtime_error naming `what`.
 std::int64_t snapshot_int(const Json& v, const std::string& what) {
-  if (v.is_int()) return v.as_int();
-  if (!v.is_number()) throw std::runtime_error("metrics snapshot: " + what + " is not a number");
-  const double d = v.as_number();
-  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
-    throw std::runtime_error("metrics snapshot: " + what + " is outside the int64 range");
+  try {
+    return v.as_int();
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("metrics snapshot: " + what + ": " + e.what());
   }
-  return static_cast<std::int64_t>(d);
 }
 
 }  // namespace

@@ -324,7 +324,14 @@ class Parser {
 
 std::int64_t Json::as_int() const {
   if (is_int()) return std::get<std::int64_t>(v_);
-  return static_cast<std::int64_t>(std::get<double>(v_));
+  if (!is_number()) throw std::runtime_error("json: not a number");
+  // [-2^63, 2^63): a double outside it (or NaN) has no int64 value, and
+  // casting it would be undefined behaviour.
+  const double d = std::get<double>(v_);
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    throw std::runtime_error("json: number outside the int64 range");
+  }
+  return static_cast<std::int64_t>(d);
 }
 
 double Json::as_number() const {

@@ -45,6 +45,9 @@ class Json {
   bool is_object() const { return std::holds_alternative<Object>(v_); }
 
   bool as_bool() const { return std::get<bool>(v_); }
+  /// An integer, or a double truncated toward zero. Throws
+  /// std::runtime_error for a non-number and for a double outside
+  /// [-2^63, 2^63) (NaN included), which has no int64 value.
   std::int64_t as_int() const;
   double as_number() const;
   const std::string& as_string() const { return std::get<std::string>(v_); }

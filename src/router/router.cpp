@@ -11,16 +11,6 @@ namespace ocn::router {
 using topo::Port;
 using routing::TurnCode;
 
-Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& params)
-    : node_(node),
-      topo_(topology),
-      params_(params),
-      own_pool_(std::make_unique<RouterStatePool>(1, params)),
-      pool_(own_pool_.get()),
-      slot_(0) {
-  init_controllers();
-}
-
 Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& params,
                RouterStatePool& pool, int slot)
     : node_(node), topo_(topology), params_(params), pool_(&pool), slot_(slot) {
@@ -51,9 +41,7 @@ void Router::attach_input(Port p, Channel<Flit>* in, Channel<Credit>* credit_ups
   InputController& rec = inputs_[static_cast<std::size_t>(p)];
   rec.in = in;
   rec.credit_upstream = credit_upstream;
-  if (in != nullptr) {
-    in->set_wake(pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveFlit));
-  }
+  in->set_wake(pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveFlit));
 }
 
 void Router::attach_output(Port p, Channel<Flit>* link, Channel<Credit>* credit_downstream,
@@ -62,10 +50,8 @@ void Router::attach_output(Port p, Channel<Flit>* link, Channel<Credit>* credit_
   rec.link = link;
   rec.credit_downstream = credit_downstream;
   rec.length_mm = length_mm;
-  if (credit_downstream != nullptr) {
-    credit_downstream->set_wake(
-        pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveCredit));
-  }
+  credit_downstream->set_wake(
+      pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveCredit));
 }
 
 bool Router::effective_dateline(const Flit& head, Port in_port, Port out_port) const {
@@ -104,11 +90,8 @@ void Router::process_credits(int p) {
   Channel<Credit>* ch = outputs_[static_cast<std::size_t>(p)].credit_downstream;
   const Credit* credit = ch->receive();
   if (credit == nullptr) return;
-  if (!params_.dropping()) {  // dropping mode: drain, no credit loop
-    int& c = pool_->credits(slot_, p)[credit->vc];
-    ++c;
-    assert(c <= params_.buffer_depth && "credit overflow: more credits than buffer slots");
-  }
+  assert(!params_.dropping() && "dropping mode returns no credits");
+  receive_credit(p, credit->vc);
   ch->consume();
 }
 
@@ -243,10 +226,10 @@ void Router::vc_allocation(Cycle now) {
   }
 }
 
-bool Router::has_credit(int out, VcId vc) const {
-  if (params_.dropping()) return true;  // no credit loop in dropping mode
-  return pool_->credits(slot_, out)[vc] > 0;
-}
+// Dropping mode touches the credit loop in two places only: consume_credit
+// and pop's return. Neither runs, so credits stay at buffer_depth and no
+// credit ever arrives.
+bool Router::has_credit(int out, VcId vc) const { return pool_->credits(slot_, out)[vc] > 0; }
 
 void Router::consume_credit(int out, VcId vc) {
   if (params_.dropping()) return;
@@ -258,7 +241,7 @@ void Router::consume_credit(int out, VcId vc) {
 void Router::receive_credit(int out, VcId vc) {
   int& c = pool_->credits(slot_, out)[vc];
   ++c;
-  assert(c <= params_.buffer_depth && "credit overflow via piggyback path");
+  assert(c <= params_.buffer_depth && "credit overflow: more credits than buffer slots");
 }
 
 FlitRef Router::pop(int in, VcId vc) {
@@ -273,7 +256,7 @@ FlitRef Router::pop(int in, VcId vc) {
   if (!params_.dropping()) {
     if (params_.piggyback_credits) {
       pool_->carry_push(slot_, static_cast<int>(topo::reverse(rec.port)), vc);
-    } else if (rec.credit_upstream != nullptr) {
+    } else {
       rec.credit_upstream->send(Credit{vc});
     }
   }

@@ -25,16 +25,16 @@
 // reservation slot table, the link arbiter and statistics, and the switch
 // arbiters own their rotation pointers.
 // core::Network constructs routers against one pool per shard (consecutive
-// slots) so a shard's state is contiguous; the three-argument constructor
-// owns a RouterStatePool(1, params), so a standalone router runs the same
-// code on the same layout.
+// slots) so a shard's state is contiguous. Every router lives in a pool: a
+// standalone router (the isolated-router tests) is slot 0 of a
+// RouterStatePool(1, params) its harness owns, so it runs the same code on
+// the same layout.
 //
 // A router is registered with its wake row (`kernel.add(r, r->wake_row(),
 // Router::wake_width())`): the kernel skips it while every arrival byte is
 // zero and idle_internal() holds.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "router/input_controller.h"
@@ -49,9 +49,7 @@ namespace ocn::router {
 
 class Router final : public Clockable {
  public:
-  /// Standalone: owns a RouterStatePool(1, params).
-  Router(NodeId node, const topo::Topology& topology, const RouterParams& params);
-  /// Pool-backed: state lives in `pool` slot `slot` (pool outlives router).
+  /// State lives in `pool` slot `slot` (pool outlives router).
   Router(NodeId node, const topo::Topology& topology, const RouterParams& params,
          RouterStatePool& pool, int slot);
 
@@ -67,7 +65,7 @@ class Router final : public Clockable {
   const OutputController& output(topo::Port p) const { return outputs_[static_cast<std::size_t>(p)]; }
 
   /// Wire input port `p`: the incoming flit channel and the upstream credit
-  /// return. Either may be null for disabled ports (mesh boundary). The
+  /// return. A port never attached (a mesh edge) receives nothing. The
   /// flit channel stamps this port's arrival byte in the wake row.
   void attach_input(topo::Port p, Channel<Flit>* in, Channel<Credit>* credit_upstream);
   /// Wire output port `p`: the outgoing link and the downstream credit
@@ -141,8 +139,9 @@ class Router final : public Clockable {
   // Datapath steps the phases share.
   bool has_credit(int out, VcId vc) const;
   void consume_credit(int out, VcId vc);
-  /// Piggyback path: a credit harvested from a flit arriving on the reverse
-  /// link (output `out`'s own downstream buffers were freed).
+  /// A credit for output `out`'s downstream (out, vc) buffer arrived: on
+  /// the credit wire (process_credits) or piggybacked on a flit of the
+  /// reverse link (accept_arrival).
   void receive_credit(int out, VcId vc);
   // The flit moves by handle (FlitRef, soa.h) from its input ring to the
   // link and is edited in place in the pool's arena.
@@ -158,7 +157,6 @@ class Router final : public Clockable {
   NodeId node_;
   const topo::Topology& topo_;
   RouterParams params_;
-  std::unique_ptr<RouterStatePool> own_pool_;  ///< standalone ctor only
   RouterStatePool* pool_;
   int slot_;
   std::vector<InputController> inputs_;

@@ -36,9 +36,9 @@
 //   * one pool per shard (core::Network), so a shard's routers occupy a
 //     contiguous slab and phase-A workers never share cache lines for hot
 //     state across shards;
-//   * a standalone router or unit is a 1-router pool: the three-argument
-//     `Router(node, topo, params)` constructor owns a `RouterStatePool(1,
-//     params)`, and unit tests slice one the same way;
+//   * every router lives in a pool; a standalone router or unit (the
+//     isolated-router and unit tests) is slot 0 of a `RouterStatePool(1,
+//     params)` its test owns;
 //   * each (router, port, VC) has one state byte (VcState, netsim's
 //     InputUnit::State::GlobalState): Idle (no packet), Routing (a head at
 //     the front, route not yet decoded), VcWait (decoded, no downstream VC),

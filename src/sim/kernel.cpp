@@ -1,6 +1,5 @@
 #include "sim/kernel.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -50,8 +49,9 @@ void Kernel::add(Clockable* c, std::atomic<std::uint8_t>* wake, int width) {
   prepared_ = false;
 }
 
-void Kernel::add(ChannelBase* ch) {
+void Kernel::add(ChannelBase* ch, const Clockable* receiver) {
   tail_.interior.push_back(ch);
+  tail_.interior_to.push_back(receiver);
   prepared_ = false;
 }
 
@@ -62,13 +62,17 @@ void Kernel::add_to_shard(int shard, Clockable* c, std::atomic<std::uint8_t>* wa
   prepared_ = false;
 }
 
-void Kernel::add_interior(int shard, ChannelBase* ch) {
-  shards_.at(static_cast<std::size_t>(shard)).interior.push_back(ch);
+void Kernel::add_interior(int shard, ChannelBase* ch, const Clockable* receiver) {
+  List& list = shards_.at(static_cast<std::size_t>(shard));
+  list.interior.push_back(ch);
+  list.interior_to.push_back(receiver);
   prepared_ = false;
 }
 
-void Kernel::add_boundary(int shard, ChannelBase* ch) {
-  shards_.at(static_cast<std::size_t>(shard)).boundary.push_back(ch);
+void Kernel::add_boundary(int shard, ChannelBase* ch, const Clockable* receiver) {
+  List& list = shards_.at(static_cast<std::size_t>(shard));
+  list.boundary.push_back(ch);
+  list.boundary_to.push_back(receiver);
   prepared_ = false;
 }
 
@@ -88,77 +92,66 @@ std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << (i % kWordBits)
 }  // namespace
 
 void Kernel::prepare() {
-  // Every wake row (list, index) sorted by address, so a channel's wake
-  // pointer names the component it wakes. List id shards_.size() is the
-  // tail.
-  struct Row {
-    std::uint32_t list = 0;
-    std::uint32_t index = 0;
-  };
-  const std::size_t tail_id = shards_.size();
-  const auto entry = [&](const Row& r) -> const ComponentEntry& {
-    return (r.list == tail_id ? tail_ : shards_[r.list]).components[r.index];
-  };
-  const std::less<const std::atomic<std::uint8_t>*> before;
-  std::vector<Row> rows;
-  for (std::size_t id = 0; id <= tail_id; ++id) {
-    const List& list = id == tail_id ? tail_ : shards_[id];
-    for (std::size_t i = 0; i < list.components.size(); ++i) {
-      if (list.components[i].wake_width > 0) {
-        rows.push_back({static_cast<std::uint32_t>(id), static_cast<std::uint32_t>(i)});
-      }
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [&](const Row& a, const Row& b) { return before(entry(a).wake, entry(b).wake); });
-
-  // The index of the component in list `id` that `ch` wakes; -1 for none
-  // or a tail component (the tail is scanned every cycle). A channel that
-  // wakes a component of another shard list would set a bit another worker
-  // owns, and would otherwise leave its receiver unlisted.
-  const auto receiver = [&](const ChannelBase* ch, std::size_t id) {
-    const std::atomic<std::uint8_t>* wake = ch->wake_;
-    auto it = std::upper_bound(rows.begin(), rows.end(), wake,
-                               [&](const auto* w, const Row& r) { return before(w, entry(r).wake); });
-    if (wake == nullptr || it == rows.begin()) return -1;
-    const ComponentEntry& e = entry(*--it);
-    if (!before(wake, e.wake + e.wake_width) || it->list == tail_id) return -1;
-    if (it->list != id) {
-      throw std::logic_error("channel '" + ch->name() +
-                             "' wakes a component of another shard list; file it "
-                             "under its receiver's shard");
-    }
-    return static_cast<int>(it->index);
-  };
-
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    List& list = shards_[s];
+  // Every shard component gets its due bit before any channel is mapped:
+  // a channel's receiver index is read back from its receiver's bit.
+  for (List& list : shards_) {
     list.due = all_set(list.components.size());
     for (std::size_t i = 0; i < list.components.size(); ++i) {
       Clockable* c = list.components[i].component;
       c->due_word_ = &list.due[i / kWordBits];
       c->due_bit_ = bit_of(i);
     }
+  }
+  for (const ComponentEntry& e : tail_.components) e.component->due_word_ = nullptr;
+
+  for (List& list : shards_) {
     list.live = all_set(list.interior.size());
     list.interior_receiver.resize(list.interior.size());
     for (std::size_t i = 0; i < list.interior.size(); ++i) {
       ChannelBase* ch = list.interior[i];
       ch->live_word_ = &list.live[i / kWordBits];
       ch->live_shift_ = static_cast<std::uint8_t>(i % kWordBits);
-      list.interior_receiver[i] = receiver(ch, s);
+      list.interior_receiver[i] = receiver_index(list, ch, list.interior_to[i]);
     }
     list.boundary_receiver.resize(list.boundary.size());
     for (std::size_t i = 0; i < list.boundary.size(); ++i) {
       list.boundary[i]->live_word_ = nullptr;
-      list.boundary_receiver[i] = receiver(list.boundary[i], s);
+      list.boundary_receiver[i] = receiver_index(list, list.boundary[i], list.boundary_to[i]);
     }
   }
-  for (const ComponentEntry& e : tail_.components) e.component->due_word_ = nullptr;
-  for (ChannelBase* ch : tail_.interior) {
-    ch->live_word_ = nullptr;
-    receiver(ch, tail_id);  // throws if it wakes a shard component
+  for (std::size_t i = 0; i < tail_.interior.size(); ++i) {
+    tail_.interior[i]->live_word_ = nullptr;
+    receiver_index(tail_, tail_.interior[i], tail_.interior_to[i]);  // checks only
   }
   prepared_ = true;
+}
+
+int Kernel::receiver_index(const List& list, const ChannelBase* ch,
+                           const Clockable* receiver) const {
+  const auto refuse = [ch](const char* why) {
+    throw std::logic_error("channel '" + ch->name() + "' " + why);
+  };
+  if (receiver == nullptr) {
+    if (ch->wake_ != nullptr) refuse("stamps a wake byte but states no receiver");
+    return -1;
+  }
+  // A tail component has no due bit: the tail is scanned every cycle. A
+  // shard component's due word lies in its own list's bitmap.
+  if (receiver->due_word_ == nullptr) return -1;
+  const std::less<const void*> before;
+  const std::uint64_t* first = list.due.data();
+  if (before(receiver->due_word_, first) ||
+      !before(receiver->due_word_, first + list.due.size())) {
+    refuse("delivers into a component of another shard list; file it under its receiver's shard");
+  }
+  const auto index = static_cast<std::size_t>(receiver->due_word_ - first) * kWordBits +
+                     static_cast<std::size_t>(std::countr_zero(receiver->due_bit_));
+  const ComponentEntry& e = list.components[index];
+  if (ch->wake_ != nullptr &&
+      (before(ch->wake_, e.wake) || !before(ch->wake_, e.wake + e.wake_width))) {
+    refuse("stamps a wake byte outside its receiver's wake row");
+  }
+  return static_cast<int>(index);
 }
 
 void Kernel::remove(Clockable* c) {

@@ -10,7 +10,8 @@
 // Shards. The kernel keeps N shard lists (default 1) plus a serial tail.
 // A shard list holds components with their wake rows, interior channels
 // (both endpoints in the shard) and boundary channels (endpoints in two
-// shards). The tail holds whatever is registered with a plain add():
+// shards), each channel with its receiver. The tail holds whatever is
+// registered with a plain add():
 // traffic clients, services, monitors. One tick is
 //   phase A  every shard's listed components (see Worklists), then the
 //            tail's components;
@@ -47,9 +48,10 @@
 // set during the scan at a higher index is seen in the same cycle, as a
 // linear scan would see it; one set at a lower index is seen next cycle.
 // A due bit is set
-//   - by a channel advance that stamps a wake byte of the component (the
-//     list maps each channel to its receiver's index, so the channel
-//     itself carries no receiver pointer);
+//   - by a channel advance that stamps a wake byte of the component. The
+//     receiver is stated at registration and checked, not inferred: the
+//     list keeps its index (read from its due bit), so the channel itself
+//     carries no receiver pointer;
 //   - by Clockable::mark_due(), which code that creates work for a
 //     component outside that component's own step() must call (an inject
 //     into a NIC's queue, a reservation written into a router's table);
@@ -292,21 +294,23 @@ class Kernel {
   /// them. A component with no inbound channels passes no row.
   void add(Clockable* c, std::atomic<std::uint8_t>* wake = nullptr, int width = 0);
   /// A channel advanced in the serial tail, skipped while inactive.
-  void add(ChannelBase* ch);
+  /// `receiver` is the component it delivers into (null: none, as for a
+  /// test reading the channel directly), here and in the two below.
+  void add(ChannelBase* ch, const Clockable* receiver);
 
   /// As add(), on shard `shard`'s list. The row's bytes must be stamped
   /// only by channels filed under the same shard (the component is their
-  /// receiver), so a wake byte never crosses a shard; the first tick after
-  /// a registration throws std::logic_error naming a channel that breaks
-  /// this.
+  /// receiver), so a wake byte never crosses a shard.
   void add_to_shard(int shard, Clockable* c, std::atomic<std::uint8_t>* wake = nullptr,
                     int width = 0);
-  /// A channel whose sender and receiver both live in `shard`; skipped
+  /// A channel whose sender and `receiver` both live in `shard`; skipped
   /// while inactive.
-  void add_interior(int shard, ChannelBase* ch);
-  /// A channel crossing shards, filed under its receiver's shard and
-  /// advanced every cycle.
-  void add_boundary(int shard, ChannelBase* ch);
+  void add_interior(int shard, ChannelBase* ch, const Clockable* receiver);
+  /// A channel crossing shards, filed under its `receiver`'s shard and
+  /// advanced every cycle. The first tick after any registration throws
+  /// std::logic_error naming a channel whose wake byte lies outside its
+  /// receiver's wake row, or whose receiver is on another shard list.
+  void add_boundary(int shard, ChannelBase* ch, const Clockable* receiver);
 
   /// Unregister a serial-tail component (used by detachable observers like
   /// the protocol monitor, whose lifetime is shorter than the network's).
@@ -373,6 +377,8 @@ class Kernel {
     std::vector<ComponentEntry> components;
     std::vector<ChannelBase*> interior;
     std::vector<ChannelBase*> boundary;
+    std::vector<const Clockable*> interior_to;  // receivers, as registered
+    std::vector<const Clockable*> boundary_to;
     // Worklists of a shard list, sized by prepare(): bit i of `due` lists
     // components[i], bit i of `live` lists interior[i]. The receiver
     // arrays give the components index a channel's arrival wakes (-1: a
@@ -388,6 +394,9 @@ class Kernel {
   /// Size the worklists after a registration change, list every entry and
   /// point each shard component and interior channel at its bit.
   void prepare();
+  /// The index in `list` of `receiver`, the component `ch` delivers into;
+  /// -1 for none or a tail component. Throws as add_boundary() says.
+  int receiver_index(const List& list, const ChannelBase* ch, const Clockable* receiver) const;
   static void step_shard(List& list, Cycle now);
   static void advance_shard(List& list);
   static void step_tail(List& list, Cycle now);

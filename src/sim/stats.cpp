@@ -108,10 +108,6 @@ void DutyCounter::record_toggle(std::size_t wire, std::int64_t times) {
   toggles_.at(wire) += times;
 }
 
-void DutyCounter::record_all(std::int64_t times) {
-  for (auto& t : toggles_) t += times;
-}
-
 double DutyCounter::duty_factor(std::int64_t cycles) const {
   if (cycles <= 0 || toggles_.empty()) return 0.0;
   const double total = static_cast<double>(total_toggles());

@@ -80,8 +80,6 @@ class DutyCounter {
   explicit DutyCounter(std::size_t wires) : toggles_(wires, 0) {}
 
   void record_toggle(std::size_t wire, std::int64_t times = 1);
-  /// Record activity on all wires at once (e.g. a flit crossing a channel).
-  void record_all(std::int64_t times = 1);
 
   /// Fraction of cycles each wire toggled, averaged over wires.
   /// Can exceed 1.0 when several bits are sent per cycle per wire.

@@ -14,6 +14,7 @@
 #include "analyze/footprint.h"
 #include "core/network.h"
 #include "core/shard_partition.h"
+#include "core/wiring.h"
 #include "ref/campaign.h"
 #include "sim/kernel.h"
 #include "verify/monitor.h"
@@ -57,9 +58,9 @@ TEST(ShardPartition, RowStripsAssignWholeRows) {
   for (NodeId n = 0; n < 16; ++n) {
     EXPECT_EQ(p.shard_of(n), topo->y_of(n) / 2) << "node " << n;
   }
-  EXPECT_FALSE(p.cross_shard(0, 1));   // same row
-  EXPECT_FALSE(p.cross_shard(0, 4));   // rows 0 and 1, both shard 0
-  EXPECT_TRUE(p.cross_shard(4, 8));    // rows 1 and 2 straddle the cut
+  EXPECT_FALSE(core::file_channel(p, 0, 1).boundary);  // same row
+  EXPECT_FALSE(core::file_channel(p, 0, 4).boundary);  // rows 0 and 1, both shard 0
+  EXPECT_TRUE(core::file_channel(p, 4, 8).boundary);   // rows 1 and 2 straddle the cut
   EXPECT_EQ(p.nodes_per_shard(), (std::vector<int>{8, 8}));
 }
 
@@ -435,7 +436,7 @@ TEST(DynamicDivergence, UnitLatencyChannelIsOrderInvariant) {
       k.add(&c);
       k.add(&p);
     }
-    k.add(&ch);
+    k.add(&ch, &c);
     k.run(10);
     return c.sum;
   };

@@ -107,6 +107,26 @@ TEST(Json, RoundTripsDoublesExactly) {
   }
 }
 
+// Regression: as_int() cast any double straight to int64 — undefined
+// behaviour outside [-2^63, 2^63), which GCC's ubsan does not report
+// (1e300 came back as INT64_MIN) — and leaked std::bad_variant_access for a
+// non-number. Both are now std::runtime_error.
+TEST(Json, AsIntRefusesNonNumbersAndOutOfRangeDoubles) {
+  for (const char* doc : {"1e300", "-1e300", "9223372036854775808.0", "-9.3e18"}) {
+    EXPECT_THROW(obs::Json::parse(doc).as_int(), std::runtime_error) << doc;
+  }
+  for (const char* doc : {"\"7\"", "null", "true", "[1]", "{}"}) {
+    EXPECT_THROW(obs::Json::parse(doc).as_int(), std::runtime_error) << doc;
+  }
+  // In range a double truncates toward zero; -2^63 is the lowest value.
+  EXPECT_EQ(obs::Json::parse("2.9").as_int(), 2);
+  EXPECT_EQ(obs::Json::parse("-2.9").as_int(), -2);
+  EXPECT_EQ(obs::Json::parse("-9223372036854775808.0").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(obs::Json::parse("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+}
+
 // Regression: "%g" printed -0.0 as "0", which parses back as the integer 0 —
 // sign and doubleness both lost (and == can't catch it: -0.0 == 0.0).
 TEST(Json, NegativeZeroKeepsItsSign) {

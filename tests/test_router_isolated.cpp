@@ -22,6 +22,7 @@ using topo::Port;
 struct Harness {
   topo::FoldedTorus topo{4, 3.0};
   RouterParams params;
+  std::unique_ptr<router::RouterStatePool> pool;  // outlives the router
   std::unique_ptr<router::Router> rtr;
   Kernel kernel;
   // Indexed by port.
@@ -32,7 +33,8 @@ struct Harness {
 
   explicit Harness(RouterParams p = RouterParams{}) : params(p) {
     params.enforce_vc_parity = true;
-    rtr = std::make_unique<router::Router>(/*node=*/0, topo, params);
+    pool = std::make_unique<router::RouterStatePool>(1, params);
+    rtr = std::make_unique<router::Router>(/*node=*/0, topo, params, *pool, /*slot=*/0);
     kernel.add(rtr.get(), rtr->wake_row(), router::Router::wake_width());
     for (int i = 0; i < topo::kNumPorts; ++i) {
       const auto port = static_cast<Port>(i);
@@ -42,10 +44,12 @@ struct Harness {
       out_credits.push_back(std::make_unique<Channel<Credit>>(1));
       rtr->attach_input(port, in_flits.back().get(), in_credits.back().get());
       rtr->attach_output(port, out_flits.back().get(), out_credits.back().get(), 3.0);
-      kernel.add(in_flits.back().get());
-      kernel.add(in_credits.back().get());
-      kernel.add(out_flits.back().get());
-      kernel.add(out_credits.back().get());
+      // The router receives the flits in and the credits back; the test
+      // reads the other two channels directly.
+      kernel.add(in_flits.back().get(), rtr.get());
+      kernel.add(in_credits.back().get(), nullptr);
+      kernel.add(out_flits.back().get(), nullptr);
+      kernel.add(out_credits.back().get(), rtr.get());
     }
   }
 

@@ -115,10 +115,11 @@ RingRun run_ring(int shards, Cycle cycles) {
   for (int i = 0; i < 4; ++i) {
     const int receiver = (i + 1) % 4;
     ChannelBase* ch = &links[static_cast<std::size_t>(i)];
+    const Relay* to = &relays[static_cast<std::size_t>(receiver)];
     if (shard_of(i) == shard_of(receiver)) {
-      k.add_interior(shard_of(i), ch);
+      k.add_interior(shard_of(i), ch, to);
     } else {
-      k.add_boundary(shard_of(receiver), ch);
+      k.add_boundary(shard_of(receiver), ch, to);
     }
   }
   TailProbe probe;
@@ -184,8 +185,8 @@ TEST(KernelShards, BoundaryChannelAdvancesEveryCycleIdleInteriorDoesNot) {
   obs::CounterRegistry registry;
   k.attach_metrics(&registry);
   Channel<int> interior(1), boundary(1);
-  k.add_interior(0, &interior);
-  k.add_boundary(1, &boundary);
+  k.add_interior(0, &interior, nullptr);
+  k.add_boundary(1, &boundary, nullptr);
   k.run(10);
   EXPECT_EQ(registry.counter("kernel.channel_advances").value(), 10);
   EXPECT_FALSE(interior.active());
@@ -367,11 +368,11 @@ LiveRun run_live(int latency, const std::vector<Cycle>& sends, bool expire, bool
   if (shard) {
     k.add_to_shard(0, &src);
     k.add_to_shard(0, &sink, sink.wake, 1);
-    k.add_interior(0, &ch);
+    k.add_interior(0, &ch, &sink);
   } else {
     k.add(&src);
     k.add(&sink, sink.wake, 1);
-    k.add(&ch);
+    k.add(&ch, &sink);
   }
   LiveRun out;
   const obs::Counter& advances = registry.counter("kernel.channel_advances");
@@ -426,13 +427,53 @@ TEST(KernelWorklist, ChannelWakingAnotherShardIsRefused) {
   sink.in = &ch;
   ch.set_wake(&sink.wake[0]);
   k.add_to_shard(1, &sink, sink.wake, 1);
-  k.add_interior(0, &ch);
+  k.add_interior(0, &ch, &sink);
   try {
     k.tick();
     ADD_FAILURE() << "a mis-filed channel was accepted";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("misfiled"), std::string::npos) << e.what();
   }
+}
+
+// The kernel wakes the receiver a channel is registered with. A channel
+// that stamps another component's wake byte would set the stated
+// receiver's due bit while the byte it stamps wakes nobody; the first tick
+// refuses it and names it.
+TEST(KernelWorklist, ChannelWakingOutsideItsReceiverIsRefused) {
+  Kernel k(1);
+  Channel<int> ch(1, "crossed");
+  Sink stated, stamped;
+  ch.set_wake(&stamped.wake[0]);
+  k.add_to_shard(0, &stated, stated.wake, 1);
+  k.add_to_shard(0, &stamped, stamped.wake, 1);
+  k.add_interior(0, &ch, &stated);
+  try {
+    k.tick();
+    ADD_FAILURE() << "a channel waking outside its receiver was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'crossed'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("outside its receiver's wake row"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(k.now(), 0);
+}
+
+// A channel with a wake byte and no stated receiver stamps a byte nobody is
+// told about; one registered with the right receiver is accepted.
+TEST(KernelWorklist, ChannelWithWakeNeedsItsReceiver) {
+  Kernel k(1);
+  Channel<int> ch(1, "unowned");
+  Sink sink;
+  ch.set_wake(&sink.wake[0]);
+  k.add_to_shard(0, &sink, sink.wake, 1);
+  k.add_boundary(0, &ch, nullptr);
+  EXPECT_THROW(k.tick(), std::logic_error);
+
+  Kernel ok(1);
+  ok.add_to_shard(0, &sink, sink.wake, 1);
+  ok.add_boundary(0, &ch, &sink);
+  EXPECT_NO_THROW(ok.run(2));
 }
 
 // --- The mark_due() referee --------------------------------------------------

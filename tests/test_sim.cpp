@@ -194,7 +194,7 @@ TEST(Histogram, NegativeSamplesQuarantinedNotClamped) {
 TEST(Channel, DelaysValueByLatency) {
   Channel<int> ch(3);
   Kernel k;
-  k.add(&ch);
+  k.add(&ch, nullptr);
   ch.send(42);
   for (int i = 0; i < 2; ++i) {
     k.tick();
@@ -226,7 +226,7 @@ TEST(Channel, TakeConsumesValue) {
 TEST(Channel, BackToBackValuesFlowAtFullRate) {
   Channel<int> ch(2);
   Kernel k;
-  k.add(&ch);
+  k.add(&ch, nullptr);
   std::vector<int> got;
   for (int i = 0; i < 10; ++i) {
     ch.send(i);
@@ -331,7 +331,7 @@ TEST(Channel, TakeWithValuesStillInFlightStaysActive) {
 TEST(Kernel, TakenEmptyChannelIsSkippedNextTick) {
   Kernel k;
   Channel<int> ch(1);
-  k.add(&ch);
+  k.add(&ch, nullptr);
   obs::CounterRegistry reg;
   k.attach_metrics(&reg);
   obs::Counter& advances = reg.counter("kernel.channel_advances");
@@ -346,8 +346,8 @@ TEST(Kernel, TakenEmptyChannelIsSkippedNextTick) {
 TEST(Kernel, SkipsInactiveChannels) {
   Kernel k;
   Channel<int> busy(1), idle(1);
-  k.add(&busy);
-  k.add(&idle);
+  k.add(&busy, nullptr);
+  k.add(&idle, nullptr);
   busy.send(1);
   k.tick();
   EXPECT_TRUE(busy.receive() != nullptr);
