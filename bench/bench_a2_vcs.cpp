@@ -17,7 +17,7 @@ bool g_quick = false;
 
 double saturation(int vcs) {
   core::Config c = core::Config::paper_baseline();
-  c.router.set_vcs(vcs);
+  c.router.vcs = vcs;
   core::Network net(c);
   traffic::HarnessOptions opt;
   opt.injection_rate = 0.9;

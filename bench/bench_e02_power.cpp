@@ -26,7 +26,6 @@ struct SimPoint {
 SimPoint simulate(core::TopologyKind kind, bool quick) {
   core::Config c = core::Config::paper_baseline();
   c.topology = kind;
-  if (kind == core::TopologyKind::kMesh) c.router.enforce_vc_parity = false;
   core::Network net(c);
   traffic::HarnessOptions opt;
   opt.injection_rate = 0.1;

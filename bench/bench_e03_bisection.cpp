@@ -18,7 +18,6 @@ bool g_quick = false;
 double accepted_at(core::TopologyKind kind, double rate, traffic::Pattern pattern) {
   core::Config c = core::Config::paper_baseline();
   c.topology = kind;
-  if (kind == core::TopologyKind::kMesh) c.router.enforce_vc_parity = false;
   core::Network net(c);
   traffic::HarnessOptions opt;
   opt.pattern = pattern;
@@ -44,7 +43,6 @@ int main(int argc, char** argv) {
     core::Config c = core::Config::paper_baseline();
     const auto torus = c.make_topology();
     c.topology = core::TopologyKind::kMesh;
-    c.router.enforce_vc_parity = false;
     const auto mesh = c.make_topology();
     rep.section("structural bisection (unidirectional channels across the middle)");
     TablePrinter t({"topology", "bisection channels", "total channels", "wire demand mm"});

@@ -37,7 +37,6 @@ Row run_vc(const char* name, int depth, router::FlowControl fc, double rate) {
   core::Config c = core::Config::paper_baseline();
   c.router.buffer_depth = depth;
   c.router.flow_control = fc;
-  if (fc == router::FlowControl::kDropping) c.router.enforce_vc_parity = false;
   core::Network net(c);
   traffic::HarnessOptions opt;
   opt.injection_rate = rate;

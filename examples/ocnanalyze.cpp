@@ -52,7 +52,6 @@ struct Options {
       "  --radix K                            tiles per side (default 4)\n"
       "  --vcs N --depth N                    router buffers (default 8 x 4)\n"
       "  --link-latency N                     cycles per link (default 1)\n"
-      "  --no-vc-parity                       disable the dateline VC discipline\n"
       "  --dropping                           dropping flow control\n"
       "  --piggyback                          piggyback credits on reverse flits\n"
       "  --shards N                           row-strip shard count (default 2)\n"
@@ -86,9 +85,7 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (core::parse_config_flag(o.config, argc, argv, i)) continue;
     const std::string a = argv[i];
-    if (a == "--no-vc-parity") {
-      o.config.router.enforce_vc_parity = false;
-    } else if (a == "--shards") {
+    if (a == "--shards") {
       number(i, o.shards);
       if (o.shards < 1) usage(argv[0]);
     } else if (a == "--matrix") {

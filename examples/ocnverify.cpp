@@ -6,7 +6,9 @@
 // cycle is simulated. Examples:
 //
 //   ocn-verify                                  # paper baseline: proof succeeds
-//   ocn-verify --topology torus --no-vc-parity  # prints the dependency cycle
+//   ocn-verify --topology torus --radix 6 --no-vc-parity
+//                                               # prints the dependency cycle
+//                                               # datelines prevent
 //   ocn-verify --radix 8 --depth 2 --link-latency 3   # credit-starved warning
 //   ocn-verify --monitor-cycles 2000            # also run traffic under the
 //                                               # live protocol monitor
@@ -35,6 +37,7 @@ namespace {
 
 struct Options {
   core::Config config = core::Config::paper_baseline();
+  verify::Datelines datelines = verify::Datelines::kDerived;
   Cycle monitor_cycles = 0;  ///< 0 = static analysis only
   double rate = 0.2;
   bool quiet = false;
@@ -48,7 +51,8 @@ struct Options {
       "  --radix K                            tiles per side (default 4)\n"
       "  --vcs N --depth N                    router buffers (default 8 x 4)\n"
       "  --link-latency N                     cycles per link (default 1)\n"
-      "  --no-vc-parity                       disable the dateline VC discipline\n"
+      "  --no-vc-parity                       prove without the routers' dateline\n"
+      "                                       VC discipline (static pass only)\n"
       "  --dropping                           dropping flow control\n"
       "  --piggyback                          piggyback credits on reverse flits\n"
       "  --exclusive-scheduled-vc             reserve the scheduled VC\n"
@@ -78,7 +82,7 @@ Options parse(int argc, char** argv) {
     if (core::parse_config_flag(o.config, argc, argv, i)) continue;
     const std::string a = argv[i];
     if (a == "--no-vc-parity") {
-      o.config.router.enforce_vc_parity = false;
+      o.datelines = verify::Datelines::kNone;
     } else if (a == "--exclusive-scheduled-vc") {
       o.config.router.exclusive_scheduled_vc = true;
     } else if (a == "--monitor-cycles") {
@@ -104,6 +108,7 @@ int write_json(const Options& o, const verify::Report& report,
                   "CDG deadlock proof, route lint, credit-loop arithmetic");
   out.set_config_fingerprint(o.config.fingerprint());
   out.add_note("config", o.config.summary());
+  if (o.datelines == verify::Datelines::kNone) out.add_note("datelines", "none (--no-vc-parity)");
 
   int errors = 0, warnings = 0;
   for (const auto& f : report.findings) {
@@ -159,7 +164,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const verify::Report report = verify::verify(o.config);
+  const verify::Report report = verify::verify(o.config, o.datelines);
   if (!o.quiet) {
     std::printf("%s", report.to_string().c_str());
   }

@@ -25,7 +25,6 @@ struct StudyRow {
 StudyRow study(core::TopologyKind kind) {
   core::Config c = core::Config::paper_baseline();
   c.topology = kind;
-  if (kind == core::TopologyKind::kMesh) c.router.enforce_vc_parity = false;
 
   StudyRow row;
   row.name = core::topology_kind_name(kind);

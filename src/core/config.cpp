@@ -18,6 +18,10 @@ const char* topology_kind_name(TopologyKind k) {
   return "?";
 }
 
+bool Config::dateline_parity() const {
+  return router.dateline_parity(topology != TopologyKind::kMesh);
+}
+
 std::unique_ptr<topo::Topology> Config::make_topology() const {
   switch (topology) {
     case TopologyKind::kMesh:
@@ -56,30 +60,17 @@ void Config::validate() const {
          " must be >= 1 and divide flit_data_bits = " +
          std::to_string(flit_data_bits));
   }
-  if (router.scheduled_vc < 0 || router.scheduled_vc >= router.vcs) {
-    fail("scheduled_vc = " + std::to_string(router.scheduled_vc) +
-         " does not name one of the " + std::to_string(router.vcs) + " VCs");
-  }
-  const bool wraparound = topology != TopologyKind::kMesh;
-  if (wraparound && router.flow_control == router::FlowControl::kVirtualChannel &&
-      !router.enforce_vc_parity) {
+  if (dateline_parity() && router.vcs % 2 != 0) {
     fail(std::string(topology_kind_name(topology)) +
-         " has wraparound rings, so VC flow control needs the dateline "
-         "discipline: set router.enforce_vc_parity (run ocn-verify to see the "
-         "channel-dependency cycle this rule prevents)");
-  }
-  if (router.enforce_vc_parity && router.vcs % 2 != 0) {
-    fail("enforce_vc_parity pairs VCs as {2c, 2c+1}, so vcs = " +
-         std::to_string(router.vcs) + " must be even (or disable parity)");
-  }
-  if (router.enforce_vc_parity && router.dropping()) {
-    fail("dropping flow control keeps a packet's injection VC on every hop, "
-         "which contradicts the dateline parity discipline: disable "
-         "router.enforce_vc_parity when using FlowControl::kDropping");
+         " has wraparound rings, so VC flow control keeps the dateline "
+         "discipline, which pairs VCs as {2c, 2c+1}: vcs = " +
+         std::to_string(router.vcs) + " must be even (run ocn-verify to see "
+         "the channel-dependency cycle the discipline prevents)");
   }
   // The longest dimension-ordered route must fit the source-route encoder
   // (SourceRoute::kMaxEntries entries): worst case is one full traversal
   // per dimension plus the extract entry.
+  const bool wraparound = topology != TopologyKind::kMesh;
   const int per_dim = wraparound ? radix / 2 : radix - 1;
   const int worst_entries = 2 * per_dim + 1;
   if (worst_entries > routing::SourceRoute::kMaxEntries) {
@@ -119,13 +110,13 @@ std::string Config::summary() const {
   field("vcs", router.vcs);
   field("depth", router.buffer_depth);
   field("flow_control", static_cast<int>(router.flow_control));
-  field("vc_parity", router.enforce_vc_parity ? 1 : 0);
+  field("vc_parity", dateline_parity() ? 1 : 0);
   field("priority_arb", router.priority_arbitration ? 1 : 0);
   field("piggyback", router.piggyback_credits ? 1 : 0);
   field("speculative", router.speculative ? 1 : 0);
   field("frame", router.reservation_frame);
   field("reclaim_idle", router.reclaim_idle_slots ? 1 : 0);
-  field("sched_vc", router.scheduled_vc);
+  field("sched_vc", router.scheduled_vc());
   field("excl_sched", router.exclusive_scheduled_vc ? 1 : 0);
   field("link_latency", link_latency);
   field("flit_bits", flit_data_bits);
@@ -153,7 +144,6 @@ Config Config::paper_baseline() {
   c.radix = 4;
   c.router.vcs = 8;
   c.router.buffer_depth = 4;
-  c.router.enforce_vc_parity = true;
   c.flit_data_bits = 256;
   return c;
 }

@@ -50,6 +50,11 @@ struct Config {
 
   std::unique_ptr<topo::Topology> make_topology() const;
 
+  /// Whether the routers keep the dateline VC-parity discipline:
+  /// RouterParams::dateline_parity on this topology (torus and folded torus
+  /// have wraparound rings, the mesh has none).
+  bool dateline_parity() const;
+
   /// Throws std::invalid_argument with a description if inconsistent.
   void validate() const;
 

@@ -18,7 +18,6 @@ bool parse_config_flag(Config& config, int argc, char** argv, int& i) {
     const std::string_view v = value();
     if (v == "mesh") {
       config.topology = TopologyKind::kMesh;
-      config.router.enforce_vc_parity = false;
     } else if (v == "torus") {
       config.topology = TopologyKind::kTorus;
     } else if (v == "folded_torus") {
@@ -30,14 +29,13 @@ bool parse_config_flag(Config& config, int argc, char** argv, int& i) {
   } else if (flag == "--radix") {
     config.radix = flag_value<int>(flag, value());
   } else if (flag == "--vcs") {
-    config.router.set_vcs(flag_value<int>(flag, value()));
+    config.router.vcs = flag_value<int>(flag, value());
   } else if (flag == "--depth") {
     config.router.buffer_depth = flag_value<int>(flag, value());
   } else if (flag == "--link-latency") {
     config.link_latency = flag_value<int>(flag, value());
   } else if (flag == "--dropping") {
     config.router.flow_control = router::FlowControl::kDropping;
-    config.router.enforce_vc_parity = false;
   } else if (flag == "--piggyback") {
     config.router.piggyback_credits = true;
   } else {

@@ -35,7 +35,7 @@ std::vector<int> dynamic_classes(const router::RouterParams& params) {
   std::vector<int> classes;
   for (int c = 0; c < 4; ++c) {
     if (!class_has_vc_pair(c, params.vcs)) continue;
-    if (params.exclusive_scheduled_vc && c == params.scheduled_vc / 2) continue;
+    if (params.exclusive_scheduled_vc && c == params.scheduled_vc() / 2) continue;
     classes.push_back(c);
   }
   return classes;

@@ -71,6 +71,7 @@ void Network::build() {
       kernel_.add_interior(filing.shard, ch, component(receiver));
     }
   };
+  if (config_.fault_layer) link_faults_.resize(static_cast<std::size_t>(n) * topo::kNumDirPorts);
   for_each_link(config_, *topology_, [&](Link& link) {
     LinkChannels& ch = links_.emplace_back();
     ch.flits = std::make_unique<Channel<Flit>>(link.latency, std::move(link.flit_name));
@@ -92,9 +93,10 @@ void Network::build() {
     file(ch.flits.get(), link.from, link.to);
     file(ch.credits.get(), link.to, link.from);
     if (config_.fault_layer && !link.tile()) {
-      ch.fault = std::make_unique<FaultyLinkTransform>(
+      auto& fault = link_faults_[fault_slot(link.from.node, link.from.port)];
+      fault = std::make_unique<FaultyLinkTransform>(
           SteeredLink(router::kDataBits, config_.link_spare_bits));
-      router_at(link.from.node).output(link.from.port).set_transform(ch.fault.get());
+      router_at(link.from.node).output(link.from.port).set_transform(fault.get());
     }
     if (!link.tile()) ++router_links_;  // the topology channels come first
   });
@@ -269,7 +271,7 @@ std::optional<Cycle> Network::reserve_flow(NodeId src, NodeId dst, Cycle phase_h
     if (std::any_of(hops.begin(), hops.end(), taken)) continue;
     for (const FlowHop& hop : hops) {
       const bool reserved = router_at(hop.node).output(hop.output).reservations().reserve(
-          hop.slot, hop.input, config_.router.scheduled_vc);
+          hop.slot, hop.input, config_.router.scheduled_vc());
       assert(reserved);
       (void)reserved;
       router_at(hop.node).mark_due();
@@ -293,7 +295,7 @@ void Network::program_flow_registers(NodeId config_master, NodeId src, NodeId ds
     w.output_port = hop.output;
     w.slot = hop.slot;
     w.input_port = hop.input;
-    w.vc = config_.router.scheduled_vc;
+    w.vc = config_.router.scheduled_vc();
     const bool accepted = nic(config_master).inject(encode_register_write(hop.node, w), now());
     assert(accepted && "configuration master NIC queue overflow");
     (void)accepted;
@@ -341,10 +343,9 @@ void Network::enable_tracing(TraceRecorder* recorder) {
 }
 
 FaultyLinkTransform* Network::link_fault(NodeId node, Port port) {
-  for (const LinkChannels& link : router_links()) {
-    if (link.src == node && link.port == port) return link.fault.get();
-  }
-  return nullptr;
+  assert(node >= 0 && node < num_nodes());
+  if (link_faults_.empty() || port == Port::kTile) return nullptr;
+  return link_faults_[fault_slot(node, port)].get();
 }
 
 void Network::register_metrics(obs::CounterRegistry& registry, Cycle sample_interval) {

@@ -183,8 +183,6 @@ class Network {
     NodeId src = kInvalidNode;
     topo::Port port = topo::Port::kTile;
     double length_mm = 0.0;
-    /// Null unless config.fault_layer and the link is a topology channel.
-    std::unique_ptr<FaultyLinkTransform> fault;
   };
 
   void build();
@@ -211,6 +209,12 @@ class Network {
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<LinkChannels> links_;  // every wiring-plan link, in plan order
   std::size_t router_links_ = 0;
+  /// Each topology link's fault layer at fault_slot(node, direction port),
+  /// null at a mesh edge; empty unless config.fault_layer.
+  std::vector<std::unique_ptr<FaultyLinkTransform>> link_faults_;
+  static std::size_t fault_slot(NodeId node, topo::Port port) {
+    return static_cast<std::size_t>(node) * topo::kNumDirPorts + static_cast<std::size_t>(port);
+  }
 
   // Observer plumbing: callbacks fired during the component phase land in
   // per-node buffers, replayed in node order at the end of the cycle.

@@ -60,7 +60,7 @@ void Nic::set_ejection_stall(VcId vc, bool stalled) {
 }
 
 void Nic::enqueue(Packet& packet, Cycle now, Cycle send_at) {
-  const VcId vc = send_at >= 0 ? config_.router.scheduled_vc
+  const VcId vc = send_at >= 0 ? config_.router.scheduled_vc()
                                : static_cast<VcId>(2 * packet.service_class);
   assert(vc < config_.router.vcs);
   packet.src = node_;
@@ -104,7 +104,7 @@ bool Nic::inject(Packet packet, Cycle now) {
   assert(packet.service_class < 4 &&
          class_has_vc_pair(packet.service_class, config_.router.vcs));
   if (config_.router.exclusive_scheduled_vc &&
-      packet.service_class == config_.router.scheduled_vc / 2) {
+      packet.service_class == config_.router.scheduled_vc() / 2) {
     // The scheduled VC pair belongs to pre-scheduled traffic: a dynamic
     // packet of this class could never allocate the excluded odd VC after
     // a dateline crossing and would wedge its wormhole forever.

@@ -35,7 +35,6 @@ std::vector<CampaignCell> quick_matrix() {
   {
     core::Config c = base;
     c.topology = core::TopologyKind::kMesh;
-    c.router.enforce_vc_parity = false;  // no wraparound, no dateline
     cells.push_back({"mesh", c, {}});
   }
   {
@@ -51,7 +50,6 @@ std::vector<CampaignCell> quick_matrix() {
   {
     core::Config c = base;
     c.router.flow_control = router::FlowControl::kDropping;
-    c.router.enforce_vc_parity = false;  // validate() rejects the combination
     cells.push_back({"dropping", c, {}});
   }
   {
@@ -95,7 +93,6 @@ std::vector<CampaignCell> quick_matrix() {
   {
     core::Config c = base;
     c.topology = core::TopologyKind::kMesh;
-    c.router.enforce_vc_parity = false;
     c.fault_layer = true;
     cells.push_back({"chaos-mesh", c, kill});
   }

@@ -72,7 +72,9 @@ int prio_arbitrate(const std::vector<bool>& requests,
 RefNetwork::RefNetwork(const core::Config& config)
     : config_((config.validate(), config)),
       topo_(config_.make_topology()),
-      routes_(*topo_) {
+      routes_(*topo_),
+      dateline_parity_(topo_->has_wraparound() &&
+                       config_.router.flow_control != router::FlowControl::kDropping) {
   if (config_.router.exclusive_scheduled_vc) {
     throw std::invalid_argument(
         "ref::RefNetwork does not model pre-scheduled traffic "
@@ -497,7 +499,7 @@ VcId RefNetwork::vc_allocate(RefOutput& out, std::uint8_t mask, bool want_odd,
     const auto idx = static_cast<std::size_t>(vc);
     if (out.vc_allocated[idx]) continue;
     if ((mask & (1u << vc)) == 0) continue;
-    if (config_.router.enforce_vc_parity && !ignore_parity &&
+    if (dateline_parity_ && !ignore_parity &&
         (vc % 2 == 1) != want_odd) {
       continue;
     }

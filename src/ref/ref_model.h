@@ -304,6 +304,10 @@ class RefNetwork {
   core::Config config_;
   std::unique_ptr<topo::Topology> topo_;
   routing::RouteComputer routes_;
+  // The dateline VC-parity discipline, stated here independently of
+  // RouterParams::dateline_parity: kept on wraparound rings unless
+  // dropping.
+  bool dateline_parity_;
   Cycle now_ = 0;
 
   std::vector<RefRouter> routers_;

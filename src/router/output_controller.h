@@ -59,6 +59,7 @@ class OutputController {
 
   /// Install a per-link transform (fault layer). Not owned.
   void set_transform(LinkTransform* t) { transform_ = t; }
+  const LinkTransform* transform() const { return transform_; }
 
   /// Observer invoked for every flit driven onto the link (tracing);
   /// second argument is true for pre-scheduled bypass traversals.

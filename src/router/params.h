@@ -18,10 +18,6 @@ struct RouterParams {
   int buffer_depth = 4;    ///< flits of buffering per VC
   FlowControl flow_control = FlowControl::kVirtualChannel;
 
-  /// Enforce the dateline VC-parity discipline (required on wraparound
-  /// topologies; harmless elsewhere).
-  bool enforce_vc_parity = false;
-
   /// Arbitration considers VC-class priority (section 2.1 classes of
   /// service); when false, plain round-robin.
   bool priority_arbitration = true;
@@ -45,24 +41,27 @@ struct RouterParams {
   /// reclaiming variant is an ablation (bench E6).
   bool reclaim_idle_slots = false;
 
-  /// VC dedicated to pre-scheduled traffic when reservations are in use.
-  VcId scheduled_vc = 7;
-  /// Exclude scheduled_vc from dynamic VC allocation. Must be true whenever
-  /// any reservations exist; the Network enables it on flow setup.
+  /// Exclude scheduled_vc() from dynamic VC allocation. Must be true
+  /// whenever any reservations exist; the Network enables it on flow setup.
   bool exclusive_scheduled_vc = false;
 
-  /// Sets the VC count and keeps the scheduled VC on the top one.
-  void set_vcs(int n) {
-    vcs = n;
-    scheduled_vc = n - 1;
-  }
+  /// VC dedicated to pre-scheduled traffic (section 2.6): the top one, the
+  /// odd member of the highest class.
+  VcId scheduled_vc() const { return static_cast<VcId>(vcs - 1); }
 
   /// VCs no output port may grant dynamically (bit v = VC v).
   std::uint8_t excluded_vcs() const {
-    return static_cast<std::uint8_t>(exclusive_scheduled_vc ? 1u << scheduled_vc : 0u);
+    return static_cast<std::uint8_t>(exclusive_scheduled_vc ? 1u << scheduled_vc() : 0u);
   }
 
   bool dropping() const { return flow_control == FlowControl::kDropping; }
+
+  /// The dateline VC-parity discipline (DESIGN.md, deadlock freedom): kept
+  /// on a topology with wraparound rings unless flow control drops, which
+  /// keeps a packet's injection VC on every hop and never blocks on a
+  /// cyclic hold-wait. The one statement of the rule; the referee
+  /// (ref::RefNetwork) keeps its own copy.
+  bool dateline_parity(bool wraparound) const { return wraparound && !dropping(); }
 };
 
 }  // namespace ocn::router

@@ -13,7 +13,12 @@ using routing::TurnCode;
 
 Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& params,
                RouterStatePool& pool, int slot)
-    : node_(node), topo_(topology), params_(params), pool_(&pool), slot_(slot) {
+    : node_(node),
+      topo_(topology),
+      params_(params),
+      dateline_parity_(params.dateline_parity(topology.has_wraparound())),
+      pool_(&pool),
+      slot_(slot) {
   assert(slot >= 0 && slot < pool.routers());
   init_controllers();
 }
@@ -195,10 +200,10 @@ void Router::vc_allocation(Cycle now) {
     std::uint16_t* seen = pool_->alloc_seen_row(slot_, p);
     for (; lane != 0; lane &= lane - 1) {
       const VcId v = std::countr_zero(lane);
-      if (v == params_.scheduled_vc && params_.exclusive_scheduled_vc) {
+      if (params_.exclusive_scheduled_vc && v == params_.scheduled_vc()) {
         // Pre-scheduled traffic keeps its dedicated VC end to end; slots
         // were reserved at configuration time so no allocation is needed.
-        pool_->grant(slot_, p, v, params_.scheduled_vc);
+        pool_->grant(slot_, p, v, v);
         continue;
       }
       const int out = static_cast<int>(outport[v]);

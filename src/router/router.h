@@ -152,11 +152,15 @@ class Router final : public Clockable {
   /// Drive a flit onto output `out`'s link: copy it into the link ring and
   /// free its arena slot.
   void send_on_link(int out, FlitRef ref, bool bypass);
-  VcAllocator vc_allocator(int out) { return VcAllocator(*pool_, slot_, out, params_); }
+  VcAllocator vc_allocator(int out) {
+    return VcAllocator(*pool_, slot_, out, params_, dateline_parity_);
+  }
 
   NodeId node_;
   const topo::Topology& topo_;
   RouterParams params_;
+  // params_.dateline_parity(topology has wraparound), fixed at construction.
+  bool dateline_parity_;
   RouterStatePool* pool_;
   int slot_;
   std::vector<InputController> inputs_;

@@ -14,7 +14,9 @@
 // RouterStatePool: the allocated mask (bit v = VC v held by a packet) and
 // the rotation pointer. A VC is busy when allocated or excluded, and the
 // excluded mask is a constant of RouterParams (the scheduled VC when it is
-// exclusive). A standalone allocator views a `RouterStatePool(1, params)`.
+// exclusive), and whether parity applies is a constant of the router's
+// topology (RouterParams::dateline_parity). A standalone allocator views a
+// `RouterStatePool(1, params)`.
 #pragma once
 
 #include <bit>
@@ -29,10 +31,12 @@ namespace ocn::router {
 class VcAllocator {
  public:
   /// Views the (slot, port) cells of `pool`; the pool must outlive the
-  /// allocator.
-  VcAllocator(RouterStatePool& pool, int slot, int port, const RouterParams& params)
+  /// allocator. `dateline_parity` is the router's
+  /// RouterParams::dateline_parity.
+  VcAllocator(RouterStatePool& pool, int slot, int port, const RouterParams& params,
+              bool dateline_parity)
       : vcs_(pool.vcs()),
-        enforce_parity_(params.enforce_vc_parity),
+        enforce_parity_(dateline_parity),
         excluded_(params.excluded_vcs()),
         allocated_(pool.vc_allocated(slot, port)),
         rr_(*pool.vc_rotation(slot, port)) {}

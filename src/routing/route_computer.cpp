@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
 
 namespace ocn::routing {
 
@@ -55,122 +56,74 @@ bool RouteComputer::path_live(NodeId src, NodeId dst) const {
   return true;
 }
 
-std::vector<Port> RouteComputer::port_path(NodeId src, NodeId dst) const {
-  std::vector<Port> path;
-  if (src == dst) return path;
+std::array<RouteComputer::Leg, 2> RouteComputer::legs(NodeId src, NodeId dst) const {
+  std::array<Leg, 2> out{};
   const int k = topo_.radix();
-  // Tie-break (ring distance exactly k/2): both members of an antipodal
-  // pair orbit the same rotational direction, and pairs alternate direction
-  // by the parity of their lower ring index. Every directed ring link then
-  // carries exactly one tied flow under antipodal patterns (tornado,
-  // bit-complement), using the full ring capacity.
-  auto tie_bit = [&](int dim) {
-    const int a = topo_.ring_index(src, dim);
-    const int b = topo_.ring_index(dst, dim);
-    return (std::min(a, b) % 2) == 0;
-  };
+  // A row hop changes only the row ring index and a column hop only the
+  // column index, so both legs follow from src and dst alone; the node the
+  // column leg starts from is walked to only when a dead link may force a
+  // detour.
   NodeId node = src;
   for (int dim = 0; dim < 2; ++dim) {
-    const int from = topo_.ring_index(node, dim);
+    const int from = topo_.ring_index(src, dim);
     const int to = topo_.ring_index(dst, dim);
     if (from == to) continue;
     const Port pos = dim == 0 ? Port::kRowPos : Port::kColPos;
     const Port neg = dim == 0 ? Port::kRowNeg : Port::kColNeg;
-    Port dir;
-    int hops;
+    Leg& leg = out[static_cast<std::size_t>(dim)];
     if (topo_.has_wraparound()) {
+      // Tie-break (ring distance exactly k/2): both members of an antipodal
+      // pair orbit the same rotational direction, and pairs alternate
+      // direction by the parity of their lower ring index. Every directed
+      // ring link then carries exactly one tied flow under antipodal
+      // patterns (tornado, bit-complement), using the full ring capacity.
       const int dist_pos = (to - from + k) % k;
       const int dist_neg = (from - to + k) % k;
       const bool go_pos =
-          dist_pos != dist_neg ? dist_pos < dist_neg : tie_bit(dim);
-      dir = go_pos ? pos : neg;
-      hops = go_pos ? dist_pos : dist_neg;
+          dist_pos != dist_neg ? dist_pos < dist_neg : (std::min(from, to) % 2) == 0;
+      leg = {go_pos ? pos : neg, go_pos ? dist_pos : dist_neg};
       // Fault-aware detour: when the chosen ring segment crosses a dead
       // link, go the other way around the ring if that side is intact. The
       // detour is non-minimal but still dimension-ordered, so the turn
       // encoding and the dateline VC scheme apply unchanged.
-      if (dead_count_ > 0 && !segment_live(node, dir, hops)) {
+      if (dead_count_ > 0 && !segment_live(node, leg.dir, leg.hops)) {
         const Port alt = go_pos ? neg : pos;
-        if (segment_live(node, alt, k - hops)) {
-          dir = alt;
-          hops = k - hops;
-        }
+        if (segment_live(node, alt, k - leg.hops)) leg = {alt, k - leg.hops};
       }
     } else {
-      dir = to > from ? pos : neg;
-      hops = to > from ? to - from : from - to;
+      leg = {to > from ? pos : neg, std::abs(to - from)};
     }
-    for (int i = 0; i < hops; ++i) {
-      path.push_back(dir);
-      node = topo_.neighbor(node, dir)->dst;
+    if (dead_count_ > 0 && dim == 0) {
+      for (int i = 0; i < leg.hops; ++i) node = topo_.neighbor(node, leg.dir)->dst;
     }
   }
+  return out;
+}
+
+std::vector<Port> RouteComputer::port_path(NodeId src, NodeId dst) const {
+  std::vector<Port> path;
+  if (src == dst) return path;
+  for (const Leg& leg : legs(src, dst)) path.insert(path.end(), leg.hops, leg.dir);
   path.push_back(Port::kTile);
   return path;
 }
 
 SourceRoute RouteComputer::compute(NodeId src, NodeId dst) const {
+  // Runs once per injected packet: the turn codes come straight from the
+  // two legs, with no path vector and, while no link is dead, no walk.
   SourceRoute route;
   if (src == dst) return route;
-  if (dead_count_ == 0) {
-    // Fault-free fast path: emit the turn codes straight from the two
-    // per-dimension (direction, hops) legs, skipping port_path's vector and
-    // its per-hop neighbor() walks (a virtual call each — this runs per
-    // injected packet). Identical to the slow path below: a row hop changes
-    // only the row ring index (and vice versa), so both legs' endpoints are
-    // known from src alone, and the tie-break already uses only src/dst.
-    const int k = topo_.radix();
-    Port dirs[2] = {Port::kRowPos, Port::kColPos};
-    int hops[2] = {0, 0};
-    for (int dim = 0; dim < 2; ++dim) {
-      const int from = topo_.ring_index(src, dim);
-      const int to = topo_.ring_index(dst, dim);
-      if (from == to) continue;
-      const Port pos = dim == 0 ? Port::kRowPos : Port::kColPos;
-      const Port neg = dim == 0 ? Port::kRowNeg : Port::kColNeg;
-      if (topo_.has_wraparound()) {
-        const int dist_pos = (to - from + k) % k;
-        const int dist_neg = (from - to + k) % k;
-        const bool go_pos = dist_pos != dist_neg ? dist_pos < dist_neg
-                                                 : (std::min(from, to) % 2) == 0;
-        dirs[dim] = go_pos ? pos : neg;
-        hops[dim] = go_pos ? dist_pos : dist_neg;
-      } else {
-        dirs[dim] = to > from ? pos : neg;
-        hops[dim] = to > from ? to - from : from - to;
-      }
-    }
-    const bool row = hops[0] > 0;
-    const bool col = hops[1] > 0;
-    route.push(injection_code(row ? dirs[0] : dirs[1]));
-    if (row) {
-      const auto straight = turn_between(dirs[0], dirs[0]);
-      assert(straight.has_value());
-      for (int i = 1; i < hops[0]; ++i) route.push(static_cast<std::uint8_t>(*straight));
-      if (col) {
-        const auto turn = turn_between(dirs[0], dirs[1]);
-        assert(turn.has_value() && "dimension-order path must be turn-encodable");
-        route.push(static_cast<std::uint8_t>(*turn));
-      }
-    }
-    if (col) {
-      const auto straight = turn_between(dirs[1], dirs[1]);
-      assert(straight.has_value());
-      for (int i = 1; i < hops[1]; ++i) route.push(static_cast<std::uint8_t>(*straight));
-    }
-    const auto extract = turn_between(col ? dirs[1] : dirs[0], Port::kTile);
-    assert(extract.has_value());
-    route.push(static_cast<std::uint8_t>(*extract));
-    return route;
-  }
-  const auto path = port_path(src, dst);
-  if (path.empty()) return route;
-  route.push(injection_code(path.front()));
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    const auto turn = turn_between(path[i - 1], path[i]);
+  const auto [row, col] = legs(src, dst);
+  const auto straight = static_cast<std::uint8_t>(TurnCode::kStraight);
+  route.push(injection_code(row.hops > 0 ? row.dir : col.dir));
+  for (int i = 1; i < row.hops; ++i) route.push(straight);
+  if (row.hops > 0 && col.hops > 0) {
+    const auto turn = turn_between(row.dir, col.dir);
     assert(turn.has_value() && "dimension-order path must be turn-encodable");
     route.push(static_cast<std::uint8_t>(*turn));
   }
+  for (int i = 1; i < col.hops; ++i) route.push(straight);
+  route.push(static_cast<std::uint8_t>(TurnCode::kExtract));
   return route;
 }
 
@@ -193,8 +146,8 @@ std::vector<NodeId> RouteComputer::walk(NodeId src, SourceRoute route) const {
 }
 
 int RouteComputer::hop_count(NodeId src, NodeId dst) const {
-  const auto path = port_path(src, dst);
-  return path.empty() ? 0 : static_cast<int>(path.size()) - 1;
+  const auto [row, col] = legs(src, dst);
+  return row.hops + col.hops;
 }
 
 }  // namespace ocn::routing

@@ -21,6 +21,7 @@
 // path unchanged and path_live() reports the casualty.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "routing/source_route.h"
@@ -65,6 +66,15 @@ class RouteComputer {
   const topo::Topology& topology() const { return topo_; }
 
  private:
+  /// One dimension's run of hops: `hops` links through `dir` (0: none).
+  struct Leg {
+    topo::Port dir = topo::Port::kRowPos;
+    int hops = 0;
+  };
+  /// The row leg then the column leg from src to dst, detours included:
+  /// the one route computation port_path(), compute() and hop_count()
+  /// read. Walks the topology only while a link is dead.
+  std::array<Leg, 2> legs(NodeId src, NodeId dst) const;
   bool segment_live(NodeId from, topo::Port dir, int hops) const;
 
   const topo::Topology& topo_;

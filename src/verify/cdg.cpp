@@ -12,24 +12,25 @@ using topo::Port;
 namespace {
 
 /// VCs the allocator could grant on one hop. `want_odd` is the dateline
-/// parity the packet will have on the link (Router::effective_dateline).
+/// parity the packet will have on the link (Router::effective_dateline);
+/// `parity` says whether the allocator checks it.
 std::vector<VcId> hop_vc_set(const router::RouterParams& rp, int service_class,
-                             Port out, bool want_odd, bool scheduled) {
+                             Port out, bool parity, bool want_odd, bool scheduled) {
   std::vector<VcId> set;
   if (scheduled) {
-    set.push_back(rp.scheduled_vc);
+    set.push_back(rp.scheduled_vc());
     return set;
   }
   const std::uint8_t mask = core::vc_mask_for_class(service_class);
   for (VcId v = 0; v < rp.vcs; ++v) {
     if ((mask & (1u << static_cast<unsigned>(v))) == 0) continue;
-    if (rp.exclusive_scheduled_vc && v == rp.scheduled_vc) continue;
+    if (rp.exclusive_scheduled_vc && v == rp.scheduled_vc()) continue;
     if (rp.dropping()) {
       // Dropping flow control keeps the injection VC index across hops
       // (VcAllocator::allocate_exact), so the class's even VC is the only
       // channel the packet ever occupies.
       if (v != static_cast<VcId>(2 * service_class) && rp.vcs != 1) continue;
-    } else if (rp.enforce_vc_parity && out != Port::kTile) {
+    } else if (parity && out != Port::kTile) {
       // Dateline discipline: parity must match on direction ports; the
       // ejection port allocates with ignore_parity (the dateline scheme
       // does not apply there), so both members stay eligible.
@@ -42,8 +43,10 @@ std::vector<VcId> hop_vc_set(const router::RouterParams& rp, int service_class,
 
 RouteExpansion expand(const core::Config& config,
                       const routing::RouteComputer& routes, NodeId src,
-                      NodeId dst, int service_class, bool scheduled) {
+                      NodeId dst, int service_class, bool scheduled,
+                      Datelines datelines) {
   const topo::Topology& topo = routes.topology();
+  const bool parity = datelines == Datelines::kDerived && config.dateline_parity();
   RouteExpansion e;
   const auto path = routes.port_path(src, dst);
   if (path.empty()) return e;
@@ -69,7 +72,7 @@ RouteExpansion expand(const core::Config& config,
     e.nodes.push_back(node);
     e.ports.push_back(out);
     e.vc_sets.push_back(
-        hop_vc_set(config.router, service_class, out, eff, scheduled));
+        hop_vc_set(config.router, service_class, out, parity, eff, scheduled));
     if (out != Port::kTile) {
       node = topo.neighbor(node, out)->dst;
       crossed = eff;
@@ -83,18 +86,20 @@ RouteExpansion expand(const core::Config& config,
 
 RouteExpansion expand_route(const core::Config& config,
                             const routing::RouteComputer& routes, NodeId src,
-                            NodeId dst, int service_class) {
-  return expand(config, routes, src, dst, service_class, /*scheduled=*/false);
+                            NodeId dst, int service_class, Datelines datelines) {
+  return expand(config, routes, src, dst, service_class, /*scheduled=*/false,
+                datelines);
 }
 
 RouteExpansion expand_scheduled_route(const core::Config& config,
                                       const routing::RouteComputer& routes,
                                       NodeId src, NodeId dst) {
   return expand(config, routes, src, dst, /*service_class=*/0,
-                /*scheduled=*/true);
+                /*scheduled=*/true, Datelines::kDerived);
 }
 
-Cdg::Cdg(const core::Config& config, const routing::RouteComputer& routes)
+Cdg::Cdg(const core::Config& config, const routing::RouteComputer& routes,
+         Datelines datelines)
     : topo_(&routes.topology()), vcs_(config.router.vcs) {
   const topo::Topology& topo = *topo_;
   num_nodes_ = topo.num_nodes();
@@ -134,7 +139,7 @@ Cdg::Cdg(const core::Config& config, const routing::RouteComputer& routes)
     for (NodeId d = 0; d < num_nodes_; ++d) {
       if (s == d) continue;
       for (const int c : classes) {
-        const RouteExpansion e = expand_route(config, routes, s, d, c);
+        const RouteExpansion e = expand_route(config, routes, s, d, c, datelines);
         for (std::size_t i = 0; i < e.hops(); ++i) {
           for (const VcId v : e.vc_sets[i]) {
             const int id = slot(e.nodes[i], e.ports[i], v);
@@ -149,11 +154,11 @@ Cdg::Cdg(const core::Config& config, const routing::RouteComputer& routes)
       if (config.router.exclusive_scheduled_vc) {
         const RouteExpansion e = expand_scheduled_route(config, routes, s, d);
         for (std::size_t i = 0; i < e.hops(); ++i) {
-          const int id = slot(e.nodes[i], e.ports[i], config.router.scheduled_vc);
+          const int id = slot(e.nodes[i], e.ports[i], config.router.scheduled_vc());
           if (i == 0) start_[static_cast<std::size_t>(id)] = true;
           if (i + 1 == e.hops()) continue;
           add_edge(id,
-                   slot(e.nodes[i + 1], e.ports[i + 1], config.router.scheduled_vc));
+                   slot(e.nodes[i + 1], e.ports[i + 1], config.router.scheduled_vc()));
         }
       }
     }

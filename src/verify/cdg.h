@@ -23,6 +23,13 @@
 
 namespace ocn::verify {
 
+/// The dateline discipline the dependency model assumes.
+enum class Datelines {
+  kDerived,  ///< the one the routers keep: Config::dateline_parity()
+  kNone,     ///< none at all: the counter-demonstration that a torus
+             ///< without datelines has a dependency cycle
+};
+
 /// One CDG node: the VC `vc` of the link leaving router `src` through
 /// `port`. `port == kTile` names the ejection channel into the NIC.
 struct ChannelNode {
@@ -34,9 +41,9 @@ struct ChannelNode {
 /// Hop-by-hop expansion of the route src -> dst for one service class:
 /// the router driving hop i, the output port taken, and the set of VCs the
 /// allocator could grant on that hop (singleton under the dateline parity
-/// discipline on direction ports; the whole class pair at the ejection port
-/// where parity is ignored; the injection VC alone in dropping mode, which
-/// keeps the VC index end to end).
+/// discipline, when `datelines` keeps it, on direction ports; the whole
+/// class pair at the ejection port where parity is ignored; the injection
+/// VC alone in dropping mode, which keeps the VC index end to end).
 struct RouteExpansion {
   std::vector<NodeId> nodes;
   std::vector<topo::Port> ports;
@@ -48,7 +55,8 @@ struct RouteExpansion {
 
 RouteExpansion expand_route(const core::Config& config,
                             const routing::RouteComputer& routes, NodeId src,
-                            NodeId dst, int service_class);
+                            NodeId dst, int service_class,
+                            Datelines datelines = Datelines::kDerived);
 
 /// Expansion for a pre-scheduled flow: same port path, but every hop rides
 /// the dedicated scheduled VC (reservation bypass skips allocation).
@@ -58,7 +66,8 @@ RouteExpansion expand_scheduled_route(const core::Config& config,
 
 class Cdg {
  public:
-  Cdg(const core::Config& config, const routing::RouteComputer& routes);
+  Cdg(const core::Config& config, const routing::RouteComputer& routes,
+      Datelines datelines = Datelines::kDerived);
 
   int num_channels() const { return static_cast<int>(channels_.size()); }
   std::int64_t num_edges() const { return num_edges_; }

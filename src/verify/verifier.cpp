@@ -162,8 +162,8 @@ namespace {
 
 /// Cheap structural checks that must hold before a Topology/RouteComputer
 /// can even be built. Mirrors (a subset of) Config::validate, but reports
-/// instead of throwing.
-bool precheck(const core::Config& c, std::vector<Finding>& findings) {
+/// instead of throwing. `parity`: the model keeps the dateline discipline.
+bool precheck(const core::Config& c, bool parity, std::vector<Finding>& findings) {
   auto err = [&](const char* code, std::string msg) {
     findings.push_back({Severity::kError, code, std::move(msg)});
   };
@@ -188,15 +188,10 @@ bool precheck(const core::Config& c, std::vector<Finding>& findings) {
         "link_latency must be >= 1, got " + std::to_string(c.link_latency));
     ok = false;
   }
-  if (ok && (c.router.scheduled_vc < 0 || c.router.scheduled_vc >= c.router.vcs)) {
-    err("config-scheduled-vc",
-        "scheduled_vc " + std::to_string(c.router.scheduled_vc) +
-            " out of range [0," + std::to_string(c.router.vcs) + ")");
-    ok = false;
-  }
-  if (c.router.enforce_vc_parity && c.router.vcs % 2 != 0) {
+  if (parity && c.router.vcs % 2 != 0) {
     err("config-vc-parity",
-        "enforce_vc_parity pairs VCs {2c, 2c+1}; the VC count must be even, "
+        "a wraparound topology with VC flow control keeps the dateline "
+        "discipline, which pairs VCs {2c, 2c+1}; the VC count must be even, "
         "got " +
             std::to_string(c.router.vcs));
     // Analysis can still proceed: the reachability lint below shows the
@@ -233,20 +228,21 @@ class FindingAggregator {
 
 }  // namespace
 
-Report verify(const core::Config& config) {
+Report verify(const core::Config& config, Datelines datelines) {
   Report rep;
   auto add = [&](Severity s, const char* code, std::string msg) {
     rep.findings.push_back({s, code, std::move(msg)});
   };
 
-  if (!precheck(config, rep.findings)) return rep;
+  const bool parity = datelines == Datelines::kDerived && config.dateline_parity();
+  if (!precheck(config, parity, rep.findings)) return rep;
 
   const auto topology = config.make_topology();
   const routing::RouteComputer routes(*topology);
   const int n = topology->num_nodes();
 
   // --- (1) channel-dependency-graph deadlock proof --------------------------
-  const Cdg cdg(config, routes);
+  const Cdg cdg(config, routes, datelines);
   rep.channels = cdg.num_channels();
   rep.edges = cdg.num_edges();
   rep.proof_ran = true;
@@ -289,7 +285,7 @@ Report verify(const core::Config& config) {
         agg.add(f);
       }
       for (const int c : classes) {
-        const RouteExpansion e = expand_route(config, routes, s, d, c);
+        const RouteExpansion e = expand_route(config, routes, s, d, c, datelines);
         for (std::size_t i = 0; i < e.hops(); ++i) {
           if (!e.vc_sets[i].empty()) continue;
           agg.add({Severity::kError, "vc-unreachable",

@@ -12,9 +12,9 @@
 //      depth, flagging configurations that cannot sustain full throughput.
 //
 // Unlike Config::validate(), verify() never throws: configurations the
-// constructor would reject outright (e.g. a dateline-disabled torus) are
-// still analysed so the failure can be *explained* — the CDG cycle is the
-// counterexample the validate() rule merely asserts away.
+// constructor would reject outright are still analysed so the failure can
+// be *explained*. The dateline discipline is derived, not configured, but
+// verify() can drop it (Datelines::kNone) to show the CDG cycle it prevents.
 #pragma once
 
 #include <string>
@@ -22,6 +22,7 @@
 
 #include "core/config.h"
 #include "routing/route_computer.h"
+#include "verify/cdg.h"
 
 namespace ocn::verify {
 
@@ -62,8 +63,11 @@ struct Report {
   std::string to_string() const;
 };
 
-/// Run the full static analysis on a configuration.
-Report verify(const core::Config& config);
+/// Run the full static analysis on a configuration. `datelines` kNone
+/// analyses the routers without their dateline discipline, which no
+/// network is built with: the counter-demonstration (ocn-verify
+/// --no-vc-parity) that a torus then has a dependency cycle.
+Report verify(const core::Config& config, Datelines datelines = Datelines::kDerived);
 
 /// Lint one encoded source route from src against the topology. Returns the
 /// empty vector for a clean route. Exposed separately so malformed-route

@@ -48,7 +48,6 @@ MatrixOutcome run_case(const MatrixCase& mc) {
   out.name = case_name(mc);
   Config c = Config::paper_baseline();
   c.topology = mc.kind;
-  if (mc.kind == TopologyKind::kMesh) c.router.enforce_vc_parity = false;
   c.router.piggyback_credits = mc.piggyback;
   c.router.speculative = mc.speculative;
   Network net(c);

@@ -17,7 +17,6 @@ using core::Network;
 TEST(Dropping, LowLoadDeliversEverything) {
   Config c = Config::paper_baseline();
   c.router.flow_control = router::FlowControl::kDropping;
-  c.router.enforce_vc_parity = false;  // dropping keeps the same VC per hop
   Network net(c);
   for (int i = 0; i < 16; ++i) {
     // One packet at a time from distinct sources: no contention, no drops.
@@ -31,7 +30,6 @@ TEST(Dropping, LowLoadDeliversEverything) {
 TEST(Dropping, ContentionDropsButNeverWedges) {
   Config c = Config::paper_baseline();
   c.router.flow_control = router::FlowControl::kDropping;
-  c.router.enforce_vc_parity = false;
   c.router.buffer_depth = 1;  // the buffer-poor regime dropping targets
   Network net(c);
   traffic::HarnessOptions opt;
@@ -51,7 +49,6 @@ TEST(Dropping, ContentionDropsButNeverWedges) {
 TEST(Dropping, AccountingBalances) {
   Config c = Config::paper_baseline();
   c.router.flow_control = router::FlowControl::kDropping;
-  c.router.enforce_vc_parity = false;
   c.router.buffer_depth = 1;
   Network net(c);
   traffic::HarnessOptions opt;

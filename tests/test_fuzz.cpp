@@ -19,7 +19,6 @@ Config random_config(Rng& rng) {
   switch (rng.next_below(3)) {
     case 0:
       c.topology = core::TopologyKind::kMesh;
-      c.router.enforce_vc_parity = false;
       break;
     case 1:
       c.topology = core::TopologyKind::kTorus;
@@ -29,7 +28,7 @@ Config random_config(Rng& rng) {
       break;
   }
   c.radix = 2 + static_cast<int>(rng.next_below(5));         // 2..6
-  c.router.set_vcs(2 * (1 + static_cast<int>(rng.next_below(4))));  // 2,4,6,8
+  c.router.vcs = 2 * (1 + static_cast<int>(rng.next_below(4)));  // 2,4,6,8
   c.router.buffer_depth = 1 + static_cast<int>(rng.next_below(6));
   c.link_latency = 1 + static_cast<int>(rng.next_below(3));
   c.router.piggyback_credits = rng.bernoulli(0.3);

@@ -5,12 +5,15 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config_flags.h"
 #include "core/deflection.h"
 #include "core/interface.h"
+#include "core/network.h"
 #include "core/partition.h"
+#include "ref/campaign.h"
 #include "services/gateway.h"
 #include "services/message.h"
 #include "sim/log.h"
@@ -109,9 +112,112 @@ TEST(Config, PaperBaselineIsThePaperNetwork) {
   EXPECT_EQ(c.router.vcs, 8);
   EXPECT_EQ(c.router.buffer_depth, 4);
   EXPECT_EQ(c.flit_data_bits, 256);
-  EXPECT_TRUE(c.router.enforce_vc_parity);
+  EXPECT_TRUE(c.dateline_parity());
+  EXPECT_EQ(c.router.scheduled_vc(), 7);
   EXPECT_TRUE(c.router.speculative);
   EXPECT_NO_THROW(c.validate());
+}
+
+// The dateline discipline and the scheduled VC are derived, not set: a
+// bare Config (4x4 folded torus, 8 VCs) is the paper's network as it is.
+TEST(Config, DefaultConfigValidatesAndDelivers) {
+  const core::Config c{};
+  EXPECT_NO_THROW(c.validate());
+  EXPECT_TRUE(c.dateline_parity());
+  core::Network net(c);
+  ASSERT_TRUE(net.nic(0).inject(core::make_word_packet(/*dst=*/5, 0, 0xbeef), net.now()));
+  ASSERT_TRUE(net.drain(1000));
+  ASSERT_EQ(net.nic(5).received().size(), 1u);
+  EXPECT_EQ(net.nic(5).received().front().src, 0);
+}
+
+TEST(Config, PaperBaselineTakesAnyEvenVcCount) {
+  core::Config c = core::Config::paper_baseline();
+  c.router.vcs = 4;
+  EXPECT_NO_THROW(c.validate());
+  EXPECT_EQ(c.router.scheduled_vc(), 3);
+}
+
+// {mesh, torus, folded torus} x {VC, dropping} x vcs {1, 2, 3, 4, 8}: the
+// derived parity, the scheduled VC and whether validate() accepts. Only VC
+// flow control on wraparound rings keeps parity, and parity pairs VCs, so
+// only there is an odd count refused.
+TEST(Config, DerivedParityScheduledVcAndValidity) {
+  using core::TopologyKind;
+  using router::FlowControl;
+  struct Row {
+    TopologyKind kind;
+    FlowControl fc;
+    bool parity;
+    const char* valid;  ///< per vcs {1, 2, 3, 4, 8}: '+' accepted, '-' refused
+  };
+  const Row rows[] = {
+      {TopologyKind::kMesh, FlowControl::kVirtualChannel, false, "+++++"},
+      {TopologyKind::kMesh, FlowControl::kDropping, false, "+++++"},
+      {TopologyKind::kTorus, FlowControl::kVirtualChannel, true, "-+-++"},
+      {TopologyKind::kTorus, FlowControl::kDropping, false, "+++++"},
+      {TopologyKind::kFoldedTorus, FlowControl::kVirtualChannel, true, "-+-++"},
+      {TopologyKind::kFoldedTorus, FlowControl::kDropping, false, "+++++"},
+  };
+  const int vcs[] = {1, 2, 3, 4, 8};
+  const VcId scheduled[] = {0, 1, 2, 3, 7};
+  for (const Row& row : rows) {
+    for (int i = 0; i < 5; ++i) {
+      core::Config c;
+      c.topology = row.kind;
+      c.router.flow_control = row.fc;
+      c.router.vcs = vcs[i];
+      SCOPED_TRACE(c.summary());
+      EXPECT_EQ(c.dateline_parity(), row.parity);
+      EXPECT_EQ(c.router.scheduled_vc(), scheduled[i]);
+      if (row.valid[i] == '+') {
+        EXPECT_NO_THROW(c.validate());
+      } else {
+        EXPECT_THROW(c.validate(), std::invalid_argument);
+      }
+    }
+  }
+}
+
+// The summaries of the paper baseline and of every ocn-diff quick-matrix
+// cell, pinned as literals: the fingerprints and the committed baselines
+// hash or embed them (the baseline's is the `config` string of
+// bench/baselines/e13_quick.json).
+TEST(Config, SummariesArePinned) {
+  EXPECT_EQ(core::Config::paper_baseline().summary(),
+            "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1");
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"baseline",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"mesh",
+       "topology=mesh radix=4 vcs=8 depth=4 flow_control=0 vc_parity=0 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"torus",
+       "topology=torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"piggyback",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=1 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"dropping",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=1 vc_parity=0 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"two-stage",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=0 speculative=0 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"rr-arb",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=0 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"shallow",
+       "topology=folded_torus radix=4 vcs=8 depth=2 flow_control=0 vc_parity=1 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"latency2",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=2 flit_bits=256 partitions=1 fault_layer=0 spare_bits=1 nic_queue=64 seed=1"},
+      {"chaos-baseline",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=1 spare_bits=1 nic_queue=64 seed=1"},
+      {"chaos-piggyback",
+       "topology=folded_torus radix=4 vcs=8 depth=4 flow_control=0 vc_parity=1 priority_arb=1 piggyback=1 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=1 spare_bits=1 nic_queue=64 seed=1"},
+      {"chaos-mesh",
+       "topology=mesh radix=4 vcs=8 depth=4 flow_control=0 vc_parity=0 priority_arb=1 piggyback=0 speculative=1 frame=64 reclaim_idle=0 sched_vc=7 excl_sched=0 link_latency=1 flit_bits=256 partitions=1 fault_layer=1 spare_bits=1 nic_queue=64 seed=1"},
+  };
+  const std::vector<ref::CampaignCell> cells = ref::quick_matrix();
+  ASSERT_EQ(cells.size(), want.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(cells[i].name, want[i].first);
+    EXPECT_EQ(cells[i].config.summary(), want[i].second) << cells[i].name;
+  }
 }
 
 TEST(Config, TopologyKindNames) {
@@ -131,36 +237,16 @@ TEST(ConfigFlags, ParsesTheFlagsEveryToolShares) {
     std::string error;                  ///< non-empty: the refusal message
   };
   const std::vector<Row> rows = {
-      {{"--topology", "mesh"},
-       [](Config& c) {
-         c.topology = core::TopologyKind::kMesh;
-         c.router.enforce_vc_parity = false;
-       },
-       ""},
+      {{"--topology", "mesh"}, [](Config& c) { c.topology = core::TopologyKind::kMesh; }, ""},
       {{"--topology", "torus"}, [](Config& c) { c.topology = core::TopologyKind::kTorus; }, ""},
       {{"--topology", "folded_torus"}, [](Config&) {}, ""},
       {{"--radix", "8"}, [](Config& c) { c.radix = 8; }, ""},
-      // The scheduled VC follows the VC count down (ocnsim --vcs 4 used to
-      // fail validation with scheduled_vc 7).
-      {{"--vcs", "4"},
-       [](Config& c) {
-         c.router.vcs = 4;
-         c.router.scheduled_vc = 3;
-       },
-       ""},
-      {{"--vcs", "2"},
-       [](Config& c) {
-         c.router.vcs = 2;
-         c.router.scheduled_vc = 1;
-       },
-       ""},
+      {{"--vcs", "4"}, [](Config& c) { c.router.vcs = 4; }, ""},
+      {{"--vcs", "2"}, [](Config& c) { c.router.vcs = 2; }, ""},
       {{"--depth", "2"}, [](Config& c) { c.router.buffer_depth = 2; }, ""},
       {{"--link-latency", "3"}, [](Config& c) { c.link_latency = 3; }, ""},
       {{"--dropping"},
-       [](Config& c) {
-         c.router.flow_control = router::FlowControl::kDropping;
-         c.router.enforce_vc_parity = false;
-       },
+       [](Config& c) { c.router.flow_control = router::FlowControl::kDropping; },
        ""},
       {{"--piggyback"}, [](Config& c) { c.router.piggyback_credits = true; }, ""},
       {{"--vcs", "4x"}, nullptr, "--vcs: expected an integer, got '4x'"},

@@ -14,7 +14,6 @@ using core::TopologyKind;
 Config small(TopologyKind kind) {
   Config c = Config::paper_baseline();
   c.topology = kind;
-  if (kind == TopologyKind::kMesh) c.router.enforce_vc_parity = false;
   return c;
 }
 
@@ -130,9 +129,6 @@ TEST(NetworkBasic, UncontendedLatencyIsTwoCyclesPerHopPlusOverhead) {
 TEST(NetworkBasic, ConfigValidationRejectsBadSetups) {
   Config c = Config::paper_baseline();
   c.router.vcs = 9;
-  EXPECT_THROW(Network{c}, std::invalid_argument);
-  c = Config::paper_baseline();
-  c.router.enforce_vc_parity = false;  // torus without dateline discipline
   EXPECT_THROW(Network{c}, std::invalid_argument);
   c = Config::paper_baseline();
   c.interface_partitions = 3;  // does not divide 256

@@ -33,7 +33,7 @@ TEST(LoadHarness, ClassesFitTheVcCount) {
   for (int vcs : {2, 4, 6, 8}) {
     for (bool exclusive : {false, true}) {
       Config c = Config::paper_baseline();
-      c.router.set_vcs(vcs);
+      c.router.vcs = vcs;
       c.router.exclusive_scheduled_vc = exclusive;
       std::set<int> want;
       for (int cls = 0; cls < vcs / 2; ++cls) {
@@ -58,7 +58,7 @@ TEST(LoadHarness, ClassesFitTheVcCount) {
   }
   // A fixed class must be one of them.
   Config c = Config::paper_baseline();
-  c.router.set_vcs(4);
+  c.router.vcs = 4;
   Network net(c);
   HarnessOptions opt;
   opt.randomize_class = false;
@@ -75,7 +75,6 @@ Config config_for(TopologyKind kind, int radix = 4) {
   Config c = Config::paper_baseline();
   c.topology = kind;
   c.radix = radix;
-  if (kind == TopologyKind::kMesh) c.router.enforce_vc_parity = false;
   return c;
 }
 

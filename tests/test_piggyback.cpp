@@ -257,7 +257,6 @@ TEST(Piggyback, NoDoubleRestoreUnderArqRetransmissions) {
 TEST(Piggyback, WorksOnMesh) {
   Config c = piggyback_config();
   c.topology = core::TopologyKind::kMesh;
-  c.router.enforce_vc_parity = false;
   Network net(c);
   for (NodeId s = 0; s < 16; ++s) {
     for (NodeId d = 0; d < 16; ++d) {

@@ -139,8 +139,7 @@ TEST(TraceReplayTest, RefusesEntriesOutsideTheFabric) {
     Config c = Config::paper_baseline();
     if (row.vcs < 8) {  // fewer VCs: a mesh, which needs no dateline pairs
       c.topology = core::TopologyKind::kMesh;
-      c.router.enforce_vc_parity = false;
-      c.router.set_vcs(row.vcs);
+      c.router.vcs = row.vcs;
     }
     Network net(c);
     const std::vector<TraceEntry> trace{{0, 0, 5, 32, 0}, row.entry};

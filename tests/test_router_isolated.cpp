@@ -32,7 +32,6 @@ struct Harness {
   std::vector<std::unique_ptr<Channel<Credit>>> out_credits;  // from downstream
 
   explicit Harness(RouterParams p = RouterParams{}) : params(p) {
-    params.enforce_vc_parity = true;
     pool = std::make_unique<router::RouterStatePool>(1, params);
     rtr = std::make_unique<router::Router>(/*node=*/0, topo, params, *pool, /*slot=*/0);
     kernel.add(rtr.get(), rtr->wake_row(), router::Router::wake_width());

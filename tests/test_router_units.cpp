@@ -156,7 +156,7 @@ RouterParams unit_params(int vcs, int depth) {
 TEST(VcAllocator, RespectsMask) {
   const RouterParams params = unit_params(8, 4);
   RouterStatePool pool(1, params);
-  VcAllocator a(pool, 0, 0, params);
+  VcAllocator a(pool, 0, 0, params, /*dateline_parity=*/false);
   const VcId v = a.allocate(0b00001100, false);
   EXPECT_TRUE(v == 2 || v == 3);
   EXPECT_TRUE(a.is_allocated(v));
@@ -165,10 +165,9 @@ TEST(VcAllocator, RespectsMask) {
 }
 
 TEST(VcAllocator, ParityDiscipline) {
-  RouterParams params = unit_params(8, 4);
-  params.enforce_vc_parity = true;
+  const RouterParams params = unit_params(8, 4);
   RouterStatePool pool(1, params);
-  VcAllocator a(pool, 0, 0, params);
+  VcAllocator a(pool, 0, 0, params, /*dateline_parity=*/true);
   // Even request on a both-parities class mask.
   const VcId even = a.allocate(0b00000011, /*want_odd=*/false);
   EXPECT_EQ(even, 0);
@@ -184,9 +183,8 @@ TEST(VcAllocator, ParityDiscipline) {
 TEST(VcAllocator, ExclusionBlocksScheduledVc) {
   RouterParams params = unit_params(8, 4);
   params.exclusive_scheduled_vc = true;
-  params.scheduled_vc = 7;
   RouterStatePool pool(1, params);
-  VcAllocator a(pool, 0, 0, params);
+  VcAllocator a(pool, 0, 0, params, /*dateline_parity=*/false);
   EXPECT_EQ(a.allocate(0b10000000, false), kInvalidVc);
   EXPECT_TRUE(a.allocate_exact(7));  // the scheduled path itself may claim it
   a.release(7);
@@ -195,7 +193,7 @@ TEST(VcAllocator, ExclusionBlocksScheduledVc) {
 TEST(VcAllocator, ReleaseMakesVcReusable) {
   const RouterParams params = unit_params(4, 4);
   RouterStatePool pool(1, params);
-  VcAllocator a(pool, 0, 0, params);
+  VcAllocator a(pool, 0, 0, params, /*dateline_parity=*/false);
   const VcId v = a.allocate(0b1111, false);
   a.release(v);
   EXPECT_FALSE(a.is_allocated(v));
@@ -207,11 +205,9 @@ TEST(VcAllocator, ReleaseMakesVcReusable) {
 // eligibility scan would have done (DESIGN.md §4h).
 TEST(VcAllocator, FailedAllocateLeavesRotation) {
   RouterParams params = unit_params(8, 4);
-  params.enforce_vc_parity = true;
   params.exclusive_scheduled_vc = true;
-  params.scheduled_vc = 7;
   RouterStatePool pool(1, params);
-  VcAllocator a(pool, 0, 0, params);
+  VcAllocator a(pool, 0, 0, params, /*dateline_parity=*/true);
   EXPECT_EQ(a.allocate(0b01000000, /*want_odd=*/false), 6);
   const int rotation = a.rotation();
   EXPECT_EQ(rotation, 7);
@@ -243,9 +239,7 @@ TEST(VcAllocator, AllocateOutcomeDependsOnlyOnBusyMaskAndRequest) {
   for (const bool enforce : {false, true}) {
     for (const bool exclusive : {false, true}) {
       RouterParams params = unit_params(8, 4);
-      params.enforce_vc_parity = enforce;
       params.exclusive_scheduled_vc = exclusive;
-      params.scheduled_vc = 7;
       const std::uint8_t excluded = params.excluded_vcs();
       RouterStatePool pool(1, params);
       // outcome[busy][mask][want_odd][ignore_parity]: -1 unseen, else 0/1.
@@ -260,7 +254,7 @@ TEST(VcAllocator, AllocateOutcomeDependsOnlyOnBusyMaskAndRequest) {
             for (int rotation = 0; rotation < 8; ++rotation) {
               pool.vc_allocated(0, 0) = static_cast<std::uint8_t>(allocated);
               *pool.vc_rotation(0, 0) = rotation;
-              VcAllocator a(pool, 0, 0, params);
+              VcAllocator a(pool, 0, 0, params, enforce);
               const VcId v =
                   a.allocate(static_cast<std::uint8_t>(mask), want_odd, ignore_parity);
               const int ok = v != kInvalidVc ? 1 : 0;
@@ -290,14 +284,13 @@ TEST(VcAllocator, AllocateExactOutcomeDependsOnlyOnAllocatedMask) {
   for (const bool exclusive : {false, true}) {
     RouterParams params = unit_params(8, 4);
     params.exclusive_scheduled_vc = exclusive;
-    params.scheduled_vc = 7;
     RouterStatePool pool(1, params);
     for (int allocated = 0; allocated < 256; ++allocated) {
       for (VcId v = 0; v < 8; ++v) {
         for (int rotation = 0; rotation < 8; ++rotation) {
           pool.vc_allocated(0, 0) = static_cast<std::uint8_t>(allocated);
           *pool.vc_rotation(0, 0) = rotation;
-          VcAllocator a(pool, 0, 0, params);
+          VcAllocator a(pool, 0, 0, params, /*dateline_parity=*/false);
           const bool ok = a.allocate_exact(v);
           ASSERT_EQ(ok, ((allocated >> v) & 1) == 0) << "allocated " << allocated << " vc " << v;
           ASSERT_EQ(a.rotation(), rotation);

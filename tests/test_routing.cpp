@@ -130,5 +130,42 @@ TEST(RouteComputer, HopCountMatchesPathLength) {
   }
 }
 
+// compute() is the turn encoding of port_path() for every pair, on every
+// topology kind, fault-free and with one and two dead links (a row link
+// out of the corner, then a column link out of the middle, so detours
+// happen in both dimensions on the rings).
+TEST(RouteComputer, ComputeIsTheTurnEncodingOfPortPath) {
+  const auto encode = [](const std::vector<Port>& path) {
+    SourceRoute r;
+    if (path.empty()) return r;
+    r.push(injection_code(path.front()));
+    for (std::size_t i = 1; i < path.size(); ++i) {
+      r.push(static_cast<std::uint8_t>(turn_between(path[i - 1], path[i]).value()));
+    }
+    return r;
+  };
+  for (const int k : {2, 3, 4, 5, 6, 7, 8, 16}) {
+    const topo::Mesh mesh(k, 1.0);
+    const topo::Torus torus(k, 1.0);
+    const topo::FoldedTorus folded(k, 1.0);
+    for (const topo::Topology* t : {static_cast<const topo::Topology*>(&mesh),
+                                    static_cast<const topo::Topology*>(&torus),
+                                    static_cast<const topo::Topology*>(&folded)}) {
+      RouteComputer rc(*t);
+      for (int dead = 0; dead <= 2; ++dead) {
+        if (dead == 1) rc.set_link_dead(0, Port::kRowPos);
+        if (dead == 2) rc.set_link_dead(t->node_at(k / 2, k / 2), Port::kColNeg);
+        for (NodeId s = 0; s < t->num_nodes(); ++s) {
+          for (NodeId d = 0; d < t->num_nodes(); ++d) {
+            ASSERT_EQ(rc.compute(s, d), encode(rc.port_path(s, d)))
+                << t->name() << " radix " << k << ", " << dead << " dead links, " << s
+                << "->" << d;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ocn::routing

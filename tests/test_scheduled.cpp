@@ -310,7 +310,7 @@ TEST(Registers, ReadBackOverTheNetwork) {
   EXPECT_EQ(got.req_id, 77u);
   EXPECT_TRUE(got.reserved);
   EXPECT_EQ(got.input_port, static_cast<int>(topo::Port::kTile));
-  EXPECT_EQ(got.vc, net.config().router.scheduled_vc);
+  EXPECT_EQ(got.vc, net.config().router.scheduled_vc());
 
   // An unreserved slot reads back empty.
   read.slot = static_cast<int>(*phase + 7);

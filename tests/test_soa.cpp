@@ -226,7 +226,7 @@ std::string check_router_masks(Network& net, const StepSnapshot& before) {
         if (seen[v] != pool.vc_allocated(slot, out)) continue;  // retries next step
         scratch.vc_allocated(0, 0) = pool.vc_allocated(slot, out);
         *scratch.vc_rotation(0, 0) = *pool.vc_rotation(slot, out);
-        router::VcAllocator trial(scratch, 0, 0, params);
+        router::VcAllocator trial(scratch, 0, 0, params, net.config().dateline_parity());
         const bool granted =
             params.dropping()
                 ? trial.allocate_exact(v)

@@ -44,7 +44,6 @@ TEST_P(Stress, SaturatedNetworkDrainsLosslessly) {
 
   Config c = Config::paper_baseline();
   c.topology = sp.topology;
-  if (sp.topology == core::TopologyKind::kMesh) c.router.enforce_vc_parity = false;
   c.router.buffer_depth = sp.depth;
   c.link_latency = sp.link_latency;
 

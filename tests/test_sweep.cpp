@@ -215,7 +215,6 @@ void expect_result_identical(const sweep::LoadResult& a,
 std::vector<sweep::LoadPoint> small_grid() {
   core::Config cfg;
   cfg.radix = 2;  // 2x2 folded torus: smallest legal network
-  cfg.router.enforce_vc_parity = true;  // wraparound topology
   traffic::HarnessOptions base;
   base.warmup = 100;
   base.measure = 400;
@@ -259,7 +258,6 @@ TEST(SweepRunner, PointsUseDistinctSeeds) {
   // derived seeds), otherwise the sweep is not actually sampling.
   core::Config cfg;
   cfg.radix = 2;
-  cfg.router.enforce_vc_parity = true;
   traffic::HarnessOptions base;
   base.warmup = 100;
   base.measure = 400;

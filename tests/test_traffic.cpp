@@ -122,7 +122,6 @@ TEST(Saturation, BisectionFindsTheKnee) {
   // must land there without a manual sweep.
   core::Config c = core::Config::paper_baseline();
   c.topology = core::TopologyKind::kMesh;
-  c.router.enforce_vc_parity = false;
   SaturationOptions opt;
   opt.pattern = Pattern::kBitComplement;
   opt.measure = 1500;

@@ -30,13 +30,16 @@ bool has_code(const std::vector<Finding>& findings, const std::string& code,
   });
 }
 
-Config torus_no_dateline(int radix) {
+// A torus, analysed below with Datelines::kNone: the routers' dateline
+// discipline left out of the dependency model.
+Config torus(int radix) {
   Config c = Config::paper_baseline();
   c.topology = TopologyKind::kTorus;
   c.radix = radix;
-  c.router.enforce_vc_parity = false;
   return c;
 }
+
+constexpr auto kNoDatelines = verify::Datelines::kNone;
 
 // --- golden safe configurations ---------------------------------------------
 
@@ -57,7 +60,6 @@ TEST(Verifier, PaperBaselineProvedDeadlockFree) {
 TEST(Verifier, MeshProvedDeadlockFree) {
   Config c = Config::paper_baseline();
   c.topology = TopologyKind::kMesh;
-  c.router.enforce_vc_parity = false;
   const Report rep = verify::verify(c);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
   // Dimension-ordered routing on a mesh needs no datelines at all.
@@ -72,7 +74,7 @@ TEST(Verifier, Radix4TorusTieBreakIsSafeEvenWithoutDatelines) {
   // dependency edges a cycle would need, so this one radix is provably
   // deadlock-free even with the dateline discipline off. The proof is the
   // point: intuition ("torus without datelines deadlocks") is wrong here.
-  const Report rep = verify::verify(torus_no_dateline(4));
+  const Report rep = verify::verify(torus(4), kNoDatelines);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_TRUE(rep.deadlock_free);
 }
@@ -82,8 +84,8 @@ TEST(Verifier, Radix4TorusTieBreakIsSafeEvenWithoutDatelines) {
 TEST(Verifier, DatelineDisabledTorusReportsTheCycle) {
   // Radix 6: distance-2 ring routes are direction-forced (2 < 4), so the
   // row+ dependency chain closes all the way around the ring.
-  const Config c = torus_no_dateline(6);
-  const Report rep = verify::verify(c);
+  const Config c = torus(6);
+  const Report rep = verify::verify(c, kNoDatelines);
   EXPECT_FALSE(rep.ok());
   EXPECT_TRUE(rep.proof_ran);
   EXPECT_FALSE(rep.deadlock_free);
@@ -99,7 +101,7 @@ TEST(Verifier, DatelineDisabledTorusReportsTheCycle) {
   // routing admits no column->row dependencies).
   const auto topology = c.make_topology();
   const routing::RouteComputer routes(*topology);
-  const verify::Cdg cdg(c, routes);
+  const verify::Cdg cdg(c, routes, kNoDatelines);
   const auto cycle = cdg.find_cycle();
   ASSERT_EQ(cycle.size(), rep.cycle.size());
   for (std::size_t i = 0; i < cycle.size(); ++i) {
@@ -117,15 +119,13 @@ TEST(Verifier, DatelineDisabledTorusReportsTheCycle) {
 }
 
 TEST(Verifier, DatelineDisciplineBreaksTheCycle) {
-  Config c = torus_no_dateline(6);
-  c.router.enforce_vc_parity = true;
-  const Report rep = verify::verify(c);
+  const Report rep = verify::verify(torus(6));
   EXPECT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_TRUE(rep.deadlock_free);
 }
 
 TEST(Verifier, DroppingDowngradesTheCycleToAWarning) {
-  Config c = torus_no_dateline(6);
+  Config c = torus(6);
   c.router.flow_control = router::FlowControl::kDropping;
   const Report rep = verify::verify(c);
   // The cyclic dependency exists, but dropping resolves contention by
@@ -139,7 +139,6 @@ TEST(Verifier, OddVcCountWithParityIsRejectedUpFront) {
   Config c = Config::paper_baseline();
   c.topology = TopologyKind::kTorus;
   c.router.vcs = 3;  // class 1 is the orphan {vc2} pair half
-  c.router.scheduled_vc = 0;
   const Report rep = verify::verify(c);
   EXPECT_FALSE(rep.ok());
   EXPECT_TRUE(has_code(rep.findings, "config-vc-parity", Severity::kError));
@@ -150,18 +149,18 @@ TEST(Verifier, OddVcCountWithParityIsRejectedUpFront) {
 
 TEST(Verifier, ExcludedVcLeavesAnEmptyAllocatableSet) {
   // The defensive reachability check in the expansion itself: force class
-  // 1's odd member (vc3) out of the dynamic pool and expand a route that
-  // crosses a dateline — the post-dateline hop has no VC it may occupy.
+  // 3's odd member (vc7, the scheduled VC) out of the dynamic pool and
+  // expand a route that crosses a dateline — the post-dateline hop has no
+  // VC it may occupy.
   Config c = Config::paper_baseline();
   c.router.exclusive_scheduled_vc = true;
-  c.router.scheduled_vc = 3;
   const auto topology = c.make_topology();
   const routing::RouteComputer routes(*topology);
   bool saw_empty_set = false;
   for (NodeId s = 0; s < topology->num_nodes() && !saw_empty_set; ++s) {
     for (NodeId d = 0; d < topology->num_nodes() && !saw_empty_set; ++d) {
       if (s == d) continue;
-      const auto e = verify::expand_route(c, routes, s, d, /*service_class=*/1);
+      const auto e = verify::expand_route(c, routes, s, d, /*service_class=*/3);
       for (const auto& set : e.vc_sets) {
         if (set.empty()) saw_empty_set = true;
       }
@@ -178,7 +177,6 @@ TEST(Verifier, CreditStarvedConfigurationFlagged) {
   c.router.buffer_depth = 1;
   c.link_latency = 3;
   c.router.vcs = 4;
-  c.router.scheduled_vc = 3;  // keep the scheduled VC inside the new range
   const Report rep = verify::verify(c);
   EXPECT_EQ(rep.credit_round_trip, 7);  // 2*3 link + 1 router
   EXPECT_NEAR(rep.per_vc_throughput_bound, 1.0 / 7.0, 1e-9);
@@ -257,7 +255,6 @@ TEST_F(RouteLint, RowAfterColumnViolatesDimensionOrder) {
 TEST_F(RouteLint, MeshBoundaryHopIsOffTopology) {
   Config mesh = config_;
   mesh.topology = TopologyKind::kMesh;
-  mesh.router.enforce_vc_parity = false;
   const auto topology = mesh.make_topology();
   const routing::RouteComputer routes(*topology);
   // Node 0 sits on the mesh corner: row- has no link.
@@ -295,7 +292,6 @@ TEST_F(RouteLint, OversizedEncodingIsAWarningNotAnError) {
   Config mesh = config_;
   mesh.topology = TopologyKind::kMesh;
   mesh.radix = 6;
-  mesh.router.enforce_vc_parity = false;
   const auto topology = mesh.make_topology();
   const routing::RouteComputer routes(*topology);
   const NodeId far = topology->num_nodes() - 1;
@@ -351,7 +347,7 @@ TEST(Expansion, ScheduledRoutesRideTheDedicatedVc) {
   const auto e = verify::expand_scheduled_route(c, routes, 0, 15);
   ASSERT_FALSE(e.empty());
   for (const auto& set : e.vc_sets) {
-    EXPECT_EQ(set, std::vector<VcId>{c.router.scheduled_vc});
+    EXPECT_EQ(set, std::vector<VcId>{c.router.scheduled_vc()});
   }
 }
 
@@ -360,7 +356,6 @@ TEST(Expansion, ScheduledRoutesRideTheDedicatedVc) {
 TEST(ConfigValidate, RejectsRoutesWiderThanTheEncoder) {
   Config c = Config::paper_baseline();
   c.topology = TopologyKind::kMesh;
-  c.router.enforce_vc_parity = false;
   c.radix = 64;  // worst route: 2*63+1 = 127 entries, still fits 128
   EXPECT_NO_THROW(c.validate());
   c.radix = 65;  // 129 entries
@@ -371,15 +366,6 @@ TEST(ConfigValidate, RejectsRoutesWiderThanTheEncoder) {
     EXPECT_NE(std::string(e.what()).find("route entries"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(ConfigValidate, RejectsDroppingWithDatelineParity) {
-  Config c = Config::paper_baseline();
-  c.router.flow_control = router::FlowControl::kDropping;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.router.enforce_vc_parity = false;
-  c.topology = TopologyKind::kMesh;
-  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(ConfigValidate, MessagesNameTheOffendingValue) {
@@ -414,8 +400,12 @@ TEST(Monitor, CleanTrafficProducesNoViolations) {
 }
 
 TEST(Monitor, VerifiedNetworkRefusesAnUnprovableConfig) {
+  // Pre-scheduled traffic rides the scheduled VC end to end, across the
+  // dateline, so on a radix-6 torus its chains close a ring cycle.
+  Config c = torus(6);
+  c.router.exclusive_scheduled_vc = true;
   try {
-    verify::VerifiedNetwork vnet(torus_no_dateline(6));
+    verify::VerifiedNetwork vnet(c);
     FAIL() << "construction must throw on a failed proof";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();

@@ -190,9 +190,21 @@ TEST(Wiring, NetworkAndFootprintReadThePlan) {
         EXPECT_EQ(usage[i].src, link.from.node);
         EXPECT_EQ(usage[i].port, link.from.port);
         EXPECT_EQ(usage[i].length_mm, link.length_mm);
-        EXPECT_NE(net.link_fault(link.from.node, link.from.port), nullptr) << link.flit_name;
+        // link_fault finds the link's own fault layer: the transform its
+        // sending output applies.
+        const auto* fault = net.link_fault(link.from.node, link.from.port);
+        EXPECT_NE(fault, nullptr) << link.flit_name;
+        EXPECT_EQ(fault, net.router_at(link.from.node).output(link.from.port).transform())
+            << link.flit_name;
       }
-      EXPECT_EQ(net.link_fault(0, Port::kTile), nullptr);
+      // Every direction port without a link (the mesh edges) has none.
+      for (NodeId n = 0; n < net.num_nodes(); ++n) {
+        for (int p = 0; p < topo::kNumDirPorts; ++p) {
+          if (net.topology().neighbor(n, static_cast<Port>(p)).has_value()) continue;
+          EXPECT_EQ(net.link_fault(n, static_cast<Port>(p)), nullptr) << n << " " << p;
+        }
+        EXPECT_EQ(net.link_fault(n, Port::kTile), nullptr);
+      }
 
       const analyze::FootprintModel m = analyze::build_footprint(c, net.partition());
       std::vector<const analyze::State*> channels;
