@@ -30,7 +30,9 @@
 #                  floor); a baseline copy with one perturbed counter must be
 #                  refused; simbench/test_simbench.py (every workload at tiny
 #                  size, traced and untraced, the 1 vs 4 shard twin check
-#                  and the --tamper-twin refusal).
+#                  and the --tamper-twin refusal); scripts/simbench_pairs.py
+#                  on this checkout against itself (tiny, 2 pairs: every
+#                  sim_* metric identical, ratio 1.0).
 #   chaos-smoke    quick fault-injection campaign (bench_e15_chaos) vs
 #                  bench/baselines/e15_quick.json.
 #   diff-smoke     lockstep reference-model campaign (ocn-diff) over the quick
@@ -168,7 +170,7 @@ leg_analyze_smoke() {
 
   echo "== [analyze-smoke] broken partitions must be refused =="
   for kind in zero-latency-cross global-mutator gated-boundary cross-shard-worklist \
-              shared-flit-arena; do
+              shared-flit-arena sender-advance; do
     if "$analyze" --shards 2 --break "$kind" --quiet; then
       echo "expected the analyzer to refuse --break $kind" >&2
       exit 1
@@ -226,6 +228,12 @@ json.dump(doc, open(sys.argv[2], "w"))' \
 
   echo "== [bench-smoke] simbench: tiny workloads, twins, 1 vs 4 shards =="
   python3 simbench/test_simbench.py
+
+  echo "== [bench-smoke] simbench_pairs.py: this checkout against itself =="
+  rm -f "$out/simbench_pairs.json"
+  python3 scripts/simbench_pairs.py --parent . --change . --workload uniform64 \
+    --size tiny --pairs 2 --seconds 0.5 --out "$out/simbench_pairs.json" \
+    --label "bench-smoke self-pair" --require-sim-identical
 }
 
 leg_chaos_smoke() {

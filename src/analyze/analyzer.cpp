@@ -193,7 +193,7 @@ struct Analysis {
           // the advance itself cannot conflict. The cross-shard questions it
           // raises (flag gating, slack) are part of channel classification.
           // A phase-B write to a NON-channel state is an arrival-byte stamp
-          // (ChannelBase::notify_wake): fold it into the shard-locality
+          // (LinkStore::advance): fold it into the shard-locality
           // check as if it were a parallel-phase write, so a channel filed
           // under the wrong shard shows up as shard-crossing mutable state
           // on the receiver's wake byte instead of passing silently.

@@ -1,6 +1,9 @@
 #include "analyze/footprint.h"
 
+#include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/wiring.h"
 
@@ -27,6 +30,7 @@ const char* break_kind_name(BreakKind k) {
     case BreakKind::kGatedBoundary: return "gated-boundary";
     case BreakKind::kCrossShardWorklist: return "cross-shard-worklist";
     case BreakKind::kSharedFlitArena: return "shared-flit-arena";
+    case BreakKind::kSenderAdvance: return "sender-advance";
   }
   return "?";
 }
@@ -248,7 +252,7 @@ FootprintModel build_footprint(const core::Config& config,
   // order: sender (write, phase A), receiver (read, phase A) and the phase-B
   // advance by the shard core::file_channel names. A link's credit channel
   // runs from its `to` end back to `from`. Each advance also stamps the
-  // receiver's arrival byte (ChannelBase::notify_wake), a phase-B write to
+  // receiver's arrival byte (LinkStore::advance), a phase-B write to
   // its wake state that the shard-locality check folds in: that makes the
   // receiver-shard filing a proven property rather than a comment.
   std::vector<int> chan_states;
@@ -281,8 +285,8 @@ FootprintModel build_footprint(const core::Config& config,
     m.components[static_cast<std::size_t>(adv)].work += kChannelWork;
   };
   core::for_each_link(config, *topo, [&](const core::Link& link) {
-    add_channel(link.flit_name, link.latency, link.from, link.to);
-    add_channel(link.credit_name, link.latency, link.to, link.from);
+    add_channel(link.flit_name(), link.latency, link.from, link.to);
+    add_channel(link.credit_name(), link.latency, link.to, link.from);
   });
 
   // --- determinism obligations ----------------------------------------------
@@ -427,6 +431,53 @@ void corrupt(FootprintModel& model, BreakKind kind) {
       for (ObligationSpec& ob : model.obligations) {
         if (ob.name == "flit-arena-ownership") ob.states.push_back(shared);
       }
+      return;
+    }
+    case BreakKind::kSenderAdvance: {
+      std::unordered_map<std::string, int> state_of;
+      for (std::size_t i = 0; i < model.states.size(); ++i) {
+        state_of.emplace(model.states[i].name, static_cast<int>(i));
+      }
+      std::unordered_map<std::string, int> component_of;
+      for (std::size_t i = 0; i < model.components.size(); ++i) {
+        component_of.emplace(model.components[i].name, static_cast<int>(i));
+      }
+      const auto advancer = [&](int shard) {
+        return component_of.at("shard." + std::to_string(shard) + ".advancer");
+      };
+      // Each boundary channel's phase-A sender and receiver.
+      const std::size_t n = model.states.size();
+      std::vector<int> sender(n, -1);
+      std::vector<int> receiver(n, -1);
+      for (const Access& a : model.accesses) {
+        if (a.phase != Phase::kParallelStep) continue;
+        (a.kind == AccessKind::kWrite ? sender : receiver)[static_cast<std::size_t>(a.state)] =
+            a.component;
+      }
+      std::vector<Access> added;
+      for (std::size_t sid = 0; sid < n; ++sid) {
+        State& s = model.states[sid];
+        if (!s.channel || !s.boundary || sender[sid] < 0 || receiver[sid] < 0) continue;
+        const int from = model.components[static_cast<std::size_t>(sender[sid])].shard;
+        const int to = s.advance_shard;
+        // The advance moves to the sender's shard, and with it the stamps
+        // of the receiver's arrival byte and due bit.
+        for (Access& a : model.accesses) {
+          if (a.state == static_cast<int>(sid) && a.phase == Phase::kAdvance) {
+            a.component = advancer(from);
+          }
+        }
+        s.advance_shard = from;
+        const std::string& rname = model.components[static_cast<std::size_t>(receiver[sid])].name;
+        const std::string wake =
+            rname + (rname.starts_with("nic.") ? ".wake" : ".wake_row");
+        added.push_back(Access{advancer(from), state_of.at(wake), Phase::kAdvance,
+                               AccessKind::kWrite});
+        added.push_back(Access{advancer(from),
+                               state_of.at("shard." + std::to_string(to) + ".due_bits"),
+                               Phase::kAdvance, AccessKind::kWrite});
+      }
+      model.accesses.insert(model.accesses.end(), added.begin(), added.end());
       return;
     }
   }

@@ -164,6 +164,11 @@ enum class BreakKind {
   /// shard (per RouterStatePool): routers of two shards allocate, edit and
   /// free in the same plain state in phase A.
   kSharedFlitArena,
+  /// Boundary rows advanced by their sender's shard instead of their
+  /// receiver's: the sender shard's advancer stamps the receiver's arrival
+  /// byte and due bit in phase B, while the receiver shard's advancer
+  /// stamps the same receiver for its other inbound links.
+  kSenderAdvance,
 };
 
 const char* break_kind_name(BreakKind k);

@@ -10,7 +10,6 @@
 
 namespace ocn::core {
 
-using router::Credit;
 using router::Flit;
 using topo::Port;
 
@@ -31,26 +30,22 @@ Network::Network(Config config, int shards)
 void Network::build() {
   const int n = topology_->num_nodes();
   // Per-shard SoA pools: routers of shard s take consecutive slots in
-  // pools_[s], in node order. Every per-node object goes to its node's
-  // shard.
-  std::vector<int> shard_router_count(static_cast<std::size_t>(shards_), 0);
-  for (NodeId i = 0; i < n; ++i) {
-    ++shard_router_count[static_cast<std::size_t>(shard_of(i))];
-  }
+  // pools_[s], in node order (ShardPartition::slot_of). Every per-node
+  // object goes to its node's shard.
+  const std::vector<int> shard_router_count = partition_.nodes_per_shard();
   pools_.reserve(static_cast<std::size_t>(shards_));
   for (int s = 0; s < shards_; ++s) {
     pools_.push_back(std::make_unique<router::RouterStatePool>(
-        shard_router_count[static_cast<std::size_t>(s)], config_.router));
+        shard_router_count[static_cast<std::size_t>(s)], config_.router, config_.link_latency));
   }
-  std::vector<int> next_slot(static_cast<std::size_t>(shards_), 0);
 
   routers_.reserve(static_cast<std::size_t>(n));
   nics_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
-    const auto shard = static_cast<std::size_t>(shard_of(i));
-    routers_.push_back(std::make_unique<router::Router>(
-        i, *topology_, config_.router, *pools_[shard], next_slot[shard]++));
-    nics_.push_back(std::make_unique<Nic>(i, config_, routes_));
+    router::RouterStatePool& pool = *pools_[static_cast<std::size_t>(shard_of(i))];
+    const int slot = partition_.slot_of(i);
+    routers_.push_back(std::make_unique<router::Router>(i, *topology_, config_.router, pool, slot));
+    nics_.push_back(std::make_unique<Nic>(i, config_, routes_, pool, slot));
     Nic* nic_ptr = nics_.back().get();
     router::Router* rtr = routers_.back().get();
     kernel_.add_to_shard(shard_of(i), nic_ptr, nic_ptr->wake_row(), Nic::wake_width());
@@ -58,51 +53,61 @@ void Network::build() {
   }
 
   // One loop over the wiring plan: a flit channel `from` -> `to` and a
-  // credit channel back per link. The attach calls wire each channel to its
-  // receiver's arrival byte, and the kernel is told that receiver.
+  // credit channel back per link, each filed as a row of its receiver
+  // shard's store (core::link_row) with its receiver's arrival byte. The
+  // receiver reads its rows by address; the sender gets the LinkRef.
   const auto component = [this](const LinkEnd& end) -> const Clockable* {
     return end.nic ? static_cast<const Clockable*>(&nic(end.node)) : &router_at(end.node);
   };
-  const auto file = [&](ChannelBase* ch, const LinkEnd& sender, const LinkEnd& receiver) {
+  const auto arrival = [this](const LinkEnd& end, bool credit) {
+    if (end.nic) return nic(end.node).arrival(credit ? Nic::kCreditArrive : Nic::kEjectArrive);
+    return router_at(end.node).arrival(end.port, credit ? router::RouterStatePool::kArriveCredit
+                                                        : router::RouterStatePool::kArriveFlit);
+  };
+  const auto file = [&](const Link& link, bool credit) {
+    const LinkEnd& sender = credit ? link.to : link.from;
+    const LinkEnd& receiver = credit ? link.from : link.to;
     const Filing filing = file_channel(partition_, sender.node, receiver.node);
-    if (filing.boundary) {
-      kernel_.add_boundary(filing.shard, ch, component(receiver));
-    } else {
-      kernel_.add_interior(filing.shard, ch, component(receiver));
-    }
+    return pools_[static_cast<std::size_t>(filing.shard)]->links().attach(
+        link_row(partition_, link, credit), arrival(receiver, credit), component(receiver),
+        filing.boundary);
   };
   if (config_.fault_layer) link_faults_.resize(static_cast<std::size_t>(n) * topo::kNumDirPorts);
-  for_each_link(config_, *topology_, [&](Link& link) {
-    LinkChannels& ch = links_.emplace_back();
-    ch.flits = std::make_unique<Channel<Flit>>(link.latency, std::move(link.flit_name));
-    ch.credits = std::make_unique<Channel<Credit>>(link.latency, std::move(link.credit_name));
-    ch.src = link.from.node;
-    ch.port = link.from.port;
-    ch.length_mm = link.length_mm;
+  for_each_link(config_, *topology_, [&](const Link& link) {
+    const LinkRef flits = file(link, false);
+    const LinkRef credits = file(link, true);
     if (link.from.nic) {
-      nic(link.from.node).attach_inject(ch.flits.get(), ch.credits.get());
+      nic(link.from.node).attach_inject(flits);
     } else {
-      router_at(link.from.node)
-          .attach_output(link.from.port, ch.flits.get(), ch.credits.get(), link.length_mm);
+      router_at(link.from.node).attach_output(link.from.port, flits, link.length_mm);
     }
     if (link.to.nic) {
-      nic(link.to.node).attach_eject(ch.flits.get(), ch.credits.get());
+      nic(link.to.node).attach_eject(credits);
     } else {
-      router_at(link.to.node).attach_input(link.to.port, ch.flits.get(), ch.credits.get());
+      router_at(link.to.node).attach_input(link.to.port, credits);
     }
-    file(ch.flits.get(), link.from, link.to);
-    file(ch.credits.get(), link.to, link.from);
     if (config_.fault_layer && !link.tile()) {
       auto& fault = link_faults_[fault_slot(link.from.node, link.from.port)];
       fault = std::make_unique<FaultyLinkTransform>(
           SteeredLink(router::kDataBits, config_.link_spare_bits));
       router_at(link.from.node).output(link.from.port).set_transform(fault.get());
     }
-    if (!link.tile()) ++router_links_;  // the topology channels come first
   });
+  // Rows are named from the plan, on error paths only.
+  for (int s = 0; s < shards_; ++s) {
+    LinkStore& links = pools_[static_cast<std::size_t>(s)]->links();
+    links.set_namer([this, s](std::uint32_t row) {
+      return channel_name(config_, *topology_, partition_, s, row);
+    });
+    kernel_.add_to_shard(s, &links);
+  }
 }
 
 void Network::step() { kernel_.tick(); }
+
+std::int64_t Network::link_sends(const topo::ChannelDesc& d) const {
+  return routers_[static_cast<std::size_t>(d.src)]->output(d.src_out_port).link_sends();
+}
 
 void Network::flush_observer_buffers() {
   if (delivery_observer_) {
@@ -376,11 +381,11 @@ void Network::register_metrics(obs::CounterRegistry& registry, Cycle sample_inte
   for (const auto& r : routers_) {
     r->register_metrics(registry, "router." + std::to_string(r->node()));
   }
-  for (const auto& link : router_links()) {
-    const Channel<router::Flit>* ch = link.flits.get();
-    registry.gauge("link." + std::to_string(link.src) + "." +
-                       topo::port_name(link.port) + ".flits",
-                   [ch] { return ch->sends(); });
+  for (const topo::ChannelDesc& d : topology_->channels()) {
+    const router::OutputController* out = &router_at(d.src).output(d.src_out_port);
+    registry.gauge("link." + std::to_string(d.src) + "." + topo::port_name(d.src_out_port) +
+                       ".flits",
+                   [out] { return out->link_sends(); });
   }
   kernel_.attach_metrics(&registry, sample_interval);
 }
@@ -438,8 +443,8 @@ EnergyReport Network::energy(const phys::PowerModel& power) const {
       toggled_bit_mm += out.toggled_bit_mm();
     }
   }
-  for (const auto& link : router_links()) {
-    e.flit_mm += static_cast<double>(link.flits->sends()) * link.length_mm;
+  for (const topo::ChannelDesc& d : topology_->channels()) {
+    e.flit_mm += static_cast<double>(link_sends(d)) * d.length_mm;
   }
   // hop_energy_pj(bits) and wire energy are linear in bits, so summing
   // per-bit is exact (and naturally honours the size-field power gating).
@@ -454,10 +459,11 @@ EnergyReport Network::energy(const phys::PowerModel& power) const {
 }
 
 std::vector<LinkUsage> Network::link_usage() const {
+  const std::vector<topo::ChannelDesc> channels = topology_->channels();
   std::vector<LinkUsage> out;
-  out.reserve(router_links_);
-  for (const auto& link : router_links()) {
-    out.push_back({link.src, link.port, link.length_mm, link.flits->sends()});
+  out.reserve(channels.size());
+  for (const topo::ChannelDesc& d : channels) {
+    out.push_back({d.src, d.src_out_port, d.length_mm, link_sends(d)});
   }
   return out;
 }

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -176,18 +175,9 @@ class Network {
   }
 
  private:
-  /// The channels of one wiring-plan link (core/wiring.h).
-  struct LinkChannels {
-    std::unique_ptr<Channel<router::Flit>> flits;
-    std::unique_ptr<Channel<router::Credit>> credits;
-    NodeId src = kInvalidNode;
-    topo::Port port = topo::Port::kTile;
-    double length_mm = 0.0;
-  };
-
   void build();
-  /// The topology-channel links (the first entries of links_).
-  std::span<const LinkChannels> router_links() const { return {links_.data(), router_links_}; }
+  /// Sends on topology channel `d`, credit-only fillers included.
+  std::int64_t link_sends(const topo::ChannelDesc& d) const;
   void install_register_filters();
   void flush_observer_buffers();
   std::int64_t stats_packets_injected() const;
@@ -201,14 +191,13 @@ class Network {
   Kernel kernel_;
 
   /// One RouterStatePool per shard: a shard's routers occupy consecutive
-  /// slots of one contiguous allocation, so the phase-A workers touch
-  /// disjoint slabs (see src/router/soa.h). Declared before routers_ so the
-  /// pools outlive the router views bound into them.
+  /// slots of one contiguous slab, so the phase-A workers touch disjoint
+  /// slabs (see src/router/soa.h). Each pool holds its shard's link store:
+  /// every link is a row of its receiver shard's store. Declared before
+  /// routers_ and nics_ so the pools outlive the views bound into them.
   std::vector<std::unique_ptr<router::RouterStatePool>> pools_;
   std::vector<std::unique_ptr<router::Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<LinkChannels> links_;  // every wiring-plan link, in plan order
-  std::size_t router_links_ = 0;
   /// Each topology link's fault layer at fault_slot(node, direction port),
   /// null at a mesh edge; empty unless config.fault_layer.
   std::vector<std::unique_ptr<FaultyLinkTransform>> link_faults_;

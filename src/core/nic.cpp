@@ -3,19 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "sim/log.h"
 
 namespace ocn::core {
 
-using router::Credit;
 using router::Flit;
 using router::FlitType;
 
-Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes)
+Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes,
+         router::RouterStatePool& pool, int slot)
     : node_(node),
       config_(config),
       routes_(routes),
+      links_(&pool.links()),
+      slot_(slot),
       vc_queues_(static_cast<std::size_t>(config.router.vcs)),
       queued_packets_per_class_(4, 0),
       credits_(static_cast<std::size_t>(config.router.vcs), config.router.buffer_depth),
@@ -33,18 +36,6 @@ Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes
 bool Nic::idle_internal() const {
   if (!loopback_.empty() || !carry_to_router_.empty()) return false;
   return queued_flit_count_ == 0 && eject_pending_count_ == 0;
-}
-
-void Nic::attach_inject(Channel<Flit>* inject, Channel<Credit>* inject_credit) {
-  inject_ = inject;
-  inject_credit_ = inject_credit;
-  inject_credit_->set_wake(&arrive_[kCreditArrive]);
-}
-
-void Nic::attach_eject(Channel<Flit>* eject, Channel<Credit>* eject_credit) {
-  eject_ = eject;
-  eject_credit_ = eject_credit;
-  eject_->set_wake(&arrive_[kEjectArrive]);
 }
 
 std::uint8_t Nic::ready_mask() const {
@@ -151,8 +142,9 @@ void Nic::step(Cycle now) {
   // wake_row()).
   if (arrive_[kCreditArrive].load(std::memory_order_relaxed) != 0) {
     arrive_[kCreditArrive].store(0, std::memory_order_relaxed);
-    if (auto credit = inject_credit_->take()) {
-      auto& c = credits_[static_cast<std::size_t>(credit->vc)];
+    if (auto credit =
+            links_->take<std::int8_t>(router::RouterStatePool::nic_credit_row(slot_), now)) {
+      auto& c = credits_[static_cast<std::size_t>(*credit)];
       ++c;
       assert(c <= config_.router.buffer_depth);
     }
@@ -170,11 +162,12 @@ void Nic::step(Cycle now) {
 
 void Nic::process_ejection(Cycle now) {
   // Arrival-byte gated, in-place arrival handling (receive + consume): the
-  // pending-queue copy goes straight from channel storage, skipping the
+  // pending-queue copy goes straight from the link slot, skipping the
   // take() temporary.
   if (arrive_[kEjectArrive].load(std::memory_order_relaxed) != 0) {
     arrive_[kEjectArrive].store(0, std::memory_order_relaxed);
-    const Flit* arriving = eject_->receive();
+    const std::uint32_t row = router::RouterStatePool::nic_eject_row(slot_);
+    const Flit* arriving = links_->receive<Flit>(row, now);
     if (arriving != nullptr) {
       const Flit& fl = *arriving;
       // Harvest a piggybacked credit for the tile input buffers upstream.
@@ -190,7 +183,7 @@ void Nic::process_ejection(Cycle now) {
         if (carried >= 0) q.back().carried_credit_vc = -1;
         ++eject_pending_count_;
       }
-      eject_->consume();
+      links_->consume(row, now);
     }
   }
   // Nothing parked: with every request bit zero the arbiter would return -1
@@ -211,7 +204,7 @@ void Nic::process_ejection(Cycle now) {
     if (config_.router.piggyback_credits) {
       carry_to_router_.push_back(static_cast<VcId>(vc));
     } else {
-      eject_credit_->send(Credit{static_cast<VcId>(vc)});
+      eject_credit_.store->send(eject_credit_, now, static_cast<std::int8_t>(vc));
     }
   }
   consume_flit(std::move(f), now);
@@ -274,7 +267,7 @@ void Nic::do_injection(Cycle now) {
       f.size_code = 0;
       f.carried_credit_vc = static_cast<std::int8_t>(carry_to_router_.front());
       carry_to_router_.pop_front();
-      inject_->send(std::move(f));
+      inject_.store->send(inject_, now, f);
     }
     return;
   }
@@ -297,7 +290,7 @@ void Nic::do_injection(Cycle now) {
   } else {
     ++front.next_flit;
   }
-  inject_->send(std::move(f));
+  inject_.store->send(inject_, now, f);
 }
 
 void Nic::deliver(Packet&& packet) {
@@ -315,6 +308,13 @@ void Nic::deliver(Packet&& packet) {
   if (handler_) {
     handler_(std::move(packet));
   } else {
+    if (received_.size() >= kMaxReceived) {
+      throw std::length_error("Nic " + std::to_string(node_) + ": " +
+                              std::to_string(received_.size() + 1) +
+                              " packets received with no delivery handler (cap " +
+                              std::to_string(kMaxReceived) +
+                              "); install one with set_delivery_handler() or drain received()");
+    }
     received_.push_back(std::move(packet));
   }
 }

@@ -22,6 +22,7 @@
 // ejection gates and the queued_flits()/pending_eject_flits() accessors.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "core/config.h"
 #include "core/interface.h"
 #include "router/arbiter.h"
+#include "router/soa.h"
 #include "routing/route_computer.h"
 #include "sim/kernel.h"
 #include "sim/stats.h"
@@ -39,12 +41,22 @@ class Nic final : public Clockable {
  public:
   using DeliveryHandler = std::function<void(Packet&&)>;
 
-  Nic(NodeId node, const Config& config, const routing::RouteComputer& routes);
+  /// The NIC's inbound links are rows of `pool`'s link store at block
+  /// `slot`, its router's pool slot (RouterStatePool::nic_eject_row and
+  /// nic_credit_row).
+  Nic(NodeId node, const Config& config, const routing::RouteComputer& routes,
+      router::RouterStatePool& pool, int slot);
 
-  /// Wire the tile ports (Network::build does, before the first step); the
-  /// inbound channels stamp the NIC's wake row.
-  void attach_inject(Channel<router::Flit>* inject, Channel<router::Credit>* inject_credit);
-  void attach_eject(Channel<router::Flit>* eject, Channel<router::Credit>* eject_credit);
+  /// Wire the outbound tile links (Network::build does, before the first
+  /// step): the inject link and the eject link's credit return. The
+  /// inbound rows are attached to the store with arrival().
+  void attach_inject(LinkRef inject) { inject_ = inject; }
+  void attach_eject(LinkRef eject_credit) { eject_credit_ = eject_credit; }
+  /// The arrival byte the eject link (kEjectArrive) or the inject-credit
+  /// link (kCreditArrive) stamps.
+  static constexpr int kEjectArrive = 0;
+  static constexpr int kCreditArrive = 1;
+  std::atomic<std::uint8_t>* arrival(int kind) { return &arrive_[kind]; }
 
   NodeId node() const { return node_; }
 
@@ -54,8 +66,12 @@ class Nic final : public Clockable {
   /// locally without entering the network.
   bool inject(Packet packet, Cycle now);
 
-  /// Packets for which no delivery handler is installed accumulate here.
+  /// Packets for which no delivery handler is installed accumulate here,
+  /// up to kMaxReceived: a client that never drains them would grow the
+  /// queue without bound, so the delivery past the cap throws
+  /// std::length_error naming the node and the count.
   std::deque<Packet>& received() { return received_; }
+  static constexpr std::size_t kMaxReceived = std::size_t{1} << 16;
   void set_delivery_handler(DeliveryHandler handler) { handler_ = std::move(handler); }
 
   /// Pre-delivery filters (first match consumes the packet); used by the
@@ -89,11 +105,10 @@ class Nic final : public Clockable {
 
   void step(Cycle now) override;
 
-  /// The arrival bytes of the two channels delivering INTO this NIC
-  /// (ejected flits, returned injection credits), as one contiguous row for
-  /// the kernel's skip predicate: attach() wires them, the channel stamps on
-  /// delivery, and step() probes a channel object only when its byte is set,
-  /// clearing it as it consumes.
+  /// The arrival bytes of the two links delivering INTO this NIC (ejected
+  /// flits, returned injection credits), as one contiguous row for the
+  /// kernel's skip predicate: the link stamps on delivery, and step() reads
+  /// the link's slot only when its byte is set, clearing it as it consumes.
   std::atomic<std::uint8_t>* wake_row() { return arrive_; }
   static constexpr int wake_width() { return kWakeWidth; }
 
@@ -152,14 +167,13 @@ class Nic final : public Clockable {
   const Config& config_;
   const routing::RouteComputer& routes_;
 
-  Channel<router::Flit>* inject_ = nullptr;
-  Channel<router::Credit>* inject_credit_ = nullptr;
-  Channel<router::Flit>* eject_ = nullptr;
-  Channel<router::Credit>* eject_credit_ = nullptr;
+  /// The inbound rows' store and block, and the outbound links.
+  LinkStore* links_ = nullptr;
+  int slot_ = 0;
+  LinkRef inject_;
+  LinkRef eject_credit_;
   /// The wake row (see wake_row()), indexed by kEjectArrive /
   /// kCreditArrive.
-  static constexpr int kEjectArrive = 0;
-  static constexpr int kCreditArrive = 1;
   static constexpr int kWakeWidth = 2;
   std::atomic<std::uint8_t> arrive_[kWakeWidth] = {};
 

@@ -18,6 +18,7 @@ ShardPartition ShardPartition::single(int nodes) {
   p.owner_.assign(static_cast<std::size_t>(nodes), 0);
   p.shards_ = 1;
   p.label_ = "single shard";
+  p.number_slots();
   return p;
 }
 
@@ -31,6 +32,7 @@ ShardPartition ShardPartition::row_strips(const topo::Topology& topo, int shards
   }
   p.label_ = "row-strips: " + std::to_string(shards) + " shards over " +
              std::to_string(radix) + " rows";
+  p.number_slots();
   return p;
 }
 
@@ -57,6 +59,15 @@ ShardPartition::ShardPartition(std::vector<int> owner, int shards)
   }
   label_ = "custom: " + std::to_string(shards_) + " shards over " +
            std::to_string(owner_.size()) + " nodes";
+  number_slots();
+}
+
+void ShardPartition::number_slots() {
+  std::vector<int> next(static_cast<std::size_t>(shards_), 0);
+  slot_.resize(owner_.size());
+  for (std::size_t n = 0; n < owner_.size(); ++n) {
+    slot_[n] = next[static_cast<std::size_t>(owner_[n])]++;
+  }
 }
 
 std::vector<int> ShardPartition::nodes_per_shard() const {

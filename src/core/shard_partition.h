@@ -39,6 +39,9 @@ class ShardPartition {
   int shards() const { return shards_; }
   int num_nodes() const { return static_cast<int>(owner_.size()); }
   int shard_of(NodeId n) const { return owner_[static_cast<std::size_t>(n)]; }
+  /// Node `n`'s index among its shard's nodes in node order: its router's
+  /// pool slot and its block in the shard's link store.
+  int slot_of(NodeId n) const { return slot_[static_cast<std::size_t>(n)]; }
 
   /// Nodes owned by each shard (index = shard).
   std::vector<int> nodes_per_shard() const;
@@ -49,8 +52,11 @@ class ShardPartition {
 
  private:
   ShardPartition() = default;
+  /// Fill slot_ from owner_.
+  void number_slots();
 
   std::vector<int> owner_;  // node -> shard
+  std::vector<int> slot_;   // node -> index within its shard
   int shards_ = 1;
   std::string label_;
 };

@@ -5,14 +5,17 @@
 // topology channel and each node's inject and eject tile ports. It is a
 // pure function of the Config and the topology and, like the analyzer,
 // never calls Config::validate, so an unbuildable system (a zero-latency
-// link) is listed as it is. core::Network::build builds the plan's
-// channels and analyze::build_footprint models them, both filed by
-// file_channel: the shard-safety proof checks the wiring the network
-// builds, not a copy of it. The plan is enumerated, not stored: a 64x64
-// fabric has 24,576 links, and holding all their records before building
-// any channel made Network construction measurably slower.
+// link) is listed as it is. core::Network::build files each of the plan's
+// channels into a row of its receiver shard's link store and
+// analyze::build_footprint models them, both through file_channel: the
+// shard-safety proof checks the wiring the network builds, not a copy of
+// it. The plan is enumerated, not stored: a 64x64 fabric has 24,576 links,
+// and holding all their records before building any channel made Network
+// construction measurably slower. Names are generated from a link's ends
+// when asked for (error messages, the analyzer's states), never stored.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -34,18 +37,19 @@ struct Link {
   LinkEnd from;
   LinkEnd to;
   int latency = 1;
-  double length_mm = 0.0;   ///< 0 for a tile port
-  std::string flit_name;    ///< "link:3:row+", "inject:3", "eject:3"
-  std::string credit_name;  ///< "link:3:row+:credit", "inject_credit:3", "eject_credit:3"
+  double length_mm = 0.0;  ///< 0 for a tile port
 
   bool tile() const { return from.nic || to.nic; }
+  /// "link:3:row+", "inject:3", "eject:3".
+  std::string flit_name() const;
+  /// "link:3:row+:credit", "inject_credit:3", "eject_credit:3".
+  std::string credit_name() const;
 };
 
-/// Call `visit` on every link of the plan, in kernel registration order:
-/// the topology channels in Topology::channels() order, then per node its
-/// inject and eject links. The visitor may move the names out.
+/// Call `visit` on every link of the plan: the topology channels in
+/// Topology::channels() order, then per node its inject and eject links.
 void for_each_link(const Config& config, const topo::Topology& topology,
-                   const std::function<void(Link&)>& visit);
+                   const std::function<void(const Link&)>& visit);
 
 /// Where the kernel files one channel.
 struct Filing {
@@ -59,5 +63,17 @@ struct Filing {
 /// stamps the receiver's arrival byte and due bit in phase B on the worker
 /// that reads and clears them in phase A.
 Filing file_channel(const ShardPartition& partition, NodeId sender, NodeId receiver);
+
+/// The row of `link`'s flit channel (`credit` false, from -> to) or credit
+/// channel (`credit` true, to -> from) in its receiver shard's link store
+/// (router/soa.h names the kinds): a router's inbound flit link at (pool
+/// slot, input port), its inbound credit link at (pool slot, output port),
+/// a NIC's eject and inject-credit links at its node's pool slot.
+std::uint32_t link_row(const ShardPartition& partition, const Link& link, bool credit);
+
+/// The name of the channel filed at `row` of shard `shard`'s store (the
+/// plan walked on demand: error paths only), or "" when none is.
+std::string channel_name(const Config& config, const topo::Topology& topology,
+                         const ShardPartition& partition, int shard, std::uint32_t row);
 
 }  // namespace ocn::core

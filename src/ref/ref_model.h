@@ -43,7 +43,7 @@
 
 namespace ocn::ref {
 
-/// Plain reimplementation of the kernel's Channel<T>: send(v) during cycle t
+/// Plain reimplementation of a kernel link (a LinkStore row): send(v) during cycle t
 /// is visible via take() during cycle t + latency. One value per cycle.
 template <typename T>
 class DelayLine {

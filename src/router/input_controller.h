@@ -5,18 +5,21 @@
 // route field selects the output port. Forwarding a flit frees a buffer
 // slot, which is signalled upstream with a credit.
 //
-// This struct is the port's record: wiring and statistics. The per-VC
-// buffers and routing state live in the owning router's state pool rows
-// (router/soa.h); Router's pipeline phases do the work and advance these
-// counters in place. The accessors are the read interface for statistics and harnesses.
+// This struct is the port's record: whether it is wired, and statistics.
+// The per-VC buffers and routing state live in the owning router's state
+// pool rows (router/soa.h), and so do the port's links (the inbound flit
+// row in the shard's link store, the credit return as a LinkRef); Router's
+// pipeline phases do the work and advance these counters in place. The
+// record is held inline in the Router, and its per-VC counts are a fixed
+// array, so an arrival touches no heap block of its own. The accessors are
+// the read interface for statistics and harnesses.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <numeric>
-#include <vector>
 
 #include "router/flit.h"
-#include "sim/kernel.h"
 #include "topo/topology.h"
 
 namespace ocn::router {
@@ -27,23 +30,21 @@ struct InputController {
     std::int64_t flits_dropped = 0;
     std::int64_t buffer_reads = 0;
     /// Flits buffered per VC (per-VC load distribution; the dateline
-    /// discipline and class spreading are visible here).
-    std::vector<std::int64_t> vc_flits;
+    /// discipline and class spreading are visible here). Entries at and
+    /// above the router's VC count stay 0.
+    std::array<std::int64_t, 8> vc_flits{};
   };
 
-  InputController(topo::Port p, int vcs) : port(p) {
-    stats.vc_flits.assign(static_cast<std::size_t>(vcs), 0);
-  }
+  InputController(topo::Port p, int vcs) : port(p), vcs_(vcs) {}
 
   const topo::Port port;
-  /// Incoming flit channel and upstream credit return, wired by
-  /// Router::attach_input; null on disabled ports (mesh boundary).
-  Channel<Flit>* in = nullptr;
-  Channel<Credit>* credit_upstream = nullptr;
+  /// Set by Router::attach_input; a disabled port (mesh boundary) receives
+  /// nothing.
+  bool wired = false;
   Stats stats;
 
-  bool attached() const { return in != nullptr; }
-  int num_vcs() const { return static_cast<int>(stats.vc_flits.size()); }
+  bool attached() const { return wired; }
+  int num_vcs() const { return vcs_; }
 
   // --- statistics -----------------------------------------------------------
   std::int64_t buffer_writes() const {
@@ -56,6 +57,9 @@ struct InputController {
   std::int64_t flits_dropped() const { return stats.flits_dropped; }
   std::int64_t buffer_reads() const { return stats.buffer_reads; }
   std::int64_t vc_flits(VcId v) const { return stats.vc_flits[static_cast<std::size_t>(v)]; }
+
+ private:
+  int vcs_;
 };
 
 }  // namespace ocn::router

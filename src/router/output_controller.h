@@ -10,8 +10,9 @@
 // VC-allocated mask, the stage registers and the piggyback carry ring live
 // in the owning router's state pool rows (router/soa.h); Router's pipeline
 // phases do the work and advance these counters in place. The accessors are
-// the read interface for statistics and harnesses; a count the link channel
-// already keeps (sends) is read from it, not counted twice.
+// the read interface for statistics and harnesses. The link itself is a
+// row of the downstream shard's link store, reached through the pool's
+// LinkRef for this port.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "router/arbiter.h"
 #include "router/flit.h"
 #include "router/reservation.h"
-#include "sim/kernel.h"
 #include "topo/topology.h"
 
 namespace ocn::router {
@@ -39,21 +39,22 @@ class OutputController {
     double toggled_bit_mm = 0.0;
     Payload last_sent{};  ///< previous frame's data field, for toggle counting
     bool has_last_sent = false;
+    /// Every send on the link, credit-only fillers included.
+    std::int64_t link_sends = 0;
   };
 
   OutputController(topo::Port p, ReservationTable table)
       : port(p), link_arb(topo::kNumPorts), reservations_(std::move(table)) {}
 
   const topo::Port port;
-  /// Outgoing link and downstream credit return, wired by
-  /// Router::attach_output; null on disabled ports (mesh boundary).
-  Channel<Flit>* link = nullptr;
-  Channel<Credit>* credit_downstream = nullptr;
+  /// Set by Router::attach_output; a disabled port (mesh boundary) sends
+  /// nothing.
+  bool wired = false;
   double length_mm = 0.0;  ///< physical wire length, for energy/duty accounting
   PriorityArbiter link_arb;
   Stats stats;
 
-  bool attached() const { return link != nullptr; }
+  bool attached() const { return wired; }
   ReservationTable& reservations() { return reservations_; }
   const ReservationTable& reservations() const { return reservations_; }
 
@@ -80,10 +81,10 @@ class OutputController {
 
   // --- statistics -----------------------------------------------------------
   /// Flits driven onto the link: every send but the credit-only fillers
-  /// (the link channel counts its sends; 0 on a disabled port).
-  std::int64_t flits_sent() const {
-    return link != nullptr ? link->sends() - stats.credit_only_flits : 0;
-  }
+  /// (0 on a disabled port).
+  std::int64_t flits_sent() const { return stats.link_sends - stats.credit_only_flits; }
+  /// Every send on the link (the link.SRC.PORT.flits gauge).
+  std::int64_t link_sends() const { return stats.link_sends; }
   std::int64_t bypass_flits() const { return stats.bypass_flits; }
   std::int64_t idle_reserved_cycles() const { return stats.idle_reserved_cycles; }
   /// Cycles in which a ready stage flit lost the link (contention measure).

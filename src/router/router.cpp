@@ -18,22 +18,21 @@ Router::Router(NodeId node, const topo::Topology& topology, const RouterParams& 
       params_(params),
       dateline_parity_(params.dateline_parity(topology.has_wraparound())),
       pool_(&pool),
-      slot_(slot) {
+      slot_(slot),
+      inputs_(per_port<InputController>(
+          [&params](Port p) { return InputController(p, params.vcs); },
+          std::make_index_sequence<topo::kNumPorts>{})),
+      outputs_(per_port<OutputController>(
+          [&](Port p) {
+            return OutputController(
+                p, ReservationTable(params.reservation_frame, pool, slot, static_cast<int>(p)));
+          },
+          std::make_index_sequence<topo::kNumPorts>{})),
+      switch_arbs_(per_port<PriorityArbiter>(
+          [&params](Port) { return PriorityArbiter(params.vcs); },
+          std::make_index_sequence<topo::kNumPorts>{})) {
   assert(slot >= 0 && slot < pool.routers());
-  init_controllers();
-}
-
-void Router::init_controllers() {
   assert(params_.vcs <= kMaxArbiterInputs);
-  inputs_.reserve(topo::kNumPorts);
-  outputs_.reserve(topo::kNumPorts);
-  switch_arbs_.reserve(topo::kNumPorts);
-  for (int p = 0; p < topo::kNumPorts; ++p) {
-    inputs_.emplace_back(static_cast<Port>(p), params_.vcs);
-    outputs_.emplace_back(static_cast<Port>(p),
-                          ReservationTable(params_.reservation_frame, *pool_, slot_, p));
-    switch_arbs_.emplace_back(params_.vcs);
-  }
   std::memset(prio_scratch_, 0, sizeof(prio_scratch_));
   for (int p = 0; p < topo::kNumPorts; ++p) {
     dateline_cache_[p] = topo_.crosses_dateline(node_, static_cast<Port>(p));
@@ -41,22 +40,18 @@ void Router::init_controllers() {
 }
 
 // Every construction path (Network wiring, standalone tests) attaches
-// through these two, so each arrival byte is wired wherever its channel is.
-void Router::attach_input(Port p, Channel<Flit>* in, Channel<Credit>* credit_upstream) {
-  InputController& rec = inputs_[static_cast<std::size_t>(p)];
-  rec.in = in;
-  rec.credit_upstream = credit_upstream;
-  in->set_wake(pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveFlit));
+// through these two; the inbound rows are attached to the store with this
+// router's arrival bytes (arrival()) by whoever builds the links.
+void Router::attach_input(Port p, LinkRef credit_upstream) {
+  inputs_[static_cast<std::size_t>(p)].wired = true;
+  pool_->up_link(slot_, static_cast<int>(p)) = credit_upstream;
 }
 
-void Router::attach_output(Port p, Channel<Flit>* link, Channel<Credit>* credit_downstream,
-                           double length_mm) {
+void Router::attach_output(Port p, LinkRef link, double length_mm) {
   OutputController& rec = outputs_[static_cast<std::size_t>(p)];
-  rec.link = link;
-  rec.credit_downstream = credit_downstream;
+  rec.wired = true;
   rec.length_mm = length_mm;
-  credit_downstream->set_wake(
-      pool_->arrival(slot_, static_cast<int>(p), RouterStatePool::kArriveCredit));
+  pool_->out_link(slot_, static_cast<int>(p)) = link;
 }
 
 bool Router::effective_dateline(const Flit& head, Port in_port, Port out_port) const {
@@ -71,6 +66,8 @@ bool Router::effective_dateline(const Flit& head, Port in_port, Port out_port) c
 }
 
 void Router::step(Cycle now) {
+  now_ = now;
+  prefetch_links();
   for (int p = 0; p < topo::kNumPorts; ++p) process_credits(p);
   for (int p = 0; p < topo::kNumPorts; ++p) accept_arrival(p);
   decode_fronts();
@@ -83,21 +80,49 @@ void Router::step(Cycle now) {
   pool_->clear_cycle_flags(slot_);
 }
 
+// Links are rows other routers wrote (arrivals) or will read (sends), so
+// they are rarely in this core's cache: start every arriving flit's load,
+// and the row of every output that may send this step (a full stage
+// register, a carry credit or a reservation), before the phases read any.
+void Router::prefetch_links() {
+  LinkStore& links = pool_->links();
+  for (int p = 0; p < topo::kNumPorts; ++p) {
+    if (pool_->arrival(slot_, p, RouterStatePool::kArriveFlit)->load(std::memory_order_relaxed)) {
+      links.prefetch<Flit>(RouterStatePool::flit_in_row(slot_, p), now_);
+    }
+  }
+  for (unsigned outs = sending_outputs(); outs != 0; outs &= outs - 1) {
+    const LinkRef& link = pool_->out_link(slot_, std::countr_zero(outs));
+    if (link) link.store->prefetch_send<Flit>(link, now_);
+  }
+}
+
+unsigned Router::sending_outputs() const {
+  const RouterMasks& m = pool_->masks(slot_);
+  unsigned outs = m.carry | m.resv;
+  for (int p = 0; p < topo::kNumPorts; ++p) {
+    if (mask_lane(m.stage, p) != 0) outs |= 1u << p;
+  }
+  return outs;
+}
+
 // Arrival gates (process_credits, accept_arrival): a port's byte is set iff
-// its channel delivered this cycle, and only attached channels stamp bytes.
-// So the (common) idle case is one contiguous-row byte load, with no probe
-// of the port record or the heap-scattered channel object.
+// its link delivered this cycle, and only attached links stamp bytes. So
+// the (common) idle case is one contiguous-row byte load. A set byte leads
+// straight to the arriving slot: its address is computed from (slot, port,
+// now) in the pool's link store, with no per-link record loaded first.
 
 void Router::process_credits(int p) {
   std::atomic<std::uint8_t>* arrive = pool_->arrival(slot_, p, RouterStatePool::kArriveCredit);
   if (arrive->load(std::memory_order_relaxed) == 0) return;
   arrive->store(0, std::memory_order_relaxed);
-  Channel<Credit>* ch = outputs_[static_cast<std::size_t>(p)].credit_downstream;
-  const Credit* credit = ch->receive();
+  LinkStore& links = pool_->links();
+  const std::uint32_t row = RouterStatePool::credit_in_row(slot_, p);
+  const std::int8_t* credit = links.receive<std::int8_t>(row, now_);
   if (credit == nullptr) return;
   assert(!params_.dropping() && "dropping mode returns no credits");
-  receive_credit(p, credit->vc);
-  ch->consume();
+  receive_credit(p, *credit);
+  links.consume(row, now_);
 }
 
 void Router::accept_arrival(int p) {
@@ -105,11 +130,13 @@ void Router::accept_arrival(int p) {
   if (arrive->load(std::memory_order_relaxed) == 0) return;
   arrive->store(0, std::memory_order_relaxed);
   InputController& in = inputs_[static_cast<std::size_t>(p)];
+  LinkStore& links = pool_->links();
+  const std::uint32_t row = RouterStatePool::flit_in_row(slot_, p);
   // Process the arriving flit in place (receive + consume) instead of
-  // take()ing it out: buf_push copies it from the channel slot straight
-  // into an arena slot, the hop's one copy in (send_on_link's copy onto
-  // the next link is its one copy out).
-  const Flit* arriving = in.in->receive();
+  // take()ing it out: buf_push copies it from the link slot straight into
+  // an arena slot, the hop's one copy in (send_on_link's copy onto the
+  // next link is its one copy out).
+  const Flit* arriving = links.receive<Flit>(row, now_);
   if (arriving == nullptr) return;
   const Flit& f = *arriving;
   // Harvest a piggybacked credit: it belongs to the co-located output
@@ -117,7 +144,7 @@ void Router::accept_arrival(int p) {
   const std::int8_t carried = f.carried_credit_vc;
   if (carried >= 0) receive_credit(static_cast<int>(topo::reverse(in.port)), carried);
   if (f.type == FlitType::kCreditOnly) {  // nothing to buffer
-    in.in->consume();
+    links.consume(row, now_);
     return;
   }
   const VcId v = f.vc;
@@ -129,7 +156,7 @@ void Router::accept_arrival(int p) {
       // Mid-drop: discard through the tail.
       ++in.stats.flits_dropped;
       if (is_tail(f.type)) discarding[v] = false;
-      in.in->consume();
+      links.consume(row, now_);
       return;
     }
     if (is_head(f.type) &&
@@ -141,7 +168,7 @@ void Router::accept_arrival(int p) {
       if (!is_tail(f.type)) discarding[v] = true;
       OCN_TRACE("drop pkt %lld at %s vc %d", static_cast<long long>(f.packet),
                 topo::port_name(in.port), f.vc);
-      in.in->consume();
+      links.consume(row, now_);
       return;
     }
   }
@@ -150,7 +177,7 @@ void Router::accept_arrival(int p) {
   pool_->buf_push(slot_, p, v, f);
   // The stored copy must not re-deliver the already-harvested credit.
   if (carried >= 0) pool_->buf_back(slot_, p, v).carried_credit_vc = -1;
-  in.in->consume();
+  links.consume(row, now_);
 }
 
 void Router::decode_fronts() {
@@ -262,7 +289,8 @@ FlitRef Router::pop(int in, VcId vc) {
     if (params_.piggyback_credits) {
       pool_->carry_push(slot_, static_cast<int>(topo::reverse(rec.port)), vc);
     } else {
-      rec.credit_upstream->send(Credit{vc});
+      const LinkRef& up = pool_->up_link(slot_, in);
+      up.store->send(up, now_, static_cast<std::int8_t>(vc));
     }
   }
   return ref;
@@ -282,7 +310,7 @@ void Router::send_on_link(int out, FlitRef ref, bool bypass) {
   Flit& f = pool_->flit(ref);
   OutputController& rec = outputs_[static_cast<std::size_t>(out)];
   OutputController::Stats& st = rec.stats;
-  assert(rec.link != nullptr);
+  assert(rec.attached());
   assert(!pool_->link_used(slot_, out));
   pool_->set_link_used(slot_, out);
   if (params_.piggyback_credits && pool_->carry_count_row(slot_)[out] > 0) {
@@ -324,8 +352,11 @@ void Router::send_on_link(int out, FlitRef ref, bool bypass) {
     st.active_bit_mm += static_cast<double>(active_bits) * rec.length_mm;
   }
   rec.apply_hooks(f, bypass);
-  // The hop's one copy out: arena slot -> link ring. The slot is free again.
-  rec.link->send(f);
+  // The hop's one copy out: arena slot -> link slot. The arena slot is free
+  // again.
+  const LinkRef& link = pool_->out_link(slot_, out);
+  link.store->send(link, now_, f);
+  ++st.link_sends;
   pool_->flit_free(ref);
 }
 
@@ -355,15 +386,7 @@ void Router::reservation_bypass(Cycle now) {
 }
 
 void Router::link_arbitration(Cycle now) {
-  // arbitrate_link can only act on an output with an occupied stage
-  // register, a queued piggyback credit (credit-only filler) or a
-  // reservation (idle reserved slots are accounted every cycle).
-  const RouterMasks& m = pool_->masks(slot_);
-  unsigned outs = m.carry | m.resv;
-  for (int p = 0; p < topo::kNumPorts; ++p) {
-    if (mask_lane(m.stage, p) != 0) outs |= 1u << p;
-  }
-  for (; outs != 0; outs &= outs - 1) {
+  for (unsigned outs = sending_outputs(); outs != 0; outs &= outs - 1) {
     const int p = std::countr_zero(outs);
     if (outputs_[static_cast<std::size_t>(p)].attached()) arbitrate_link(p, now);
   }
@@ -392,7 +415,9 @@ void Router::arbitrate_link(int p, Cycle now) {
       f.carried_credit_vc = static_cast<std::int8_t>(pool_->carry_pop(slot_, p));
       pool_->set_link_used(slot_, p);
       ++out.stats.credit_only_flits;
-      out.link->send(f);
+      ++out.stats.link_sends;
+      const LinkRef& link = pool_->out_link(slot_, p);
+      link.store->send(link, now_, f);
     }
     return;
   }
@@ -490,7 +515,7 @@ void Router::register_metrics(obs::CounterRegistry& registry,
     }
   }
   for (std::size_t p = 0; p < outputs_.size(); ++p) {
-    const auto& out = outputs_[p];
+    const OutputController& out = outputs_[p];
     const std::string out_prefix =
         prefix + ".out." + topo::port_name(static_cast<Port>(p));
     registry.gauge(out_prefix + ".flits", [&out] { return out.flits_sent(); });

@@ -21,9 +21,14 @@
 //
 // Router is the one place those phases live: each is a private member that
 // addresses its RouterStatePool slot by (slot, port, vc). The per-port
-// records (InputController, OutputController) hold only wiring, the
+// records (InputController, OutputController) hold only the wired flag, the
 // reservation slot table, the link arbiter and statistics, and the switch
-// arbiters own their rotation pointers.
+// arbiters own their rotation pointers; all three are arrays inside the
+// Router, not heap blocks of their own.
+// Links are rows of the shard's link store (sim/link_store.h), which lives
+// in the pool: an arrival on input p is read at the row (slot, p) in the
+// slot the cycle selects, and a send goes through the pool's LinkRef for
+// the port.
 // core::Network constructs routers against one pool per shard (consecutive
 // slots) so a shard's state is contiguous. Every router lives in a pool: a
 // standalone router (the isolated-router tests) is slot 0 of a
@@ -35,7 +40,8 @@
 // zero and idle_internal() holds.
 #pragma once
 
-#include <vector>
+#include <array>
+#include <utility>
 
 #include "router/input_controller.h"
 #include "router/output_controller.h"
@@ -64,15 +70,21 @@ class Router final : public Clockable {
   const InputController& input(topo::Port p) const { return inputs_[static_cast<std::size_t>(p)]; }
   const OutputController& output(topo::Port p) const { return outputs_[static_cast<std::size_t>(p)]; }
 
-  /// Wire input port `p`: the incoming flit channel and the upstream credit
-  /// return. A port never attached (a mesh edge) receives nothing. The
-  /// flit channel stamps this port's arrival byte in the wake row.
-  void attach_input(topo::Port p, Channel<Flit>* in, Channel<Credit>* credit_upstream);
-  /// Wire output port `p`: the outgoing link and the downstream credit
-  /// return; length_mm is the physical wire length for energy/duty
-  /// accounting. The credit channel stamps this port's arrival byte.
-  void attach_output(topo::Port p, Channel<Flit>* link, Channel<Credit>* credit_downstream,
-                     double length_mm);
+  /// Wire input port `p`: its flit link arrives at the pool store's row
+  /// RouterStatePool::flit_in_row(slot, p), attached with
+  /// arrival(p, kArriveFlit); `credit_upstream` returns its credits. A port
+  /// never attached (a mesh edge) receives nothing.
+  void attach_input(topo::Port p, LinkRef credit_upstream);
+  /// Wire output port `p`: the outgoing link; its credits arrive at the row
+  /// RouterStatePool::credit_in_row(slot, p), attached with
+  /// arrival(p, kArriveCredit). length_mm is the physical wire length for
+  /// energy/duty accounting.
+  void attach_output(topo::Port p, LinkRef link, double length_mm);
+  /// The arrival byte the link into (p, kind) stamps, kind being
+  /// RouterStatePool::kArriveFlit or kArriveCredit.
+  std::atomic<std::uint8_t>* arrival(topo::Port p, int kind) {
+    return pool_->arrival(slot_, static_cast<int>(p), kind);
+  }
 
   void step(Cycle now) override;
 
@@ -123,8 +135,12 @@ class Router final : public Clockable {
   void register_metrics(obs::CounterRegistry& registry, const std::string& prefix) const;
 
  private:
-  void init_controllers();
-
+  /// Start the loads of this step's link slots (router.cpp).
+  void prefetch_links();
+  /// The outputs arbitrate_link can act on: an occupied stage register, a
+  /// queued piggyback credit (credit-only filler) or a reservation (idle
+  /// reserved slots are accounted every cycle).
+  unsigned sending_outputs() const;
   // Pipeline phases, in step() order. `p` is a port index into the pool
   // slot and the per-port records.
   void process_credits(int p);
@@ -155,6 +171,11 @@ class Router final : public Clockable {
   VcAllocator vc_allocator(int out) {
     return VcAllocator(*pool_, slot_, out, params_, dateline_parity_);
   }
+  /// One record per port, built from `make(port)`.
+  template <typename T, typename F, std::size_t... I>
+  static std::array<T, sizeof...(I)> per_port(const F& make, std::index_sequence<I...>) {
+    return {make(static_cast<topo::Port>(I))...};
+  }
 
   NodeId node_;
   const topo::Topology& topo_;
@@ -163,9 +184,11 @@ class Router final : public Clockable {
   bool dateline_parity_;
   RouterStatePool* pool_;
   int slot_;
-  std::vector<InputController> inputs_;
-  std::vector<OutputController> outputs_;
-  std::vector<PriorityArbiter> switch_arbs_;  // one per input, over VCs
+  /// The cycle being stepped: it selects every link slot the step touches.
+  Cycle now_ = 0;
+  std::array<InputController, topo::kNumPorts> inputs_;
+  std::array<OutputController, topo::kNumPorts> outputs_;
+  std::array<PriorityArbiter, topo::kNumPorts> switch_arbs_;  // one per input, over VCs
   // Per-cycle switch-arbitration priorities, indexed by VC (no allocation).
   int prio_scratch_[kMaxArbiterInputs];
   // crosses_dateline(node_, port) is a pure function of construction-time

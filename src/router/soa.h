@@ -8,16 +8,28 @@
 // each live in one contiguous array per field, indexed (router, port, vc).
 // Router's pipeline phases address them by (slot, port, vc), and the pool's
 // transition functions hide the ring formats and keep the masks.
-// The per-port records (Input/OutputController) own only wiring, the
-// reservation slot table, the link arbiter and statistics (DESIGN.md §4h).
+// The per-port records (Input/OutputController) own only the wired flag,
+// the reservation slot table, the link arbiter and statistics (DESIGN.md
+// §4h).
+//
+// Links and slab. The pool also holds its shard's link store
+// (sim/link_store.h): one block per router slot, holding every link that
+// delivers into the slot's router and NIC, so a receiver computes its
+// arrival's address from (slot, port, cycle). The senders' handles
+// (LinkRef) are rows here, per (router, output port) for the flit link and
+// per (router, input port) for the credit return. Every field and the
+// store are carved from one slab (sim/slab.h) that construction writes in
+// full; its whole 2 MB extents are advised as huge pages, so the advice
+// costs no memory. rows() lists the fields once, for carving and sizing.
 //
 // Flit arena. The flits themselves live in one arena per pool, and the
 // input rings and stage registers hold 4-byte FlitRef handles into it:
 //   * one copy in, one copy out: buf_push copies an arriving flit from
-//     the channel slot into a fresh arena slot; pop, take_flit, the stage
+//     the link slot into a fresh arena slot; pop, take_flit, the stage
 //     registers and the bypass move only the handle, and the router edits
 //     the flit in place (VC, dateline, hops, carried credit, link hooks)
-//     until send_on_link copies it into the link ring and frees the slot;
+//     until send_on_link copies it into the next link's slot and frees
+//     the arena slot;
 //   * the arena is a std::vector<Flit> reserved once to the pool's
 //     capacity, routers x ports x (vcs x depth + ports) — every ring slot
 //     and every stage slot full at once — so it never reallocates and a
@@ -30,7 +42,9 @@
 //   * an empty stage slot holds kNoFlit, so the handle is also the
 //     "stage full" record;
 //   * a pool's arena is touched only by its own routers, i.e. by one
-//     shard's worker in phase A (shard.S.flit_arena in src/analyze).
+//     shard's worker in phase A (shard.S.flit_arena in src/analyze). It
+//     is not in the slab: it fills only up to its high-water mark, so a
+//     huge page there could raise RSS.
 //
 // Layout notes:
 //   * one pool per shard (core::Network), so a shard's routers occupy a
@@ -57,23 +71,25 @@
 //     stage handles, carry_count, resv_count) after every step — a test
 //     referee for the Channel::take() cached-bit lesson (DESIGN.md §4h),
 //     not a second runtime path;
-//   * the arrival flags are the kernel's wake bytes, one per inbound
-//     channel (5 flit + 5 credit per router): a channel stamps its
+//   * the arrival flags are the kernel's wake bytes, one per inbound link
+//     (5 flit + 5 credit per router): a row's advance stamps its
 //     receiver's byte as it delivers a value, the kernel steps a router
 //     only when some byte is set or a work bit is, and each pipeline phase
-//     probes a channel object only when its byte is set (clearing it as it
+//     reads a link's slot only when its byte is set (clearing it as it
 //     consumes). The bytes are stamped-on-delivery work presence — set iff
-//     the channel output is engaged.
+//     the link output is engaged (LinkStore.* referees it).
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "router/flit.h"
 #include "router/params.h"
+#include "sim/link_store.h"
+#include "sim/slab.h"
 #include "sim/types.h"
 #include "topo/topology.h"
 
@@ -114,47 +130,28 @@ class RouterStatePool {
   /// (never equal to an 8-bit allocated mask).
   static constexpr std::uint16_t kAllocUntried = 0x100;
 
-  RouterStatePool(int routers, const RouterParams& params)
+  /// `routers` router slots whose topology links have latency
+  /// `link_latency` (tile links have latency 1). The pool's rows and its
+  /// link store are carved from one slab (sim/slab.h).
+  RouterStatePool(int routers, const RouterParams& params, int link_latency = 1)
       : routers_(routers),
         vcs_(params.vcs),
         depth_(params.buffer_depth),
         carry_cap_(params.vcs * params.buffer_depth),
-        credits_(make_ints(n_rpv(), params.buffer_depth)),
-        vc_allocated_(new std::uint8_t[n_rp()]()),
-        vc_rr_(make_ints(n_rp(), 0)),
-        resv_count_(make_ints(n_rp(), 0)),
-        buf_head_(make_ints(n_rpv(), 0)),
-        buf_count_(make_ints(n_rpv(), 0)),
         arena_cap_(n_rp() * static_cast<std::size_t>(vcs_ * depth_ + topo::kNumPorts)),
-        buf_slab_(new FlitRef[n_rpv() * static_cast<std::size_t>(depth_)]),
-        vc_state_(new VcState[n_rpv()]()),
-        out_port_(new topo::Port[n_rpv()]),
-        out_vc_(new VcId[n_rpv()]),
-        discarding_(make_bools(n_rpv())),
-        stage_flit_(new FlitRef[n_stage()]),
-        carry_ring_(new VcId[n_rp() * static_cast<std::size_t>(carry_cap_)]),
-        carry_head_(make_ints(n_rp(), 0)),
-        carry_count_(make_ints(n_rp(), 0)),
-        alloc_mask_(new std::uint8_t[n_rpv()]()),
-        alloc_want_odd_(make_bools(n_rpv())),
-        alloc_seen_(new std::uint16_t[n_rpv()]),
-        masks_(new RouterMasks[static_cast<std::size_t>(routers)]),
-        arrive_(new std::atomic<std::uint8_t>[n_rp() * 2]) {
+        slab_(slab_bytes(routers, params, link_latency)),
+        links_(routers, node_rows(link_latency), &slab_) {
     assert(vcs_ >= 1 && vcs_ <= 8 && "the VC-allocated mask is one byte per port");
     assert(arena_cap_ < kNoFlit && "arena handles are 32-bit");
+    rows(Dims(routers, params), [this](auto field, std::size_t n, const auto& fill) {
+      this->*field = slab_.take<decltype(element_of(field))>(n, fill);
+    });
     // Reserved, not filled: pages above the high-water mark stay untouched.
     arena_.reserve(arena_cap_);
     free_.reserve(arena_cap_);
-    for (std::size_t i = 0; i < n_stage(); ++i) stage_flit_[i] = kNoFlit;
-    for (std::size_t i = 0; i < n_rpv(); ++i) {
-      out_port_[i] = topo::Port::kTile;
-      out_vc_[i] = kInvalidVc;
-      alloc_seen_[i] = kAllocUntried;
-    }
-    for (std::size_t i = 0; i < n_rp() * 2; ++i) {
-      arrive_[i].store(0, std::memory_order_relaxed);
-    }
   }
+  RouterStatePool(const RouterStatePool&) = delete;  // routers hold its address
+  RouterStatePool& operator=(const RouterStatePool&) = delete;
 
   int routers() const { return routers_; }
   int vcs() const { return vcs_; }
@@ -186,8 +183,8 @@ class RouterStatePool {
   // One ring of `depth()` handles per VC. Router's arrival phase pushes,
   // its switch and bypass phases pop; the head/count format stays here.
 
-  /// Copy the arriving flit straight from the caller's storage (the
-  /// channel output slot) into a fresh arena slot — the hop's one copy in.
+  /// Copy the arriving flit straight from the caller's storage (the link
+  /// output slot) into a fresh arena slot — the hop's one copy in.
   /// An empty VC becomes occupied: Idle -> Routing (a new head), or an
   /// Active VC waiting for its next body flit becomes ready again.
   void buf_push(int r, int p, VcId v, const Flit& f) {
@@ -372,18 +369,63 @@ class RouterStatePool {
     m.link_used = 0;
   }
 
+  // --- links -------------------------------------------------------------
+  // The shard's link store (sim/link_store.h): one block per router slot,
+  // holding every link that delivers into the slot's router and NIC. A
+  // receiver computes its row from (slot, port) and its slot from the
+  // cycle; a sender reaches its outbound row through a LinkRef kept here
+  // per (router, port), written once by the wiring.
+  /// Row kinds of a block: the router's inbound flit link at input port p
+  /// (kFlitIn + p), its inbound credit link at output port p (kCreditIn +
+  /// p), then the NIC's eject link and its inject-credit link.
+  static constexpr int kFlitIn = 0;
+  static constexpr int kCreditIn = topo::kNumPorts;
+  static constexpr int kNicEject = 2 * topo::kNumPorts;
+  static constexpr int kNicCredit = kNicEject + 1;
+  /// Row kinds of a block, in kind order: topology links have latency
+  /// `link_latency` and tile links latency 1. A flit row's slot is a Flit,
+  /// a credit row's one byte (the VC).
+  static std::vector<LinkStore::RowSpec> node_rows(int link_latency) {
+    std::vector<LinkStore::RowSpec> kinds;
+    for (int p = 0; p < topo::kNumPorts; ++p) {
+      kinds.push_back(LinkStore::RowSpec::of<Flit>(tile_port(p) ? 1 : link_latency));
+    }
+    for (int p = 0; p < topo::kNumPorts; ++p) {
+      kinds.push_back(LinkStore::RowSpec::of<std::int8_t>(tile_port(p) ? 1 : link_latency));
+    }
+    kinds.push_back(LinkStore::RowSpec::of<Flit>(1));
+    kinds.push_back(LinkStore::RowSpec::of<std::int8_t>(1));
+    return kinds;
+  }
+  static std::uint32_t flit_in_row(int r, int p) { return LinkStore::row_id(r, kFlitIn + p); }
+  static std::uint32_t credit_in_row(int r, int p) {
+    return LinkStore::row_id(r, kCreditIn + p);
+  }
+  static std::uint32_t nic_eject_row(int r) { return LinkStore::row_id(r, kNicEject); }
+  static std::uint32_t nic_credit_row(int r) { return LinkStore::row_id(r, kNicCredit); }
+
+  LinkStore& links() { return links_; }
+  const LinkStore& links() const { return links_; }
+  /// Router `r`'s outbound flit link at output `p` and its credit return
+  /// upstream at input `p` (null until wired: a mesh edge stays null).
+  LinkRef& out_link(int r, int p) { return out_link_[rp(r, p)]; }
+  LinkRef& up_link(int r, int p) { return up_link_[rp(r, p)]; }
+  const LinkRef& out_link(int r, int p) const { return out_link_[rp(r, p)]; }
+  /// The slab's huge-page extent in bytes (sim/slab.h), for tests.
+  std::size_t slab_advised() const { return slab_.advised(); }
+
   // --- event-skip -----------------------------------------------------------
-  /// Arrival-flag kinds: one byte per inbound channel of a router.
+  /// Arrival-flag kinds: one byte per inbound link of a router.
   static constexpr int kArriveFlit = 0;
   static constexpr int kArriveCredit = 1;
-  /// Bytes per router in the arrival row (5 flit + 5 credit channels).
+  /// Bytes per router in the arrival row (5 flit + 5 credit links).
   static constexpr int kWakeWidth = 2 * topo::kNumPorts;
 
-  /// The arrival byte channel (port, kind) stamps: set by the channel's
-  /// advance whenever its output is engaged, cleared by the pipeline phase
-  /// that consumes that channel. Invariant: byte != 0 iff the channel
-  /// output is engaged (both flag owner and channel are stepped/advanced by
-  /// the receiver's shard, so no other shard ever touches the byte).
+  /// The arrival byte link (port, kind) stamps: set by the row's advance
+  /// whenever its output is engaged, cleared by the pipeline phase that
+  /// consumes that link. Invariant: byte != 0 iff the link output is
+  /// engaged (the flag's owner and the row are stepped/advanced by the
+  /// receiver's shard, so no other shard ever touches the byte).
   std::atomic<std::uint8_t>* arrival(int r, int p, int kind) {
     return &arrive_[(rp(r, p) << 1) + static_cast<std::size_t>(kind)];
   }
@@ -392,6 +434,7 @@ class RouterStatePool {
   std::atomic<std::uint8_t>* wake_row(int r) { return &arrive_[rp(r, 0) << 1]; }
 
  private:
+  static bool tile_port(int p) { return p == static_cast<int>(topo::Port::kTile); }
   std::size_t slot(int r) const {
     assert(r >= 0 && r < routers_);
     return static_cast<std::size_t>(r);
@@ -399,8 +442,6 @@ class RouterStatePool {
   std::size_t n_rp() const {
     return static_cast<std::size_t>(routers_) * static_cast<std::size_t>(topo::kNumPorts);
   }
-  std::size_t n_rpv() const { return n_rp() * static_cast<std::size_t>(vcs_); }
-  std::size_t n_stage() const { return n_rp() * static_cast<std::size_t>(topo::kNumPorts); }
   std::size_t rp(int r, int p) const {
     assert(r >= 0 && r < routers_ && p >= 0 && p < topo::kNumPorts);
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(topo::kNumPorts) +
@@ -440,43 +481,95 @@ class RouterStatePool {
            static_cast<std::size_t>((carry_head_[i] + offset) % carry_cap_);
   }
 
-  static std::unique_ptr<int[]> make_ints(std::size_t n, int fill) {
-    auto a = std::make_unique<int[]>(n);
-    for (std::size_t i = 0; i < n; ++i) a[i] = fill;
-    return a;
+  /// The sizes the per-field rows are counted in.
+  struct Dims {
+    std::size_t routers, rp, rpv, stage;
+    int depth, carry_cap;
+    Dims(int r, const RouterParams& p)
+        : routers(static_cast<std::size_t>(r)),
+          rp(routers * static_cast<std::size_t>(topo::kNumPorts)),
+          rpv(rp * static_cast<std::size_t>(p.vcs)),
+          stage(rp * static_cast<std::size_t>(topo::kNumPorts)),
+          depth(p.buffer_depth),
+          carry_cap(p.vcs * p.buffer_depth) {}
+  };
+  /// Visit every per-field row as (member, count, initial value), in
+  /// carving order: the constructor carves them from the slab, slab_bytes
+  /// measures them, so the two cannot disagree.
+  template <typename Visit>
+  static void rows(const Dims& d, Visit&& v) {
+    using P = RouterStatePool;
+    const auto depth = static_cast<std::size_t>(d.depth);
+    v(&P::masks_, d.routers, RouterMasks{});
+    v(&P::arrive_, d.rp * 2, std::uint8_t{0});
+    v(&P::credits_, d.rpv, d.depth);
+    v(&P::vc_allocated_, d.rp, std::uint8_t{0});
+    v(&P::vc_rr_, d.rp, 0);
+    v(&P::resv_count_, d.rp, 0);
+    v(&P::buf_head_, d.rpv, 0);
+    v(&P::buf_count_, d.rpv, 0);
+    v(&P::buf_slab_, d.rpv * depth, kNoFlit);
+    v(&P::vc_state_, d.rpv, VcState::kIdle);
+    v(&P::out_port_, d.rpv, topo::Port::kTile);
+    v(&P::out_vc_, d.rpv, kInvalidVc);
+    v(&P::discarding_, d.rpv, false);
+    v(&P::stage_flit_, d.stage, kNoFlit);
+    v(&P::carry_ring_, d.rp * static_cast<std::size_t>(d.carry_cap), kInvalidVc);
+    v(&P::carry_head_, d.rp, 0);
+    v(&P::carry_count_, d.rp, 0);
+    v(&P::alloc_mask_, d.rpv, std::uint8_t{0});
+    v(&P::alloc_want_odd_, d.rpv, false);
+    v(&P::alloc_seen_, d.rpv, kAllocUntried);
+    v(&P::out_link_, d.rp, LinkRef{});
+    v(&P::up_link_, d.rp, LinkRef{});
   }
-  static std::unique_ptr<bool[]> make_bools(std::size_t n) {
-    return std::make_unique<bool[]>(n);  // value-initialized: all false
+  /// The element type of a pointer member.
+  template <typename T>
+  static T element_of(T* RouterStatePool::*);
+  /// The slab a pool of this shape takes: its link store, then its rows.
+  static std::size_t slab_bytes(int routers, const RouterParams& params, int link_latency) {
+    Slab measure;
+    measure.take_bytes(LinkStore::bytes(routers, node_rows(link_latency)), 64);
+    rows(Dims(routers, params), [&measure](auto field, std::size_t n, const auto&) {
+      using T = decltype(element_of(field));
+      measure.take_bytes(n * sizeof(T), alignof(T));
+    });
+    return measure.used();
   }
 
   int routers_;
   int vcs_;
   int depth_;
   int carry_cap_;
-
-  std::unique_ptr<int[]> credits_;
-  std::unique_ptr<std::uint8_t[]> vc_allocated_;
-  std::unique_ptr<int[]> vc_rr_;
-  std::unique_ptr<int[]> resv_count_;
-  std::unique_ptr<int[]> buf_head_;
-  std::unique_ptr<int[]> buf_count_;
   std::size_t arena_cap_;
+
+  // Declared before every pointer into it: the slab outlives the rows.
+  Slab slab_;
+  LinkStore links_;
+  RouterMasks* masks_ = nullptr;
+  std::atomic<std::uint8_t>* arrive_ = nullptr;
+  int* credits_ = nullptr;
+  std::uint8_t* vc_allocated_ = nullptr;
+  int* vc_rr_ = nullptr;
+  int* resv_count_ = nullptr;
+  int* buf_head_ = nullptr;
+  int* buf_count_ = nullptr;
+  FlitRef* buf_slab_ = nullptr;
+  VcState* vc_state_ = nullptr;
+  topo::Port* out_port_ = nullptr;
+  VcId* out_vc_ = nullptr;
+  bool* discarding_ = nullptr;
+  FlitRef* stage_flit_ = nullptr;
+  VcId* carry_ring_ = nullptr;
+  int* carry_head_ = nullptr;
+  int* carry_count_ = nullptr;
+  std::uint8_t* alloc_mask_ = nullptr;
+  bool* alloc_want_odd_ = nullptr;
+  std::uint16_t* alloc_seen_ = nullptr;
+  LinkRef* out_link_ = nullptr;
+  LinkRef* up_link_ = nullptr;
   std::vector<Flit> arena_;
   std::vector<FlitRef> free_;
-  std::unique_ptr<FlitRef[]> buf_slab_;
-  std::unique_ptr<VcState[]> vc_state_;
-  std::unique_ptr<topo::Port[]> out_port_;
-  std::unique_ptr<VcId[]> out_vc_;
-  std::unique_ptr<bool[]> discarding_;
-  std::unique_ptr<FlitRef[]> stage_flit_;
-  std::unique_ptr<VcId[]> carry_ring_;
-  std::unique_ptr<int[]> carry_head_;
-  std::unique_ptr<int[]> carry_count_;
-  std::unique_ptr<std::uint8_t[]> alloc_mask_;
-  std::unique_ptr<bool[]> alloc_want_odd_;
-  std::unique_ptr<std::uint16_t[]> alloc_seen_;
-  std::unique_ptr<RouterMasks[]> masks_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> arrive_;
 };
 
 }  // namespace ocn::router

@@ -3,39 +3,12 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
-#include <exception>
 #include <functional>
 #include <stdexcept>
 
 #include "sim/sweep/thread_pool.h"
 
 namespace ocn {
-
-ChannelBase::ChannelBase(int latency, std::string name) : name_(std::move(name)) {
-  if (latency < 1 || latency > kMaxLatency) {
-    throw std::invalid_argument("channel latency must be in [1, " +
-                                std::to_string(kMaxLatency) + "], got " +
-                                std::to_string(latency));
-  }
-  slots_ = static_cast<std::int16_t>(latency + 1);
-  full_ = std::make_unique<std::uint8_t[]>(static_cast<std::size_t>(slots_));
-}
-
-int ChannelBase::claim_send_slot() {
-  const int slot = send_slot();
-  if (full_[slot] != 0) {
-    std::fprintf(stderr,
-                 "ocn: fatal: double send on channel '%s' in one cycle "
-                 "(one value per channel per cycle)\n",
-                 name_.empty() ? "<unnamed>" : name_.c_str());
-    std::terminate();
-  }
-  full_[slot] = 1;
-  ++sent_;
-  if (live_word_ != nullptr) *live_word_ |= std::uint64_t{1} << live_shift_;
-  return slot;
-}
 
 Kernel::Kernel(int shards) : shards_(static_cast<std::size_t>(shards < 1 ? 1 : shards)) {
   if (shards > 1) pool_ = std::make_unique<sweep::ThreadPool>(shards);
@@ -49,9 +22,9 @@ void Kernel::add(Clockable* c, std::atomic<std::uint8_t>* wake, int width) {
   prepared_ = false;
 }
 
-void Kernel::add(ChannelBase* ch, const Clockable* receiver) {
-  tail_.interior.push_back(ch);
-  tail_.interior_to.push_back(receiver);
+void Kernel::add(LinkStore* store) {
+  store->registered_ = true;
+  tail_.stores.push_back(store);
   prepared_ = false;
 }
 
@@ -62,17 +35,10 @@ void Kernel::add_to_shard(int shard, Clockable* c, std::atomic<std::uint8_t>* wa
   prepared_ = false;
 }
 
-void Kernel::add_interior(int shard, ChannelBase* ch, const Clockable* receiver) {
+void Kernel::add_to_shard(int shard, LinkStore* store) {
   List& list = shards_.at(static_cast<std::size_t>(shard));
-  list.interior.push_back(ch);
-  list.interior_to.push_back(receiver);
-  prepared_ = false;
-}
-
-void Kernel::add_boundary(int shard, ChannelBase* ch, const Clockable* receiver) {
-  List& list = shards_.at(static_cast<std::size_t>(shard));
-  list.boundary.push_back(ch);
-  list.boundary_to.push_back(receiver);
+  store->registered_ = true;
+  list.stores.push_back(store);
   prepared_ = false;
 }
 
@@ -92,8 +58,8 @@ std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << (i % kWordBits)
 }  // namespace
 
 void Kernel::prepare() {
-  // Every shard component gets its due bit before any channel is mapped:
-  // a channel's receiver index is read back from its receiver's bit.
+  // Every shard component gets its due bit before any row is mapped: a
+  // row's receiver index is read back from its receiver's bit.
   for (List& list : shards_) {
     list.due = all_set(list.components.size());
     for (std::size_t i = 0; i < list.components.size(); ++i) {
@@ -104,35 +70,33 @@ void Kernel::prepare() {
   }
   for (const ComponentEntry& e : tail_.components) e.component->due_word_ = nullptr;
 
+  const auto resolve = [this](const List& list, LinkStore& store) {
+    for (std::size_t i = 0; i < store.interior_.size(); ++i) {
+      store.interior_[i].receiver_index =
+          receiver_index(list, store, store.interior_[i], store.interior_to_[i]);
+    }
+    for (std::size_t i = 0; i < store.boundary_.size(); ++i) {
+      store.boundary_[i].receiver_index =
+          receiver_index(list, store, store.boundary_[i], store.boundary_to_[i]);
+    }
+  };
   for (List& list : shards_) {
-    list.live = all_set(list.interior.size());
-    list.interior_receiver.resize(list.interior.size());
-    for (std::size_t i = 0; i < list.interior.size(); ++i) {
-      ChannelBase* ch = list.interior[i];
-      ch->live_word_ = &list.live[i / kWordBits];
-      ch->live_shift_ = static_cast<std::uint8_t>(i % kWordBits);
-      list.interior_receiver[i] = receiver_index(list, ch, list.interior_to[i]);
-    }
-    list.boundary_receiver.resize(list.boundary.size());
-    for (std::size_t i = 0; i < list.boundary.size(); ++i) {
-      list.boundary[i]->live_word_ = nullptr;
-      list.boundary_receiver[i] = receiver_index(list, list.boundary[i], list.boundary_to[i]);
+    for (LinkStore* store : list.stores) {
+      store->live_ = all_set(store->interior_.size());
+      resolve(list, *store);
     }
   }
-  for (std::size_t i = 0; i < tail_.interior.size(); ++i) {
-    tail_.interior[i]->live_word_ = nullptr;
-    receiver_index(tail_, tail_.interior[i], tail_.interior_to[i]);  // checks only
-  }
+  for (LinkStore* store : tail_.stores) resolve(tail_, *store);  // checks only
   prepared_ = true;
 }
 
-int Kernel::receiver_index(const List& list, const ChannelBase* ch,
-                           const Clockable* receiver) const {
-  const auto refuse = [ch](const char* why) {
-    throw std::logic_error("channel '" + ch->name() + "' " + why);
+int Kernel::receiver_index(const List& list, const LinkStore& store,
+                           const LinkStore::Attached& a, const Clockable* receiver) const {
+  const auto refuse = [&](const char* why) {
+    throw std::logic_error("channel '" + store.name(a.row) + "' " + why);
   };
   if (receiver == nullptr) {
-    if (ch->wake_ != nullptr) refuse("stamps a wake byte but states no receiver");
+    if (a.wake != nullptr) refuse("stamps a wake byte but states no receiver");
     return -1;
   }
   // A tail component has no due bit: the tail is scanned every cycle. A
@@ -147,8 +111,8 @@ int Kernel::receiver_index(const List& list, const ChannelBase* ch,
   const auto index = static_cast<std::size_t>(receiver->due_word_ - first) * kWordBits +
                      static_cast<std::size_t>(std::countr_zero(receiver->due_bit_));
   const ComponentEntry& e = list.components[index];
-  if (ch->wake_ != nullptr &&
-      (before(ch->wake_, e.wake) || !before(ch->wake_, e.wake + e.wake_width))) {
+  if (a.wake != nullptr &&
+      (before(a.wake, e.wake) || !before(a.wake, e.wake + e.wake_width))) {
     refuse("stamps a wake byte outside its receiver's wake row");
   }
   return static_cast<int>(index);
@@ -187,7 +151,7 @@ void Kernel::step_shard(List& list, Cycle now) {
   list.stepped = stepped;
 }
 
-void Kernel::advance_shard(List& list) {
+void Kernel::advance_shard(List& list, Cycle now) {
   int advanced = 0;
   std::uint64_t* due = list.due.data();
   const auto wake = [due](int receiver) {
@@ -196,26 +160,28 @@ void Kernel::advance_shard(List& list) {
       due[r / kWordBits] |= bit_of(r);
     }
   };
-  for (std::size_t w = 0; w < list.live.size(); ++w) {
-    // Phase B sets no live bit, so one read of the word suffices.
-    std::uint64_t word = list.live[w];
-    std::uint64_t still_live = word;
-    while (word != 0) {
-      const std::uint64_t bit = word & (~word + 1);
-      word &= word - 1;
-      const std::size_t i = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bit));
-      ChannelBase* ch = list.interior[i];
-      if (ch->active()) {
-        if (ch->advance()) wake(list.interior_receiver[i]);
-        ++advanced;
+  for (LinkStore* store : list.stores) {
+    std::vector<std::uint64_t>& live = store->live_;
+    for (std::size_t w = 0; w < live.size(); ++w) {
+      // Phase B sets no live bit, so one read of the word suffices.
+      std::uint64_t word = live[w];
+      std::uint64_t still_live = word;
+      while (word != 0) {
+        const std::uint64_t bit = word & (~word + 1);
+        word &= word - 1;
+        const LinkStore::Attached& a =
+            store->interior_[w * kWordBits + static_cast<std::size_t>(std::countr_zero(bit))];
+        const unsigned done = store->advance_listed(a.row, now, a.wake);
+        if ((done & LinkStore::kArrived) != 0) wake(a.receiver_index);
+        if ((done & LinkStore::kAdvanced) != 0) ++advanced;
+        if ((done & LinkStore::kStillActive) == 0) still_live &= ~bit;
       }
-      if (!ch->active()) still_live &= ~bit;
+      live[w] = still_live;
     }
-    list.live[w] = still_live;
-  }
-  for (std::size_t i = 0; i < list.boundary.size(); ++i) {
-    if (list.boundary[i]->advance()) wake(list.boundary_receiver[i]);
-    ++advanced;
+    for (const LinkStore::Attached& a : store->boundary_) {
+      if (store->advance(a.row, now, a.wake)) wake(a.receiver_index);
+      ++advanced;
+    }
   }
   list.advanced = advanced;
 }
@@ -228,12 +194,16 @@ void Kernel::step_tail(List& list, Cycle now) {
   list.stepped = stepped;
 }
 
-void Kernel::advance_tail(List& list) {
+void Kernel::advance_tail(List& list, Cycle now) {
   int advanced = 0;
-  for (ChannelBase* ch : list.interior) {
-    if (ch->active()) {
-      ch->advance();
-      ++advanced;
+  for (LinkStore* store : list.stores) {
+    for (const auto* rows : {&store->interior_, &store->boundary_}) {
+      for (const LinkStore::Attached& a : *rows) {
+        if (store->active(a.row)) {
+          store->advance(a.row, now, a.wake);
+          ++advanced;
+        }
+      }
     }
   }
   list.advanced = advanced;
@@ -256,7 +226,9 @@ std::vector<const Clockable*> Kernel::due_but_unlisted() const {
 int Kernel::listed_channels() const {
   int n = 0;
   for (const List& list : shards_) {
-    for (const std::uint64_t w : list.live) n += std::popcount(w);
+    for (const LinkStore* store : list.stores) {
+      for (const std::uint64_t w : store->live_) n += std::popcount(w);
+    }
   }
   return n;
 }
@@ -294,8 +266,8 @@ void Kernel::tick() {
   const Cycle now = now_;
   for_each_shard([now](List& shard) { step_shard(shard, now); });
   step_tail(tail_, now);
-  for_each_shard([](List& shard) { advance_shard(shard); });
-  advance_tail(tail_);
+  for_each_shard([now](List& shard) { advance_shard(shard, now); });
+  advance_tail(tail_, now);
 
   int stepped = tail_.stepped;
   int advanced = tail_.advanced;

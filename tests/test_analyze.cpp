@@ -15,6 +15,7 @@
 #include "core/network.h"
 #include "core/shard_partition.h"
 #include "core/wiring.h"
+#include "one_link.h"
 #include "ref/campaign.h"
 #include "sim/kernel.h"
 #include "verify/monitor.h"
@@ -247,6 +248,42 @@ TEST(Analyzer, SharedFlitArenaCorruptionRefused) {
   }
 }
 
+// Boundary rows advanced on their sender's shard: the advance's stamps of
+// the receiver's arrival byte and due bit cross into the receiver's shard,
+// where its own advancer stamps the same receiver for its interior links.
+TEST(Analyzer, SenderAdvanceCorruptionRefused) {
+  const analyze::AnalysisReport r =
+      analyze_broken(baseline(), 2, analyze::BreakKind::kSenderAdvance);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.race_free);
+  EXPECT_TRUE(has_code(r, "shard-crossing-mutable-state"));
+  const auto* wake = obligation(r, "arrival-byte-filing");
+  ASSERT_NE(wake, nullptr);
+  EXPECT_FALSE(wake->proven);
+  ASSERT_FALSE(wake->witness.empty());
+  EXPECT_NE(wake->witness.front().find("wake"), std::string::npos);
+  // The witness names the phase-B stamp from the wrong shard's advancer.
+  bool witnessed = false;
+  for (const auto& f : r.findings) {
+    if (f.message.find("wake_row [plain state] --write[channel advance]--> shard.") !=
+        std::string::npos) {
+      witnessed = true;
+    }
+  }
+  EXPECT_TRUE(witnessed);
+  const auto* worklists = obligation(r, "worklist-filing");
+  ASSERT_NE(worklists, nullptr);
+  EXPECT_FALSE(worklists->proven);
+  // The honest model files every boundary row under its receiver's shard.
+  for (const int shards : {1, 2, 4}) {
+    const analyze::AnalysisReport honest = analyze::analyze_config(baseline(), shards);
+    EXPECT_TRUE(honest.ok()) << shards << "\n" << honest.to_string();
+    const auto* ob = obligation(honest, "arrival-byte-filing");
+    ASSERT_NE(ob, nullptr);
+    EXPECT_TRUE(ob->proven) << shards;
+  }
+}
+
 TEST(Analyzer, CorruptionsAreCleanAtOneShardExceptZeroLatency) {
   // The corruptions model *sharding* bugs: with one shard there is nothing
   // to race with, so the analyzer correctly accepts them (the sequential
@@ -255,7 +292,8 @@ TEST(Analyzer, CorruptionsAreCleanAtOneShardExceptZeroLatency) {
   const auto single = core::ShardPartition::single(topo->num_nodes());
   for (const auto kind : {analyze::BreakKind::kGlobalMutator,
                           analyze::BreakKind::kGatedBoundary,
-                          analyze::BreakKind::kSharedFlitArena}) {
+                          analyze::BreakKind::kSharedFlitArena,
+                          analyze::BreakKind::kSenderAdvance}) {
     analyze::FootprintModel m = analyze::build_footprint(baseline(), single);
     analyze::corrupt(m, kind);
     const analyze::AnalysisReport r = analyze::analyze(m);
@@ -410,14 +448,14 @@ TEST(DynamicDivergence, ZeroLatencyCouplingDependsOnStepOrder) {
 /// barrier of slack, so step order no longer matters — the discipline the
 /// analyzer's channel-barrier-slack obligation enforces.
 struct ChanProducer final : Clockable {
-  Channel<int>* out;
-  explicit ChanProducer(Channel<int>* ch) : out(ch) {}
+  testkit::OneLink<int>* out;
+  explicit ChanProducer(testkit::OneLink<int>* ch) : out(ch) {}
   void step(Cycle now) override { out->send(static_cast<int>(now) + 1); }
 };
 struct ChanConsumer final : Clockable {
-  Channel<int>* in;
+  testkit::OneLink<int>* in;
   long long sum = 0;
-  explicit ChanConsumer(Channel<int>* ch) : in(ch) {}
+  explicit ChanConsumer(testkit::OneLink<int>* ch) : in(ch) {}
   void step(Cycle) override {
     if (auto v = in->take()) sum += *v;
   }
@@ -425,7 +463,7 @@ struct ChanConsumer final : Clockable {
 
 TEST(DynamicDivergence, UnitLatencyChannelIsOrderInvariant) {
   auto run = [](bool producer_first) {
-    Channel<int> ch(1, "demo");
+    testkit::OneLink<int> ch(1, "demo");
     ChanProducer p(&ch);
     ChanConsumer c(&ch);
     Kernel k;
@@ -436,7 +474,8 @@ TEST(DynamicDivergence, UnitLatencyChannelIsOrderInvariant) {
       k.add(&c);
       k.add(&p);
     }
-    k.add(&ch, &c);
+    k.add(&ch.store());
+    ch.follow(k);
     k.run(10);
     return c.sum;
   };

@@ -17,52 +17,64 @@ using router::FlitType;
 using router::RouterParams;
 using topo::Port;
 
-/// One router with all ten channels (5 in, 5 out) plus credit returns,
-/// stepped manually.
+/// One router with all ten links (5 in, 5 out) plus credit returns,
+/// stepped manually. The links into the router are its rows of the pool's
+/// link store; the links out of it are rows of a store of the harness's
+/// own, which the test reads directly.
 struct Harness {
+  using Pool = router::RouterStatePool;
   topo::FoldedTorus topo{4, 3.0};
   RouterParams params;
-  std::unique_ptr<router::RouterStatePool> pool;  // outlives the router
+  std::unique_ptr<Pool> pool;  // outlives the router
   std::unique_ptr<router::Router> rtr;
   Kernel kernel;
-  // Indexed by port.
-  std::vector<std::unique_ptr<Channel<Flit>>> in_flits;
-  std::vector<std::unique_ptr<Channel<Credit>>> in_credits;  // back upstream
-  std::vector<std::unique_ptr<Channel<Flit>>> out_flits;
-  std::vector<std::unique_ptr<Channel<Credit>>> out_credits;  // from downstream
+  // The harness's side: row (0, p) carries the flits out of port p, row
+  // (0, kCreditIn + p) the credits back upstream from input p.
+  LinkStore out{1, Pool::node_rows(1)};
+  // Indexed by port: the senders' handles on the router's inbound rows.
+  std::vector<LinkRef> in_flits;
+  std::vector<LinkRef> out_credits;  // from downstream
 
   explicit Harness(RouterParams p = RouterParams{}) : params(p) {
-    pool = std::make_unique<router::RouterStatePool>(1, params);
+    pool = std::make_unique<Pool>(1, params);
     rtr = std::make_unique<router::Router>(/*node=*/0, topo, params, *pool, /*slot=*/0);
     kernel.add(rtr.get(), rtr->wake_row(), router::Router::wake_width());
     for (int i = 0; i < topo::kNumPorts; ++i) {
       const auto port = static_cast<Port>(i);
-      in_flits.push_back(std::make_unique<Channel<Flit>>(1));
-      in_credits.push_back(std::make_unique<Channel<Credit>>(1));
-      out_flits.push_back(std::make_unique<Channel<Flit>>(1));
-      out_credits.push_back(std::make_unique<Channel<Credit>>(1));
-      rtr->attach_input(port, in_flits.back().get(), in_credits.back().get());
-      rtr->attach_output(port, out_flits.back().get(), out_credits.back().get(), 3.0);
       // The router receives the flits in and the credits back; the test
-      // reads the other two channels directly.
-      kernel.add(in_flits.back().get(), rtr.get());
-      kernel.add(in_credits.back().get(), nullptr);
-      kernel.add(out_flits.back().get(), nullptr);
-      kernel.add(out_credits.back().get(), rtr.get());
+      // reads the other two links directly.
+      in_flits.push_back(pool->links().attach(Pool::flit_in_row(0, i),
+                                              rtr->arrival(port, Pool::kArriveFlit), rtr.get(),
+                                              false));
+      out_credits.push_back(pool->links().attach(
+          Pool::credit_in_row(0, i), rtr->arrival(port, Pool::kArriveCredit), rtr.get(), false));
+      rtr->attach_input(port, out.attach(Pool::credit_in_row(0, i), nullptr, nullptr, false));
+      rtr->attach_output(port, out.attach(Pool::flit_in_row(0, i), nullptr, nullptr, false), 3.0);
     }
+    kernel.add(&pool->links());
+    kernel.add(&out);
   }
 
-  void send(Port p, Flit f) { in_flits[static_cast<std::size_t>(p)]->send(std::move(f)); }
-  std::optional<Flit> recv(Port p) { return out_flits[static_cast<std::size_t>(p)]->take(); }
+  void send(Port p, Flit f) {
+    const LinkRef& ref = in_flits[static_cast<std::size_t>(p)];
+    ref.store->send(ref, kernel.now(), f);
+  }
+  std::optional<Flit> recv(Port p) {
+    return out.take<Flit>(Pool::flit_in_row(0, static_cast<int>(p)), kernel.now());
+  }
   std::optional<Credit> credit(Port p) {
-    return in_credits[static_cast<std::size_t>(p)]->take();
+    const auto vc =
+        out.take<std::int8_t>(Pool::credit_in_row(0, static_cast<int>(p)), kernel.now());
+    if (!vc) return std::nullopt;
+    return Credit{*vc};
   }
   void ack(Port p, VcId vc) {
-    out_credits[static_cast<std::size_t>(p)]->send(Credit{vc});
+    const LinkRef& ref = out_credits[static_cast<std::size_t>(p)];
+    ref.store->send(ref, kernel.now(), static_cast<std::int8_t>(vc));
   }
   void tick() { kernel.tick(); }
 
-  /// Step up to `max_ticks`, returning the first flit seen on `p` (channel
+  /// Step up to `max_ticks`, returning the first flit seen on `p` (link
   /// outputs last one cycle, so polling every tick is required).
   std::optional<Flit> run_until_out(Port p, int max_ticks) {
     for (int i = 0; i < max_ticks; ++i) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "core/trace.h"
 #include "ref/campaign.h"
 #include "ref/diff.h"
+#include "one_link.h"
 #include "sim/kernel.h"
 #include "traffic/generator.h"
 #include "traffic/replay.h"
@@ -29,6 +31,8 @@
 
 namespace ocn {
 namespace {
+
+using testkit::OneLink;
 
 using core::Config;
 using core::Network;
@@ -44,8 +48,8 @@ using traffic::TraceReplay;
 // keeps answering "not idle" (the Clockable::idle_internal contract).
 struct Relay final : Clockable {
   static constexpr int kMaxHops = 3;
-  Channel<int>* in = nullptr;
-  Channel<int>* out = nullptr;
+  OneLink<int>* in = nullptr;
+  OneLink<int>* out = nullptr;
   std::atomic<std::uint8_t> wake[1] = {};
   int period = 0;  // 0 = never injects
   int steps = 0;
@@ -101,26 +105,27 @@ RingRun run_ring(int shards, Cycle cycles) {
   obs::CounterRegistry registry;
   k.attach_metrics(&registry);
   std::vector<Relay> relays(4);
-  std::vector<Channel<int>> links(4);
+  std::vector<std::unique_ptr<OneLink<int>>> links;
   const int periods[4] = {5, 0, 7, 0};
   const auto shard_of = [shards](int relay) { return relay < 2 ? 0 : shards - 1; };
   for (int i = 0; i < 4; ++i) {
     Relay& r = relays[static_cast<std::size_t>(i)];
     r.period = periods[i];
-    r.out = &links[static_cast<std::size_t>(i)];
-    r.in = &links[static_cast<std::size_t>((i + 3) % 4)];
-    r.in->set_wake(&r.wake[0]);
     k.add_to_shard(shard_of(i), &r, r.wake, 1);
   }
+  // Link i runs relay i -> relay i+1, a row of a store on its receiver's
+  // shard: interior when both relays share the shard, else boundary.
   for (int i = 0; i < 4; ++i) {
     const int receiver = (i + 1) % 4;
-    ChannelBase* ch = &links[static_cast<std::size_t>(i)];
-    const Relay* to = &relays[static_cast<std::size_t>(receiver)];
-    if (shard_of(i) == shard_of(receiver)) {
-      k.add_interior(shard_of(i), ch, to);
-    } else {
-      k.add_boundary(shard_of(receiver), ch, to);
-    }
+    Relay* to = &relays[static_cast<std::size_t>(receiver)];
+    const bool boundary = shard_of(i) != shard_of(receiver);
+    links.push_back(std::make_unique<OneLink<int>>(1, "", &to->wake[0], to, boundary));
+    links.back()->follow(k);
+    k.add_to_shard(shard_of(receiver), &links.back()->store());
+  }
+  for (int i = 0; i < 4; ++i) {
+    relays[static_cast<std::size_t>(i)].out = links[static_cast<std::size_t>(i)].get();
+    relays[static_cast<std::size_t>(i)].in = links[static_cast<std::size_t>((i + 3) % 4)].get();
   }
   TailProbe probe;
   probe.relays = &relays;
@@ -184,9 +189,11 @@ TEST(KernelShards, BoundaryChannelAdvancesEveryCycleIdleInteriorDoesNot) {
   Kernel k(2);
   obs::CounterRegistry registry;
   k.attach_metrics(&registry);
-  Channel<int> interior(1), boundary(1);
-  k.add_interior(0, &interior, nullptr);
-  k.add_boundary(1, &boundary, nullptr);
+  OneLink<int> interior(1), boundary(1, "", nullptr, nullptr, /*boundary=*/true);
+  k.add_to_shard(0, &interior.store());
+  k.add_to_shard(1, &boundary.store());
+  interior.follow(k);
+  boundary.follow(k);
   k.run(10);
   EXPECT_EQ(registry.counter("kernel.channel_advances").value(), 10);
   EXPECT_FALSE(interior.active());
@@ -320,7 +327,7 @@ TEST(KernelWorklist, MarkDueDuringTheScanStepsWhereALinearScanWould) {
 
 // Sends one value on each cycle of `sends`; width 0, so visited every cycle.
 struct Source final : Clockable {
-  Channel<int>* out = nullptr;
+  OneLink<int>* out = nullptr;
   std::vector<Cycle> sends;
   void step(Cycle now) override {
     for (const Cycle c : sends) {
@@ -332,7 +339,7 @@ struct Source final : Clockable {
 // Woken by its one inbound channel only; takes the arrival unless `expire`,
 // in which case the value stays on the wire until the advance retires it.
 struct Sink final : Clockable {
-  Channel<int>* in = nullptr;
+  OneLink<int>* in = nullptr;
   std::atomic<std::uint8_t> wake[1] = {};
   bool expire = false;
   int taken = 0;
@@ -357,22 +364,22 @@ LiveRun run_live(int latency, const std::vector<Cycle>& sends, bool expire, bool
   Kernel k(1);
   obs::CounterRegistry registry;
   k.attach_metrics(&registry);
-  Channel<int> ch(latency);
+  Sink sink;
+  OneLink<int> ch(latency, "", &sink.wake[0], &sink);
+  ch.follow(k);
   Source src;
   src.out = &ch;
   src.sends = sends;
-  Sink sink;
   sink.in = &ch;
   sink.expire = expire;
-  ch.set_wake(&sink.wake[0]);
   if (shard) {
     k.add_to_shard(0, &src);
     k.add_to_shard(0, &sink, sink.wake, 1);
-    k.add_interior(0, &ch, &sink);
+    k.add_to_shard(0, &ch.store());
   } else {
     k.add(&src);
     k.add(&sink, sink.wake, 1);
-    k.add(&ch, &sink);
+    k.add(&ch.store());
   }
   LiveRun out;
   const obs::Counter& advances = registry.counter("kernel.channel_advances");
@@ -422,12 +429,11 @@ TEST(KernelWorklist, LiveBitTracksActiveAfterEveryTick) {
 // set a bit the other shard's worker owns; the first tick refuses it.
 TEST(KernelWorklist, ChannelWakingAnotherShardIsRefused) {
   Kernel k(2);
-  Channel<int> ch(1, "misfiled");
   Sink sink;
+  OneLink<int> ch(1, "misfiled", &sink.wake[0], &sink);
   sink.in = &ch;
-  ch.set_wake(&sink.wake[0]);
   k.add_to_shard(1, &sink, sink.wake, 1);
-  k.add_interior(0, &ch, &sink);
+  k.add_to_shard(0, &ch.store());
   try {
     k.tick();
     ADD_FAILURE() << "a mis-filed channel was accepted";
@@ -442,12 +448,11 @@ TEST(KernelWorklist, ChannelWakingAnotherShardIsRefused) {
 // refuses it and names it.
 TEST(KernelWorklist, ChannelWakingOutsideItsReceiverIsRefused) {
   Kernel k(1);
-  Channel<int> ch(1, "crossed");
   Sink stated, stamped;
-  ch.set_wake(&stamped.wake[0]);
+  OneLink<int> ch(1, "crossed", &stamped.wake[0], &stated);
   k.add_to_shard(0, &stated, stated.wake, 1);
   k.add_to_shard(0, &stamped, stamped.wake, 1);
-  k.add_interior(0, &ch, &stated);
+  k.add_to_shard(0, &ch.store());
   try {
     k.tick();
     ADD_FAILURE() << "a channel waking outside its receiver was accepted";
@@ -463,16 +468,16 @@ TEST(KernelWorklist, ChannelWakingOutsideItsReceiverIsRefused) {
 // told about; one registered with the right receiver is accepted.
 TEST(KernelWorklist, ChannelWithWakeNeedsItsReceiver) {
   Kernel k(1);
-  Channel<int> ch(1, "unowned");
   Sink sink;
-  ch.set_wake(&sink.wake[0]);
+  OneLink<int> ch(1, "unowned", &sink.wake[0], nullptr, /*boundary=*/true);
   k.add_to_shard(0, &sink, sink.wake, 1);
-  k.add_boundary(0, &ch, nullptr);
+  k.add_to_shard(0, &ch.store());
   EXPECT_THROW(k.tick(), std::logic_error);
 
   Kernel ok(1);
+  OneLink<int> owned(1, "owned", &sink.wake[0], &sink, /*boundary=*/true);
   ok.add_to_shard(0, &sink, sink.wake, 1);
-  ok.add_boundary(0, &ch, &sink);
+  ok.add_to_shard(0, &owned.store());
   EXPECT_NO_THROW(ok.run(2));
 }
 

@@ -9,9 +9,12 @@
 #include "sim/kernel.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
+#include "one_link.h"
 
 namespace ocn {
 namespace {
+
+using testkit::OneLink;
 
 TEST(Rng, DeterministicPerSeedAndStream) {
   Rng a(123, 0), b(123, 0), c(123, 1), d(124, 0);
@@ -192,9 +195,10 @@ TEST(Histogram, NegativeSamplesQuarantinedNotClamped) {
 }
 
 TEST(Channel, DelaysValueByLatency) {
-  Channel<int> ch(3);
+  OneLink<int> ch(3);
   Kernel k;
-  k.add(&ch, nullptr);
+  k.add(&ch.store());
+  ch.follow(k);
   ch.send(42);
   for (int i = 0; i < 2; ++i) {
     k.tick();
@@ -208,7 +212,7 @@ TEST(Channel, DelaysValueByLatency) {
 }
 
 TEST(Channel, LatencyOneIsNextCycle) {
-  Channel<int> ch(1);
+  OneLink<int> ch(1);
   ch.send(7);
   ch.advance();
   ASSERT_TRUE(ch.receive() != nullptr);
@@ -216,7 +220,7 @@ TEST(Channel, LatencyOneIsNextCycle) {
 }
 
 TEST(Channel, TakeConsumesValue) {
-  Channel<int> ch(1);
+  OneLink<int> ch(1);
   ch.send(9);
   ch.advance();
   EXPECT_EQ(ch.take().value(), 9);
@@ -224,9 +228,10 @@ TEST(Channel, TakeConsumesValue) {
 }
 
 TEST(Channel, BackToBackValuesFlowAtFullRate) {
-  Channel<int> ch(2);
+  OneLink<int> ch(2);
   Kernel k;
-  k.add(&ch, nullptr);
+  k.add(&ch.store());
+  ch.follow(k);
   std::vector<int> got;
   for (int i = 0; i < 10; ++i) {
     ch.send(i);
@@ -244,19 +249,19 @@ TEST(Channel, BackToBackValuesFlowAtFullRate) {
 // Regression: double-send detection must fire in every build type — a lost
 // in-flight flit corrupts credit accounting silently otherwise.
 TEST(ChannelDeathTest, DoubleSendInOneCycleTerminates) {
-  Channel<int> ch(1, "rtr0.east.flit");
+  OneLink<int> ch(1, "rtr0.east.flit");
   ch.send(1);
   EXPECT_DEATH(ch.send(2), "double send on channel 'rtr0.east.flit'");
 }
 
 TEST(ChannelDeathTest, UnnamedChannelStillReportsDoubleSend) {
-  Channel<int> ch(1);
+  OneLink<int> ch(1);
   ch.send(1);
   EXPECT_DEATH(ch.send(2), "double send on channel '<unnamed>'");
 }
 
 TEST(Channel, ActiveTracksValuesInFlightUnitLatency) {
-  Channel<int> ch(1);
+  OneLink<int> ch(1);
   EXPECT_FALSE(ch.active());
   ch.send(5);
   EXPECT_TRUE(ch.active());
@@ -268,7 +273,7 @@ TEST(Channel, ActiveTracksValuesInFlightUnitLatency) {
 }
 
 TEST(Channel, ActiveTracksValuesInFlightPipelined) {
-  Channel<int> ch(3);
+  OneLink<int> ch(3);
   EXPECT_FALSE(ch.active());
   ch.send(5);
   for (int i = 0; i < 3; ++i) {
@@ -285,7 +290,7 @@ TEST(Channel, ActiveTracksValuesInFlightPipelined) {
 TEST(Channel, UnconsumedValueExpiresAndDeactivates) {
   for (const int latency : {1, 3}) {
     SCOPED_TRACE(latency);
-    Channel<int> ch(latency);
+    OneLink<int> ch(latency);
     ch.send(5);
     for (int i = 0; i < latency; ++i) ch.advance();  // arrives, never taken
     ch.advance();  // expires
@@ -299,7 +304,7 @@ TEST(Channel, UnconsumedValueExpiresAndDeactivates) {
 TEST(Channel, TakeOnLastValueDeactivatesImmediately) {
   for (const int latency : {1, 3}) {
     SCOPED_TRACE(latency);
-    Channel<int> ch(latency);
+    OneLink<int> ch(latency);
     ch.send(9);
     for (int i = 0; i < latency; ++i) ch.advance();
     EXPECT_EQ(ch.take().value(), 9);
@@ -310,13 +315,13 @@ TEST(Channel, TakeOnLastValueDeactivatesImmediately) {
 // Latency 0 would couple a sender and a receiver within one cycle; it is
 // refused in every build type, not just where asserts are compiled in.
 TEST(Channel, LatencyBelowOneThrows) {
-  EXPECT_THROW(Channel<int>(0), std::invalid_argument);
-  EXPECT_THROW(Channel<int>(-2, "neg"), std::invalid_argument);
-  EXPECT_EQ(Channel<int>(3).latency(), 3);
+  EXPECT_THROW(OneLink<int>(0), std::invalid_argument);
+  EXPECT_THROW(OneLink<int>(-2, "neg"), std::invalid_argument);
+  EXPECT_EQ(OneLink<int>(3).latency(), 3);
 }
 
 TEST(Channel, TakeWithValuesStillInFlightStaysActive) {
-  Channel<int> ch(2);
+  OneLink<int> ch(2);
   ch.send(1);
   ch.advance();
   ch.send(2);
@@ -330,8 +335,9 @@ TEST(Channel, TakeWithValuesStillInFlightStaysActive) {
 
 TEST(Kernel, TakenEmptyChannelIsSkippedNextTick) {
   Kernel k;
-  Channel<int> ch(1);
-  k.add(&ch, nullptr);
+  OneLink<int> ch(1);
+  k.add(&ch.store());
+  ch.follow(k);
   obs::CounterRegistry reg;
   k.attach_metrics(&reg);
   obs::Counter& advances = reg.counter("kernel.channel_advances");
@@ -345,9 +351,11 @@ TEST(Kernel, TakenEmptyChannelIsSkippedNextTick) {
 
 TEST(Kernel, SkipsInactiveChannels) {
   Kernel k;
-  Channel<int> busy(1), idle(1);
-  k.add(&busy, nullptr);
-  k.add(&idle, nullptr);
+  OneLink<int> busy(1), idle(1);
+  k.add(&busy.store());
+  k.add(&idle.store());
+  busy.follow(k);
+  idle.follow(k);
   busy.send(1);
   k.tick();
   EXPECT_TRUE(busy.receive() != nullptr);

@@ -44,7 +44,7 @@ std::string label(TopologyKind kind, int radix) {
 // The plan, collected in order.
 std::vector<Link> links_of(const Config& c, const topo::Topology& topology) {
   std::vector<Link> links;
-  core::for_each_link(c, topology, [&](Link& link) { links.push_back(link); });
+  core::for_each_link(c, topology, [&](const Link& link) { links.push_back(link); });
   return links;
 }
 
@@ -66,8 +66,8 @@ TEST(Wiring, ListsEachTopologyChannelOnceAndTwoTilePortsPerNode) {
 
       std::set<std::string> names;
       for (const Link& link : links) {
-        EXPECT_TRUE(names.insert(link.flit_name).second) << link.flit_name;
-        EXPECT_TRUE(names.insert(link.credit_name).second) << link.credit_name;
+        EXPECT_TRUE(names.insert(link.flit_name()).second) << link.flit_name();
+        EXPECT_TRUE(names.insert(link.credit_name()).second) << link.credit_name();
       }
       for (std::size_t i = 0; i < channels.size(); ++i) {
         const topo::ChannelDesc& d = channels[i];
@@ -79,8 +79,8 @@ TEST(Wiring, ListsEachTopologyChannelOnceAndTwoTilePortsPerNode) {
         EXPECT_TRUE(same_end(link.to, LinkEnd{d.dst, d.dst_in_port, false})) << name;
         EXPECT_EQ(link.latency, 3) << name;
         EXPECT_EQ(link.length_mm, d.length_mm) << name;
-        EXPECT_EQ(link.flit_name, name);
-        EXPECT_EQ(link.credit_name, name + ":credit");
+        EXPECT_EQ(link.flit_name(), name);
+        EXPECT_EQ(link.credit_name(), name + ":credit");
       }
       for (NodeId i = 0; i < n; ++i) {
         const std::string node = std::to_string(i);
@@ -95,10 +95,10 @@ TEST(Wiring, ListsEachTopologyChannelOnceAndTwoTilePortsPerNode) {
           EXPECT_EQ(tile->latency, 1);
           EXPECT_EQ(tile->length_mm, 0.0);
         }
-        EXPECT_EQ(inject.flit_name, "inject:" + node);
-        EXPECT_EQ(inject.credit_name, "inject_credit:" + node);
-        EXPECT_EQ(eject.flit_name, "eject:" + node);
-        EXPECT_EQ(eject.credit_name, "eject_credit:" + node);
+        EXPECT_EQ(inject.flit_name(), "inject:" + node);
+        EXPECT_EQ(inject.credit_name(), "inject_credit:" + node);
+        EXPECT_EQ(eject.flit_name(), "eject:" + node);
+        EXPECT_EQ(eject.credit_name(), "eject_credit:" + node);
       }
 
       // Each router port is driven by at most one link and fed by at most
@@ -107,10 +107,10 @@ TEST(Wiring, ListsEachTopologyChannelOnceAndTwoTilePortsPerNode) {
       std::set<std::pair<NodeId, Port>> inputs;
       for (const Link& link : links) {
         if (!link.from.nic) {
-          EXPECT_TRUE(outputs.insert({link.from.node, link.from.port}).second) << link.flit_name;
+          EXPECT_TRUE(outputs.insert({link.from.node, link.from.port}).second) << link.flit_name();
         }
         if (!link.to.nic) {
-          EXPECT_TRUE(inputs.insert({link.to.node, link.to.port}).second) << link.flit_name;
+          EXPECT_TRUE(inputs.insert({link.to.node, link.to.port}).second) << link.flit_name();
         }
       }
     }
@@ -124,9 +124,9 @@ TEST(Wiring, ListsAnUnbuildableLatencyAsItIs) {
   c.link_latency = 0;
   const auto topology = c.make_topology();
   int router_links = 0;
-  core::for_each_link(c, *topology, [&](Link& link) {
+  core::for_each_link(c, *topology, [&](const Link& link) {
     if (!link.tile()) {
-      EXPECT_EQ(link.latency, 0) << link.flit_name;
+      EXPECT_EQ(link.latency, 0) << link.flit_name();
       ++router_links;
     }
   });
@@ -150,12 +150,12 @@ TEST(Wiring, FilesEveryChannelOnItsReceiversShard) {
           for (const auto& [sender, receiver] :
                {std::pair{link.from, link.to}, std::pair{link.to, link.from}}) {
             const core::Filing f = core::file_channel(partition, sender.node, receiver.node);
-            EXPECT_EQ(f.shard, partition.shard_of(receiver.node)) << link.flit_name;
+            EXPECT_EQ(f.shard, partition.shard_of(receiver.node)) << link.flit_name();
             EXPECT_EQ(f.boundary,
                       partition.shard_of(sender.node) != partition.shard_of(receiver.node))
-                << link.flit_name;
+                << link.flit_name();
             if (link.tile()) {
-              EXPECT_FALSE(f.boundary) << link.flit_name;
+              EXPECT_FALSE(f.boundary) << link.flit_name();
             }
             boundary += f.boundary ? 1 : 0;
           }
@@ -193,9 +193,9 @@ TEST(Wiring, NetworkAndFootprintReadThePlan) {
         // link_fault finds the link's own fault layer: the transform its
         // sending output applies.
         const auto* fault = net.link_fault(link.from.node, link.from.port);
-        EXPECT_NE(fault, nullptr) << link.flit_name;
+        EXPECT_NE(fault, nullptr) << link.flit_name();
         EXPECT_EQ(fault, net.router_at(link.from.node).output(link.from.port).transform())
-            << link.flit_name;
+            << link.flit_name();
       }
       // Every direction port without a link (the mesh edges) has none.
       for (NodeId n = 0; n < net.num_nodes(); ++n) {
@@ -216,8 +216,8 @@ TEST(Wiring, NetworkAndFootprintReadThePlan) {
         const Link& link = links[i];
         const analyze::State& flit = *channels[2 * i];
         const analyze::State& credit = *channels[2 * i + 1];
-        EXPECT_EQ(flit.name, "chan." + link.flit_name);
-        EXPECT_EQ(credit.name, "chan." + link.credit_name);
+        EXPECT_EQ(flit.name, "chan." + link.flit_name());
+        EXPECT_EQ(credit.name, "chan." + link.credit_name());
         const core::Filing ff = core::file_channel(net.partition(), link.from.node, link.to.node);
         const core::Filing cf = core::file_channel(net.partition(), link.to.node, link.from.node);
         EXPECT_EQ(flit.advance_shard, ff.shard) << flit.name;
