@@ -64,8 +64,11 @@ int main(int argc, char** argv) {
     t.add_row({std::to_string(k), std::to_string(k * k), bench::fmt(p.hops, 2),
                bench::fmt(analytic, 2), bench::fmt(p.lat_low, 1), bench::fmt(p.sat, 3),
                bench::fmt(pm.torus_overhead(k, router::kFlitPhysBits), 3)});
-    rep.metric("k" + std::to_string(k) + ".hops", p.hops);
-    rep.metric("k" + std::to_string(k) + ".sat", p.sat);
+    // Appended piecewise for GCC 12's -Wrestrict (see verify::Cdg::describe).
+    std::string key = "k";
+    key += std::to_string(k);
+    rep.metric(key + ".hops", p.hops);
+    rep.metric(key + ".sat", p.sat);
   }
   rep.table("radix_sweep", t);
 

@@ -63,7 +63,7 @@ struct Options {
       "                                       zero-latency-cross | global-mutator\n"
       "                                       | gated-boundary\n"
       "                                       | cross-shard-worklist | shared-flit-arena\n"
-      "                                       | sender-advance\n"
+      "                                       | shared-packet-arena | sender-advance\n"
       "                                       (proof must fail)\n"
       "  --json PATH                          write the runs as an\n"
       "                                       ocn-analyze/v1 JSON document\n"
@@ -130,6 +130,8 @@ analyze::AnalysisReport analyze_one(const core::Config& config, int shards,
     kind = analyze::BreakKind::kCrossShardWorklist;
   } else if (break_kind == "shared-flit-arena") {
     kind = analyze::BreakKind::kSharedFlitArena;
+  } else if (break_kind == "shared-packet-arena") {
+    kind = analyze::BreakKind::kSharedPacketArena;
   } else if (break_kind == "sender-advance") {
     kind = analyze::BreakKind::kSenderAdvance;
   } else {

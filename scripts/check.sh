@@ -170,7 +170,7 @@ leg_analyze_smoke() {
 
   echo "== [analyze-smoke] broken partitions must be refused =="
   for kind in zero-latency-cross global-mutator gated-boundary cross-shard-worklist \
-              shared-flit-arena sender-advance; do
+              shared-flit-arena shared-packet-arena sender-advance; do
     if "$analyze" --shards 2 --break "$kind" --quiet; then
       echo "expected the analyzer to refuse --break $kind" >&2
       exit 1

@@ -30,6 +30,7 @@ const char* break_kind_name(BreakKind k) {
     case BreakKind::kGatedBoundary: return "gated-boundary";
     case BreakKind::kCrossShardWorklist: return "cross-shard-worklist";
     case BreakKind::kSharedFlitArena: return "shared-flit-arena";
+    case BreakKind::kSharedPacketArena: return "shared-packet-arena";
     case BreakKind::kSenderAdvance: return "sender-advance";
   }
   return "?";
@@ -224,20 +225,31 @@ FootprintModel build_footprint(const core::Config& config,
     read_write(advancer[k], due_bits[k], Phase::kParallelStep);
     m.access(advancer[k], live_bits[k], Phase::kAdvance, AccessKind::kWrite);
   }
-  // --- flit arenas -----------------------------------------------------------
-  // One RouterStatePool per shard, so one arena per shard: every router of
-  // shard S allocates arriving flits in it, edits them in place, copies them
-  // onto its links and frees them, all in its own phase-A step. Nothing
-  // else touches it — a flit leaves the arena by value, on a channel.
+  // --- flit and packet arenas ---------------------------------------------
+  // One RouterStatePool per shard, so one flit arena per shard: every router
+  // of shard S allocates arriving flits in it, edits them in place, copies
+  // them onto its links and frees them, and every NIC of shard S parks its
+  // ejected flits there until it consumes and frees them, all in their own
+  // phase-A steps. Nothing else touches it — a flit leaves the arena by
+  // value, on a channel.
+  // The shard's packet arena holds the records its NICs' injection,
+  // scheduled, loopback and reassembly queues name by handle: written by
+  // those NICs in phase A (sending, delivering, and the register read-back
+  // filter's reply into its own NIC) and by the serial clients' injections.
   std::vector<int> flit_arenas = per_shard();
+  std::vector<int> packet_arenas = per_shard();
   for (int s = 0; s < shards; ++s) {
-    flit_arenas[static_cast<std::size_t>(s)] =
-        plain("shard." + std::to_string(s) + ".flit_arena", s);
+    const std::string shard = "shard." + std::to_string(s);
+    flit_arenas[static_cast<std::size_t>(s)] = plain(shard + ".flit_arena", s);
+    packet_arenas[static_cast<std::size_t>(s)] = plain(shard + ".packet_arena", s);
+    read_write(clients, packet_arenas[static_cast<std::size_t>(s)], Phase::kSerialStep);
   }
   for (NodeId i = 0; i < n; ++i) {
-    read_write(router_of[static_cast<std::size_t>(i)],
-               flit_arenas[static_cast<std::size_t>(partition.shard_of(i))],
-               Phase::kParallelStep);
+    const auto k = static_cast<std::size_t>(i);
+    const auto s = static_cast<std::size_t>(partition.shard_of(i));
+    read_write(router_of[k], flit_arenas[s], Phase::kParallelStep);
+    read_write(nic_of[k], flit_arenas[s], Phase::kParallelStep);
+    read_write(nic_of[k], packet_arenas[s], Phase::kParallelStep);
   }
 
   for (NodeId i = 0; i < n; ++i) {
@@ -352,12 +364,39 @@ FootprintModel build_footprint(const core::Config& config,
   m.obligations.push_back(ObligationSpec{
       "flit-arena-ownership",
       "each shard's flit arena (the flits its routers' input rings and stage "
-      "registers hold by handle) is allocated, edited and freed only by that "
-      "shard's routers in the parallel step phase",
+      "registers and its NICs' eject queues hold by handle) is allocated, "
+      "edited and freed only by that shard's routers and NICs in the parallel "
+      "step phase",
       flit_arenas});
+  m.obligations.push_back(ObligationSpec{
+      "packet-arena-ownership",
+      "each shard's packet arena (the packets its NICs' queues hold by "
+      "handle) is written in the parallel step phase only by that shard's "
+      "NICs, and otherwise only by the serial clients",
+      packet_arenas});
 
   return m;
 }
+
+namespace {
+
+/// One arena for the whole network: re-point every access to a shard's
+/// `shard.S.<arena>` at a single `global.<arena>` state, the layout a global
+/// pool would be, and fold it into `obligation`.
+void share_arena(FootprintModel& model, const std::string& arena,
+                 const std::string& obligation) {
+  const int shared =
+      model.add_state(State{"global." + arena, 0, false, kSerialShard, false, false});
+  for (Access& a : model.accesses) {
+    const std::string& name = model.states[static_cast<std::size_t>(a.state)].name;
+    if (name.starts_with("shard.") && name.ends_with("." + arena)) a.state = shared;
+  }
+  for (ObligationSpec& ob : model.obligations) {
+    if (ob.name == obligation) ob.states.push_back(shared);
+  }
+}
+
+}  // namespace
 
 void corrupt(FootprintModel& model, BreakKind kind) {
   switch (kind) {
@@ -419,20 +458,12 @@ void corrupt(FootprintModel& model, BreakKind kind) {
       }
       return;
     }
-    case BreakKind::kSharedFlitArena: {
-      // One arena for the whole network: re-point every access to a
-      // shard's arena at a single state, the layout a global pool would be.
-      const int shared = model.add_state(
-          State{"global.flit_arena", 0, false, kSerialShard, false, false});
-      for (Access& a : model.accesses) {
-        const std::string& name = model.states[static_cast<std::size_t>(a.state)].name;
-        if (name.starts_with("shard.") && name.ends_with(".flit_arena")) a.state = shared;
-      }
-      for (ObligationSpec& ob : model.obligations) {
-        if (ob.name == "flit-arena-ownership") ob.states.push_back(shared);
-      }
+    case BreakKind::kSharedFlitArena:
+      share_arena(model, "flit_arena", "flit-arena-ownership");
       return;
-    }
+    case BreakKind::kSharedPacketArena:
+      share_arena(model, "packet_arena", "packet-arena-ownership");
+      return;
     case BreakKind::kSenderAdvance: {
       std::unordered_map<std::string, int> state_of;
       for (std::size_t i = 0; i < model.states.size(); ++i) {

@@ -164,6 +164,10 @@ enum class BreakKind {
   /// shard (per RouterStatePool): routers of two shards allocate, edit and
   /// free in the same plain state in phase A.
   kSharedFlitArena,
+  /// One packet arena shared by every shard's NICs instead of one per shard:
+  /// NICs of two shards allocate, link and free records in the same plain
+  /// state in phase A.
+  kSharedPacketArena,
   /// Boundary rows advanced by their sender's shard instead of their
   /// receiver's: the sender shard's advancer stamps the receiver's arrival
   /// byte and due bit in phase B, while the receiver shard's advancer

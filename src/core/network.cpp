@@ -34,18 +34,22 @@ void Network::build() {
   // object goes to its node's shard.
   const std::vector<int> shard_router_count = partition_.nodes_per_shard();
   pools_.reserve(static_cast<std::size_t>(shards_));
+  packet_arenas_.reserve(static_cast<std::size_t>(shards_));
   for (int s = 0; s < shards_; ++s) {
     pools_.push_back(std::make_unique<router::RouterStatePool>(
         shard_router_count[static_cast<std::size_t>(s)], config_.router, config_.link_latency));
+    packet_arenas_.push_back(std::make_unique<PacketArena>());
   }
 
   routers_.reserve(static_cast<std::size_t>(n));
   nics_.reserve(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) {
-    router::RouterStatePool& pool = *pools_[static_cast<std::size_t>(shard_of(i))];
+    const auto shard = static_cast<std::size_t>(shard_of(i));
+    router::RouterStatePool& pool = *pools_[shard];
     const int slot = partition_.slot_of(i);
     routers_.push_back(std::make_unique<router::Router>(i, *topology_, config_.router, pool, slot));
-    nics_.push_back(std::make_unique<Nic>(i, config_, routes_, pool, slot));
+    nics_.push_back(
+        std::make_unique<Nic>(i, config_, routes_, pool, *packet_arenas_[shard], slot));
     Nic* nic_ptr = nics_.back().get();
     router::Router* rtr = routers_.back().get();
     kernel_.add_to_shard(shard_of(i), nic_ptr, nic_ptr->wake_row(), Nic::wake_width());

@@ -196,6 +196,9 @@ class Network {
   /// every link is a row of its receiver shard's store. Declared before
   /// routers_ and nics_ so the pools outlive the views bound into them.
   std::vector<std::unique_ptr<router::RouterStatePool>> pools_;
+  /// One packet arena per shard, beside its pool: the packets its NICs
+  /// hold by handle (core/packet_arena.h).
+  std::vector<std::unique_ptr<PacketArena>> packet_arenas_;
   std::vector<std::unique_ptr<router::Router>> routers_;
   std::vector<std::unique_ptr<Nic>> nics_;
   /// Each topology link's fault layer at fault_slot(node, direction port),

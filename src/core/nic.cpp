@@ -13,41 +13,41 @@ using router::Flit;
 using router::FlitType;
 
 Nic::Nic(NodeId node, const Config& config, const routing::RouteComputer& routes,
-         router::RouterStatePool& pool, int slot)
+         router::RouterStatePool& pool, PacketArena& packets, int slot)
     : node_(node),
       config_(config),
       routes_(routes),
-      links_(&pool.links()),
+      pool_(&pool),
+      packets_(&packets),
       slot_(slot),
-      vc_queues_(static_cast<std::size_t>(config.router.vcs)),
-      queued_packets_per_class_(4, 0),
-      credits_(static_cast<std::size_t>(config.router.vcs), config.router.buffer_depth),
       inject_arb_(config.router.vcs),
-      eject_pending_(static_cast<std::size_t>(config.router.vcs)),
-      eject_stalled_(static_cast<std::size_t>(config.router.vcs), false),
       eject_arb_(config.router.vcs),
-      assembling_(static_cast<std::size_t>(config.router.vcs)),
-      prio_scratch_(static_cast<std::size_t>(config.router.vcs), 0),
-      next_packet_id_(static_cast<PacketId>(node) << 40),
-      class_latency_(4) {
-  for (Packet& p : assembling_) p.flit_payloads.clear();
+      next_packet_id_(static_cast<PacketId>(node) << 40) {}
+
+std::deque<Packet>& Nic::received() {
+  if (!received_) received_ = std::make_unique<std::deque<Packet>>();
+  return *received_;
 }
 
 bool Nic::idle_internal() const {
-  if (!loopback_.empty() || !carry_to_router_.empty()) return false;
-  return queued_flit_count_ == 0 && eject_pending_count_ == 0;
+  const router::NicRow& r = row();
+  if (!r.loopback.empty() || r.carry_count != 0) return false;
+  return r.queued_flits == 0 && r.pending_ejects == 0;
 }
 
 std::uint8_t Nic::ready_mask() const {
+  const int* credits = pool_->nic_credits(slot_);
   std::uint8_t mask = 0;
-  for (std::size_t v = 0; v < credits_.size(); ++v) {
-    if (credits_[v] > 0) mask |= static_cast<std::uint8_t>(1u << v);
+  for (VcId v = 0; v < config_.router.vcs; ++v) {
+    if (credits[v] > 0) mask |= static_cast<std::uint8_t>(1u << v);
   }
   return mask;
 }
 
 void Nic::set_ejection_stall(VcId vc, bool stalled) {
-  eject_stalled_[static_cast<std::size_t>(vc)] = stalled;
+  std::uint8_t& bits = row().stalled;
+  const auto bit = static_cast<std::uint8_t>(1u << vc);
+  bits = static_cast<std::uint8_t>(stalled ? bits | bit : bits & ~bit);
 }
 
 void Nic::enqueue(Packet& packet, Cycle now, Cycle send_at) {
@@ -57,14 +57,13 @@ void Nic::enqueue(Packet& packet, Cycle now, Cycle send_at) {
   packet.src = node_;
   packet.id = ++next_packet_id_;
   packet.created = now;
-  queued_flit_count_ += packet.num_flits();
+  row().queued_flits += packet.num_flits();
   const routing::SourceRoute route = routes_.compute(node_, packet.dst);
-  vc_queues_[static_cast<std::size_t>(vc)].push_back(
-      Queued{std::move(packet), route, send_at, 0});
+  packets_->push(pool_->nic_inject(slot_)[vc], packets_->alloc(std::move(packet), route, send_at));
   mark_due();
 }
 
-Flit Nic::cut_flit(const Queued& q, VcId vc, Cycle now) const {
+Flit Nic::cut_flit(const PacketRecord& q, VcId vc, Cycle now) const {
   const Packet& p = q.packet;
   const int n = p.num_flits();
   const int i = q.next_flit;
@@ -115,12 +114,12 @@ bool Nic::inject(Packet packet, Cycle now) {
     packet.link_mm = 0.0;
     ++packets_injected_;
     flits_injected_ += packet.num_flits();
-    loopback_.emplace_back(std::move(packet), now + 1);
+    packets_->push(row().loopback, packets_->alloc(std::move(packet), {}, /*deliver at*/ now + 1));
     mark_due();
     return true;
   }
 
-  auto& count = queued_packets_per_class_[static_cast<std::size_t>(packet.service_class)];
+  int& count = row().class_packets[static_cast<std::size_t>(packet.service_class)];
   if (count >= config_.nic_queue_packets) {
     ++queue_rejects_;
     return false;
@@ -142,18 +141,20 @@ void Nic::step(Cycle now) {
   // wake_row()).
   if (arrive_[kCreditArrive].load(std::memory_order_relaxed) != 0) {
     arrive_[kCreditArrive].store(0, std::memory_order_relaxed);
-    if (auto credit =
-            links_->take<std::int8_t>(router::RouterStatePool::nic_credit_row(slot_), now)) {
-      auto& c = credits_[static_cast<std::size_t>(*credit)];
+    const std::uint32_t credit_row = router::RouterStatePool::nic_credit_row(slot_);
+    if (auto credit = pool_->links().take<std::int8_t>(credit_row, now)) {
+      int& c = pool_->nic_credits(slot_)[*credit];
       ++c;
       assert(c <= config_.router.buffer_depth);
     }
   }
   process_ejection(now);
   do_injection(now);
-  while (!loopback_.empty() && loopback_.front().second <= now) {
-    Packet p = std::move(loopback_.front().first);
-    loopback_.pop_front();
+  router::HandleQueue& loopback = row().loopback;
+  while (!loopback.empty() && (*packets_)[loopback.head].send_at <= now) {
+    const PacketRef ref = packets_->pop(loopback);
+    Packet p = std::move((*packets_)[ref].packet);
+    packets_->free(ref);
     p.delivered = now;
     flits_delivered_ += p.num_flits();
     deliver(std::move(p));
@@ -162,59 +163,57 @@ void Nic::step(Cycle now) {
 
 void Nic::process_ejection(Cycle now) {
   // Arrival-byte gated, in-place arrival handling (receive + consume): the
-  // pending-queue copy goes straight from the link slot, skipping the
+  // flit goes straight from the link slot into the flit arena, skipping the
   // take() temporary.
   if (arrive_[kEjectArrive].load(std::memory_order_relaxed) != 0) {
     arrive_[kEjectArrive].store(0, std::memory_order_relaxed);
-    const std::uint32_t row = router::RouterStatePool::nic_eject_row(slot_);
-    const Flit* arriving = links_->receive<Flit>(row, now);
+    const std::uint32_t link_row = router::RouterStatePool::nic_eject_row(slot_);
+    const Flit* arriving = pool_->links().receive<Flit>(link_row, now);
     if (arriving != nullptr) {
       const Flit& fl = *arriving;
       // Harvest a piggybacked credit for the tile input buffers upstream.
       const std::int8_t carried = fl.carried_credit_vc;
       if (carried >= 0) {
-        auto& c = credits_[static_cast<std::size_t>(carried)];
+        int& c = pool_->nic_credits(slot_)[carried];
         ++c;
         assert(c <= config_.router.buffer_depth);
       }
       if (fl.type != router::FlitType::kCreditOnly) {
-        auto& q = eject_pending_[static_cast<std::size_t>(fl.vc)];
-        q.push_back(fl);
-        if (carried >= 0) q.back().carried_credit_vc = -1;
-        ++eject_pending_count_;
+        Flit& parked = pool_->eject_push(slot_, fl.vc, fl);
+        if (carried >= 0) parked.carried_credit_vc = -1;
       }
-      links_->consume(row, now);
+      pool_->links().consume(link_row, now);
     }
   }
+  const router::NicRow& r = row();
   // Nothing parked: with every request bit zero the arbiter would return -1
   // and leave its pointer frozen, so skipping it is identical.
-  if (eject_pending_count_ == 0) return;
+  if (r.pending_ejects == 0) return;
   // Consume at most one flit per cycle (the physical port is one flit wide)
   // from a non-stalled VC, returning its credit.
-  std::uint32_t requests = 0;
-  for (std::size_t v = 0; v < eject_pending_.size(); ++v) {
-    if (!eject_pending_[v].empty() && !eject_stalled_[v]) requests |= std::uint32_t{1} << v;
-  }
-  const int vc = eject_arb_.arbitrate(requests);
+  const int vc = eject_arb_.arbitrate(static_cast<std::uint32_t>(r.ejecting & ~r.stalled));
   if (vc < 0) return;
-  Flit f = std::move(eject_pending_[static_cast<std::size_t>(vc)].front());
-  eject_pending_[static_cast<std::size_t>(vc)].pop_front();
-  --eject_pending_count_;
+  const router::FlitRef ref = pool_->eject_pop(slot_, vc);
   if (!config_.router.dropping()) {
     if (config_.router.piggyback_credits) {
-      carry_to_router_.push_back(static_cast<VcId>(vc));
+      pool_->nic_carry_push(slot_, vc);
     } else {
       eject_credit_.store->send(eject_credit_, now, static_cast<std::int8_t>(vc));
     }
   }
-  consume_flit(std::move(f), now);
+  consume_flit(pool_->flit(ref), now);
+  pool_->flit_free(ref);
 }
 
-void Nic::consume_flit(Flit flit, Cycle now) {
+void Nic::consume_flit(const Flit& flit, Cycle now) {
   ++flits_delivered_;
-  Packet& p = assembling_[static_cast<std::size_t>(flit.vc)];
+  PacketRef& assembling = pool_->nic_assembling(slot_)[flit.vc];
   if (router::is_head(flit.type)) {
-    assert(p.flit_payloads.empty() && "head flit while a packet is still being reassembled");
+    assert(assembling == kNoPacket && "head flit while a packet is still being reassembled");
+    // Built with no payload (the default one would allocate); the head
+    // writes the identity.
+    assembling = packets_->alloc(Packet{.flit_payloads = {}}, {}, -1);
+    Packet& p = (*packets_)[assembling].packet;
     p.src = flit.src;
     p.dst = flit.dst;
     p.id = flit.packet;
@@ -222,8 +221,8 @@ void Nic::consume_flit(Flit flit, Cycle now) {
     p.injected = flit.injected;
     p.flit_payloads.reserve(static_cast<std::size_t>(flit.packet_flits));
   }
-  assert((router::is_head(flit.type) || !p.flit_payloads.empty()) &&
-         "body/tail flit without a head");
+  assert(assembling != kNoPacket && "body/tail flit without a head");
+  Packet& p = (*packets_)[assembling].packet;
   p.flit_payloads.push_back(flit.data);
   if (!router::is_tail(flit.type)) return;
 
@@ -234,59 +233,58 @@ void Nic::consume_flit(Flit flit, Cycle now) {
   p.hops = flit.hops;
   p.link_mm = flit.link_mm;
   Packet done = std::move(p);
-  p.flit_payloads.clear();
+  packets_->free(assembling);
+  assembling = kNoPacket;
   deliver(std::move(done));
 }
 
 void Nic::do_injection(Cycle now) {
+  router::NicRow& r = row();
+  router::HandleQueue* queues = pool_->nic_inject(slot_);
+  int* credits = pool_->nic_credits(slot_);
   // Empty queues mean zero request bits: the arbiter would return -1 with
   // its pointer frozen, so the scan and the arbiter are skipped.
   int vc = -1;
-  if (queued_flit_count_ > 0) {
-    const int vcs = config_.router.vcs;
+  if (r.queued_flits > 0) {
     std::uint32_t requests = 0;
-    int* priority = prio_scratch_.data();
-    for (VcId v = 0; v < vcs; ++v) {
-      const auto& q = vc_queues_[static_cast<std::size_t>(v)];
+    std::array<int, 8> priority{};
+    for (VcId v = 0; v < config_.router.vcs; ++v) {
+      if (queues[v].empty() || credits[v] <= 0) continue;
       // A scheduled packet waits for its reservation phase.
-      const bool ready = !q.empty() && credits_[static_cast<std::size_t>(v)] > 0 &&
-                         q.front().send_at <= now;
-      if (ready) {
-        requests |= std::uint32_t{1} << v;
-        priority[v] = q.front().priority();
-      }
+      const PacketRecord& front = (*packets_)[queues[v].head];
+      if (front.send_at > now) continue;
+      requests |= std::uint32_t{1} << v;
+      priority[static_cast<std::size_t>(v)] = front.priority();
     }
-    vc = inject_arb_.arbitrate(requests, priority);
+    vc = inject_arb_.arbitrate(requests, priority.data());
   }
   if (vc < 0) {
     // Nothing to inject: return pending ejection credits on a credit-only
     // flit (piggyback mode's idle-cycle filler).
-    if (config_.router.piggyback_credits && !carry_to_router_.empty()) {
+    if (config_.router.piggyback_credits && r.carry_count > 0) {
       Flit f;
       f.type = FlitType::kCreditOnly;
       f.size_code = 0;
-      f.carried_credit_vc = static_cast<std::int8_t>(carry_to_router_.front());
-      carry_to_router_.pop_front();
+      f.carried_credit_vc = static_cast<std::int8_t>(pool_->nic_carry_pop(slot_));
       inject_.store->send(inject_, now, f);
     }
     return;
   }
-  auto& q = vc_queues_[static_cast<std::size_t>(vc)];
-  Queued& front = q.front();
+  router::HandleQueue& q = queues[vc];
+  PacketRecord& front = (*packets_)[q.head];
   Flit f = cut_flit(front, static_cast<VcId>(vc), now);
-  --queued_flit_count_;
-  if (!config_.router.dropping()) --credits_[static_cast<std::size_t>(vc)];
-  if (config_.router.piggyback_credits && !carry_to_router_.empty()) {
-    f.carried_credit_vc = static_cast<std::int8_t>(carry_to_router_.front());
-    carry_to_router_.pop_front();
+  --r.queued_flits;
+  if (!config_.router.dropping()) --credits[vc];
+  if (config_.router.piggyback_credits && r.carry_count > 0) {
+    f.carried_credit_vc = static_cast<std::int8_t>(pool_->nic_carry_pop(slot_));
   }
   if (router::is_head(f.type)) ++packets_injected_;
   ++flits_injected_;
   if (router::is_tail(f.type)) {
     if (front.send_at < 0) {
-      --queued_packets_per_class_[static_cast<std::size_t>(front.packet.service_class)];
+      --r.class_packets[static_cast<std::size_t>(front.packet.service_class)];
     }
-    q.pop_front();
+    packets_->free(packets_->pop(q));
   } else {
     ++front.next_flit;
   }
@@ -308,14 +306,15 @@ void Nic::deliver(Packet&& packet) {
   if (handler_) {
     handler_(std::move(packet));
   } else {
-    if (received_.size() >= kMaxReceived) {
+    std::deque<Packet>& queue = received();
+    if (queue.size() >= kMaxReceived) {
       throw std::length_error("Nic " + std::to_string(node_) + ": " +
-                              std::to_string(received_.size() + 1) +
+                              std::to_string(queue.size() + 1) +
                               " packets received with no delivery handler (cap " +
                               std::to_string(kMaxReceived) +
                               "); install one with set_delivery_handler() or drain received()");
     }
-    received_.push_back(std::move(packet));
+    queue.push_back(std::move(packet));
   }
 }
 

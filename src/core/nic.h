@@ -7,28 +7,43 @@
 // interrupted to inject a short high-priority packet and then resumed,
 // because injection arbitration runs per flit across VC queues.
 //
-// Each datagram is held once, as its Packet. inject() and schedule_packet()
-// stamp it (src, id, created), compute its source route and queue it on its
-// VC; a chaos reroute after that leaves the queued route alone. Each cycle
-// the injection arbiter picks a VC and cut_flit() builds that queue's next
-// flit from the packet as it leaves for the wire; the packet is popped once
-// its tail has left. On ejection, each VC assembles one Packet: the head flit
-// writes its identity, every flit appends its payload, and the tail writes
-// the rest and hands it to deliver(), which records the statistics for
-// network and loopback deliveries alike.
+// The NIC's per-node state lives on its shard's rows (DESIGN.md §4h): the
+// credits, counts, stall bits, carry ring and queue heads are NIC rows of
+// its router's RouterStatePool slot, the ejected flits sit in that pool's
+// flit arena, and the packets in the shard's PacketArena
+// (core/packet_arena.h). Every queue is a head/tail handle pair
+// (router::HandleQueue), so a NIC with nothing queued owns no heap; this
+// object keeps only its wiring, its arbiters, the client hooks and the
+// statistics.
 //
-// Queue occupancy is counted once: counters kept at every push and pop are
-// the only record of it, read by idle_internal(), the injection and
+// Each datagram is held once, as its Packet in a packet record. inject() and
+// schedule_packet() stamp it (src, id, created), compute its source route
+// and queue its record on its VC; a chaos reroute after that leaves the
+// queued route alone. Each cycle the injection arbiter picks a VC and
+// cut_flit() builds that queue's next flit from the record as it leaves for
+// the wire; the record is freed once its tail has left. On ejection an
+// arriving flit is copied once, from the eject link slot into the flit
+// arena, and its handle queued on its VC; the one-flit-wide consume port
+// reads it there. Each VC reassembles into one packet record: the head flit
+// allocates it and writes the identity, every flit appends its payload, and
+// the tail writes the rest and hands the packet to deliver(), which records
+// the statistics for network and loopback deliveries alike.
+//
+// Queue occupancy is counted once: the row counters kept at every push and
+// pop are the only record of it, read by idle_internal(), the injection and
 // ejection gates and the queued_flits()/pending_eject_flits() accessors.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/config.h"
 #include "core/interface.h"
+#include "core/packet_arena.h"
 #include "router/arbiter.h"
 #include "router/soa.h"
 #include "routing/route_computer.h"
@@ -41,11 +56,12 @@ class Nic final : public Clockable {
  public:
   using DeliveryHandler = std::function<void(Packet&&)>;
 
-  /// The NIC's inbound links are rows of `pool`'s link store at block
-  /// `slot`, its router's pool slot (RouterStatePool::nic_eject_row and
-  /// nic_credit_row).
+  /// The NIC's state is the NIC rows of `pool` at `slot`, its router's
+  /// pool slot, and its inbound links are rows of the pool's link store at
+  /// that block (RouterStatePool::nic_eject_row and nic_credit_row). Its
+  /// packets are records of `packets`, its shard's arena.
   Nic(NodeId node, const Config& config, const routing::RouteComputer& routes,
-      router::RouterStatePool& pool, int slot);
+      router::RouterStatePool& pool, PacketArena& packets, int slot);
 
   /// Wire the outbound tile links (Network::build does, before the first
   /// step): the inject link and the eject link's credit return. The
@@ -69,8 +85,9 @@ class Nic final : public Clockable {
   /// Packets for which no delivery handler is installed accumulate here,
   /// up to kMaxReceived: a client that never drains them would grow the
   /// queue without bound, so the delivery past the cap throws
-  /// std::length_error naming the node and the count.
-  std::deque<Packet>& received() { return received_; }
+  /// std::length_error naming the node and the count. The queue is
+  /// created on first use.
+  std::deque<Packet>& received();
   static constexpr std::size_t kMaxReceived = std::size_t{1} << 16;
   void set_delivery_handler(DeliveryHandler handler) { handler_ = std::move(handler); }
 
@@ -131,35 +148,30 @@ class Nic final : public Clockable {
     return class_latency_[static_cast<std::size_t>(service_class)];
   }
   /// Flits of queued packets not yet sent (all VCs).
-  int queued_flits() const { return queued_flit_count_; }
+  int queued_flits() const { return row().queued_flits; }
 
   // --- state inspection (differential harness) ------------------------------
   /// Credits held toward the router's tile input buffer for VC v.
-  int injection_credits(VcId vc) const { return credits_[static_cast<std::size_t>(vc)]; }
+  int injection_credits(VcId vc) const { return pool_->nic_credits(slot_)[vc]; }
   /// Ejected flits parked awaiting the one-flit-per-cycle consume port.
-  int pending_eject_flits() const { return eject_pending_count_; }
+  int pending_eject_flits() const { return row().pending_ejects; }
   /// Piggyback credits queued to ride on the next injected flit.
-  int carry_backlog() const { return static_cast<int>(carry_to_router_.size()); }
+  int carry_backlog() const { return row().carry_count; }
   const router::PriorityArbiter& inject_arbiter() const { return inject_arb_; }
   const router::RoundRobinArbiter& eject_arbiter() const { return eject_arb_; }
+  /// The NIC's rows (its slot of `pool()`) and its shard's packet arena,
+  /// for the NicRows referee.
+  const router::RouterStatePool& pool() const { return *pool_; }
+  int pool_slot() const { return slot_; }
+  const PacketArena& packet_arena() const { return *packets_; }
 
  private:
-  /// A datagram waiting on its injection VC: the packet, the route it was
-  /// queued with, and how many of its flits have already left.
-  struct Queued {
-    Packet packet;
-    routing::SourceRoute route;
-    Cycle send_at = -1;  ///< exact departure cycle for scheduled packets
-    int next_flit = 0;
-    /// Scheduled packets outrank every service class at the injection
-    /// arbiter.
-    int priority() const { return send_at >= 0 ? 1000 : packet.service_class; }
-  };
-
+  const router::NicRow& row() const { return pool_->nic(slot_); }
+  router::NicRow& row() { return pool_->nic(slot_); }
   void enqueue(Packet& packet, Cycle now, Cycle send_at);
-  router::Flit cut_flit(const Queued& queued, VcId vc, Cycle now) const;
+  router::Flit cut_flit(const PacketRecord& queued, VcId vc, Cycle now) const;
   void process_ejection(Cycle now);
-  void consume_flit(router::Flit flit, Cycle now);
+  void consume_flit(const router::Flit& flit, Cycle now);
   void do_injection(Cycle now);
   void deliver(Packet&& packet);
 
@@ -167,8 +179,10 @@ class Nic final : public Clockable {
   const Config& config_;
   const routing::RouteComputer& routes_;
 
-  /// The inbound rows' store and block, and the outbound links.
-  LinkStore* links_ = nullptr;
+  /// The NIC rows' pool and slot (also the inbound rows' store and block),
+  /// the packet arena, and the outbound links.
+  router::RouterStatePool* pool_;
+  PacketArena* packets_;
   int slot_ = 0;
   LinkRef inject_;
   LinkRef eject_credit_;
@@ -177,36 +191,13 @@ class Nic final : public Clockable {
   static constexpr int kWakeWidth = 2;
   std::atomic<std::uint8_t> arrive_[kWakeWidth] = {};
 
-  std::vector<std::deque<Queued>> vc_queues_;
-  /// Piggyback mode: credits for the router's tile output controller
-  /// (reassembly slots freed here), carried on injected flits.
-  std::deque<VcId> carry_to_router_;
-  std::vector<int> queued_packets_per_class_;
-  /// Dropping mode neither consumes nor returns any: they stay at depth.
-  std::vector<int> credits_;
   router::PriorityArbiter inject_arb_;
-
-  std::vector<std::deque<router::Flit>> eject_pending_;
-  /// Unsent flits of the packets in vc_queues_ and flits in eject_pending_,
-  /// kept at every push, send and pop, so idle_internal(), the accessors and
-  /// the ejection gate never walk the deques. ocn-diff compares both against
-  /// the reference model every tick.
-  int queued_flit_count_ = 0;
-  int eject_pending_count_ = 0;
-  std::vector<bool> eject_stalled_;
   router::RoundRobinArbiter eject_arb_;
-  /// The packet each VC is assembling; no payloads between packets.
-  std::vector<Packet> assembling_;
-  // Per-cycle arbitration scratch, reused to keep allocations off the hot
-  // path.
-  std::vector<int> prio_scratch_;
-
-  std::deque<std::pair<Packet, Cycle>> loopback_;  ///< self-addressed, (packet, deliver_at)
 
   DeliveryHandler handler_;
   DeliveryObserver delivery_observer_;
   std::vector<Filter> filters_;
-  std::deque<Packet> received_;
+  std::unique_ptr<std::deque<Packet>> received_;
 
   PacketId next_packet_id_;
   std::int64_t packets_injected_ = 0;
@@ -218,7 +209,7 @@ class Nic final : public Clockable {
   Accumulator network_latency_;
   Accumulator hops_;
   Accumulator link_mm_;
-  std::vector<Accumulator> class_latency_;
+  std::array<Accumulator, 4> class_latency_;
 };
 
 }  // namespace ocn::core

@@ -772,7 +772,9 @@ std::vector<std::string> RefNetwork::snapshot_labels() const {
   std::vector<std::string> labels;
   const int vcs = config_.router.vcs;
   for (std::size_t n = 0; n < nics_.size(); ++n) {
-    const std::string nn = "n" + std::to_string(n);
+    // Appended piecewise for GCC 12's -Wrestrict (see Cdg::describe).
+    std::string nn = "n";
+    nn += std::to_string(n);
     for (const char* f :
          {"packets_injected", "packets_delivered", "flits_injected",
           "flits_delivered", "queue_rejects", "queued_flits",

@@ -9,7 +9,9 @@
 //
 // The slot table is cold (touched only at configuration time and on the
 // reserved cycles) and read by nothing else, so the table owns it as a
-// vector. The reserved-slot *count* lives in the (router, port) cell of a
+// vector, allocated by the first reserve(): until then every slot reads as
+// unreserved, so a router that carries no scheduled traffic holds no table.
+// The reserved-slot *count* lives in the (router, port) cell of a
 // RouterStatePool, whose resv_adjust also keeps the router's reserved-
 // outputs mask (the bypass and link-arbitration phases and the skip
 // predicate read the mask). A standalone table binds a cell of a
@@ -34,16 +36,19 @@ class ReservationTable {
   /// Binds the reserved-slot count of (slot, port) in `pool`; the pool
   /// must outlive the table.
   ReservationTable(int frame, RouterStatePool& pool, int slot, int port)
-      : slots_(frame > 0 ? frame : 1), pool_(&pool), slot_(slot), port_(port) {}
+      : frame_(frame > 0 ? frame : 1), pool_(&pool), slot_(slot), port_(port) {}
 
-  int frame() const { return static_cast<int>(slots_.size()); }
+  int frame() const { return frame_; }
 
   /// Claim a slot. Returns false if the slot is already taken (the caller —
   /// reservation setup — must then choose a different phase).
   bool reserve(int slot, int input, VcId vc);
   void clear(int slot);
 
-  const Slot& at(Cycle now) const { return slots_[index(now)]; }
+  const Slot& at(Cycle now) const {
+    static constexpr Slot kUnreserved{};
+    return slots_.empty() ? kUnreserved : slots_[index(now)];
+  }
   bool reserved_at(Cycle now) const { return at(now).reserved(); }
 
   /// Number of reserved slots; maintained incrementally.
@@ -51,11 +56,12 @@ class ReservationTable {
   bool any() const { return reserved_count() > 0; }
 
  private:
-  int index(Cycle now) const {
-    const auto f = static_cast<Cycle>(slots_.size());
-    return static_cast<int>(((now % f) + f) % f);
+  std::size_t index(Cycle now) const {
+    const auto f = static_cast<Cycle>(frame_);
+    return static_cast<std::size_t>(((now % f) + f) % f);
   }
-  std::vector<Slot> slots_;
+  int frame_;
+  std::vector<Slot> slots_;  ///< `frame_` slots once reserve() has run, else empty
   RouterStatePool* pool_;
   int slot_;
   int port_;

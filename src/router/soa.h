@@ -31,9 +31,11 @@
 //     until send_on_link copies it into the next link's slot and frees
 //     the arena slot;
 //   * the arena is a std::vector<Flit> reserved once to the pool's
-//     capacity, routers x ports x (vcs x depth + ports) — every ring slot
-//     and every stage slot full at once — so it never reallocates and a
-//     Flit& stays valid across an allocation;
+//     capacity, routers x (ports x (vcs x depth + ports) + vcs x depth) —
+//     every ring slot, every stage slot and every NIC's credit-bounded
+//     eject share full at once — so it never reallocates and a Flit& stays
+//     valid across an allocation (see NIC rows for the one holder the
+//     credits do not bound);
 //   * slots are handed out from a LIFO free list (a just-freed, cache-warm
 //     slot is reused first) and the arena grows only when the list is
 //     empty, so pages above its high-water mark are never written and
@@ -41,10 +43,33 @@
 //     buffer slots that could hold one;
 //   * an empty stage slot holds kNoFlit, so the handle is also the
 //     "stage full" record;
-//   * a pool's arena is touched only by its own routers, i.e. by one
-//     shard's worker in phase A (shard.S.flit_arena in src/analyze). It
-//     is not in the slab: it fills only up to its high-water mark, so a
+//   * a pool's arena is touched only by its own routers and NICs, i.e. by
+//     one shard's worker in phase A (shard.S.flit_arena in src/analyze).
+//     It is not in the slab: it fills only up to its high-water mark, so a
 //     huge page there could raise RSS.
+//
+// NIC rows. The pool also holds the per-node state of each slot's NIC
+// (core::Nic, DESIGN.md §4h), so an idle NIC owns no heap:
+//   * one NicRow per slot (queued-flit, pending-ejection and per-class
+//     counts, the stall and ejecting masks, the piggyback carry ring's
+//     head and count, the loopback queue), and per (slot, VC) the
+//     injection credits, the injection queue, the eject queue and the
+//     reassembly slot; the carry ring is vcs x depth entries, bounded by
+//     credit conservation like the router's carry rows;
+//   * a queue is a HandleQueue, a head/tail handle pair threaded through
+//     its elements' successor handles, so it needs no capacity of its own
+//     and holds nothing while empty. The injection and loopback queues and
+//     the reassembly slot name records of the shard's packet arena
+//     (core/packet_arena.h), which holds the packets' successors;
+//   * an ejected flit is copied once, from the eject link slot into this
+//     arena (eject_push), and the eject queue threads its handles through
+//     the arena's successor row (flit_next_); the NIC reads the flit in
+//     place and frees the slot once it has consumed it. The credit loop
+//     bounds a NIC's parked flits at vcs x depth, so the arena's reserve
+//     grows by that share per slot. Dropping flow control has no credit
+//     loop at the tile port, so a NIC whose client stalls ejection parks
+//     flits without bound; past the reserve the arena hands out slots from
+//     stable overflow chunks, so no flit ever moves.
 //
 // Layout notes:
 //   * one pool per shard (core::Network), so a shard's routers occupy a
@@ -80,9 +105,11 @@
 //     the link output is engaged (LinkStore.* referees it).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -99,6 +126,33 @@ namespace ocn::router {
 using FlitRef = std::uint32_t;
 /// The handle of no flit: an empty stage register.
 inline constexpr FlitRef kNoFlit = 0xffffffffu;
+
+/// Handle of a packet record in its shard's packet arena
+/// (core/packet_arena.h), and the handle of none.
+using PacketRef = std::uint32_t;
+inline constexpr PacketRef kNoPacket = 0xffffffffu;
+
+/// A FIFO of flit or packet handles threaded through its elements'
+/// successor handles: the first and the last, both kNoFlit (== kNoPacket)
+/// while empty.
+struct HandleQueue {
+  std::uint32_t head = kNoFlit;
+  std::uint32_t tail = kNoFlit;
+  bool empty() const { return head == kNoFlit; }
+};
+
+/// One NIC's scalars (see the header notes).
+struct NicRow {
+  int queued_flits = 0;    ///< unsent flits of the packets in the injection queues
+  int pending_ejects = 0;  ///< ejected flits parked on the eject queues
+  int carry_head = 0;      ///< piggyback carry ring: front entry
+  int carry_count = 0;     ///< piggyback carry ring: entries queued
+  /// Dynamic packets queued per service class (the nic_queue_packets gate).
+  std::array<int, 4> class_packets{};
+  HandleQueue loopback;        ///< self-addressed packets, in delivery order
+  std::uint8_t stalled = 0;    ///< VCs whose client refuses delivery
+  std::uint8_t ejecting = 0;   ///< VCs with a parked ejected flit
+};
 
 /// Per-VC packet state of an input VC (see the header notes).
 enum class VcState : std::uint8_t { kIdle, kRouting, kVcWait, kActive };
@@ -138,7 +192,8 @@ class RouterStatePool {
         vcs_(params.vcs),
         depth_(params.buffer_depth),
         carry_cap_(params.vcs * params.buffer_depth),
-        arena_cap_(n_rp() * static_cast<std::size_t>(vcs_ * depth_ + topo::kNumPorts)),
+        arena_cap_(n_rp() * static_cast<std::size_t>(vcs_ * depth_ + topo::kNumPorts) +
+                   static_cast<std::size_t>(routers) * static_cast<std::size_t>(carry_cap_)),
         slab_(slab_bytes(routers, params, link_latency)),
         links_(routers, node_rows(link_latency), &slab_) {
     assert(vcs_ >= 1 && vcs_ <= 8 && "the VC-allocated mask is one byte per port");
@@ -148,6 +203,7 @@ class RouterStatePool {
     });
     // Reserved, not filled: pages above the high-water mark stay untouched.
     arena_.reserve(arena_cap_);
+    flit_next_.reserve(arena_cap_);
     free_.reserve(arena_cap_);
   }
   RouterStatePool(const RouterStatePool&) = delete;  // routers hold its address
@@ -164,20 +220,24 @@ class RouterStatePool {
   // The flits the rings and stage registers hold by handle (header notes).
 
   Flit& flit(FlitRef ref) {
-    assert(ref < arena_.size());
-    return arena_[ref];
+    assert(ref < flit_next_.size());
+    if (ref < arena_cap_) [[likely]] return arena_[ref];
+    return overflow_[(ref - arena_cap_) / kOverflowChunk][(ref - arena_cap_) % kOverflowChunk];
   }
   /// Return a slot to the free list: the router calls this once the flit
-  /// has been copied onto its link.
+  /// has been copied onto its link, the NIC once it has consumed it.
   void flit_free(FlitRef ref) {
-    assert(ref < arena_.size());
+    assert(ref < flit_next_.size());
     free_.push_back(ref);
   }
-  /// Slots ever handed out (the high-water mark), the reserved bound, and
-  /// the free slots among them, for tests.
-  std::size_t arena_size() const { return arena_.size(); }
+  /// Slots ever handed out (the high-water mark), the reserved bound (past
+  /// it only a dropping-mode NIC's stalled ejections reach, see the header
+  /// notes), and the free slots among them, for tests.
+  std::size_t arena_size() const { return flit_next_.size(); }
   std::size_t arena_capacity() const { return arena_cap_; }
   const std::vector<FlitRef>& free_list() const { return free_; }
+  /// The successor of a flit on an eject queue (kNoFlit at the tail).
+  FlitRef flit_next(FlitRef ref) const { return flit_next_[ref]; }
 
   // --- input-buffer rings (router, port, vc) --------------------------------
   // One ring of `depth()` handles per VC. Router's arrival phase pushes,
@@ -209,10 +269,10 @@ class RouterStatePool {
     assert(offset >= 0 && offset < buf_count_[i]);
     return buf_slab_[slab_slot(i, offset)];
   }
-  Flit& buf_front(int r, int p, VcId v) { return arena_[buf_ref(r, p, v, 0)]; }
+  Flit& buf_front(int r, int p, VcId v) { return flit(buf_ref(r, p, v, 0)); }
   /// Most recently pushed flit (for post-push fixups on the stored copy).
   Flit& buf_back(int r, int p, VcId v) {
-    return arena_[buf_ref(r, p, v, buf_count_[rpv(r, p, v)] - 1)];
+    return flit(buf_ref(r, p, v, buf_count_[rpv(r, p, v)] - 1));
   }
   /// Remove the front flit and hand over its handle. A tail ends the
   /// packet: its routing state is forgotten and the VC goes to Routing
@@ -226,7 +286,7 @@ class RouterStatePool {
     const int left = --buf_count_[i];
     RouterMasks& m = masks_[slot(r)];
     const std::uint64_t bit = std::uint64_t{1} << mask_bit(p, v);
-    if (is_tail(arena_[ref].type)) {
+    if (is_tail(flit(ref).type)) {
       vc_state_[i] = left > 0 ? VcState::kRouting : VcState::kIdle;
       out_port_[i] = topo::Port::kTile;
       out_vc_[i] = kInvalidVc;
@@ -369,6 +429,74 @@ class RouterStatePool {
     m.link_used = 0;
   }
 
+  // --- NIC rows (slot r's NIC) -------------------------------------------
+  NicRow& nic(int r) { return nic_[slot(r)]; }
+  const NicRow& nic(int r) const { return nic_[slot(r)]; }
+  /// Credits toward the router's tile input buffer, `vcs` wide.
+  int* nic_credits(int r) { return &nic_credits_[rv(r, 0)]; }
+  const int* nic_credits(int r) const { return &nic_credits_[rv(r, 0)]; }
+  /// Injection queues of packet handles, `vcs` wide.
+  HandleQueue* nic_inject(int r) { return &nic_inject_[rv(r, 0)]; }
+  const HandleQueue* nic_inject(int r) const { return &nic_inject_[rv(r, 0)]; }
+  /// The packet each VC is reassembling (kNoPacket between packets), `vcs`
+  /// wide.
+  PacketRef* nic_assembling(int r) { return &nic_assembling_[rv(r, 0)]; }
+  const PacketRef* nic_assembling(int r) const { return &nic_assembling_[rv(r, 0)]; }
+  /// Eject queue of VC v, for tests (eject_push and eject_pop keep it).
+  const HandleQueue& nic_eject(int r, VcId v) const { return nic_eject_[rv(r, v)]; }
+
+  /// Park an ejected flit on VC v's eject queue: copy it straight from the
+  /// caller's storage (the eject link slot) into a fresh arena slot, the
+  /// NIC's one copy in. Returns the slot for post-push fixups.
+  Flit& eject_push(int r, VcId v, const Flit& f) {
+    const FlitRef ref = flit_alloc(f);
+    HandleQueue& q = nic_eject_[rv(r, v)];
+    flit_next_[ref] = kNoFlit;
+    if (q.empty()) {
+      q.head = ref;
+    } else {
+      flit_next_[q.tail] = ref;
+    }
+    q.tail = ref;
+    NicRow& row = nic_[slot(r)];
+    ++row.pending_ejects;
+    row.ejecting |= static_cast<std::uint8_t>(1u << v);
+    return flit(ref);
+  }
+  /// Unlink the front of VC v's eject queue and hand over its handle; the
+  /// caller frees it once the flit is consumed.
+  FlitRef eject_pop(int r, VcId v) {
+    HandleQueue& q = nic_eject_[rv(r, v)];
+    assert(!q.empty());
+    const FlitRef ref = q.head;
+    q.head = flit_next_[ref];
+    NicRow& row = nic_[slot(r)];
+    --row.pending_ejects;
+    if (q.head == kNoFlit) {
+      q.tail = kNoFlit;
+      row.ejecting &= static_cast<std::uint8_t>(~(1u << v));
+    }
+    return ref;
+  }
+
+  /// The NIC's piggyback carry ring: credits for the router's tile output
+  /// (reassembly slots freed), carried on injected flits. vcs * depth
+  /// entries, bounded by credit conservation like carry_push.
+  void nic_carry_push(int r, VcId v) {
+    NicRow& row = nic_[slot(r)];
+    assert(row.carry_count < carry_cap_ && "NIC carry ring overflow: credit conservation violated");
+    nic_carry_ring_[nic_carry_slot(r, row.carry_count)] = v;
+    ++row.carry_count;
+  }
+  VcId nic_carry_pop(int r) {
+    NicRow& row = nic_[slot(r)];
+    assert(row.carry_count > 0);
+    const VcId v = nic_carry_ring_[nic_carry_slot(r, 0)];
+    row.carry_head = (row.carry_head + 1) % carry_cap_;
+    --row.carry_count;
+    return v;
+  }
+
   // --- links -------------------------------------------------------------
   // The shard's link store (sim/link_store.h): one block per router slot,
   // holding every link that delivers into the slot's router and NIC. A
@@ -447,6 +575,15 @@ class RouterStatePool {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(topo::kNumPorts) +
            static_cast<std::size_t>(p);
   }
+  /// Index of (router, vc) in a per-NIC row `vcs` wide.
+  std::size_t rv(int r, VcId v) const {
+    assert(v >= 0 && v < vcs_);
+    return slot(r) * static_cast<std::size_t>(vcs_) + static_cast<std::size_t>(v);
+  }
+  std::size_t nic_carry_slot(int r, int offset) const {
+    return slot(r) * static_cast<std::size_t>(carry_cap_) +
+           static_cast<std::size_t>((nic_[slot(r)].carry_head + offset) % carry_cap_);
+  }
   std::size_t rpv(int r, int p, VcId v) const {
     assert(v >= 0 && v < vcs_);
     return rp(r, p) * static_cast<std::size_t>(vcs_) + static_cast<std::size_t>(v);
@@ -463,18 +600,30 @@ class RouterStatePool {
            static_cast<std::size_t>(input);
   }
   /// A free arena slot holding a copy of `f`: the last freed one, else the
-  /// next never-used one (the reserve bounds the arena, so no reallocation).
+  /// next never-used one — within the reserve (so no reallocation), then
+  /// in the overflow chunks.
   FlitRef flit_alloc(const Flit& f) {
     if (!free_.empty()) {
       const FlitRef ref = free_.back();
       free_.pop_back();
-      arena_[ref] = f;
+      flit(ref) = f;
       return ref;
     }
-    assert(arena_.size() < arena_cap_ && "flit arena exhausted: a slot leaked");
-    arena_.push_back(f);
-    return static_cast<FlitRef>(arena_.size() - 1);
+    const auto ref = static_cast<FlitRef>(flit_next_.size());
+    assert(ref != kNoFlit && "arena handles are 32-bit");
+    flit_next_.push_back(kNoFlit);
+    if (ref < arena_cap_) [[likely]] {
+      arena_.push_back(f);
+    } else {
+      if ((ref - arena_cap_) % kOverflowChunk == 0) {
+        overflow_.push_back(std::make_unique<Flit[]>(kOverflowChunk));
+      }
+      flit(ref) = f;
+    }
+    return ref;
   }
+  /// Flits per overflow chunk.
+  static constexpr std::size_t kOverflowChunk = 256;
   /// Ring index of the carry entry `offset` places behind the front of `i`.
   std::size_t carry_slot(std::size_t i, int offset) const {
     return i * static_cast<std::size_t>(carry_cap_) +
@@ -483,12 +632,13 @@ class RouterStatePool {
 
   /// The sizes the per-field rows are counted in.
   struct Dims {
-    std::size_t routers, rp, rpv, stage;
+    std::size_t routers, rp, rpv, rv, stage;
     int depth, carry_cap;
     Dims(int r, const RouterParams& p)
         : routers(static_cast<std::size_t>(r)),
           rp(routers * static_cast<std::size_t>(topo::kNumPorts)),
           rpv(rp * static_cast<std::size_t>(p.vcs)),
+          rv(routers * static_cast<std::size_t>(p.vcs)),
           stage(rp * static_cast<std::size_t>(topo::kNumPorts)),
           depth(p.buffer_depth),
           carry_cap(p.vcs * p.buffer_depth) {}
@@ -522,6 +672,12 @@ class RouterStatePool {
     v(&P::alloc_seen_, d.rpv, kAllocUntried);
     v(&P::out_link_, d.rp, LinkRef{});
     v(&P::up_link_, d.rp, LinkRef{});
+    v(&P::nic_, d.routers, NicRow{});
+    v(&P::nic_credits_, d.rv, d.depth);
+    v(&P::nic_inject_, d.rv, HandleQueue{});
+    v(&P::nic_eject_, d.rv, HandleQueue{});
+    v(&P::nic_assembling_, d.rv, kNoPacket);
+    v(&P::nic_carry_ring_, d.routers * static_cast<std::size_t>(d.carry_cap), kInvalidVc);
   }
   /// The element type of a pointer member.
   template <typename T>
@@ -568,7 +724,18 @@ class RouterStatePool {
   std::uint16_t* alloc_seen_ = nullptr;
   LinkRef* out_link_ = nullptr;
   LinkRef* up_link_ = nullptr;
+  NicRow* nic_ = nullptr;
+  int* nic_credits_ = nullptr;
+  HandleQueue* nic_inject_ = nullptr;
+  HandleQueue* nic_eject_ = nullptr;
+  PacketRef* nic_assembling_ = nullptr;
+  VcId* nic_carry_ring_ = nullptr;
   std::vector<Flit> arena_;
+  /// Stable chunks past the reserve (header notes).
+  std::vector<std::unique_ptr<Flit[]>> overflow_;
+  /// One successor handle per slot handed out (eject queues); its size is
+  /// the arena's high-water mark.
+  std::vector<FlitRef> flit_next_;
   std::vector<FlitRef> free_;
 };
 

@@ -1,13 +1,46 @@
 #include "traffic/replay.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "sim/parse.h"
 #include "sim/rng.h"
 
 namespace ocn::traffic {
+
+namespace {
+
+/// `text` without its leading and trailing blanks.
+std::string_view trim(std::string_view text) {
+  const std::size_t from = text.find_first_not_of(" \t\r");
+  if (from == std::string_view::npos) return {};
+  return text.substr(from, text.find_last_not_of(" \t\r") - from + 1);
+}
+
+[[noreturn]] void refuse_line(int line_no, const std::string& why) {
+  throw std::invalid_argument("trace line " + std::to_string(line_no) + ": " + why);
+}
+
+/// Field `name` of a trace line as a whole T (parse_number) within [lo, hi].
+template <typename T>
+T trace_field(std::string_view text, const char* name, T lo, T hi, int line_no) {
+  const std::optional<T> v = parse_number<T>(trim(text));
+  if (!v) {
+    refuse_line(line_no, std::string(name) + " '" + std::string(trim(text)) +
+                             "' is not an integer");
+  }
+  if (*v < lo || *v > hi) {
+    refuse_line(line_no, std::string(name) + " " + std::to_string(*v) + " outside [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return *v;
+}
+
+}  // namespace
 
 std::vector<TraceEntry> parse_trace(const std::string& csv) {
   std::vector<TraceEntry> out;
@@ -19,31 +52,30 @@ std::vector<TraceEntry> parse_trace(const std::string& csv) {
     // Strip comments and whitespace-only lines.
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (trim(line).empty()) continue;
+    std::vector<std::string_view> fields;
+    for (std::string_view rest = line;;) {
+      const std::size_t comma = rest.find(',');
+      fields.push_back(rest.substr(0, comma));
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
+    }
+    if (fields.size() < 4 || fields.size() > 5) {
+      refuse_line(line_no, "expected cycle,src,dst,bits[,class], got " +
+                               std::to_string(fields.size()) + " fields");
+    }
+    // src and dst take any int here; TraceReplay checks them against the
+    // fabric it replays on.
+    using Node = std::numeric_limits<NodeId>;
     TraceEntry e;
-    long long cycle = 0;
-    int got = std::sscanf(line.c_str(), "%lld ,%d ,%d ,%d ,%d", &cycle, &e.src,
-                          &e.dst, &e.payload_bits, &e.service_class);
-    if (got < 4) {
-      got = std::sscanf(line.c_str(), "%lld,%d,%d,%d,%d", &cycle, &e.src, &e.dst,
-                        &e.payload_bits, &e.service_class);
-    }
-    if (got < 4) {
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": expected cycle,src,dst,bits[,class]");
-    }
-    e.cycle = cycle;
-    if (e.cycle < 0) {
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": cycle must be >= 0");
-    }
-    if (e.payload_bits < 1) {
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": payload_bits must be >= 1");
-    }
-    if (e.service_class < 0 || e.service_class >= 4) {
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": service_class must be in [0, 4)");
+    e.cycle = trace_field<Cycle>(fields[0], "cycle", 0, std::numeric_limits<Cycle>::max(),
+                                 line_no);
+    e.src = trace_field<NodeId>(fields[1], "src", Node::min(), Node::max(), line_no);
+    e.dst = trace_field<NodeId>(fields[2], "dst", Node::min(), Node::max(), line_no);
+    e.payload_bits =
+        trace_field<int>(fields[3], "payload_bits", 1, kMaxTracePayloadBits, line_no);
+    if (fields.size() == 5) {
+      e.service_class = trace_field<int>(fields[4], "service_class", 0, 3, line_no);
     }
     out.push_back(e);
   }
@@ -62,15 +94,10 @@ int trace_header_shards(const std::string& csv) {
     if (hash == std::string::npos) continue;
     auto pos = line.find_first_not_of(" \t", hash + 1);
     if (pos == std::string::npos) continue;
-    constexpr const char kKey[] = "shards:";
-    if (line.compare(pos, sizeof(kKey) - 1, kKey) != 0) continue;
-    int shards = 0;
-    if (std::sscanf(line.c_str() + pos + sizeof(kKey) - 1, "%d", &shards) != 1 ||
-        shards < 1) {
-      throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": '# shards:' needs a positive integer");
-    }
-    return shards;
+    constexpr std::string_view kKey = "shards:";
+    if (line.compare(pos, kKey.size(), kKey) != 0) continue;
+    return trace_field<int>(std::string_view(line).substr(pos + kKey.size()), "'# shards:'", 1,
+                            std::numeric_limits<int>::max(), line_no);
   }
   return 0;
 }
@@ -97,6 +124,10 @@ TraceReplay::TraceReplay(core::Network& net, std::vector<TraceEntry> entries)
     };
     const std::string fabric = "is outside [0, " + std::to_string(nodes) + ")";
     if (e.src < 0 || e.src >= nodes) refuse("src", e.src, fabric);
+    if (e.payload_bits < 1 || e.payload_bits > kMaxTracePayloadBits) {
+      refuse("payload_bits", e.payload_bits,
+             "is outside [1, " + std::to_string(kMaxTracePayloadBits) + "]");
+    }
     if (e.dst < 0 || e.dst >= nodes) refuse("dst", e.dst, fabric);
     if (!core::class_has_vc_pair(e.service_class, vcs)) {
       refuse("service_class", e.service_class,

@@ -26,9 +26,19 @@ struct TraceEntry {
   int service_class = 0;
 };
 
-/// Parse trace text. Throws std::invalid_argument with the line number on
-/// malformed input, a negative cycle, payload_bits < 1 or a class outside
-/// [0, 4). Entries are sorted by cycle.
+/// Largest payload a trace entry may carry: 64 flits of 256 bits. Traces
+/// written by the tests, benches and examples carry at most 512 bits
+/// (synthesize_soc_trace at most 256); the bound keeps one line from asking
+/// the NIC for millions of flits.
+inline constexpr int kMaxTracePayloadBits = 64 * router::kDataBits;
+
+/// Parse trace text. Each line is four or five comma-separated fields, each
+/// a whole integer (blanks around it allowed): a cycle >= 0, src, dst,
+/// payload_bits in [1, kMaxTracePayloadBits] and an optional class in
+/// [0, 4). Throws std::invalid_argument with the line number on anything
+/// else: a missing or extra field, trailing characters ("2junk", "1e3"),
+/// or a value out of range or too large for its type. Entries are sorted by
+/// cycle.
 std::vector<TraceEntry> parse_trace(const std::string& csv);
 
 /// Render entries back to CSV (round-trips with parse_trace).
@@ -39,7 +49,8 @@ std::string trace_to_csv(const std::vector<TraceEntry>& entries);
 /// record the shard count this way so --replay reruns the trace under the
 /// same kernel partitioning; parse_trace itself ignores the line (it is a
 /// comment). Throws std::invalid_argument on a malformed directive
-/// ("# shards:" with no positive integer).
+/// ("# shards:" followed by anything but one positive int, by the field
+/// rules of parse_trace).
 int trace_header_shards(const std::string& csv);
 
 class TraceReplay final : public Clockable {
@@ -47,7 +58,8 @@ class TraceReplay final : public Clockable {
   /// Entries must be sorted by cycle (parse_trace guarantees it). Times are
   /// relative to the cycle start() is called. Throws std::invalid_argument,
   /// naming the field, its value and the entry's cycle, when an entry's src
-  /// or dst is not a node of `net` or its class has no VC pair there.
+  /// or dst is not a node of `net`, its payload_bits is outside [1,
+  /// kMaxTracePayloadBits] or its class has no VC pair there.
   TraceReplay(core::Network& net, std::vector<TraceEntry> entries);
 
   void start();

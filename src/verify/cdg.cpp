@@ -242,7 +242,10 @@ std::string Cdg::describe(int id) const {
     return "<no such channel (id " + std::to_string(id) + ")>";
   }
   const ChannelNode& c = channel(id);
-  std::string s = "n" + std::to_string(c.src);
+  // Appended piecewise: GCC 12's -Wrestrict misfires on
+  // `"literal" + std::to_string(...)` in Release builds (GCC bug 105651).
+  std::string s = "n";
+  s += std::to_string(c.src);
   if (c.port == Port::kTile) {
     s += " --eject";
   } else {

@@ -248,6 +248,36 @@ TEST(Analyzer, SharedFlitArenaCorruptionRefused) {
   }
 }
 
+// One packet arena for every shard's NICs: two shards' NICs link and free
+// records in the same plain state in phase A.
+TEST(Analyzer, SharedPacketArenaCorruptionRefused) {
+  const analyze::AnalysisReport r =
+      analyze_broken(baseline(), 2, analyze::BreakKind::kSharedPacketArena);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.race_free);
+  EXPECT_TRUE(has_code(r, "shard-crossing-mutable-state"));
+  bool named = false;
+  for (const auto& f : r.findings) {
+    if (f.message.find("global.packet_arena") != std::string::npos) named = true;
+  }
+  EXPECT_TRUE(named);
+  const auto* arenas = obligation(r, "packet-arena-ownership");
+  ASSERT_NE(arenas, nullptr);
+  EXPECT_FALSE(arenas->proven);
+  ASSERT_FALSE(arenas->witness.empty());
+  EXPECT_NE(arenas->witness.front().find("global.packet_arena"), std::string::npos);
+  // One arena per shard, written in phase A by its own NICs and serially
+  // by the clients, is proven at every shard count.
+  for (const int shards : {1, 2, 4}) {
+    const analyze::AnalysisReport honest = analyze::analyze_config(baseline(), shards);
+    EXPECT_TRUE(honest.ok()) << shards << "\n" << honest.to_string();
+    const auto* ob = obligation(honest, "packet-arena-ownership");
+    ASSERT_NE(ob, nullptr);
+    EXPECT_TRUE(ob->proven) << shards;
+    EXPECT_EQ(ob->proof, "shard-local") << shards;
+  }
+}
+
 // Boundary rows advanced on their sender's shard: the advance's stamps of
 // the receiver's arrival byte and due bit cross into the receiver's shard,
 // where its own advancer stamps the same receiver for its interior links.
@@ -293,6 +323,7 @@ TEST(Analyzer, CorruptionsAreCleanAtOneShardExceptZeroLatency) {
   for (const auto kind : {analyze::BreakKind::kGlobalMutator,
                           analyze::BreakKind::kGatedBoundary,
                           analyze::BreakKind::kSharedFlitArena,
+                          analyze::BreakKind::kSharedPacketArena,
                           analyze::BreakKind::kSenderAdvance}) {
     analyze::FootprintModel m = analyze::build_footprint(baseline(), single);
     analyze::corrupt(m, kind);

@@ -181,7 +181,11 @@ TEST(CounterRegistry, CounterReferencesSurviveLaterRegistrations) {
   obs::CounterRegistry reg;
   obs::Counter& first = reg.counter("first");
   // Force reallocation pressure: many later registrations must not move it.
-  for (int i = 0; i < 1000; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) {
+    std::string name = "c";  // piecewise for GCC 12's -Wrestrict
+    name += std::to_string(i);
+    reg.counter(name);
+  }
   first.inc(7);
   EXPECT_EQ(reg.snapshot().value("first"), 7);
 }

@@ -9,6 +9,7 @@
 #include "core/shard_partition.h"
 #include "core/trace.h"
 #include "ref/diff.h"
+#include "sim/rng.h"
 #include "traffic/replay.h"
 
 namespace ocn {
@@ -47,9 +48,76 @@ TEST(TraceParse, RejectsMalformedLines) {
            "0,0,5,32,9\n",  // class above 3
            "0,0,5,32,4\n",
            "0,0,5,32,-1\n",
+           "0,0,5,32,1e3\n",          // trailing characters after a number
+           "0,0,5,32,2junk\n",
+           "0,0,5,32,2,7,9\n",        // extra fields
+           "0,0,5,32,\n",             // empty class field
+           "0,0,5,99999999999\n",     // payload_bits overflows int
+           "0,0,5,2147483647\n",      // payload_bits above kMaxTracePayloadBits
+           "0,0,5,16385\n",
+           "0,0x1,5,32\n",
+           "99999999999999999999,0,5,32\n",  // cycle overflows
        }) {
     EXPECT_THROW(parse_trace(line), std::invalid_argument) << line;
   }
+  // The bound itself parses, with blanks around the fields.
+  const auto t = parse_trace(" 3 , 0 ,5, 16384 ,1\n");
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t[0].payload_bits, traffic::kMaxTracePayloadBits);
+  EXPECT_EQ(t[0].service_class, 1);
+}
+
+// Seeded byte flips, deletions, insertions and truncations of a real
+// trace_to_csv rendering: each mutant must parse or throw
+// std::invalid_argument — never another exception, a crash, or (under the
+// asan and ubsan legs) a sanitizer report — and whatever parses holds only
+// in-range fields.
+TEST(TraceParse, EveryMutantParsesOrThrowsInvalidArgument) {
+  const std::string original =
+      traffic::trace_to_csv(traffic::synthesize_soc_trace(16, 5, 3, 2, 50, 9));
+  ASSERT_FALSE(parse_trace(original).empty());
+  Rng rng(2026, 0x7ace);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  const std::string significant = ",#-+ \t\r\n0123456789eEx";
+  int parsed = 0;
+  int refused = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string m = original;
+    const std::size_t at = below(m.size());
+    switch (below(5)) {
+      case 0:
+        m[at] = static_cast<char>(m[at] ^ (1 << below(8)));
+        break;
+      case 1:
+        m.erase(at, 1 + below(8));
+        break;
+      case 2:
+        m.insert(at, 1, significant[below(significant.size())]);
+        break;
+      case 3:
+        m.insert(at, std::string(1 + below(12), static_cast<char>('0' + below(10))));
+        break;
+      default:
+        m.resize(at);
+        break;
+    }
+    try {
+      for (const TraceEntry& e : parse_trace(m)) {
+        ASSERT_GE(e.cycle, 0) << m;
+        ASSERT_GE(e.payload_bits, 1) << m;
+        ASSERT_LE(e.payload_bits, traffic::kMaxTracePayloadBits) << m;
+        ASSERT_TRUE(e.service_class >= 0 && e.service_class < 4) << m;
+      }
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    }
+  }
+  // Both outcomes occur, so the mutants reach past the first field check.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(TraceParse, CsvRoundTrip) {
@@ -131,6 +199,8 @@ TEST(TraceReplayTest, RefusesEntriesOutsideTheFabric) {
       {8, {3, -1, 5, 32, 0}, "cycle 3: src -1 is outside [0, 16)"},
       {8, {7, 0, 16, 32, 0}, "cycle 7: dst 16 is outside [0, 16)"},
       {8, {7, 0, -2, 32, 0}, "cycle 7: dst -2 is outside [0, 16)"},
+      {8, {5, 0, 5, 16385, 0}, "cycle 5: payload_bits 16385 is outside [1, 16384]"},
+      {8, {5, 0, 5, 0, 0}, "cycle 5: payload_bits 0 is outside [1, 16384]"},
       {4, {9, 0, 5, 32, 2}, "cycle 9: service_class 2 has no VC pair on a 4-VC router"},
       {2, {9, 0, 5, 32, 1}, "cycle 9: service_class 1 has no VC pair on a 2-VC router"},
       {1, {9, 0, 5, 32, 1}, "cycle 9: service_class 1 has no VC pair on a 1-VC router"},
@@ -262,6 +332,12 @@ TEST(TraceShardHeader, MalformedDirectiveThrows) {
                std::invalid_argument);
   EXPECT_THROW(traffic::trace_header_shards("# shards: -3\n"),
                std::invalid_argument);
+  // The count is one whole int, by parse_trace's field rules.
+  EXPECT_EQ(traffic::trace_header_shards("#shards:4 \n"), 4);
+  for (const char* text : {"# shards: 3abc\n", "# shards: 99999999999\n", "# shards: 0\n",
+                           "# shards: 2 3\n", "# shards: 2.0\n"}) {
+    EXPECT_THROW(traffic::trace_header_shards(text), std::invalid_argument) << text;
+  }
 }
 
 TEST(TraceShardHeader, OverClampRequestIsRefusedNotClamped) {

@@ -305,6 +305,13 @@ TEST(Reservation, SlotLifecycle) {
   RouterStatePool pool(1, unit_params(8, 4));
   ReservationTable t(16, pool, 0, 0);
   EXPECT_FALSE(t.any());
+  // Before the first reserve() no slot table exists: every slot reads as
+  // unreserved and clearing one is a no-op.
+  EXPECT_EQ(t.frame(), 16);
+  EXPECT_FALSE(t.reserved_at(3));
+  EXPECT_EQ(t.at(-13).input, -1);
+  t.clear(3);
+  EXPECT_EQ(t.reserved_count(), 0);
   EXPECT_TRUE(t.reserve(3, /*input=*/1, /*vc=*/7));
   EXPECT_FALSE(t.reserve(3, 2, 7));  // occupied
   EXPECT_TRUE(t.reserved_at(3));

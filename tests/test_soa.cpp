@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -17,6 +18,7 @@
 
 #include "chaos/chaos.h"
 #include "core/network.h"
+#include "core/packet_arena.h"
 #include "ref/campaign.h"
 #include "ref/diff.h"
 #include "router/arbiter.h"
@@ -386,11 +388,11 @@ TEST(RouterMasks, MatchRowsWithRegisterProgrammedScheduledFlow) {
 // --- the arena referee -------------------------------------------------------
 
 // Check every pool's flit arena against the handles its routers' input
-// rings and stage registers hold: each held handle is in range and held
-// once, none is on the free list (which itself names each slot once),
-// held plus free is the arena's size, and the size is within the reserved
-// capacity. With `drained`, no handle may be held at all. Returns the
-// first disagreement, or "".
+// rings and stage registers and its NICs' eject queues hold: each held
+// handle is in range and held once, none is on the free list (which itself
+// names each slot once), held plus free is the arena's size, and the size
+// is within the reserved capacity (in VC flow control). With `drained`, no
+// handle may be held at all. Returns the first disagreement, or "".
 std::string check_flit_arenas(Network& net, bool drained = false) {
   std::vector<std::pair<const router::RouterStatePool*, std::vector<router::FlitRef>>> held;
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
@@ -410,10 +412,26 @@ std::string check_flit_arenas(Network& net, bool drained = false) {
         if (staged[i] != router::kNoFlit) it->second.push_back(staged[i]);
       }
     }
+    // The flits the slot's NIC has parked on its eject queues.
+    for (VcId v = 0; v < pool.vcs(); ++v) {
+      std::size_t steps = 0;
+      for (router::FlitRef ref = pool.nic_eject(slot, v).head; ref != router::kNoFlit;
+           ref = pool.flit_next(ref)) {
+        if (ref >= pool.arena_size()) {
+          return "eject handle " + std::to_string(ref) + " out of range";
+        }
+        if (++steps > pool.arena_size()) return "nic " + std::to_string(n) + " eject queue loops";
+        it->second.push_back(ref);
+      }
+    }
   }
   for (const auto& [pool, refs] : held) {
     const std::size_t size = pool->arena_size();
-    if (size > pool->arena_capacity()) return "arena grew past its capacity";
+    // Only a dropping-mode NIC with a stalled client parks flits no credit
+    // bounds, so only there may the arena run past its reserve.
+    if (size > pool->arena_capacity() && !net.config().router.dropping()) {
+      return "arena grew past its capacity";
+    }
     if (drained && !refs.empty()) {
       return std::to_string(refs.size()) + " handles still held after drain";
     }
@@ -501,6 +519,262 @@ TEST(FlitArena, HandlesAccountedWithRegisterProgrammedScheduledFlow) {
   EXPECT_EQ(drain_and_check_arenas(net), "");
   EXPECT_GT(flow.received(), 0);
   EXPECT_GT(net.stats().bypass_flits, 0);
+}
+
+// --- the NIC-row referee ------------------------------------------------------
+
+// Recount every NIC's counters from its handle structures and check each
+// shard's packet arena: the unsent flits on the injection queues equal
+// queued_flits(), the dynamic packets per class the class counts, the
+// parked flits on the eject queues pending_eject_flits() (and the ejecting
+// mask their non-empty VCs), the carry ring stays within vcs x depth (empty
+// without piggybacking), and a reassembly slot names a record holding at
+// least the head's payload. Every handle a queue or reassembly slot names
+// is in range, held once and not free, held + free is the arena's size,
+// and with `drained` nothing is held. Every walk is bounded by the arena
+// size, so a queue linked into a loop is reported, not followed. Returns
+// the first disagreement, or "".
+std::string check_nic_rows(Network& net, bool drained = false) {
+  std::vector<std::pair<const core::PacketArena*, std::vector<router::PacketRef>>> held;
+  const int vcs = net.config().router.vcs;
+  const int carry_cap = vcs * net.config().router.buffer_depth;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    const core::Nic& nic = net.nic(n);
+    const router::RouterStatePool& pool = nic.pool();
+    const int slot = nic.pool_slot();
+    const core::PacketArena& arena = nic.packet_arena();
+    const router::NicRow& row = pool.nic(slot);
+    auto it = std::find_if(held.begin(), held.end(),
+                           [&arena](const auto& e) { return e.first == &arena; });
+    if (it == held.end()) it = held.insert(held.end(), {&arena, {}});
+    const std::string where = "nic " + std::to_string(n) + ": ";
+    // Walk one packet queue, appending its handles; "" or the fault.
+    const auto walk = [&](const router::HandleQueue& q, const auto& visit) -> std::string {
+      router::PacketRef last = router::kNoPacket;
+      std::size_t steps = 0;
+      for (router::PacketRef ref = q.head; ref != router::kNoPacket; ref = arena[ref].next) {
+        if (ref >= arena.size()) return "packet handle " + std::to_string(ref) + " out of range";
+        if (++steps > arena.size()) return "packet queue loops";
+        it->second.push_back(ref);
+        visit(arena[ref]);
+        last = ref;
+      }
+      if (q.tail != last) return "queue tail " + std::to_string(q.tail) + " is not its last record";
+      return "";
+    };
+
+    int queued = 0;
+    std::array<int, 4> per_class{};
+    for (VcId v = 0; v < vcs; ++v) {
+      const std::string err = walk(pool.nic_inject(slot)[v], [&](const core::PacketRecord& r) {
+        queued += r.packet.num_flits() - r.next_flit;
+        if (r.send_at < 0) ++per_class[static_cast<std::size_t>(r.packet.service_class)];
+      });
+      if (!err.empty()) return where + "injection VC " + std::to_string(v) + ": " + err;
+    }
+    if (queued != nic.queued_flits()) {
+      return where + "injection queues hold " + std::to_string(queued) +
+             " unsent flits, queued_flits() says " + std::to_string(nic.queued_flits());
+    }
+    if (per_class != row.class_packets) return where + "per-class packet counts disagree";
+    const std::string loop_err = walk(row.loopback, [](const core::PacketRecord&) {});
+    if (!loop_err.empty()) return where + "loopback: " + loop_err;
+
+    int parked = 0;
+    std::uint8_t ejecting = 0;
+    for (VcId v = 0; v < vcs; ++v) {
+      const router::HandleQueue& q = pool.nic_eject(slot, v);
+      router::FlitRef last = router::kNoFlit;
+      for (router::FlitRef ref = q.head; ref != router::kNoFlit; ref = pool.flit_next(ref)) {
+        if (ref >= pool.arena_size() || parked > static_cast<int>(pool.arena_size())) {
+          return where + "eject queue " + std::to_string(v) + " is broken";
+        }
+        ++parked;
+        last = ref;
+      }
+      if (q.tail != last) return where + "eject queue " + std::to_string(v) + " tail disagrees";
+      if (!q.empty()) ejecting |= static_cast<std::uint8_t>(1u << v);
+    }
+    if (parked != nic.pending_eject_flits()) {
+      return where + "eject queues hold " + std::to_string(parked) +
+             " flits, pending_eject_flits() says " + std::to_string(nic.pending_eject_flits());
+    }
+    if (ejecting != row.ejecting) return where + "ejecting mask disagrees with its queues";
+
+    if (nic.carry_backlog() < 0 || nic.carry_backlog() > carry_cap ||
+        (!net.config().router.piggyback_credits && nic.carry_backlog() != 0)) {
+      return where + "carry backlog " + std::to_string(nic.carry_backlog()) + " out of bounds";
+    }
+    for (VcId v = 0; v < vcs; ++v) {
+      const router::PacketRef ref = pool.nic_assembling(slot)[v];
+      if (ref == router::kNoPacket) continue;
+      if (ref >= arena.size()) return where + "reassembly handle out of range";
+      if (arena[ref].packet.flit_payloads.empty()) {
+        return where + "VC " + std::to_string(v) + " reassembles a packet with no head";
+      }
+      it->second.push_back(ref);
+    }
+    if (drained && !nic.idle_internal()) return where + "not idle after drain";
+  }
+  for (const auto& [arena, refs] : held) {
+    const std::size_t size = arena->size();
+    if (drained && !refs.empty()) {
+      return std::to_string(refs.size()) + " packet handles still held after drain";
+    }
+    enum : char { kUnseen, kHeld, kFree };
+    std::vector<char> seen(size, kUnseen);
+    for (const router::PacketRef ref : refs) {
+      if (seen[ref] != kUnseen) return "packet handle " + std::to_string(ref) + " held twice";
+      seen[ref] = kHeld;
+    }
+    for (const router::PacketRef ref : arena->free_list()) {
+      if (ref >= size) return "free packet handle " + std::to_string(ref) + " out of range";
+      if (seen[ref] == kHeld) return "held packet handle " + std::to_string(ref) + " is free";
+      if (seen[ref] == kFree) return "packet handle " + std::to_string(ref) + " freed twice";
+      seen[ref] = kFree;
+    }
+    if (refs.size() + arena->free_list().size() != size) {
+      return "packet arena: held " + std::to_string(refs.size()) + " + free " +
+             std::to_string(arena->free_list().size()) + " != size " + std::to_string(size) +
+             " (a record leaked)";
+    }
+  }
+  return "";
+}
+
+// Both arena referees after a step: the NIC rows and packet arena, then
+// the flit arena (which counts the NICs' parked flits).
+std::string check_nic_and_flit_arenas(Network& net, bool drained = false) {
+  std::string err = check_nic_rows(net, drained);
+  if (err.empty()) err = check_flit_arenas(net, drained);
+  return err;
+}
+
+std::string run_nic_referee(Network& net, double rate, int max_flits, Cycle cycles, Cycle drain,
+                            std::uint64_t seed) {
+  return run_referee(net, rate, max_flits, cycles, drain, seed, [&net] {
+    net.step();
+    return check_nic_and_flit_arenas(net);
+  });
+}
+
+std::string drain_and_check_nics(Network& net) {
+  if (!net.drain(5000)) return "network did not drain";
+  // drain() returns at delivery parity; let the last credits settle.
+  for (int c = 0; c < 50; ++c) net.step();
+  return check_nic_and_flit_arenas(net, /*drained=*/true);
+}
+
+// Every quick-matrix cell (dropping, piggyback carry rings and credit-only
+// fillers, the link-kill reroutes), past saturation with 1-5 flit packets.
+TEST(NicRows, CountersMatchHandlesAfterEveryStepOverTheQuickMatrix) {
+  for (const auto& cell : ref::quick_matrix()) {
+    Network net(cell.config);
+    if (cell.scenario.active()) {
+      const std::string before =
+          run_nic_referee(net, 0.2, 5, cell.scenario.kill_cycle, /*drain=*/0, 7);
+      ASSERT_EQ(before, "") << cell.name;
+      chaos::kill_link(net, cell.scenario.kill_node, cell.scenario.kill_port);
+    }
+    EXPECT_EQ(run_nic_referee(net, 0.2, 5, 300, 3000, 7), "") << cell.name;
+    EXPECT_EQ(drain_and_check_nics(net), "") << cell.name;
+    EXPECT_GT(net.nic(0).packet_arena().size(), 0u) << cell.name;
+  }
+}
+
+// The simbench 16x16 shape past saturation: injection queues stay at the
+// class cap for thousands of cycles. One shard, then four (an arena each).
+TEST(NicRows, CountersMatchHandlesPastSaturationOn16x16) {
+  Config config = Config::paper_baseline();
+  config.radix = 16;
+  for (const int shards : {1, 4}) {
+    Network net(config, shards);
+    ASSERT_EQ(net.shards(), shards);
+    EXPECT_EQ(run_nic_referee(net, 0.9 / 4, 4, 500, 300, 3), "") << shards << " shards";
+    EXPECT_EQ(drain_and_check_nics(net), "") << shards << " shards";
+  }
+}
+
+// Scheduled packets (which bypass the class cap and wait for their phase
+// on the scheduled VC's queue), register packets and their read-back
+// replies, under dynamic load.
+TEST(NicRows, CountersMatchHandlesWithRegisterProgrammedScheduledFlow) {
+  Config config = Config::paper_baseline();
+  config.router.exclusive_scheduled_vc = true;
+  config.router.reservation_frame = 32;
+  Network net(config);
+  const auto phase = net.reserve_flow(0, 5, 7);
+  ASSERT_TRUE(phase.has_value());
+  net.release_flow(0, 5, *phase);
+  net.program_flow_registers(/*config_master=*/15, 0, 5, *phase);
+  traffic::ScheduledFlow flow(net, 2, 13, 3, /*slots_per_frame=*/4);
+  flow.start();
+  EXPECT_EQ(run_nic_referee(net, 0.25, 2, 400, 400, 5), "");
+  flow.stop();
+  EXPECT_EQ(drain_and_check_nics(net), "");
+  EXPECT_GT(flow.received(), 0);
+}
+
+// Chaos stall_nic windows on several NICs under load, in VC flow control
+// (the credit loop backs the router up behind the stalled NIC) and in
+// dropping mode (no credit loop at the tile port, so a stalled NIC parks
+// whatever arrives). Self-addressed packets add loopback records.
+TEST(NicRows, CountersMatchHandlesThroughNicStalls) {
+  for (const bool dropping : {false, true}) {
+    SCOPED_TRACE(dropping ? "dropping" : "vc flow control");
+    Config config = Config::paper_baseline();
+    if (dropping) config.router.flow_control = router::FlowControl::kDropping;
+    Network net(config);
+    chaos::ChaosEngine engine(net);
+    for (const NodeId node : {2, 5, 9}) {
+      chaos::Event e;
+      e.at = 20 + 10 * node;
+      e.kind = chaos::EventKind::kNicStall;
+      e.node = node;
+      e.duration = 150;
+      engine.schedule(e);
+    }
+    for (NodeId n = 0; n < net.num_nodes(); n += 3) {
+      ASSERT_TRUE(net.nic(n).inject(core::make_packet(n, 0, 2), net.now()));
+    }
+    EXPECT_EQ(run_nic_referee(net, 0.2, 5, 400, 3000, 11), "");
+    EXPECT_EQ(drain_and_check_nics(net), "");
+    EXPECT_GT(net.nic(5).packets_delivered(), 0);
+  }
+}
+
+// Dropping mode past the flit arena's reserve: a stalled NIC that every
+// other node sends to parks more flits than its pool's reserve holds
+// (one router per shard pool here), so the arena hands out overflow
+// slots. Every flit is still accounted for, and all are delivered once
+// the client drains.
+TEST(NicRows, DroppingStallParksPastTheArenaReserve) {
+  Config config = Config::paper_baseline();
+  config.topology = core::TopologyKind::kMesh;
+  config.radix = 2;
+  config.router.flow_control = router::FlowControl::kDropping;
+  Network net(config, /*shards=*/2);
+  core::Nic& sink = net.nic(3);
+  const router::RouterStatePool& pool = sink.pool();
+  for (VcId v = 0; v < config.router.vcs; ++v) sink.set_ejection_stall(v, true);
+  std::int64_t sent = 0;
+  for (Cycle c = 0; c < 3000; ++c) {
+    for (NodeId src = 0; src < 3; ++src) {
+      if (net.nic(src).inject(core::make_packet(3, 0, 1), net.now())) ++sent;
+    }
+    net.step();
+    const std::string err = check_nic_and_flit_arenas(net);
+    ASSERT_EQ(err, "") << "cycle " << c;
+  }
+  EXPECT_GT(pool.arena_size(), pool.arena_capacity());
+  EXPECT_GT(sink.pending_eject_flits(), static_cast<int>(pool.arena_capacity()) / 2);
+  for (VcId v = 0; v < config.router.vcs; ++v) sink.set_ejection_stall(v, false);
+  EXPECT_EQ(drain_and_check_nics(net), "");
+  std::int64_t dropped = 0;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    dropped += net.router_at(n).packets_dropped();
+  }
+  EXPECT_EQ(sink.packets_delivered() + dropped, sent);
 }
 
 // --- quiescence audit -------------------------------------------------------
